@@ -5,19 +5,14 @@ from .analysis import (BinnedSpectrum, MaskReport, MaskSegment, MaskSpec,
                        TableRow, bin_estimate, binned_power, bit_rate,
                        chip_rate, mask_check, occupied_bandwidth,
                        reproduce_table, spectral_efficiency, welch_psd)
-from .correlation import (CorrelationReport, MaxCorrelation,
-                          abs_cross_correlation, correlation_bound,
-                          correlation_matrix, correlation_report,
+from .correlation import (MaxCorrelation, abs_cross_correlation,
+                          correlation_bound, correlation_matrix,
                           cross_correlation, cross_correlation_real,
-                          max_cross_correlation,
-                          numeric_cross_correlation_matrix,
-                          numeric_cross_correlation_oracle,
-                          orthogonality_offsets, real_orthogonality_condition,
-                          snr_penalty_db)
+                          max_cross_correlation, orthogonality_offsets,
+                          real_orthogonality_condition, snr_penalty_db)
 from .iqfile import IqFileHeader, read_header, read_iq, write_iq
 from .params import IqBuffer, LoraParams, Symbol, validate_symbol
-from .receiver import (ChipVector, DechirpedVector, awgn, chip_samples,
-                       dechirp, demodulate_stream, demodulate_symbol)
+from .receiver import awgn, dechirp, demodulate_stream
 from .spectrum import (FresnelPair, SpectrumResult, continuous_psd,
                        discrete_power_total, discrete_spectrum_lines,
                        fresnel, fresnel_spectrum, psd_via_dft,
@@ -29,18 +24,15 @@ from .waveform import (baseband_waveform, instantaneous_frequency,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinnedSpectrum", "ChipVector", "CorrelationReport", "DechirpedVector",
-    "FresnelPair", "IqBuffer", "IqFileHeader", "LoraParams", "MaskReport",
-    "MaskSegment", "MaskSpec", "MaxCorrelation", "SpectrumResult", "Symbol",
-    "TableRow", "abs_cross_correlation", "awgn", "baseband_waveform",
-    "bin_estimate", "binned_power", "bit_rate", "chip_rate", "chip_samples",
-    "continuous_psd", "correlation_bound", "correlation_matrix",
-    "correlation_report", "cross_correlation", "cross_correlation_real",
-    "dechirp", "demodulate_stream", "demodulate_symbol",
-    "discrete_power_total", "discrete_spectrum_lines", "fresnel",
-    "fresnel_spectrum", "instantaneous_frequency", "mask_check",
+    "BinnedSpectrum", "FresnelPair", "IqBuffer", "IqFileHeader", "LoraParams",
+    "MaskReport", "MaskSegment", "MaskSpec", "MaxCorrelation",
+    "SpectrumResult", "Symbol", "TableRow", "abs_cross_correlation", "awgn",
+    "baseband_waveform", "bin_estimate", "binned_power", "bit_rate",
+    "chip_rate", "continuous_psd", "correlation_bound", "correlation_matrix",
+    "cross_correlation", "cross_correlation_real", "dechirp",
+    "demodulate_stream", "discrete_power_total", "discrete_spectrum_lines",
+    "fresnel", "fresnel_spectrum", "instantaneous_frequency", "mask_check",
     "max_cross_correlation", "mean_envelope_magnitude", "modulate",
-    "numeric_cross_correlation_matrix", "numeric_cross_correlation_oracle",
     "occupied_bandwidth", "orthogonality_offsets", "payload_to_symbols",
     "phase", "psd_via_dft", "read_header", "read_iq",
     "real_orthogonality_condition", "reproduce_table", "snr_penalty_db",

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as _signal
 
-from .correlation import max_cross_correlation
+from .correlation import max_cross_correlation, snr_penalty_db
 from .params import IqBuffer, LoraParams
 from .spectrum import SpectrumResult, psd_via_dft
 
@@ -131,7 +131,7 @@ def reproduce_table(sf_list, fraction: float = 0.99) -> list[TableRow]:
             max_re_c=mc.max_abs_real,
             b99_b=b99 / p.b,
             pd=1.0 / p.m,
-            delta_max_db=float(-10.0 * np.log10(1.0 - mc.max_abs_real)),
+            delta_max_db=snr_penalty_db(p),
         ))
     return rows
 
@@ -199,6 +199,9 @@ class MaskSegment:
             raise ValueError(f"rbw_hz must be positive, got {self.rbw_hz}")
 
 
+_MASK_KEYS = ("f_start_hz", "f_stop_hz", "limit_dbm", "rbw_hz")
+
+
 @dataclass(frozen=True)
 class MaskSpec:
     """Piecewise regulatory emission mask over absolute frequencies."""
@@ -216,11 +219,25 @@ class MaskSpec:
 
     @classmethod
     def from_json(cls, path) -> "MaskSpec":
+        """Parse a mask document; a missing key or a value that is not a
+        finite number raises ValueError naming the segment and the key."""
         doc = json.loads(Path(path).read_text())
-        segs = tuple(MaskSegment(float(s["f_start_hz"]), float(s["f_stop_hz"]),
-                                 float(s["limit_dbm"]), float(s["rbw_hz"]))
-                     for s in doc.get("segments", []))
-        return cls(label=str(doc.get("label", "")), segments=segs)
+        segs = []
+        for i, seg in enumerate(doc.get("segments", [])):
+            values = []
+            for key in _MASK_KEYS:
+                if not isinstance(seg, dict) or key not in seg:
+                    raise ValueError(f"mask segment {i} is missing {key!r}")
+                try:
+                    value = float(seg[key])
+                except (TypeError, ValueError):
+                    value = np.nan
+                if not np.isfinite(value):
+                    raise ValueError(
+                        f"mask segment {i}: {key!r} must be a finite number, got {seg[key]!r}")
+                values.append(value)
+            segs.append(MaskSegment(*values))
+        return cls(label=str(doc.get("label", "")), segments=tuple(segs))
 
     def to_json(self, path) -> None:
         doc = {"label": self.label,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import LoraParams, Symbol, validate_symbol
-from .waveform import waveform_at
 
 
 def cross_correlation(p: LoraParams, l: Symbol, m: Symbol) -> complex:
@@ -50,45 +49,6 @@ def abs_cross_correlation(p: LoraParams, d: int) -> float:
         raise ValueError(f"distance d must be in [1, {p.m - 1}], got {d}")
     M = p.m
     return float(M * np.abs(np.sin(np.pi * d * d / M)) / (np.pi * (M - d) * d))
-
-
-def numeric_cross_correlation_oracle(p: LoraParams, l: Symbol, m: Symbol,
-                                     steps: int) -> complex:
-    """Brute-force check of the closed form: trapezoidal integration of
-    (1/Ts) * int_0^Ts x(t;l) x*(t;m) dt on a uniform grid of `steps` panels.
-
-    Error is O(steps^-2); steps must be at least 64*M.
-    """
-    l = validate_symbol(p, l)
-    m = validate_symbol(p, m)
-    if steps < 64 * p.m:
-        raise ValueError(f"steps must be >= 64*M = {64 * p.m}, got {steps}")
-    t = np.linspace(0.0, p.ts, steps + 1)
-    f = waveform_at(p, l, t) * np.conj(waveform_at(p, m, t))
-    return complex(np.trapezoid(f, dx=p.ts / steps) / (p.ts * p.gamma ** 2))
-
-
-def numeric_cross_correlation_matrix(p: LoraParams, steps: int,
-                                     chunk: int = 1 << 14) -> np.ndarray:
-    """All-pairs trapezoidal oracle, computed as a weighted Gram matrix.
-
-    Equivalent to calling the per-pair oracle for every (l, m) but runs as
-    chunked matrix products over the shared time grid.
-    """
-    if steps < 64 * p.m:
-        raise ValueError(f"steps must be >= 64*M = {64 * p.m}, got {steps}")
-    M = p.m
-    t = np.linspace(0.0, p.ts, steps + 1)
-    w = np.ones(steps + 1)
-    w[0] = w[-1] = 0.5
-    G = np.zeros((M, M), dtype=complex)
-    for start in range(0, steps + 1, chunk):
-        tc = t[start:start + chunk]
-        X = np.empty((M, len(tc)), dtype=complex)
-        for a in range(M):
-            X[a] = waveform_at(p, a, tc)
-        G += (X * w[start:start + chunk]) @ X.conj().T
-    return G * (p.ts / steps) / (p.ts * p.gamma ** 2)
 
 
 @dataclass(frozen=True)
@@ -168,23 +128,6 @@ def real_orthogonality_condition(p: LoraParams, l: Symbol, m: Symbol) -> bool:
     return (2 * (m * m - l * l)) % (2 * M) == M
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Summary of the waveform cross-correlation structure.
-
-    matrix is the dense M x M correlation table (conjugate-symmetric,
-    unit diagonal) and is only materialized for sf <= 8; above that only
-    the maxima are retained.
-    """
-
-    max_abs: float
-    max_abs_real: float
-    argmax_pair: tuple[int, int]
-    bound: float
-    penalty_db: float
-    matrix: np.ndarray | None = None
-
-
 _MATRIX_SF_LIMIT = 8
 
 
@@ -202,19 +145,3 @@ def correlation_matrix(p: LoraParams) -> np.ndarray:
     np.fill_diagonal(C, 1.0)
     return C
 
-
-def correlation_report(p: LoraParams, include_matrix: bool | None = None) -> CorrelationReport:
-    """Build a CorrelationReport; the matrix is included when sf <= 8
-    unless include_matrix overrides."""
-    mc = max_cross_correlation(p)
-    if include_matrix is None:
-        include_matrix = p.sf <= _MATRIX_SF_LIMIT
-    matrix = correlation_matrix(p) if include_matrix else None
-    return CorrelationReport(
-        max_abs=mc.max_abs,
-        max_abs_real=mc.max_abs_real,
-        argmax_pair=mc.argmax_real,
-        bound=correlation_bound(p),
-        penalty_db=float(-10.0 * np.log10(1.0 - mc.max_abs_real)),
-        matrix=matrix,
-    )

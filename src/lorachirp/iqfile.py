@@ -29,8 +29,8 @@ class IqFileHeader:
     def __post_init__(self):
         if self.format not in (FORMAT_F32, FORMAT_CSV):
             raise ValueError(f"unknown IQ format {self.format!r}")
-        if not self.fs > 0:
-            raise ValueError(f"fs must be positive, got {self.fs}")
+        if not (np.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"fs must be finite and positive, got {self.fs}")
 
 
 def _default_header_path(path: Path) -> Path:
@@ -85,8 +85,8 @@ def read_header(header_path) -> tuple[IqFileHeader, int | None]:
     if "fs_hz" not in doc:
         raise ValueError(f"IQ sidecar {header_path} is missing fs_hz")
     fs = float(doc["fs_hz"])
-    if fs <= 0:
-        raise ValueError(f"IQ sidecar {header_path} has fs_hz <= 0")
+    if not (np.isfinite(fs) and fs > 0):
+        raise ValueError(f"IQ sidecar {header_path} has fs_hz = {fs}, not finite and positive")
     header = IqFileHeader(format=str(doc.get("format", FORMAT_F32)), fs=fs,
                           center_freq=float(doc.get("center_freq_hz", 0.0)),
                           description=str(doc.get("description", "")))

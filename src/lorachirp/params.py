@@ -34,12 +34,12 @@ class LoraParams:
             raise ValueError(f"sf must be an integer, got {self.sf!r}")
         if not 1 <= self.sf <= 16:
             raise ValueError(f"sf must be in [1, 16], got {self.sf}")
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.f0 < 0:
-            raise ValueError(f"f0 must be nonnegative, got {self.f0}")
-        if not self.ps > 0:
-            raise ValueError(f"ps must be positive, got {self.ps}")
+        if not (np.isfinite(self.b) and self.b > 0):
+            raise ValueError(f"b must be finite and positive, got {self.b}")
+        if not (np.isfinite(self.f0) and self.f0 >= 0):
+            raise ValueError(f"f0 must be finite and nonnegative, got {self.f0}")
+        if not (np.isfinite(self.ps) and self.ps > 0):
+            raise ValueError(f"ps must be finite and positive, got {self.ps}")
 
     @property
     def m(self) -> int:
@@ -86,8 +86,8 @@ class IqBuffer:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not self.fs > 0:
-            raise ValueError(f"fs must be positive, got {self.fs}")
+        if not (np.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"fs must be finite and positive, got {self.fs}")
         arr = np.array(self.samples, dtype=np.complex128, copy=True)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")

@@ -1,84 +1,31 @@
-"""Chip-rate discrete-time model, dechirping and DFT demodulation.
+"""Chip-rate dechirping and DFT demodulation.
 
-Sampling the received symbol every Tc = 1/B seconds gives
-
-    x[k] = gamma * exp{j*2*pi*k*(a/M - 1/2 + k/(2M))},  k = 0..M-1,
-
-with no modulo operation needed: the frequency-wrap term contributes an
-integer multiple of 2*pi at the chip instants.  Multiplying by the
-conjugate reference chirp exp{-j*2*pi*k^2/(2M) + j*pi*k} turns the symbol
-into the complex sinusoid exp{j*2*pi*k*a/M}, whose M-point DFT peaks at
-bin a.
+Sampled every Tc = 1/B seconds, symbol a is the base upchirp x(.;0)
+cyclically shifted by a chips and rotated by a constant phase (see
+waveform._sample_symbols); no modulo step is needed because the
+frequency wrap adds a whole multiple of 2*pi at the chip instants.
+Multiplying by the conjugate of the unit-amplitude base upchirp turns
+the symbol into a complex sinusoid at frequency a/M cycles per chip,
+whose M-point DFT peaks at bin a.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .params import IqBuffer, LoraParams, Symbol, validate_symbol
+from .params import IqBuffer, LoraParams, Symbol
+from .waveform import _sample_symbols
 
 
-@dataclass(frozen=True)
-class ChipVector:
-    """One symbol of M chip-rate samples."""
+def dechirp(p: LoraParams, chips) -> np.ndarray:
+    """Multiply chip-rate symbols (M samples on the last axis) by the
+    conjugate base upchirp.
 
-    chips: np.ndarray
-    params: LoraParams
-
-    def __post_init__(self):
-        arr = np.array(self.chips, dtype=np.complex128, copy=True)
-        if arr.ndim != 1 or len(arr) != self.params.m:
-            raise ValueError(f"expected {self.params.m} chips, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "chips", arr)
-
-
-@dataclass(frozen=True)
-class DechirpedVector:
-    """Dechirped symbol: a complex sinusoid at the symbol frequency."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.complex128, copy=True)
-        if arr.ndim != 1:
-            raise ValueError(f"values must be 1-D, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-def chip_samples(p: LoraParams, a: Symbol) -> ChipVector:
-    """Chip-rate samples of the symbol waveform."""
-    a = validate_symbol(p, a)
-    k = np.arange(p.m)
-    chips = p.gamma * np.exp(2j * np.pi * k * (a / p.m - 0.5 + k / (2.0 * p.m)))
-    return ChipVector(chips, p)
-
-
-def _dechirp_reference(m: int) -> np.ndarray:
-    k = np.arange(m)
-    return np.exp(-2j * np.pi * k * k / (2.0 * m) + 1j * np.pi * k)
-
-
-def dechirp(c: ChipVector) -> DechirpedVector:
-    """Multiply by the conjugate reference chirp.
-
-    For a clean symbol a the result is gamma * exp{j*2*pi*k*a/M}.
+    For a clean symbol a the result is gamma * e^{j*2*pi*k*a/M}, k = 0..M-1.
     """
-    m = c.params.m
-    if len(c.chips) != m:
-        raise ValueError(f"chip vector length {len(c.chips)} != M = {m}")
-    return DechirpedVector(c.chips * _dechirp_reference(m))
-
-
-def demodulate_symbol(c: ChipVector) -> Symbol:
-    """Detect the symbol as argmax_q |DFT(dechirped)[q]|.
-
-    Exact for noiseless chip-rate input; ties break to the lowest bin.
-    """
-    spectrum = np.fft.fft(dechirp(c).values)
-    return int(np.argmax(np.abs(spectrum)))
+    chips = np.asarray(chips)
+    if chips.shape[-1:] != (p.m,):
+        raise ValueError(f"expected M = {p.m} chips on the last axis, got shape {chips.shape}")
+    return chips * np.conj(_sample_symbols(LoraParams(sf=p.sf, b=p.b), [0], 1)[0])
 
 
 def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
@@ -88,10 +35,13 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
     taken starting at index 0 with no anti-alias filtering: band-limiting
     would distort the chirps, and at chip instants the plain samples are
     already exact.  After decimation the length must be a whole number of
-    symbols.
+    symbols.  Each symbol is detected as argmax_q |DFT(dechirped)[q]|;
+    ties break to the lowest bin.
     """
     if len(iq) == 0:
         raise ValueError("cannot demodulate an empty buffer")
+    if not np.all(np.isfinite(iq.samples)):
+        raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
     ratio = iq.fs / p.b
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, ratio):
@@ -102,8 +52,8 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
         raise ValueError(
             f"decimated stream has {len(chips)} chips, not a multiple of "
             f"M = {p.m}: {trailing} trailing samples")
-    blocks = chips.reshape(-1, p.m) * _dechirp_reference(p.m)
-    return [int(q) for q in np.argmax(np.abs(np.fft.fft(blocks, axis=1)), axis=1)]
+    blocks = dechirp(p, chips.reshape(-1, p.m))
+    return np.argmax(np.abs(np.fft.fft(blocks, axis=1)), axis=1).tolist()
 
 
 def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import fresnel as _scipy_fresnel
 
 from .params import LoraParams, Symbol, validate_symbol
+from .waveform import _sample_symbols
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ def psd_via_dft(p: LoraParams, zero_pad_factor: int = 1,
     k = int(zero_pad_factor)
     dt = Ts / N
     nfft = N * k
-    t = np.arange(N) * dt
+    unit = LoraParams(sf=p.sf, b=B)
 
     w = np.empty(N)
     w[0] = 1.0 / 3.0
@@ -226,9 +227,7 @@ def psd_via_dft(p: LoraParams, zero_pad_factor: int = 1,
     sum_abs2 = np.zeros(nfft)
     sum_x = np.zeros(nfft, dtype=complex)
     for a in range(M):
-        tau_a = (M - a) / B
-        u = (t >= tau_a).astype(float)
-        x = np.exp(2j * np.pi * B * t * (a / M - 0.5 + B * t / (2.0 * M) - u))
+        x = _sample_symbols(unit, [a], N // M)[0]
         X = dt * (np.fft.fft(w * x, nfft) + end_term)
         sum_abs2 += np.abs(X) ** 2
         sum_x += X

@@ -8,9 +8,11 @@ frequency zero (the chirp sweeps [-B/2, B/2)).
 """
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import diric
 
 from .params import IqBuffer, LoraParams, Symbol, validate_symbol
@@ -59,29 +61,55 @@ def phase(p: LoraParams, a: Symbol, t):
 def waveform_at(p: LoraParams, a: Symbol, t):
     """Complex envelope centered at frequency zero, for t in [0, Ts].
 
-    x(t;a) = gamma * exp{j*2*pi*B*t*[a/M - 1/2 + B*t/(2M) - u(t - (M-a)/B)]}
+    x(t;a) = gamma * exp{j*(phase(t;a) - pi*B*t)}
+           = gamma * exp{j*2*pi*B*t*[a/M - 1/2 + B*t/(2M) - u(t - (M-a)/B)]}
+
+    the two forms differ by a multiple of 2*pi.  This is the only
+    closed-form expression of the waveform; every sampled waveform is
+    gathered from it by `_sample_symbols`.
     """
-    a = validate_symbol(p, a)
-    t, scalar = _as_time_array(t, p.ts, closed=True)
-    tau_a = (p.m - a) / p.b
-    u = (t >= tau_a).astype(float)
-    ph = 2.0 * np.pi * p.b * t * (a / p.m - 0.5 + p.b * t / (2.0 * p.m) - u)
-    x = p.gamma * np.exp(1j * ph)
-    return complex(x[0]) if scalar else x
+    x = p.gamma * np.exp(1j * (phase(p, a, t) - np.pi * p.b * np.asarray(t, dtype=float)))
+    return complex(x) if np.ndim(t) == 0 else x
+
+
+@functools.lru_cache(maxsize=16)
+def _base_phase_windows(p: LoraParams, oversample: int) -> np.ndarray:
+    """Read-only (L+1, L) view whose row s is the phase of the base upchirp
+    x0 = x(.;0) cyclically shifted by s samples, L = oversample*M, taken
+    over one copy of the phase concatenated with itself."""
+    t = np.arange(oversample * p.m) / (oversample * p.b)
+    theta0 = np.angle(waveform_at(p, 0, t))
+    return sliding_window_view(np.concatenate([theta0, theta0]), len(theta0))
+
+
+def _sample_symbols(p: LoraParams, symbols: Sequence[Symbol], oversample: int) -> np.ndarray:
+    """Rows x(n;a) = e^{j*pi*a*(1 - a/M)} * x0[(n + a*oversample) mod (oversample*M)].
+
+    At the sampling instants t_n = n*Ts/(oversample*M) every symbol is a
+    phase-rotated cyclic shift of the base upchirp x0 = x(.;0): read from
+    its a-th chip on, x0 starts at frequency a*B/M and wraps back to its
+    first chip exactly where x(t;a) wraps.  The rotation is added to the
+    gathered phase rather than multiplied onto complex samples, so each
+    sample's magnitude is rounded once, as in waveform_at.  Returns a new
+    (len(symbols), oversample*M) array.
+    """
+    if not isinstance(oversample, (int, np.integer)) or oversample < 1:
+        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
+    a = np.array([validate_symbol(p, s) for s in symbols], dtype=np.int64)
+    phases = _base_phase_windows(p, int(oversample))[a * oversample]
+    # a*(M - a) mod 2M keeps the rotation angle exact for every a
+    phases += (np.pi * ((a * (p.m - a)) % (2 * p.m)) / p.m)[:, None]
+    return p.gamma * np.exp(1j * phases)
 
 
 def baseband_waveform(p: LoraParams, a: Symbol, oversample: int = 1) -> IqBuffer:
     """Sample one symbol waveform on the left-closed grid t_k = k*Ts/(oversample*M).
 
     Returns oversample*M samples at rate oversample*B; there is no sample
-    at t = Ts (it belongs to the next symbol).  With oversample = 1 the
-    samples coincide with the chip-rate model of the receiver module.
+    at t = Ts (it belongs to the next symbol).  With oversample = 1 these
+    are the chip-rate samples the receiver works on.
     """
-    if not isinstance(oversample, (int, np.integer)) or oversample < 1:
-        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
-    n = int(oversample) * p.m
-    t = np.arange(n) / (oversample * p.b)
-    return IqBuffer(waveform_at(p, a, t), fs=oversample * p.b)
+    return modulate(p, [a], oversample)
 
 
 def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> IqBuffer:
@@ -94,8 +122,7 @@ def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> I
     symbols = list(symbols)
     if len(symbols) == 0:
         raise ValueError("symbols must be a non-empty sequence")
-    parts = [baseband_waveform(p, a, oversample).samples for a in symbols]
-    return IqBuffer(np.concatenate(parts), fs=oversample * p.b)
+    return IqBuffer(_sample_symbols(p, symbols, oversample).ravel(), fs=oversample * p.b)
 
 
 def mean_envelope_magnitude(p: LoraParams, t):

@@ -1,12 +1,15 @@
 """Independent reference computations used to validate closed forms.
 
-These stay deliberately dumb: direct quadrature of defining integrals
-and per-chip Gauss-Legendre panels.  None of them call the code paths
-they are checking.
+These stay deliberately dumb: direct quadrature of defining integrals,
+per-chip Gauss-Legendre panels and the chip-rate formula written out.
+None of them call the code paths they are checking; the waveform oracles
+evaluate the continuous law waveform_at, never the cyclic-shift sampler.
 """
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+
+from lorachirp import LoraParams, Symbol, validate_symbol, waveform_at
 
 
 def fresnel_quadrature(x: float) -> tuple[float, float]:
@@ -63,9 +66,53 @@ def mean_power_quadrature(fn, t_max: float, n_panels: int, order: int = 32) -> f
 def fourier_transform_quadrature(p, l: int, f: float) -> complex:
     """Direct quadrature of X(f;l) = int_0^Ts x(t;l) e^{-j2pi f t} dt,
     split at the frequency-wrap instant."""
-    from lorachirp import waveform_at
-
     tau = (p.m - l) / p.b
     fn = lambda t: waveform_at(p, l, t) * np.exp(-2j * np.pi * f * t)
     return (complex_quadrature(fn, 0.0, tau, limit=2000)
             + complex_quadrature(fn, tau, p.ts, limit=2000))
+
+
+def chip_rate_samples(p: LoraParams, a: Symbol) -> np.ndarray:
+    """The paper's chip-rate model x[k] = gamma*exp{j*2*pi*k*(a/M - 1/2 + k/(2M))},
+    k = 0..M-1, with no modulo step."""
+    k = np.arange(p.m)
+    return p.gamma * np.exp(2j * np.pi * k * (a / p.m - 0.5 + k / (2.0 * p.m)))
+
+
+def numeric_cross_correlation_oracle(p: LoraParams, l: Symbol, m: Symbol,
+                                     steps: int) -> complex:
+    """Brute-force check of the closed form: trapezoidal integration of
+    (1/Ts) * int_0^Ts x(t;l) x*(t;m) dt on a uniform grid of `steps` panels.
+
+    Error is O(steps^-2); steps must be at least 64*M.
+    """
+    l = validate_symbol(p, l)
+    m = validate_symbol(p, m)
+    if steps < 64 * p.m:
+        raise ValueError(f"steps must be >= 64*M = {64 * p.m}, got {steps}")
+    t = np.linspace(0.0, p.ts, steps + 1)
+    f = waveform_at(p, l, t) * np.conj(waveform_at(p, m, t))
+    return complex(np.trapezoid(f, dx=p.ts / steps) / (p.ts * p.gamma ** 2))
+
+
+def numeric_cross_correlation_matrix(p: LoraParams, steps: int,
+                                     chunk: int = 1 << 14) -> np.ndarray:
+    """All-pairs trapezoidal oracle, computed as a weighted Gram matrix.
+
+    Equivalent to calling the per-pair oracle for every (l, m) but runs as
+    chunked matrix products over the shared time grid.
+    """
+    if steps < 64 * p.m:
+        raise ValueError(f"steps must be >= 64*M = {64 * p.m}, got {steps}")
+    M = p.m
+    t = np.linspace(0.0, p.ts, steps + 1)
+    w = np.ones(steps + 1)
+    w[0] = w[-1] = 0.5
+    G = np.zeros((M, M), dtype=complex)
+    for start in range(0, steps + 1, chunk):
+        tc = t[start:start + chunk]
+        X = np.empty((M, len(tc)), dtype=complex)
+        for a in range(M):
+            X[a] = waveform_at(p, a, tc)
+        G += (X * w[start:start + chunk]) @ X.conj().T
+    return G * (p.ts / steps) / (p.ts * p.gamma ** 2)

@@ -7,15 +7,15 @@ import time
 import numpy as np
 
 from lorachirp import (LoraParams, MaskSpec, awgn, baseband_waveform,
-                       bin_estimate, binned_power, chip_samples,
-                       continuous_psd, correlation_matrix, dechirp,
-                       demodulate_stream, discrete_power_total, fresnel,
-                       mask_check, mean_envelope_magnitude, modulate,
-                       numeric_cross_correlation_matrix,
+                       bin_estimate, binned_power, continuous_psd,
+                       correlation_matrix, dechirp, demodulate_stream,
+                       discrete_power_total, fresnel, mask_check,
+                       mean_envelope_magnitude, modulate,
                        orthogonality_offsets, payload_to_symbols, phase,
                        psd_via_dft, reproduce_table, welch_psd)
 from lorachirp.cli import example_mask_path, main as cli_main
-from oracles import fresnel_quadrature, mean_power_quadrature
+from oracles import (fresnel_quadrature, mean_power_quadrature,
+                     numeric_cross_correlation_matrix)
 
 TABLE_I = {
     # sf: (eff, max|Re C|, b99/B, pd, delta_max_db)
@@ -95,14 +95,14 @@ def test_criterion_4_discrete_time_orthogonality():
     worst_gram = 0.0
     for sf in range(3, 11):
         p = LoraParams(sf=sf, b=1.0)
-        X = np.array([chip_samples(p, a).chips for a in range(p.m)])
+        X = np.array([baseband_waveform(p, a).samples for a in range(p.m)])
         G = X @ X.conj().T / p.m
         worst_gram = max(worst_gram, float(np.max(np.abs(G - np.eye(p.m)))))
     worst_spike = 0.0
     for sf in (3, 7, 10):
         p = LoraParams(sf=sf, b=1.0)
         for a in range(p.m):
-            X = np.fft.fft(dechirp(chip_samples(p, a)).values)
+            X = np.fft.fft(dechirp(p, baseband_waveform(p, a).samples))
             ref = np.zeros(p.m, dtype=complex)
             ref[a] = p.m
             worst_spike = max(worst_spike, float(np.max(np.abs(X - ref)) / p.m))

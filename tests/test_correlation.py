@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lorachirp import (LoraParams, abs_cross_correlation, correlation_bound,
-                       correlation_matrix, correlation_report,
-                       cross_correlation, cross_correlation_real,
-                       max_cross_correlation, numeric_cross_correlation_matrix,
-                       numeric_cross_correlation_oracle, orthogonality_offsets,
-                       real_orthogonality_condition, snr_penalty_db)
+                       correlation_matrix, cross_correlation,
+                       cross_correlation_real, max_cross_correlation,
+                       orthogonality_offsets, real_orthogonality_condition,
+                       snr_penalty_db)
+from oracles import (numeric_cross_correlation_matrix,
+                     numeric_cross_correlation_oracle)
 
 
 def test_diagonal_is_one():
@@ -150,18 +151,15 @@ def test_real_orthogonality_condition_is_exact(sf):
 
 def test_correlation_report_structure():
     p = LoraParams(sf=5, b=1.0)
-    rep = correlation_report(p)
-    assert rep.matrix is not None
-    np.testing.assert_allclose(np.diag(rep.matrix), 1.0, atol=1e-15)
-    np.testing.assert_allclose(rep.matrix, rep.matrix.conj().T, atol=1e-14)
-    assert rep.max_abs <= rep.bound
-    assert rep.penalty_db == pytest.approx(snr_penalty_db(p))
-    l, m = rep.argmax_pair
-    assert abs(rep.matrix[l, m].real) == pytest.approx(rep.max_abs_real)
+    C = correlation_matrix(p)
+    np.testing.assert_allclose(np.diag(C), 1.0, atol=1e-15)
+    np.testing.assert_allclose(C, C.conj().T, atol=1e-14)
+    mc = max_cross_correlation(p)
+    assert mc.max_abs <= correlation_bound(p)
+    l, m = mc.argmax_real
+    assert abs(C[l, m].real) == pytest.approx(mc.max_abs_real)
 
 
 def test_report_skips_matrix_above_sf8():
-    rep = correlation_report(LoraParams(sf=9, b=1.0))
-    assert rep.matrix is None
     with pytest.raises(ValueError):
         correlation_matrix(LoraParams(sf=9, b=1.0))

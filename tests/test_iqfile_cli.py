@@ -194,6 +194,35 @@ def test_cli_mask_check_verdicts(tmp_path, capsys):
     assert doc["worst_margin_db"] < 0
 
 
+def test_cli_demod_rejects_infinite_sidecar_rate(tmp_path, capsys):
+    out = tmp_path / "sig.iq"
+    assert main(["modulate", "--sf", "5", "--bw", "32", "--symbols", "1,9",
+                 "--out", str(out)]) == 0
+    sidecar = out.with_name("sig.iq.json")
+    doc = json.loads(sidecar.read_text())
+    doc["fs_hz"] = float("inf")
+    sidecar.write_text(json.dumps(doc))  # written as the JSON token Infinity
+    capsys.readouterr()
+    assert main(["demod", "--sf", "5", "--bw", "32", "--in", str(out)]) == 1
+    assert "fs_hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("segment,message", [
+    ({"f_start_hz": 868.0e6, "f_stop_hz": 868.6e6, "rbw_hz": 1000.0},
+     "segment 1 is missing 'limit_dbm'"),
+    ({"f_start_hz": 868.0e6, "f_stop_hz": "high", "limit_dbm": 14.0, "rbw_hz": 1000.0},
+     "segment 1: 'f_stop_hz' must be a finite number")])
+def test_cli_mask_check_rejects_malformed_mask(tmp_path, capsys, segment, message):
+    mask = tmp_path / "bad.json"
+    good = {"f_start_hz": 863.0e6, "f_stop_hz": 865.0e6, "limit_dbm": -36.0,
+            "rbw_hz": 1000.0}
+    mask.write_text(json.dumps({"label": "bad", "segments": [good, segment]}))
+    rc = main(["mask-check", "--mask", str(mask), "--f0", "868.3e6",
+               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cli_errors_are_nonzero(tmp_path, capsys):
     assert main(["demod", "--sf", "7", "--bw", "125e3",
                  "--in", str(tmp_path / "missing.iq")]) == 1

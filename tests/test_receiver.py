@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorachirp import (ChipVector, IqBuffer, LoraParams, awgn, chip_samples,
-                       dechirp, demodulate_stream, demodulate_symbol, modulate)
+from lorachirp import (IqBuffer, LoraParams, awgn, baseband_waveform, dechirp,
+                       demodulate_stream, modulate)
 
 P7 = LoraParams(sf=7, b=125e3)
 
@@ -11,52 +11,59 @@ P7 = LoraParams(sf=7, b=125e3)
 def test_first_chip_is_one_for_all_symbols():
     p = LoraParams(sf=5, b=1.0)
     for a in range(p.m):
-        assert chip_samples(p, a).chips[0] == pytest.approx(1.0 + 0.0j)
+        assert baseband_waveform(p, a).samples[0] == pytest.approx(1.0 + 0.0j)
 
 
 def test_chip_vectors_are_orthonormal():
     p = LoraParams(sf=6, b=1.0)
-    X = np.array([chip_samples(p, a).chips for a in range(p.m)])
+    X = np.array([baseband_waveform(p, a).samples for a in range(p.m)])
     G = X @ X.conj().T / p.m
     assert np.max(np.abs(G - np.eye(p.m))) < 1e-10
 
 
-def test_chipvector_validates_length():
-    with pytest.raises(ValueError):
-        ChipVector(np.ones(5, dtype=complex), P7)
+def test_dechirp_validates_length():
+    for shape in [(5,), (2, 127), (129,)]:
+        with pytest.raises(ValueError):
+            dechirp(P7, np.ones(shape, dtype=complex))
 
 
 def test_dechirp_of_zero_symbol_is_all_ones():
     p = LoraParams(sf=4, b=1.0)
-    np.testing.assert_allclose(dechirp(chip_samples(p, 0)).values, 1.0, atol=1e-12)
+    np.testing.assert_allclose(dechirp(p, baseband_waveform(p, 0).samples), 1.0, atol=1e-12)
 
 
 def test_dechirp_gives_complex_sinusoid():
     p = LoraParams(sf=6, b=1.0)
     for a in (1, 17, 63):
-        vals = dechirp(chip_samples(p, a)).values
+        vals = dechirp(p, baseband_waveform(p, a).samples)
         assert vals[1] == pytest.approx(np.exp(2j * np.pi * a / p.m), abs=1e-12)
         k = np.arange(p.m)
         np.testing.assert_allclose(vals, np.exp(2j * np.pi * k * a / p.m), atol=1e-10)
 
 
+def test_dechirp_keeps_amplitude_gamma():
+    p = LoraParams(sf=5, b=1.0, ps=2.0)
+    vals = dechirp(p, baseband_waveform(p, 3).samples)
+    np.testing.assert_allclose(np.abs(vals), p.gamma, atol=1e-12)
+
+
 def test_dft_of_dechirped_is_spike_at_symbol():
     p = LoraParams(sf=5, b=1.0)
     for a in (0, 3, 31):
-        X = np.fft.fft(dechirp(chip_samples(p, a)).values)
+        X = np.fft.fft(dechirp(p, baseband_waveform(p, a).samples))
         expected = np.zeros(p.m, dtype=complex)
         expected[a] = p.m
         np.testing.assert_allclose(X, expected, atol=1e-9 * p.m)
 
 
 def test_demodulate_clean_symbol():
-    assert demodulate_symbol(chip_samples(P7, 5)) == 5
+    assert demodulate_stream(baseband_waveform(P7, 5), P7) == [5]
 
 
 def test_demodulate_invariant_to_positive_scaling():
-    chips = chip_samples(P7, 99).chips
-    assert demodulate_symbol(ChipVector(chips * 0.003, P7)) == 99
-    assert demodulate_symbol(ChipVector(chips * 40.0, P7)) == 99
+    chips = baseband_waveform(P7, 99).samples
+    assert demodulate_stream(IqBuffer(chips * 0.003, fs=P7.b), P7) == [99]
+    assert demodulate_stream(IqBuffer(chips * 40.0, fs=P7.b), P7) == [99]
 
 
 @given(symbols=st.lists(st.integers(0, 127), min_size=1, max_size=6),
@@ -70,6 +77,15 @@ def test_stream_roundtrip(symbols, oversample):
 def test_stream_rejects_empty_buffer():
     with pytest.raises(ValueError):
         demodulate_stream(IqBuffer(np.array([], dtype=complex), fs=P7.b), P7)
+
+
+@pytest.mark.parametrize("index,bad", [(slice(None), np.nan), (130, np.inf),
+                                       (5, complex(0.0, -np.inf))])
+def test_stream_rejects_non_finite_samples(index, bad):
+    samples = modulate(P7, [1, 2], oversample=1).samples.copy()
+    samples[index] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        demodulate_stream(IqBuffer(samples, fs=P7.b), P7)
 
 
 def test_stream_reports_trailing_samples():

@@ -1,11 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import (IqBuffer, LoraParams, baseband_waveform, chip_samples,
+from lorachirp import (IqBuffer, IqFileHeader, LoraParams, baseband_waveform,
                        instantaneous_frequency, mean_envelope_magnitude,
                        modulate, payload_to_symbols, phase, waveform_at)
-from oracles import mean_power_quadrature
+from oracles import chip_rate_samples, mean_power_quadrature
 
 P_SF3 = LoraParams(sf=3, b=8.0)  # Ts = 1 s
 
@@ -18,12 +20,17 @@ def test_params_invariants():
     assert LoraParams(sf=7, b=125e3, ps=2.0).gamma == 2.0
 
 
-@pytest.mark.parametrize("bad", [dict(sf=0, b=1.0), dict(sf=17, b=1.0),
-                                 dict(sf=7, b=0.0), dict(sf=7, b=-1.0),
-                                 dict(sf=7, b=1.0, f0=-1.0), dict(sf=2.5, b=1.0)])
+@pytest.mark.parametrize("bad", [
+    partial(LoraParams, sf=0, b=1.0), partial(LoraParams, sf=17, b=1.0),
+    partial(LoraParams, sf=7, b=0.0), partial(LoraParams, sf=7, b=-1.0),
+    partial(LoraParams, sf=7, b=1.0, f0=-1.0), partial(LoraParams, sf=2.5, b=1.0),
+    partial(LoraParams, sf=7, b=np.inf), partial(LoraParams, sf=7, b=1.0, ps=np.inf),
+    partial(LoraParams, sf=7, b=1.0, f0=np.nan),
+    partial(IqBuffer, np.ones(4, dtype=complex), fs=np.inf),
+    partial(IqFileHeader, "interleaved-f32-le", fs=np.inf)])
 def test_params_rejects_bad_values(bad):
     with pytest.raises(ValueError):
-        LoraParams(**bad)
+        bad()
 
 
 def test_initial_frequency():
@@ -100,8 +107,29 @@ def test_chip_rate_sampling_matches_receiver_model():
         p = LoraParams(sf=sf, b=1.0)
         for a in (0, 1, p.m // 2, p.m - 1):
             wf = baseband_waveform(p, a, oversample=1).samples
-            chips = chip_samples(p, a).chips
+            chips = chip_rate_samples(p, a)
             np.testing.assert_allclose(wf, chips, atol=1e-9)
+
+
+@pytest.mark.parametrize("sf", range(3, 13))
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+def test_modulate_matches_continuous_law_on_sampling_grid(sf, oversample):
+    p = LoraParams(sf=sf, b=125e3)
+    rng = np.random.default_rng(sf)
+    symbols = [0, 1, p.m // 2, p.m - 1] + [int(a) for a in rng.integers(0, p.m, 4)]
+    rows = modulate(p, symbols, oversample).samples.reshape(len(symbols), -1)
+    t = np.arange(oversample * p.m) / (oversample * p.b)
+    for a, row in zip(symbols, rows):
+        assert np.max(np.abs(row - waveform_at(p, a, t))) < 1e-10, a
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, -1, P_SF3.m])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_modulate_rejects_bad_symbol_anywhere(bad, position):
+    symbols = [3, 5, 7]
+    symbols[position] = bad
+    with pytest.raises(ValueError, match="symbol"):
+        modulate(P_SF3, symbols)
 
 
 def test_baseband_waveform_rejects_bad_oversample():
