@@ -9,7 +9,7 @@ Usage: python scripts/mask_demo.py [--mask path.json]
 """
 import argparse
 
-from lorachirp import LoraParams, MaskSpec, binned_power, mask_check, psd_via_dft
+from lorachirp import LoraParams, MaskSpec, binned_power, fresnel_spectrum, mask_check
 from lorachirp.cli import example_mask_path
 
 PLANS = [
@@ -29,7 +29,7 @@ def main():
 
     for label, bw, carriers in PLANS:
         p = LoraParams(sf=args.sf, b=bw)
-        res = psd_via_dft(p, zero_pad_factor=4, n_per_symbol=32 * p.m)
+        res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
         binned = binned_power(res, delta_f=mask.segments[0].rbw_hz,
                               ps_dbm=args.ps_dbm)
         print(f"\n{label} (SF={args.sf}, Ps={args.ps_dbm} dBm):")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lorachirp import LoraParams, psd_via_dft
+from lorachirp import LoraParams, fresnel_spectrum
 
 
 def main():
@@ -25,8 +25,8 @@ def main():
     curves = {}
     for sf in [int(s) for s in args.sf_list.split(",")]:
         p = LoraParams(sf=sf, b=1.0)
-        res = psd_via_dft(p, zero_pad_factor=max(1, 1024 // p.m),
-                          n_per_symbol=32 * p.m)
+        k = max(1, 1024 // p.m)
+        res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (k * p.m))
         db = 10 * np.log10(np.maximum(res.continuous * p.b, 1e-30))
         path = outdir / f"psd_sf{sf}.csv"
         with path.open("w") as fh:

@@ -16,7 +16,7 @@ from scipy import signal as _signal
 
 from .correlation import max_cross_correlation, snr_penalty_db
 from .params import IqBuffer, LoraParams
-from .spectrum import SpectrumResult, psd_via_dft
+from .spectrum import SpectrumResult, fresnel_spectrum
 
 _TINY = 1e-30
 
@@ -55,12 +55,6 @@ def _captured_power(spec: SpectrumResult, width: float,
     return float(cont + lines)
 
 
-def _default_dft_spectrum(p: LoraParams) -> SpectrumResult:
-    # frequency step at most B/512 so bandwidth searches resolve small SF
-    k = max(1, 512 // p.m)
-    return psd_via_dft(p, zero_pad_factor=k, n_per_symbol=16 * p.m)
-
-
 def occupied_bandwidth(p: LoraParams, fraction: float,
                        spectrum: SpectrumResult | None = None,
                        tol: float | None = None) -> float:
@@ -68,14 +62,17 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
     power: continuous PSD integrated over [-W/2, W/2] plus the discrete
     lines inside.  Found by bisection; tol defaults to 1e-3 * B.
 
-    Total signal power is 1 (unit-power envelope).  If the requested
-    fraction exceeds what the computed spectrum span contains, the error
-    reports the captured fraction.
+    Total signal power is 1 (unit-power envelope).  The default spectrum
+    is fresnel_spectrum over |f| <= 4B with step B/(k*M), k = max(1,
+    512 // M), so the search resolves small SF.  If the requested fraction
+    exceeds what the computed spectrum span contains, the error reports
+    the captured fraction.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if spectrum is None:
-        spectrum = _default_dft_spectrum(p)
+        k = max(1, 512 // p.m)
+        spectrum = fresnel_spectrum(p, f_max=4.0 * p.b, step=p.b / (k * p.m))
     if tol is None:
         tol = 1e-3 * p.b
     cum = _cumulative_trapezoid(spectrum.grid, spectrum.continuous)
@@ -115,8 +112,8 @@ class TableRow:
 def reproduce_table(sf_list, fraction: float = 0.99) -> list[TableRow]:
     """Compute the summary metrics table from first principles.
 
-    Every column is recomputed (correlation scan, DFT-path bandwidth
-    search, analytic line power); nothing is tabulated.
+    Every column is recomputed (correlation scan, bandwidth search on the
+    exact Fresnel spectrum, analytic line power); nothing is tabulated.
     """
     rows = []
     for sf in sf_list:
@@ -219,11 +216,17 @@ class MaskSpec:
 
     @classmethod
     def from_json(cls, path) -> "MaskSpec":
-        """Parse a mask document; a missing key or a value that is not a
-        finite number raises ValueError naming the segment and the key."""
+        """Parse a mask document; a top level that is not an object, a
+        'segments' value that is not a list, a missing key or a value that
+        is not a finite number raises ValueError naming the key."""
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"mask {path} must hold a JSON object with a 'segments' list")
+        segments = doc.get("segments", [])
+        if not isinstance(segments, list):
+            raise ValueError(f"mask {path}: 'segments' must be a list, got {segments!r}")
         segs = []
-        for i, seg in enumerate(doc.get("segments", [])):
+        for i, seg in enumerate(segments):
             values = []
             for key in _MASK_KEYS:
                 if not isinstance(seg, dict) or key not in seg:

@@ -96,11 +96,14 @@ def _cmd_xcorr(args) -> int:
 
 def _compute_spectrum(args) -> spectrum.SpectrumResult:
     p = _params(args)
+    if args.grid_step is not None:
+        k = spectrum._lattice_k(p, args.grid_step)
+    elif args.method == "fresnel":
+        k = max(1, min(64, 8192 // p.m))  # step max(B/(64M), B/8192) up to M = 8192
+    else:
+        k = max(1, 1024 // p.m)
     if args.method == "fresnel":
-        step = args.grid_step if args.grid_step else max(p.b / (64 * p.m), p.b / 8192)
-        return spectrum.fresnel_spectrum(p, step=step)
-    k = max(1, int(round(p.b / (p.m * args.grid_step)))) if args.grid_step else \
-        max(1, 1024 // p.m)
+        return spectrum.fresnel_spectrum(p, step=p.b / (k * p.m))
     return spectrum.psd_via_dft(p, zero_pad_factor=k, n_per_symbol=32 * p.m)
 
 
@@ -198,7 +201,7 @@ def _cmd_mask_check(args) -> int:
             raise ValueError(f"mask {mask.label!r} mixes resolution bandwidths {sorted(rbws)}")
         rbw = rbws.pop() if rbws else 1000.0
         p = LoraParams(sf=args.sf, b=args.bw)
-        res = spectrum.psd_via_dft(p, zero_pad_factor=4, n_per_symbol=32 * p.m)
+        res = spectrum.fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
         binned = analysis.binned_power(res, delta_f=rbw, ps_dbm=args.ps_dbm)
     if args.out_binned:
         _write_binned_csv(args.out_binned, binned)
@@ -256,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sf", type=int, required=True)
     sp.add_argument("--bw", type=float, required=True)
     sp.add_argument("--method", choices=["fresnel", "dft"], default="fresnel")
-    sp.add_argument("--grid-step", type=float, default=None, help="frequency step in Hz")
+    sp.add_argument("--grid-step", type=float, default=None,
+                    help="frequency step in Hz; must be B/(k*M) for an integer k >= 1")
     sp.add_argument("--ps-dbm", type=float, default=None,
                     help="scale outputs to this transmit power (mW units)")
     sp.add_argument("--out-psd", default=None)

@@ -82,16 +82,36 @@ def read_header(header_path) -> tuple[IqFileHeader, int | None]:
         raise OSError(f"cannot read IQ sidecar {header_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed IQ sidecar {header_path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"IQ sidecar {header_path} must hold a JSON object with 'fs_hz'")
     if "fs_hz" not in doc:
         raise ValueError(f"IQ sidecar {header_path} is missing fs_hz")
-    fs = float(doc["fs_hz"])
-    if not (np.isfinite(fs) and fs > 0):
-        raise ValueError(f"IQ sidecar {header_path} has fs_hz = {fs}, not finite and positive")
+    fs = _finite_number(doc, "fs_hz", header_path)
+    if not fs > 0:
+        raise ValueError(f"IQ sidecar {header_path}: 'fs_hz' must be positive, got {fs}")
     header = IqFileHeader(format=str(doc.get("format", FORMAT_F32)), fs=fs,
-                          center_freq=float(doc.get("center_freq_hz", 0.0)),
+                          center_freq=_finite_number(doc, "center_freq_hz", header_path, 0.0),
                           description=str(doc.get("description", "")))
     n = doc.get("num_samples")
-    return header, (int(n) if n is not None else None)
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
+        raise ValueError(
+            f"IQ sidecar {header_path}: 'num_samples' must be a nonnegative integer, got {n!r}")
+    return header, n
+
+
+def _finite_number(doc: dict, key: str, header_path, default=None) -> float:
+    """doc[key] as a finite float, else ValueError naming the key."""
+    value = doc.get(key, default)
+    try:
+        number = np.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = np.nan
+    if not np.isfinite(number):
+        raise ValueError(
+            f"IQ sidecar {header_path}: {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def read_iq(path, header_path=None) -> IqBuffer:

@@ -67,6 +67,8 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     """
     if not np.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     nvar = iq.mean_power / 10.0 ** (snr_db / 10.0)
     scale = np.sqrt(nvar / 2.0)

@@ -8,9 +8,12 @@ continuous density and discrete lines at multiples of B/M:
 
 where X(f;l) is the Fourier transform of the single-symbol waveform,
 available in closed form through Fresnel integrals.  The lines carry
-exactly a fraction 1/M of the total signal power.  All spectra here are
-normalized to the unit-power complex envelope (gamma = 1); absolute
-power scaling belongs to the analysis layer.
+exactly a fraction 1/M of the total signal power.  On the frequency
+lattice f = n*B/(k*M) the sums over l for all frequencies come from one
+table of O(k*M + Nf) Fresnel values (fresnel_spectrum); psd_via_dft is
+an independent cross-check through FFTs of the sampled waveforms.  All
+spectra here are normalized to the unit-power complex envelope
+(gamma = 1); absolute power scaling belongs to the analysis layer.
 """
 from __future__ import annotations
 
@@ -117,23 +120,124 @@ def _psd_combine(sum_abs2: np.ndarray, sum_x: np.ndarray, p: LoraParams) -> np.n
     return np.maximum(g, 0.0)
 
 
-def _transform_sums(p: LoraParams, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate sum_l |X(f;l)|^2 and sum_l X(f;l) over the alphabet."""
-    sum_abs2 = np.zeros(f.shape, dtype=float)
-    sum_x = np.zeros(f.shape, dtype=complex)
-    for l in range(p.m):
-        X = waveform_fourier_transform(p, l, f)
-        sum_abs2 += np.abs(X) ** 2
-        sum_x += X
+def _lattice_k(p: LoraParams, step: float) -> int:
+    """The integer k >= 1 with step = B/(k*M), to within 1e-9 relative.
+
+    Spectra are computed on the lattice f = n*B/(k*M); a step off that
+    lattice raises ValueError rather than being snapped to a nearby one.
+    """
+    ratio = p.b / (p.m * step) if step > 0 else 0.0
+    k = round(ratio) if np.isfinite(ratio) else 0
+    if k < 1 or abs(ratio - k) > 1e-9 * ratio:
+        raise ValueError(
+            f"grid step {step!r} Hz is not B/(k*M) = {p.b / p.m!r} Hz / k "
+            "for an integer k >= 1")
+    return k
+
+
+def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_d, s_d2, s_e, s_ed):
+    """sum_l |X(f;l)|^2 and sum_l X(f;l) from the four window sums.
+
+    With phi = f*M/B, u_l = l - M/2 - phi, a0 = sqrt(2/M), b = B^2/(2M),
+    K = C + jS and E_l = exp(-j*pi*u_l^2/M), every transform factors as
+
+        X(f;l) = E_l/(2*sqrt(b)) * [alpha + beta*K(a0*u_l)]
+        alpha = K(a0*u_M) - w*K(a0*u_0),  beta = w - 1,  w = exp(-j*2*pi*phi).
+
+    The identity holds with K replaced throughout by D = K - c for any
+    constant c, which lets callers anchor D near 0 where it is summed.
+    Inputs: d_top = D(a0*u_M), d_bot = D(a0*u_0) and the sums over
+    l = 0..M-1 of D(a0*u_l), |D|^2, E_l and E_l*D.
+    """
+    alpha = d_top - w * d_bot
+    beta = w - 1.0
+    four_b = 2.0 * p.b * p.b / p.m
+    sum_abs2 = (p.m * np.abs(alpha) ** 2 + 2.0 * np.real(np.conj(alpha) * beta * s_d)
+                + np.abs(beta) ** 2 * s_d2) / four_b
+    sum_x = (alpha * s_e + beta * s_ed) / np.sqrt(four_b)
+    return sum_abs2, sum_x
+
+
+def _strided_prefix(values: np.ndarray, k: int) -> np.ndarray:
+    """Exclusive prefix sums along stride k: out[i] = values[i - k] +
+    values[i - 2k] + ..., for i < len(values) + k."""
+    rows = -(-len(values) // k) + 1
+    out = np.zeros(rows * k, dtype=values.dtype)
+    out[k:k + len(values)] = values
+    block = out.reshape(rows, k)
+    np.cumsum(block, axis=0, out=block)
+    return out
+
+
+_HALF = 0.5 + 0.5j  # K(x) -> +-(1+j)/2 as x -> +-inf
+_CHUNK = 1 << 18  # frequencies (or table entries) per block of work
+
+
+def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_l |X(f;l)|^2 and sum_l X(f;l) at f = n*B/(k*M), |n| <= n_max.
+
+    On this lattice u_l = j/k with j = k*l - k*M/2 - n, so the M arguments
+    of one frequency are a stride-k window of a single table over j, and
+    the four window sums of _factorized_sums are differences of strided
+    prefix sums.  The table holds D = K + (1+j)/2, which decays to 0 as
+    j -> -inf, so in the far tail of f > 0 the prefix sums stay small and
+    the PSD is not left as a difference of O(M) terms.  K is odd and E
+    even in u: the window of -n is the window of +n shifted by one step
+    (l = 1..M) with D negated, which is K - (1+j)/2, small as j -> +inf.
+    One table over j <= k*M/2 thus serves both signs of f with
+    k*M + n_max + 1 Fresnel evaluations.
+    """
+    M = p.m
+    j = np.arange(-(k * M // 2) - n_max, k * M // 2 + 1)
+    d = _kfun(np.sqrt(2.0 / M) * (j / k)) + _HALF
+    # exp(-j*pi*u^2/M) with u = j/k, the phase reduced exactly in integers
+    e = np.exp(-1j * np.pi * ((j * j) % (2 * k * k * M)) / (k * k * M))
+    prefix = [_strided_prefix(v, k) for v in (d, d.real ** 2 + d.imag ** 2, e, e * d)]
+    sum_abs2 = np.empty(2 * n_max + 1)
+    sum_x = np.empty(2 * n_max + 1, dtype=complex)
+    for start in range(0, n_max + 1, _CHUNK):
+        m = np.arange(start, min(start + _CHUNK, n_max + 1))  # |n|
+        lo = n_max - m  # table index of l = 0 for n = +m
+        w = np.exp(-2j * np.pi * (m % k) / k)
+        # windows l = 0..M-1 for n = +m, l = 1..M for n = -m
+        s_pos = [c[lo + k * M] - c[lo] for c in prefix]
+        s_neg = [c[lo + k * M + k] - c[lo + k] for c in prefix]
+        sum_abs2[n_max - m], sum_x[n_max - m] = _factorized_sums(
+            p, -d[lo], -d[lo + k * M], np.conj(w), -s_neg[0], s_neg[1], s_neg[2], -s_neg[3])
+        sum_abs2[n_max + m], sum_x[n_max + m] = _factorized_sums(
+            p, d[lo + k * M], d[lo], w, *s_pos)
     return sum_abs2, sum_x
 
 
 def continuous_psd(p: LoraParams, grid) -> np.ndarray:
-    """Continuous spectral density Gc(f) on an arbitrary frequency grid
-    (Fresnel closed form; cost scales with M * len(grid))."""
+    """Continuous spectral density Gc(f) on an arbitrary frequency grid.
+
+    Evaluates the factorized transform sums (see _factorized_sums)
+    directly, M + 1 Fresnel values per frequency, in blocks of bounded
+    memory.  On a uniform grid f = n*B/(k*M), fresnel_spectrum gives the
+    same values for O(k*M + len(grid)) Fresnel evaluations.
+    """
     f = np.atleast_1d(np.asarray(grid, dtype=float))
-    sum_abs2, sum_x = _transform_sums(p, f)
-    return _psd_combine(sum_abs2, sum_x, p)
+    M = p.m
+    sum_abs2 = np.empty(f.size)
+    sum_x = np.empty(f.size, dtype=complex)
+    phi_all = f.reshape(-1) * (M / p.b)
+    rows = max(1, _CHUNK // (M + 1))
+    for start in range(0, len(phi_all), rows):
+        phi = phi_all[start:start + rows, None]
+        # phi = q + r with q an integer: u_l = i - r, i = l - M/2 - q, l = 0..M
+        q = np.round(phi)
+        r = phi - q
+        i = (np.arange(M + 1) - M // 2 - q).astype(np.int64)
+        # anchor D = K - c at the limit K takes in the tail f runs into
+        d = _kfun(np.sqrt(2.0 / M) * (i - r)) + np.sign(phi) * _HALF
+        e = np.exp(-1j * np.pi * (((i * i) % (2 * M)) - 2.0 * i * r + r * r) / M)
+        dw, ew = d[:, :M], e[:, :M]
+        sum_abs2[start:start + rows], sum_x[start:start + rows] = _factorized_sums(
+            p, d[:, M], d[:, 0], np.exp(-2j * np.pi * r[:, 0]), dw.sum(axis=1),
+            (dw.real ** 2 + dw.imag ** 2).sum(axis=1), ew.sum(axis=1),
+            (ew * dw).sum(axis=1))
+    return _psd_combine(sum_abs2, sum_x, p).reshape(f.shape)
 
 
 def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarray:
@@ -146,9 +250,9 @@ def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarr
         n_max = 4 * p.m
     if n_max < p.m:
         raise ValueError(f"n_max must be >= M = {p.m}, got {n_max}")
-    n = np.arange(-n_max, n_max + 1)
-    f = n * p.b / p.m
-    _, sum_x = _transform_sums(p, f)
+    n_max = int(n_max)
+    f = np.arange(-n_max, n_max + 1) * p.b / p.m
+    _, sum_x = _lattice_sums(p, 1, n_max)
     power = np.abs(sum_x) ** 2 / (p.ts ** 2 * p.m ** 2)
     return np.column_stack([f, power])
 
@@ -165,21 +269,25 @@ def discrete_power_total(p: LoraParams, n_max: int | None = None) -> tuple[float
 
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
                      step: float | None = None) -> SpectrumResult:
-    """Assemble a SpectrumResult from the Fresnel closed form.
+    """Exact spectrum from the Fresnel closed form on the lattice
+    f = n*B/(k*M), |f| <= f_max, plus the lines for |n| <= 4M.
 
-    Defaults: symmetric grid |f| <= 8B with step B/(64M), lines for
-    |n| <= 4M.  Cost grows as M^2, so prefer psd_via_dft for sf >= 10
-    or pass a coarser step.
+    `step` must equal B/(k*M) for an integer k >= 1 (to 1e-9 relative),
+    otherwise ValueError; the default is k = 64 over |f| <= 8B.  One
+    table of Fresnel values shared through strided prefix sums gives
+    every grid point, so the cost is O(k*M + len(grid)).  psd_via_dft is
+    the independent cross-check of these values.
     """
     if f_max is None:
         f_max = 8.0 * p.b
-    if step is None:
-        step = p.b / (64.0 * p.m)
-    if f_max <= 0 or step <= 0:
-        raise ValueError("f_max and step must be positive")
+    k = 64 if step is None else _lattice_k(p, step)
+    if not (np.isfinite(f_max) and f_max > 0):
+        raise ValueError(f"f_max must be finite and positive, got {f_max}")
+    step = p.b / (k * p.m)
     n = int(round(f_max / step))
     grid = np.arange(-n, n + 1) * step
-    cont = continuous_psd(p, grid)
+    sum_abs2, sum_x = _lattice_sums(p, k, n)
+    cont = _psd_combine(sum_abs2, sum_x, p)
     lines = discrete_spectrum_lines(p)
     return SpectrumResult(grid=grid, continuous=cont, lines=lines, params=p)
 

@@ -1,15 +1,19 @@
 """Independent reference computations used to validate closed forms.
 
 These stay deliberately dumb: direct quadrature of defining integrals,
-per-chip Gauss-Legendre panels and the chip-rate formula written out.
-None of them call the code paths they are checking; the waveform oracles
-evaluate the continuous law waveform_at, never the cyclic-shift sampler.
+per-chip Gauss-Legendre panels, the chip-rate formula written out and
+the per-symbol loop over closed-form transforms.  None of them call the
+code paths they are checking; the waveform oracles evaluate the
+continuous law waveform_at, never the cyclic-shift sampler, and the
+spectrum oracles sum waveform_fourier_transform symbol by symbol, never
+the factorized lattice sums.
 """
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from lorachirp import LoraParams, Symbol, validate_symbol, waveform_at
+from lorachirp import (LoraParams, Symbol, validate_symbol, waveform_at,
+                       waveform_fourier_transform)
 
 
 def fresnel_quadrature(x: float) -> tuple[float, float]:
@@ -70,6 +74,26 @@ def fourier_transform_quadrature(p, l: int, f: float) -> complex:
     fn = lambda t: waveform_at(p, l, t) * np.exp(-2j * np.pi * f * t)
     return (complex_quadrature(fn, 0.0, tau, limit=2000)
             + complex_quadrature(fn, tau, p.ts, limit=2000))
+
+
+def transform_sums_loop(p: LoraParams, f) -> tuple[np.ndarray, np.ndarray]:
+    """sum_l |X(f;l)|^2 and sum_l X(f;l), one closed-form transform per
+    symbol: 4*M Fresnel evaluations per frequency."""
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    sum_abs2 = np.zeros(f.shape, dtype=float)
+    sum_x = np.zeros(f.shape, dtype=complex)
+    for l in range(p.m):
+        X = waveform_fourier_transform(p, l, f)
+        sum_abs2 += np.abs(X) ** 2
+        sum_x += X
+    return sum_abs2, sum_x
+
+
+def continuous_psd_loop(p: LoraParams, f) -> np.ndarray:
+    """Gc(f) = (sum |X|^2 - |sum X|^2/M)/(Ts*M) from the per-symbol loop,
+    unclipped."""
+    sum_abs2, sum_x = transform_sums_loop(p, f)
+    return (sum_abs2 - np.abs(sum_x) ** 2 / p.m) / (p.ts * p.m)
 
 
 def chip_rate_samples(p: LoraParams, a: Symbol) -> np.ndarray:

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lorachirp import (IqBuffer, LoraParams, MaskSegment, MaskSpec,
                        bin_estimate, binned_power, bit_rate, chip_rate,
@@ -55,6 +58,13 @@ def test_reproduce_table_row_sf5():
     assert row.b99_b == pytest.approx(1.185, abs=5e-3)
     assert row.pd == 2.0 ** -5
     assert row.delta_max_db == pytest.approx(0.41, abs=0.01)
+
+
+def test_reproduce_table_b99_is_pinned():
+    # bisection endpoints are dyadic multiples of the 8B span
+    rows = reproduce_table([3, 5, 7, 10, 12])
+    assert [r.b99_b for r in rows] == [1.5, 1.185546875, 1.0458984375,
+                                       0.990234375, 0.986328125]
 
 
 def test_reproduce_table_rejects_out_of_range():
@@ -156,6 +166,30 @@ def test_mask_json_roundtrip(tmp_path):
     mask.to_json(path)
     again = MaskSpec.from_json(path)
     assert again == mask
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=False), st.text(max_size=4))
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mask") / "mask.json"
+
+
+@given(doc=st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3)))
+def test_mask_top_level_must_be_an_object(json_path, doc):
+    json_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="'segments'"):
+        MaskSpec.from_json(json_path)
+
+
+@given(segments=st.one_of(_JSON_SCALARS,
+                          st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2)))
+def test_mask_segments_must_be_a_list(json_path, segments):
+    json_path.write_text(json.dumps({"label": "bad", "segments": segments}))
+    with pytest.raises(ValueError, match="'segments' must be a list"):
+        MaskSpec.from_json(json_path)
 
 
 def test_welch_tone_level_and_location():

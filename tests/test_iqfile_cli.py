@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from lorachirp import LoraParams, modulate, read_iq, write_iq
+from lorachirp import LoraParams, modulate, read_header, read_iq, write_iq
 from lorachirp.cli import example_mask_path, main
 from lorachirp.analysis import MaskSpec
 
@@ -68,6 +69,63 @@ def test_bad_fs_is_rejected(tmp_path, iq):
     doc["fs_hz"] = 0.0
     sidecar.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="fs_hz"):
+        read_iq(path)
+
+
+_NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=4).filter(str.isalpha),
+                         st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                         st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+
+
+@pytest.fixture(scope="module")
+def capture(tmp_path_factory):
+    path = tmp_path_factory.mktemp("capture") / "sig.iq"
+    write_iq(modulate(P5, [1, 9, 27], oversample=2), path)
+    return path, json.loads(path.with_name("sig.iq.json").read_text())
+
+
+def _with_sidecar(capture, **changes):
+    path, doc = capture
+    path.with_name("sig.iq.json").write_text(json.dumps({**doc, **changes}))
+    return path
+
+
+@given(value=_NOT_NUMBERS)
+def test_sidecar_rate_must_be_a_finite_number(capture, value):
+    path = _with_sidecar(capture, fs_hz=value)
+    with pytest.raises(ValueError, match="'fs_hz'"):
+        read_header(path.with_name("sig.iq.json"))
+
+
+@given(value=_NOT_NUMBERS)
+def test_sidecar_center_frequency_must_be_a_finite_number(capture, value):
+    path = _with_sidecar(capture, center_freq_hz=value)
+    with pytest.raises(ValueError, match="'center_freq_hz'"):
+        read_header(path.with_name("sig.iq.json"))
+
+
+@given(value=st.one_of(_NOT_NUMBERS.filter(lambda v: v is not None),
+                       st.integers(max_value=-1),
+                       st.floats(allow_nan=False, allow_infinity=False).filter(
+                           lambda v: not v.is_integer())))
+def test_sidecar_sample_count_must_be_a_nonnegative_integer(capture, value):
+    path = _with_sidecar(capture, num_samples=value)
+    with pytest.raises(ValueError, match="'num_samples'"):
+        read_iq(path)
+
+
+def test_sidecar_sample_count_may_be_written_as_integral_float(capture):
+    n = capture[1]["num_samples"]
+    path = _with_sidecar(capture, num_samples=float(n))
+    assert len(read_iq(path)) == n
+
+
+def test_sidecar_must_be_an_object(tmp_path, iq):
+    path = tmp_path / "sig.iq"
+    write_iq(iq, path)
+    path.with_name("sig.iq.json").write_text("[1, 2]")
+    with pytest.raises(ValueError, match="'fs_hz'"):
         read_iq(path)
 
 
@@ -221,6 +279,42 @@ def test_cli_mask_check_rejects_malformed_mask(tmp_path, capsys, segment, messag
                "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("fs_hz", None), ("num_samples", float("inf")),
+                                       ("num_samples", [1]), ("num_samples", -6),
+                                       ("num_samples", 6.5)])
+def test_cli_demod_rejects_malformed_sidecar(tmp_path, capsys, key, value):
+    out = tmp_path / "sig.iq"
+    assert main(["modulate", "--sf", "5", "--bw", "32", "--symbols", "1,9",
+                 "--out", str(out)]) == 0
+    sidecar = out.with_name("sig.iq.json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+    capsys.readouterr()
+    assert main(["demod", "--sf", "5", "--bw", "32", "--in", str(out)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([{"f_start_hz": 868.0e6}], "'segments'"),
+    ({"label": "bad", "segments": 5}, "'segments' must be a list")])
+def test_cli_mask_check_rejects_malformed_document(tmp_path, capsys, doc, message):
+    mask = tmp_path / "bad.json"
+    mask.write_text(json.dumps(doc))
+    rc = main(["mask-check", "--mask", str(mask), "--f0", "868.3e6",
+               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["fresnel", "dft"])
+def test_cli_spectrum_rejects_step_off_the_lattice(tmp_path, capsys, method):
+    rc = main(["spectrum", "--sf", "3", "--bw", "1.0", "--method", method,
+               "--grid-step", str(1.0 / 100), "--out-psd", str(tmp_path / "psd.csv"),
+               "--out-lines", str(tmp_path / "lines.csv")])
+    assert rc == 1
+    assert "B/(k*M)" in capsys.readouterr().err
+    assert not (tmp_path / "psd.csv").exists()
 
 
 def test_cli_errors_are_nonzero(tmp_path, capsys):

@@ -131,6 +131,14 @@ def test_awgn_rejects_non_finite_snr():
         awgn(iq, float("nan"), seed=0)
 
 
+@given(seed=st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                     st.lists(st.integers(0, 9), max_size=2)))
+def test_awgn_rejects_non_integer_seed(seed):
+    iq = IqBuffer(np.ones(8, dtype=complex), fs=1.0)
+    with pytest.raises(ValueError, match="seed"):
+        awgn(iq, 10.0, seed=seed)
+
+
 def test_high_snr_monte_carlo_is_error_free(rng):
     symbols = [int(s) for s in rng.integers(0, P7.m, 2000)]
     iq = modulate(P7, symbols, oversample=1)

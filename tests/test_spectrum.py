@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 from lorachirp import (LoraParams, continuous_psd, discrete_power_total,
                        discrete_spectrum_lines, fresnel, fresnel_spectrum,
                        psd_via_dft, w_integral, waveform_fourier_transform)
-from oracles import (chirp_integral_quadrature, fourier_transform_quadrature,
-                     fresnel_quadrature)
+from oracles import (chirp_integral_quadrature, continuous_psd_loop,
+                     fourier_transform_quadrature, fresnel_quadrature,
+                     transform_sums_loop)
 
 
 def test_fresnel_at_zero():
@@ -201,3 +202,50 @@ def test_fresnel_spectrum_assembles_both_parts():
     assert np.all(res.continuous >= 0)
     assert len(res.lines) == 2 * 4 * p.m + 1
     assert res.params is p
+
+
+@pytest.mark.parametrize("sf", [3, 7, 10, 12])
+def test_lattice_engine_matches_per_symbol_loop(sf):
+    # 201 points spread over |f| <= 8B, edges included: the deepest tail
+    # point sits about 88 dB below the peak at SF 12
+    p = LoraParams(sf=sf, b=1.0)
+    k = 2 if sf >= 10 else 8
+    res = fresnel_spectrum(p, step=p.b / (k * p.m))
+    assert res.grid[-1] == 8.0 * p.b
+    idx = np.linspace(0, len(res.grid) - 1, 201).astype(int)
+    ref = continuous_psd_loop(p, res.grid[idx])
+    assert np.all(ref > 0)
+    for got in (res.continuous[idx], continuous_psd(p, res.grid[idx])):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
+        assert np.max(np.abs(got - ref) / ref) <= 1e-4
+
+
+@pytest.mark.parametrize("sf,n_max", [(3, None), (7, None), (10, 1024)])
+def test_line_powers_match_per_symbol_loop(sf, n_max):
+    p = LoraParams(sf=sf, b=1.0)
+    lines = discrete_spectrum_lines(p, n_max)
+    _, sum_x = transform_sums_loop(p, lines[:, 0])
+    ref = np.abs(sum_x) ** 2 / (p.ts ** 2 * p.m ** 2)
+    assert np.max(np.abs(lines[:, 1] - ref)) <= 1e-16
+
+
+def test_continuous_psd_keeps_the_grid_shape():
+    p = LoraParams(sf=4, b=1.0)
+    f = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    g = continuous_psd(p, f)
+    assert g.shape == (3, 4)
+    np.testing.assert_allclose(g.ravel(), continuous_psd(p, f.ravel()), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("step", [(1 + 1e-6) / 64, 1.0 / 100, 2.0 / 8, 0.0, -1.0 / 64,
+                                  float("nan"), float("inf")])
+def test_fresnel_spectrum_rejects_step_off_the_lattice(step):
+    p = LoraParams(sf=3, b=1.0)  # lattice steps are 1/(8k)
+    with pytest.raises(ValueError, match=r"B/\(k\*M\)"):
+        fresnel_spectrum(p, step=step)
+
+
+def test_fresnel_spectrum_takes_a_step_within_tolerance():
+    p = LoraParams(sf=3, b=1.0)
+    res = fresnel_spectrum(p, f_max=1.0, step=(1 + 1e-11) / 128)
+    np.testing.assert_array_equal(res.grid, np.arange(-128, 129) / 128)
