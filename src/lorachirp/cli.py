@@ -96,14 +96,15 @@ def _cmd_xcorr(args) -> int:
 
 def _compute_spectrum(args) -> spectrum.SpectrumResult:
     p = _params(args)
+    if args.method == "fresnel":
+        step = args.grid_step
+        if step is None:  # max(B/(64M), B/8192) up to M = 8192
+            step = p.b / (max(1, min(64, 8192 // p.m)) * p.m)
+        return spectrum.fresnel_spectrum(p, step=step)
     if args.grid_step is not None:
-        k = spectrum._lattice_k(p, args.grid_step)
-    elif args.method == "fresnel":
-        k = max(1, min(64, 8192 // p.m))  # step max(B/(64M), B/8192) up to M = 8192
+        k = spectrum.lattice_k(p, args.grid_step)
     else:
         k = max(1, 1024 // p.m)
-    if args.method == "fresnel":
-        return spectrum.fresnel_spectrum(p, step=p.b / (k * p.m))
     return spectrum.psd_via_dft(p, zero_pad_factor=k, n_per_symbol=32 * p.m)
 
 

@@ -120,7 +120,7 @@ def _psd_combine(sum_abs2: np.ndarray, sum_x: np.ndarray, p: LoraParams) -> np.n
     return np.maximum(g, 0.0)
 
 
-def _lattice_k(p: LoraParams, step: float) -> int:
+def lattice_k(p: LoraParams, step: float) -> int:
     """The integer k >= 1 with step = B/(k*M), to within 1e-9 relative.
 
     Spectra are computed on the lattice f = n*B/(k*M); a step off that
@@ -145,7 +145,7 @@ def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_d, s_d2, s_e, s_ed):
         alpha = K(a0*u_M) - w*K(a0*u_0),  beta = w - 1,  w = exp(-j*2*pi*phi).
 
     The identity holds with K replaced throughout by D = K - c for any
-    constant c, which lets callers anchor D near 0 where it is summed.
+    constant c, which lets the caller anchor D near 0 where it is summed.
     Inputs: d_top = D(a0*u_M), d_bot = D(a0*u_0) and the sums over
     l = 0..M-1 of D(a0*u_l), |D|^2, E_l and E_l*D.
     """
@@ -170,7 +170,7 @@ def _strided_prefix(values: np.ndarray, k: int) -> np.ndarray:
 
 
 _HALF = 0.5 + 0.5j  # K(x) -> +-(1+j)/2 as x -> +-inf
-_CHUNK = 1 << 18  # frequencies (or table entries) per block of work
+_CHUNK = 1 << 18  # frequencies per block of work
 
 
 def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -209,35 +209,25 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     return sum_abs2, sum_x
 
 
-def continuous_psd(p: LoraParams, grid) -> np.ndarray:
-    """Continuous spectral density Gc(f) on an arbitrary frequency grid.
+def _transform_sums(p: LoraParams, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate sum_l |X(f;l)|^2 and sum_l X(f;l) over the alphabet."""
+    sum_abs2 = np.zeros(f.shape, dtype=float)
+    sum_x = np.zeros(f.shape, dtype=complex)
+    for l in range(p.m):
+        X = waveform_fourier_transform(p, l, f)
+        sum_abs2 += np.abs(X) ** 2
+        sum_x += X
+    return sum_abs2, sum_x
 
-    Evaluates the factorized transform sums (see _factorized_sums)
-    directly, M + 1 Fresnel values per frequency, in blocks of bounded
-    memory.  On a uniform grid f = n*B/(k*M), fresnel_spectrum gives the
-    same values for O(k*M + len(grid)) Fresnel evaluations.
-    """
+
+def continuous_psd(p: LoraParams, grid) -> np.ndarray:
+    """Continuous spectral density Gc(f) on an arbitrary frequency grid
+    (Fresnel closed form; cost scales with M * len(grid)).  On a uniform
+    grid f = n*B/(k*M), fresnel_spectrum gives the same values for
+    O(k*M + len(grid)) Fresnel evaluations."""
     f = np.atleast_1d(np.asarray(grid, dtype=float))
-    M = p.m
-    sum_abs2 = np.empty(f.size)
-    sum_x = np.empty(f.size, dtype=complex)
-    phi_all = f.reshape(-1) * (M / p.b)
-    rows = max(1, _CHUNK // (M + 1))
-    for start in range(0, len(phi_all), rows):
-        phi = phi_all[start:start + rows, None]
-        # phi = q + r with q an integer: u_l = i - r, i = l - M/2 - q, l = 0..M
-        q = np.round(phi)
-        r = phi - q
-        i = (np.arange(M + 1) - M // 2 - q).astype(np.int64)
-        # anchor D = K - c at the limit K takes in the tail f runs into
-        d = _kfun(np.sqrt(2.0 / M) * (i - r)) + np.sign(phi) * _HALF
-        e = np.exp(-1j * np.pi * (((i * i) % (2 * M)) - 2.0 * i * r + r * r) / M)
-        dw, ew = d[:, :M], e[:, :M]
-        sum_abs2[start:start + rows], sum_x[start:start + rows] = _factorized_sums(
-            p, d[:, M], d[:, 0], np.exp(-2j * np.pi * r[:, 0]), dw.sum(axis=1),
-            (dw.real ** 2 + dw.imag ** 2).sum(axis=1), ew.sum(axis=1),
-            (ew * dw).sum(axis=1))
-    return _psd_combine(sum_abs2, sum_x, p).reshape(f.shape)
+    sum_abs2, sum_x = _transform_sums(p, f)
+    return _psd_combine(sum_abs2, sum_x, p)
 
 
 def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarray:
@@ -270,7 +260,8 @@ def discrete_power_total(p: LoraParams, n_max: int | None = None) -> tuple[float
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
                      step: float | None = None) -> SpectrumResult:
     """Exact spectrum from the Fresnel closed form on the lattice
-    f = n*B/(k*M), |f| <= f_max, plus the lines for |n| <= 4M.
+    f = n*B/(k*M), |f| <= f_max, plus the lines n*B/M for
+    |n| <= max(4M, f_max*M/B), so the lines cover the whole grid.
 
     `step` must equal B/(k*M) for an integer k >= 1 (to 1e-9 relative),
     otherwise ValueError; the default is k = 64 over |f| <= 8B.  One
@@ -280,7 +271,7 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     """
     if f_max is None:
         f_max = 8.0 * p.b
-    k = 64 if step is None else _lattice_k(p, step)
+    k = 64 if step is None else lattice_k(p, step)
     if not (np.isfinite(f_max) and f_max > 0):
         raise ValueError(f"f_max must be finite and positive, got {f_max}")
     step = p.b / (k * p.m)
@@ -288,7 +279,7 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     grid = np.arange(-n, n + 1) * step
     sum_abs2, sum_x = _lattice_sums(p, k, n)
     cont = _psd_combine(sum_abs2, sum_x, p)
-    lines = discrete_spectrum_lines(p)
+    lines = discrete_spectrum_lines(p, max(4 * p.m, n // k))
     return SpectrumResult(grid=grid, continuous=cont, lines=lines, params=p)
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import LoraParams, modulate, read_header, read_iq, write_iq
+from lorachirp import (LoraParams, SpectrumResult, binned_power, fresnel_spectrum,
+                       modulate, read_header, read_iq, write_iq)
 from lorachirp.cli import example_mask_path, main
 from lorachirp.analysis import MaskSpec
+from oracles import transform_sums_loop
 
 P5 = LoraParams(sf=5, b=32.0)
 
@@ -305,6 +307,31 @@ def test_cli_mask_check_rejects_malformed_document(tmp_path, capsys, doc, messag
                "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_mask_check_bins_line_power_out_to_8b(tmp_path, capsys):
+    # the mask-check grid spans |f| <= 8B; lines between 4B and 8B count
+    p = LoraParams(sf=7, b=125e3)
+    binned_csv = tmp_path / "binned.csv"
+    main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6",
+          "--sf", "7", "--bw", "125e3", "--ps-dbm", "14", "--out-binned", str(binned_csv)])
+    capsys.readouterr()
+    got = np.loadtxt(binned_csv, delimiter=",", comments="#", skiprows=3)
+
+    res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
+    n = np.arange(-8 * p.m, 8 * p.m + 1)
+    _, sum_x = transform_sums_loop(p, n * p.b / p.m)
+    lines = np.column_stack([n * p.b / p.m, np.abs(sum_x) ** 2 / (p.ts * p.m) ** 2])
+    ref = {n_max: binned_power(SpectrumResult(res.grid, res.continuous,
+                                              lines[np.abs(n) <= n_max], p),
+                               delta_f=1000.0, ps_dbm=14.0)
+           for n_max in (4 * p.m, 8 * p.m)}
+    np.testing.assert_array_equal(got[:, 0], ref[8 * p.m].bin_centers)
+    outer = np.abs(got[:, 0]) > 4 * p.b
+    assert np.max(np.abs(got[outer, 1] - ref[8 * p.m].bin_power_dbm[outer])) < 1e-9
+    # without the lines beyond 4B those bins read visibly low
+    assert np.max(ref[8 * p.m].bin_power_dbm[outer]
+                  - ref[4 * p.m].bin_power_dbm[outer]) > 0.01
 
 
 @pytest.mark.parametrize("method", ["fresnel", "dft"])

@@ -215,9 +215,9 @@ def test_lattice_engine_matches_per_symbol_loop(sf):
     idx = np.linspace(0, len(res.grid) - 1, 201).astype(int)
     ref = continuous_psd_loop(p, res.grid[idx])
     assert np.all(ref > 0)
-    for got in (res.continuous[idx], continuous_psd(p, res.grid[idx])):
-        assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
-        assert np.max(np.abs(got - ref) / ref) <= 1e-4
+    got = res.continuous[idx]
+    assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
+    assert np.max(np.abs(got - ref) / ref) <= 1e-4
 
 
 @pytest.mark.parametrize("sf,n_max", [(3, None), (7, None), (10, 1024)])
@@ -227,6 +227,15 @@ def test_line_powers_match_per_symbol_loop(sf, n_max):
     _, sum_x = transform_sums_loop(p, lines[:, 0])
     ref = np.abs(sum_x) ** 2 / (p.ts ** 2 * p.m ** 2)
     assert np.max(np.abs(lines[:, 1] - ref)) <= 1e-16
+
+
+@pytest.mark.parametrize("f_max,n_lines", [(2.0, 4 * 8), (4.0, 4 * 8), (8.0, 8 * 8),
+                                           (8.1, 8 * 8)])
+def test_fresnel_spectrum_lines_cover_the_grid(f_max, n_lines):
+    p = LoraParams(sf=3, b=1.0)
+    res = fresnel_spectrum(p, f_max=f_max, step=1.0 / (4 * p.m))
+    np.testing.assert_array_equal(res.line_frequencies,
+                                  np.arange(-n_lines, n_lines + 1) / p.m)
 
 
 def test_continuous_psd_keeps_the_grid_shape():
