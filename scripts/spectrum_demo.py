@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Two-sided spectrum of the modulated signal for several spreading factors.
 
-Writes per-SF CSVs (continuous PSD in dB relative to B, plus line powers)
-and, when matplotlib is importable, a combined plot.
+Writes per-SF CSVs (continuous PSD in dB relative to B over fresnel_spectrum's
+default grid, plus line powers) and, when matplotlib is importable, a
+combined plot.
 
 Usage: python scripts/spectrum_demo.py [--sf-list 3,7,10,12] [--outdir out]
 """
@@ -25,19 +26,18 @@ def main():
     curves = {}
     for sf in [int(s) for s in args.sf_list.split(",")]:
         p = LoraParams(sf=sf, b=1.0)
-        k = max(1, 1024 // p.m)
-        res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (k * p.m))
+        res = fresnel_spectrum(p)
         db = 10 * np.log10(np.maximum(res.continuous * p.b, 1e-30))
         path = outdir / f"psd_sf{sf}.csv"
         with path.open("w") as fh:
             fh.write("frequency_over_b,psd_db_rel_b\n")
             for f, v in zip(res.grid, db):
-                fh.write(f"{f!r},{v!r}\n")
+                fh.write(f"{float(f)!r},{float(v)!r}\n")
         lines_path = outdir / f"lines_sf{sf}.csv"
         with lines_path.open("w") as fh:
             fh.write("frequency_over_b,power_fraction\n")
             for f, v in res.lines:
-                fh.write(f"{f!r},{v!r}\n")
+                fh.write(f"{float(f)!r},{float(v)!r}\n")
         curves[sf] = (res.grid, db, res.lines)
         total = np.trapezoid(res.continuous, res.grid) + res.line_powers.sum()
         print(f"SF={sf}: wrote {path} and {lines_path}; "

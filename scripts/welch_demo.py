@@ -11,8 +11,8 @@ import argparse
 
 import numpy as np
 
-from lorachirp import (LoraParams, bin_estimate, binned_power, modulate,
-                       payload_to_symbols, psd_via_dft, welch_psd)
+from lorachirp import (LoraParams, bin_estimate, binned_power, fresnel_spectrum,
+                       modulate, payload_to_symbols, welch_psd)
 
 
 def main():
@@ -33,7 +33,7 @@ def main():
 
     delta_f = p.b / 256
     freqs, pxx = welch_psd(iq, segment_len=int(round(iq.fs / delta_f)))
-    res = psd_via_dft(p, zero_pad_factor=8, n_per_symbol=32 * p.m)
+    res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (8 * p.m))
     ref = binned_power(res, delta_f=delta_f, ps_dbm=args.ps_dbm)
     sel = np.abs(ref.bin_centers) <= 1.9 * p.b
     centers = ref.bin_centers[sel]
@@ -43,7 +43,7 @@ def main():
     with open(args.out, "w") as fh:
         fh.write("bin_center_hz,analytic_dbm,welch_dbm\n")
         for c, a, w in zip(centers, ana_db, est_db):
-            fh.write(f"{c!r},{a!r},{w!r}\n")
+            fh.write(f"{float(c)!r},{float(a)!r},{float(w)!r}\n")
     in_band = np.abs(centers) <= p.b / 2
     print(f"wrote {args.out}")
     print(f"max |deviation| over |f| <= B/2: "

@@ -13,10 +13,9 @@ from .correlation import (MaxCorrelation, abs_cross_correlation,
 from .iqfile import IqFileHeader, read_header, read_iq, write_iq
 from .params import IqBuffer, LoraParams, Symbol, validate_symbol
 from .receiver import awgn, dechirp, demodulate_stream
-from .spectrum import (FresnelPair, SpectrumResult, continuous_psd,
-                       discrete_power_total, discrete_spectrum_lines,
-                       fresnel, fresnel_spectrum, psd_via_dft,
-                       w_integral, waveform_fourier_transform)
+from .spectrum import (FresnelPair, SpectrumResult, discrete_power_total,
+                       discrete_spectrum_lines, fresnel, fresnel_spectrum,
+                       psd_via_dft, w_integral, waveform_fourier_transform)
 from .waveform import (baseband_waveform, instantaneous_frequency,
                        mean_envelope_magnitude, modulate, payload_to_symbols,
                        phase, waveform_at)
@@ -28,7 +27,7 @@ __all__ = [
     "MaskReport", "MaskSegment", "MaskSpec", "MaxCorrelation",
     "SpectrumResult", "Symbol", "TableRow", "abs_cross_correlation", "awgn",
     "baseband_waveform", "bin_estimate", "binned_power", "bit_rate",
-    "chip_rate", "continuous_psd", "correlation_bound", "correlation_matrix",
+    "chip_rate", "correlation_bound", "correlation_matrix",
     "cross_correlation", "cross_correlation_real", "dechirp",
     "demodulate_stream", "discrete_power_total", "discrete_spectrum_lines",
     "fresnel", "fresnel_spectrum", "instantaneous_frequency", "mask_check",

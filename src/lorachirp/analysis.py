@@ -44,6 +44,19 @@ def _cumulative_trapezoid(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
+def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
+                    delta_f: float, ps_dbm: float, lines=None) -> np.ndarray:
+    """dBm per delta_f at transmit power ps_dbm: the trapezoid integral of
+    density over [c - delta_f/2, c + delta_f/2] for each center c, plus
+    the powers of lines = (bin indices, powers) added into their bins."""
+    cum = _cumulative_trapezoid(grid, density)
+    power = (np.interp(centers + delta_f / 2, grid, cum)
+             - np.interp(centers - delta_f / 2, grid, cum))
+    if lines is not None:
+        np.add.at(power, *lines)
+    return 10.0 * np.log10(np.maximum(power, _TINY)) + ps_dbm
+
+
 def _captured_power(spec: SpectrumResult, width: float,
                     cum: np.ndarray | None = None) -> float:
     """Continuous power over [-width/2, width/2] plus lines inside."""
@@ -167,15 +180,11 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     if k_hi < k_lo:
         raise ValueError("spectrum span too narrow for a single bin")
     centers = origin + np.arange(k_lo, k_hi + 1) * delta_f
-    cum = _cumulative_trapezoid(grid, spec.continuous)
-    lo = np.interp(centers - delta_f / 2, grid, cum)
-    hi = np.interp(centers + delta_f / 2, grid, cum)
-    frac = hi - lo
     # assign each line to its half-open bin
     idx = np.floor((spec.line_frequencies - origin) / delta_f + 0.5).astype(int) - k_lo
     ok = (idx >= 0) & (idx < len(centers))
-    np.add.at(frac, idx[ok], spec.line_powers[ok])
-    level_dbm = 10.0 * np.log10(np.maximum(frac, _TINY)) + ps_dbm
+    level_dbm = _bin_levels_dbm(grid, spec.continuous, centers, delta_f, ps_dbm,
+                                (idx[ok], spec.line_powers[ok]))
     return BinnedSpectrum(bin_centers=centers, bin_power_dbm=level_dbm,
                           delta_f=delta_f, ps_dbm=ps_dbm)
 
@@ -351,7 +360,4 @@ def bin_estimate(freqs: np.ndarray, psd: np.ndarray, centers: np.ndarray,
     Returns levels in dBm per delta_f at transmit power ps_dbm, for
     comparing estimates against analytic binned spectra.
     """
-    cum = _cumulative_trapezoid(freqs, psd)
-    lo = np.interp(centers - delta_f / 2, freqs, cum)
-    hi = np.interp(centers + delta_f / 2, freqs, cum)
-    return 10.0 * np.log10(np.maximum(hi - lo, _TINY)) + ps_dbm
+    return _bin_levels_dbm(freqs, psd, centers, delta_f, ps_dbm)

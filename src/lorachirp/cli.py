@@ -94,22 +94,8 @@ def _cmd_xcorr(args) -> int:
     return 0
 
 
-def _compute_spectrum(args) -> spectrum.SpectrumResult:
-    p = _params(args)
-    if args.method == "fresnel":
-        step = args.grid_step
-        if step is None:  # max(B/(64M), B/8192) up to M = 8192
-            step = p.b / (max(1, min(64, 8192 // p.m)) * p.m)
-        return spectrum.fresnel_spectrum(p, step=step)
-    if args.grid_step is not None:
-        k = spectrum.lattice_k(p, args.grid_step)
-    else:
-        k = max(1, 1024 // p.m)
-    return spectrum.psd_via_dft(p, zero_pad_factor=k, n_per_symbol=32 * p.m)
-
-
 def _cmd_spectrum(args) -> int:
-    res = _compute_spectrum(args)
+    res = spectrum.fresnel_spectrum(_params(args), step=args.grid_step)
     scale = 10.0 ** (args.ps_dbm / 10.0) if args.ps_dbm is not None else 1.0
     unit = "mw" if args.ps_dbm is not None else "fraction"
     out_psd = args.out_psd or f"spectrum_sf{args.sf}_psd.csv"
@@ -119,11 +105,11 @@ def _cmd_spectrum(args) -> int:
                [(repr(float(f)), repr(float(g * scale)),
                  repr(float(10 * np.log10(max(g * b, 1e-30)))))
                 for f, g in zip(res.grid, res.continuous)],
-               comments=[f"method={args.method} sf={args.sf} bw_hz={args.bw}",
+               comments=[f"sf={args.sf} bw_hz={args.bw}",
                          "psd_db_rel_b = 10*log10(Gc(f)*B) of the unit-power envelope"])
     _write_csv(out_lines, ["frequency_hz", f"power_{unit}"],
                [(repr(float(f)), repr(float(pw * scale))) for f, pw in res.lines],
-               comments=[f"method={args.method} sf={args.sf} bw_hz={args.bw}"])
+               comments=[f"sf={args.sf} bw_hz={args.bw}"])
     print(json.dumps({"psd_csv": str(out_psd), "lines_csv": str(out_lines),
                       "grid_points": len(res.grid), "num_lines": len(res.lines)}))
     return 0
@@ -157,28 +143,40 @@ def _cmd_welch(args) -> int:
     return 0
 
 
+def _csv_number(text: str, where: str) -> float:
+    """A finite float parsed from a CSV field, else ValueError naming `where`."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValueError(f"{where} must be a finite number, got {text!r}")
+    return value
+
+
 def _read_binned_csv(path) -> analysis.BinnedSpectrum:
     meta = {}
     centers, levels = [], []
     with open(path, newline="") as fh:
-        data_lines = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key] = value
-            else:
-                data_lines.append(line)
-    for row in csv.reader(data_lines):
-        if not row or row[0] == "bin_center_hz":
-            continue
-        centers.append(float(row[0]))
-        levels.append(float(row[1]))
+                continue
+            row = next(csv.reader([line]), [])
+            if not row or row[0] == "bin_center_hz":
+                continue
+            where = f"binned CSV {path}, line {lineno}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: need bin_center_hz,power_dbm, got {line.strip()!r}")
+            centers.append(_csv_number(row[0], f"{where}: bin_center_hz"))
+            levels.append(_csv_number(row[1], f"{where}: power_dbm"))
     if "delta_f_hz" not in meta or "ps_dbm" not in meta:
         raise ValueError(f"binned CSV {path} is missing '# delta_f_hz=' / '# ps_dbm=' metadata")
-    return analysis.BinnedSpectrum(bin_centers=np.array(centers),
-                                   bin_power_dbm=np.array(levels),
-                                   delta_f=float(meta["delta_f_hz"]),
-                                   ps_dbm=float(meta["ps_dbm"]))
+    return analysis.BinnedSpectrum(
+        bin_centers=np.array(centers), bin_power_dbm=np.array(levels),
+        delta_f=_csv_number(meta["delta_f_hz"], f"binned CSV {path}: delta_f_hz"),
+        ps_dbm=_csv_number(meta["ps_dbm"], f"binned CSV {path}: ps_dbm"))
 
 
 def _write_binned_csv(path, binned: analysis.BinnedSpectrum) -> None:
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="continuous PSD and spectral lines to CSV")
     sp.add_argument("--sf", type=int, required=True)
     sp.add_argument("--bw", type=float, required=True)
-    sp.add_argument("--method", choices=["fresnel", "dft"], default="fresnel")
     sp.add_argument("--grid-step", type=float, default=None,
                     help="frequency step in Hz; must be B/(k*M) for an integer k >= 1")
     sp.add_argument("--ps-dbm", type=float, default=None,

@@ -117,8 +117,9 @@ def _finite_number(doc: dict, key: str, header_path, default=None) -> float:
 def read_iq(path, header_path=None) -> IqBuffer:
     """Read an IQ capture back into an IqBuffer.
 
-    Raises on truncated payloads (odd float count), malformed sidecars,
-    nonpositive sample rates and sidecar/payload length mismatches.
+    Raises on truncated payloads (odd float count), NaN or infinite
+    samples, malformed sidecars, nonpositive sample rates and
+    sidecar/payload length mismatches.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
@@ -133,6 +134,8 @@ def read_iq(path, header_path=None) -> IqBuffer:
                 f"truncated IQ capture {path}: {len(payload)} bytes is not a "
                 "whole number of float32 I/Q pairs")
         raw = np.frombuffer(payload, dtype="<f4")
+        # a float64 sum of finite float32 values cannot overflow
+        finite = np.isfinite(raw.sum(dtype=np.float64))
         samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
     else:
         with path.open(newline="") as fh:
@@ -144,6 +147,9 @@ def read_iq(path, header_path=None) -> IqBuffer:
             samples = np.array([complex(float(r[0]), float(r[1])) for r in rows[1:]])
         except (ValueError, IndexError) as exc:
             raise ValueError(f"malformed CSV IQ row in {path}: {exc}") from exc
+        finite = np.isfinite(samples).all()
+    if not finite:
+        raise ValueError(f"IQ capture {path} holds NaN or infinite samples")
     if n_expected is not None and n_expected != len(samples):
         raise ValueError(
             f"IQ capture {path} holds {len(samples)} samples but sidecar says {n_expected}")

@@ -120,7 +120,7 @@ def _psd_combine(sum_abs2: np.ndarray, sum_x: np.ndarray, p: LoraParams) -> np.n
     return np.maximum(g, 0.0)
 
 
-def lattice_k(p: LoraParams, step: float) -> int:
+def _lattice_k(p: LoraParams, step: float) -> int:
     """The integer k >= 1 with step = B/(k*M), to within 1e-9 relative.
 
     Spectra are computed on the lattice f = n*B/(k*M); a step off that
@@ -209,27 +209,6 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     return sum_abs2, sum_x
 
 
-def _transform_sums(p: LoraParams, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate sum_l |X(f;l)|^2 and sum_l X(f;l) over the alphabet."""
-    sum_abs2 = np.zeros(f.shape, dtype=float)
-    sum_x = np.zeros(f.shape, dtype=complex)
-    for l in range(p.m):
-        X = waveform_fourier_transform(p, l, f)
-        sum_abs2 += np.abs(X) ** 2
-        sum_x += X
-    return sum_abs2, sum_x
-
-
-def continuous_psd(p: LoraParams, grid) -> np.ndarray:
-    """Continuous spectral density Gc(f) on an arbitrary frequency grid
-    (Fresnel closed form; cost scales with M * len(grid)).  On a uniform
-    grid f = n*B/(k*M), fresnel_spectrum gives the same values for
-    O(k*M + len(grid)) Fresnel evaluations."""
-    f = np.atleast_1d(np.asarray(grid, dtype=float))
-    sum_abs2, sum_x = _transform_sums(p, f)
-    return _psd_combine(sum_abs2, sum_x, p)
-
-
 def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarray:
     """Spectral-line powers at f = n*B/M for |n| <= n_max.
 
@@ -264,14 +243,16 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     |n| <= max(4M, f_max*M/B), so the lines cover the whole grid.
 
     `step` must equal B/(k*M) for an integer k >= 1 (to 1e-9 relative),
-    otherwise ValueError; the default is k = 64 over |f| <= 8B.  One
-    table of Fresnel values shared through strided prefix sums gives
-    every grid point, so the cost is O(k*M + len(grid)).  psd_via_dft is
-    the independent cross-check of these values.
+    otherwise ValueError.  The defaults are |f| <= 8B and
+    k = max(1, min(64, 8192 // M)), i.e. step max(B/(64M), B/8192), so
+    the grid holds at most 131 073 points.  One table of Fresnel values
+    shared through strided prefix sums gives every grid point, so the
+    cost is O(k*M + len(grid)).  psd_via_dft is the independent
+    cross-check of these values.
     """
     if f_max is None:
         f_max = 8.0 * p.b
-    k = 64 if step is None else lattice_k(p, step)
+    k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
     if not (np.isfinite(f_max) and f_max > 0):
         raise ValueError(f"f_max must be finite and positive, got {f_max}")
     step = p.b / (k * p.m)

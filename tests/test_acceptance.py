@@ -7,9 +7,9 @@ import time
 import numpy as np
 
 from lorachirp import (LoraParams, MaskSpec, awgn, baseband_waveform,
-                       bin_estimate, binned_power, continuous_psd,
-                       correlation_matrix, dechirp, demodulate_stream,
-                       discrete_power_total, fresnel, mask_check,
+                       bin_estimate, binned_power, correlation_matrix,
+                       dechirp, demodulate_stream, discrete_power_total,
+                       fresnel, fresnel_spectrum, mask_check,
                        mean_envelope_magnitude, modulate,
                        orthogonality_offsets, payload_to_symbols, phase,
                        psd_via_dft, reproduce_table, welch_psd)
@@ -136,12 +136,11 @@ def test_criterion_6_spectrum_cross_validation():
         p = LoraParams(sf=sf, b=1.0)
         n_sym = max(64 * p.m, 1024)
         res = psd_via_dft(p, zero_pad_factor=2, n_per_symbol=n_sym)
-        step = p.b / (2 * p.m)
-        sub = int(round(step / (res.grid[1] - res.grid[0])))
+        ref = fresnel_spectrum(p, f_max=2.0 * p.b, step=p.b / (2 * p.m))
         sel = np.abs(res.grid) <= 2.0 * p.b + 1e-12
-        f_cmp = res.grid[sel][::sub]
-        g_dft = res.continuous[sel][::sub]
-        g_fr = continuous_psd(p, f_cmp)
+        np.testing.assert_allclose(res.grid[sel], ref.grid, rtol=0, atol=1e-9 * p.b)
+        g_dft = res.continuous[sel]
+        g_fr = ref.continuous
         worst_rel = max(worst_rel, float(np.max(np.abs(g_fr - g_dft)) / g_fr.max()))
     worst_fres = 0.0
     for x in np.logspace(-3, 3, 25):
@@ -169,7 +168,7 @@ def test_criterion_7_welch_vs_analytic_binned():
     seg = int(round(iq.fs / delta_f))  # grid step = delta_f
     freqs, pxx = welch_psd(iq, segment_len=seg, overlap=0.5, window="hann")
 
-    res = psd_via_dft(p, zero_pad_factor=8, n_per_symbol=32 * p.m)
+    res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (8 * p.m))
     ref = binned_power(res, delta_f=delta_f, ps_dbm=0.0)
     ref_idx = np.round(ref.bin_centers / delta_f).astype(int)
 
@@ -191,7 +190,7 @@ def test_criterion_7_welch_vs_analytic_binned():
 
 def test_criterion_8_mask_verdicts(tmp_path, capsys):
     p = LoraParams(sf=7, b=125e3)
-    res = psd_via_dft(p, zero_pad_factor=4, n_per_symbol=32 * p.m)
+    res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
     binned = binned_power(res, delta_f=1000.0, ps_dbm=14.0)
     mask = MaskSpec.from_json(example_mask_path())
     rep = mask_check(binned, mask, f0=868.3e6)

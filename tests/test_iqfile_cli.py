@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lorachirp import (LoraParams, SpectrumResult, binned_power, fresnel_spectrum,
-                       modulate, read_header, read_iq, write_iq)
+                       modulate, psd_via_dft, read_header, read_iq, write_iq)
 from lorachirp.cli import example_mask_path, main
 from lorachirp.analysis import MaskSpec
 from oracles import transform_sums_loop
@@ -196,22 +196,21 @@ def test_cli_xcorr_report(tmp_path, capsys):
 
 
 def test_cli_spectrum_methods_agree(tmp_path, capsys):
-    outs = {}
-    for method in ("fresnel", "dft"):
-        psd = tmp_path / f"{method}_psd.csv"
-        lines = tmp_path / f"{method}_lines.csv"
-        rc = main(["spectrum", "--sf", "3", "--bw", "1.0", "--method", method,
-                   "--grid-step", str(1.0 / 64), "--out-psd", str(psd),
-                   "--out-lines", str(lines)])
-        assert rc == 0
-        capsys.readouterr()
-        data = np.genfromtxt(psd, delimiter=",", comments="#", skip_header=3)
-        outs[method] = dict(zip(np.round(data[:, 0], 9), data[:, 1]))
-    shared = sorted(set(outs["fresnel"]) & set(outs["dft"]))
+    # the CLI's Fresnel spectrum against the independent DFT cross-check
+    psd = tmp_path / "psd.csv"
+    rc = main(["spectrum", "--sf", "3", "--bw", "1.0", "--grid-step", str(1.0 / 64),
+               "--out-psd", str(psd), "--out-lines", str(tmp_path / "lines.csv")])
+    assert rc == 0
+    capsys.readouterr()
+    data = np.genfromtxt(psd, delimiter=",", comments="#", skip_header=3)
+    cli = dict(zip(np.round(data[:, 0], 9), data[:, 1]))
+    p = LoraParams(sf=3, b=1.0)
+    res = psd_via_dft(p, zero_pad_factor=8, n_per_symbol=32 * p.m)
+    dft = dict(zip(np.round(res.grid, 9), res.continuous))
+    shared = sorted(set(cli) & set(dft))
     assert len(shared) > 100
-    dev = max(abs(outs["fresnel"][f] - outs["dft"][f]) for f in shared)
-    peak = max(outs["fresnel"].values())
-    assert dev < 1e-6 * peak
+    dev = max(abs(cli[f] - dft[f]) for f in shared)
+    assert dev < 1e-6 * max(cli.values())
 
 
 def test_cli_table_csv(capsys):
@@ -334,14 +333,86 @@ def test_cli_mask_check_bins_line_power_out_to_8b(tmp_path, capsys):
                   - ref[4 * p.m].bin_power_dbm[outer]) > 0.01
 
 
-@pytest.mark.parametrize("method", ["fresnel", "dft"])
-def test_cli_spectrum_rejects_step_off_the_lattice(tmp_path, capsys, method):
-    rc = main(["spectrum", "--sf", "3", "--bw", "1.0", "--method", method,
+def test_cli_spectrum_rejects_step_off_the_lattice(tmp_path, capsys):
+    rc = main(["spectrum", "--sf", "3", "--bw", "1.0",
                "--grid-step", str(1.0 / 100), "--out-psd", str(tmp_path / "psd.csv"),
                "--out-lines", str(tmp_path / "lines.csv")])
     assert rc == 1
     assert "B/(k*M)" in capsys.readouterr().err
     assert not (tmp_path / "psd.csv").exists()
+
+
+def test_cli_spectrum_has_no_method_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--sf", "3", "--bw", "1.0", "--method", "dft",
+              "--out-psd", str(tmp_path / "psd.csv"),
+              "--out-lines", str(tmp_path / "lines.csv")])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
+_BINNED = ["# delta_f_hz=1000.0", "# ps_dbm=14.0", "bin_center_hz,power_dbm",
+           "0.0,-10.0", "1000.0,-20.0"]
+
+
+@pytest.mark.parametrize("line,text,message", [
+    (None, None, None),
+    (4, "1000.0", "line 5: need bin_center_hz,power_dbm"),
+    (3, "0.0,nan", "line 4: power_dbm must be a finite number"),
+    (4, "inf,-20.0", "line 5: bin_center_hz must be a finite number"),
+    (3, "0.0,low", "line 4: power_dbm must be a finite number"),
+    (0, "# delta_f_hz=nan", "delta_f_hz must be a finite number"),
+    (1, "# ps_dbm=-inf", "ps_dbm must be a finite number")],
+    ids=["valid", "short-row", "nan-level", "inf-center", "text-level", "nan-delta-f",
+         "inf-ps-dbm"])
+def test_cli_mask_check_validates_binned_csv(tmp_path, capsys, line, text, message):
+    rows = list(_BINNED)
+    if line is not None:
+        rows[line] = text
+    binned_csv = tmp_path / "binned.csv"
+    binned_csv.write_text("\n".join(rows) + "\n")
+    rc = main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6",
+               "--spectrum-csv", str(binned_csv)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert rc == 0
+    else:
+        assert rc == 1
+        assert message in err
+
+
+def _spoil_one_sample(path, fmt):
+    if fmt == "csv":
+        rows = path.read_text().splitlines()
+        rows[3] = "nan,0.0"
+        path.write_text("\n".join(rows) + "\n")
+    else:
+        raw = np.fromfile(path, dtype="<f4")
+        raw[5] = np.nan
+        raw.tofile(path)
+
+
+@pytest.mark.parametrize("fmt", ["interleaved-f32-le", "csv"])
+def test_read_iq_rejects_non_finite_samples(tmp_path, iq, fmt):
+    path = tmp_path / "sig.iq"
+    write_iq(iq, path, fmt=fmt)
+    _spoil_one_sample(path, fmt)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        read_iq(path)
+
+
+@pytest.mark.parametrize("command", [["welch", "--segment", "16"],
+                                     ["demod", "--sf", "5", "--bw", "32"]],
+                         ids=["welch", "demod"])
+def test_cli_rejects_capture_with_nan(tmp_path, capsys, iq, command):
+    path = tmp_path / "sig.iq"
+    write_iq(iq, path)
+    _spoil_one_sample(path, "interleaved-f32-le")
+    out = tmp_path / "out.csv"
+    rc = main([command[0], "--in", str(path), "--out", str(out), *command[1:]])
+    assert rc == 1
+    assert f"IQ capture {path} holds NaN or infinite samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_errors_are_nonzero(tmp_path, capsys):

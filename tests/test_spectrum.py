@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import (LoraParams, continuous_psd, discrete_power_total,
-                       discrete_spectrum_lines, fresnel, fresnel_spectrum,
-                       psd_via_dft, w_integral, waveform_fourier_transform)
+from lorachirp import (LoraParams, discrete_power_total, discrete_spectrum_lines,
+                       fresnel, fresnel_spectrum, psd_via_dft, w_integral,
+                       waveform_fourier_transform)
 from oracles import (chirp_integral_quadrature, continuous_psd_loop,
                      fourier_transform_quadrature, fresnel_quadrature,
                      transform_sums_loop)
@@ -104,18 +104,15 @@ def test_fourier_transform_symbols_differ_but_share_energy():
 
 def test_continuous_psd_is_symmetric_and_nonnegative():
     p = LoraParams(sf=5, b=1.0)
-    f = np.linspace(0.01, 3.0, 40)
-    gp = continuous_psd(p, f)
-    gm = continuous_psd(p, -f)
-    assert np.all(gp >= 0)
-    np.testing.assert_allclose(gm, gp, rtol=1e-9)
+    g = fresnel_spectrum(p, f_max=3.0).continuous
+    assert np.all(g >= 0)
+    np.testing.assert_allclose(g[::-1], g, rtol=1e-9)
 
 
 def test_continuous_psd_integrates_to_one_minus_discrete_share():
     p = LoraParams(sf=5, b=1.0)
-    step = p.b / (64 * p.m)
-    f = np.arange(-8 * 64 * p.m, 8 * 64 * p.m + 1) * step
-    integral = np.trapezoid(continuous_psd(p, f), f)
+    res = fresnel_spectrum(p)  # step B/(64M) over |f| <= 8B
+    integral = np.trapezoid(res.continuous, res.grid)
     assert integral == pytest.approx(1.0 - 1.0 / p.m, rel=5e-3)
 
 
@@ -123,11 +120,12 @@ def test_continuous_psd_shape_plateau_and_rolloff():
     # flat near 0 dB (relative to B) for |f| < B/2, steep drop beyond:
     # power conservation pins the plateau at 10*log10(1 - 1/M) ~ 0 dB
     p = LoraParams(sf=7, b=1.0)
-    f_plateau = np.linspace(-0.4, 0.4, 41)
-    plateau_db = 10 * np.log10(np.mean(continuous_psd(p, f_plateau)) * p.b)
+    res = fresnel_spectrum(p, f_max=1.0)
+    plateau = res.continuous[np.abs(res.grid) <= 0.4]
+    plateau_db = 10 * np.log10(np.mean(plateau) * p.b)
     assert -2.0 < plateau_db < 1.0
-    g_out = continuous_psd(p, np.array([1.0]))[0]
-    assert 10 * np.log10(g_out * p.b) < -25.0
+    assert res.grid[-1] == 1.0
+    assert 10 * np.log10(res.continuous[-1] * p.b) < -25.0
 
 
 def test_lines_sit_on_exact_multiples_of_b_over_m():
@@ -180,10 +178,10 @@ def test_dft_path_agrees_with_fresnel_path():
     p = LoraParams(sf=3, b=1.0)
     res = psd_via_dft(p, zero_pad_factor=2, n_per_symbol=128 * p.m)
     sel = np.abs(res.grid) <= 2.0 * p.b
-    f_cmp = res.grid[sel][:: 32]
-    g_dft = res.continuous[sel][:: 32]
-    g_fr = continuous_psd(p, f_cmp)
-    assert np.max(np.abs(g_fr - g_dft)) < 1e-6 * g_fr.max()
+    ref = fresnel_spectrum(p, f_max=2.0 * p.b, step=p.b / (2 * p.m))
+    np.testing.assert_allclose(res.grid[sel], ref.grid, rtol=0, atol=1e-12)
+    g_fr = ref.continuous
+    assert np.max(np.abs(g_fr - res.continuous[sel])) < 1e-6 * g_fr.max()
 
 
 @pytest.mark.parametrize("sf", [3, 5, 7, 10])
@@ -238,12 +236,16 @@ def test_fresnel_spectrum_lines_cover_the_grid(f_max, n_lines):
                                   np.arange(-n_lines, n_lines + 1) / p.m)
 
 
-def test_continuous_psd_keeps_the_grid_shape():
-    p = LoraParams(sf=4, b=1.0)
-    f = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
-    g = continuous_psd(p, f)
-    assert g.shape == (3, 4)
-    np.testing.assert_allclose(g.ravel(), continuous_psd(p, f.ravel()), rtol=0, atol=0)
+@pytest.mark.parametrize("sf,step,n_points", [(3, 1.0 / (64 * 8), 8193),
+                                              (7, 1.0 / (64 * 128), 131073),
+                                              (12, 1.0 / 8192, 131073)],
+                         ids=["sf3", "sf7", "sf12"])
+def test_fresnel_spectrum_default_grid(sf, step, n_points):
+    # step max(B/(64M), B/8192) over |f| <= 8B
+    res = fresnel_spectrum(LoraParams(sf=sf, b=1.0))
+    assert len(res.grid) == n_points
+    assert res.grid[-1] == 8.0 and res.grid[0] == -8.0
+    np.testing.assert_allclose(np.diff(res.grid), step, rtol=1e-12)
 
 
 @pytest.mark.parametrize("step", [(1 + 1e-6) / 64, 1.0 / 100, 2.0 / 8, 0.0, -1.0 / 64,
