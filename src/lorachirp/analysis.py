@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import max_cross_correlation, snr_penalty_db
 from .params import IqBuffer, LoraParams
@@ -294,7 +294,8 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
     segment's limit.  The binned resolution bandwidth must equal the mask
     rbw (no implicit resampling).  Segments not covered by any bin are
     reported with n_bins = 0 and do not affect the verdict; an empty mask
-    passes.
+    passes.  A level that is not finite in a checked bin raises
+    ValueError naming the segment.
     """
     f_abs = binned.bin_centers + f0
     results = []
@@ -308,7 +309,13 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
         if not np.any(sel):
             results.append(SegmentResult(seg, 0, None, None))
             continue
-        margins = seg.limit_dbm - binned.bin_power_dbm[sel]
+        levels = binned.bin_power_dbm[sel]
+        if not np.all(np.isfinite(levels)):
+            bad = float(f_abs[sel][~np.isfinite(levels)][0])
+            raise ValueError(
+                f"binned level at {bad} Hz in mask segment [{seg.f_start_hz}, "
+                f"{seg.f_stop_hz}) Hz is not a finite number")
+        margins = seg.limit_dbm - levels
         i = int(np.argmin(margins))
         worst = float(margins[i])
         results.append(SegmentResult(seg, int(sel.sum()), worst,
@@ -318,8 +325,17 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
     return MaskReport(passed=passed, segments=tuple(results))
 
 
-_WINDOWS = {"hann": "hann", "hamming": "hamming", "blackman": "blackman",
-            "rect": "boxcar", "boxcar": "boxcar"}
+# Periodic cosine-sum windows: w[n] = sum_k (-1)^k a_k cos(2*pi*k*n/L).
+_WINDOWS = {"hann": (0.5, 0.5), "hamming": (0.54, 0.46),
+            "blackman": (0.42, 0.5, 0.08), "rect": (1.0,), "boxcar": (1.0,)}
+# welch_psd transforms its segments in blocks of about this many samples.
+_WELCH_BLOCK_SAMPLES = 1 << 20
+
+
+def _cosine_window(window: str, n: int) -> np.ndarray:
+    phase = 2.0 * np.pi * np.arange(n) / n
+    return sum((-1) ** k * a * np.cos(k * phase)
+               for k, a in enumerate(_WINDOWS[window]))
 
 
 def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
@@ -329,8 +345,13 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     Averaged windowed periodograms over segments of segment_len samples
     with fractional overlap; returns a two-sided ascending frequency grid
     and a density rescaled so that its trapezoid integral equals the
-    buffer's mean power exactly.
+    buffer's mean power exactly.  Before the rescaling this equals
+    scipy.signal.welch(detrend=False, return_onesided=False,
+    scaling="density") with the periodic window: no padding, and the
+    (N - segment_len) // step + 1 segments that fit in the buffer.
     """
+    if isinstance(segment_len, bool) or not isinstance(segment_len, (int, np.integer)):
+        raise ValueError(f"segment_len must be an integer, got {segment_len!r}")
     if segment_len < 2 or segment_len > len(iq):
         raise ValueError(
             f"segment_len must be in [2, {len(iq)}], got {segment_len}")
@@ -341,12 +362,16 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     noverlap = int(round(overlap * segment_len))
     if noverlap >= segment_len:
         noverlap = segment_len - 1
-    freqs, pxx = _signal.welch(iq.samples, fs=iq.fs, window=_WINDOWS[window],
-                               nperseg=segment_len, noverlap=noverlap,
-                               detrend=False, return_onesided=False,
-                               scaling="density")
-    freqs = np.fft.fftshift(freqs)
-    pxx = np.fft.fftshift(pxx).real
+    w = _cosine_window(window, segment_len)
+    segments = sliding_window_view(iq.samples, segment_len)[::segment_len - noverlap]
+    per_block = max(1, _WELCH_BLOCK_SAMPLES // segment_len)
+    power = np.zeros(segment_len)
+    for start in range(0, len(segments), per_block):
+        spec = np.fft.fft(segments[start:start + per_block] * w, axis=-1)
+        power += (np.einsum("ij,ij->j", spec.real, spec.real)
+                  + np.einsum("ij,ij->j", spec.imag, spec.imag))
+    pxx = np.fft.fftshift(power / (len(segments) * iq.fs * np.sum(w ** 2)))
+    freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / iq.fs))
     integral = np.trapezoid(pxx, freqs)
     if integral > 0:
         pxx = pxx * (iq.mean_power / integral)

@@ -39,6 +39,8 @@ def _parse_symbols(text: str) -> list[int]:
 
 
 def _write_csv(path, header_cols: list[str], rows, comments: list[str] = ()) -> None:
+    """Write '# ' comment lines, a header and rows; csv.writer writes a
+    Python float as its repr, so values read back exactly."""
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -100,15 +102,14 @@ def _cmd_spectrum(args) -> int:
     unit = "mw" if args.ps_dbm is not None else "fraction"
     out_psd = args.out_psd or f"spectrum_sf{args.sf}_psd.csv"
     out_lines = args.out_lines or f"spectrum_sf{args.sf}_lines.csv"
-    b = res.params.b
+    g = res.continuous
+    db_rel_b = 10 * np.log10(np.maximum(g * res.params.b, 1e-30))
     _write_csv(out_psd, ["frequency_hz", f"psd_{unit}_per_hz", "psd_db_rel_b"],
-               [(repr(float(f)), repr(float(g * scale)),
-                 repr(float(10 * np.log10(max(g * b, 1e-30)))))
-                for f, g in zip(res.grid, res.continuous)],
+               zip(res.grid.tolist(), (g * scale).tolist(), db_rel_b.tolist()),
                comments=[f"sf={args.sf} bw_hz={args.bw}",
                          "psd_db_rel_b = 10*log10(Gc(f)*B) of the unit-power envelope"])
     _write_csv(out_lines, ["frequency_hz", f"power_{unit}"],
-               [(repr(float(f)), repr(float(pw * scale))) for f, pw in res.lines],
+               zip(res.line_frequencies.tolist(), (res.line_powers * scale).tolist()),
                comments=[f"sf={args.sf} bw_hz={args.bw}"])
     print(json.dumps({"psd_csv": str(out_psd), "lines_csv": str(out_lines),
                       "grid_points": len(res.grid), "num_lines": len(res.lines)}))
@@ -137,7 +138,7 @@ def _cmd_welch(args) -> int:
                                     overlap=args.overlap, window=args.window)
     out = args.out or "welch_psd.csv"
     _write_csv(out, ["frequency_hz", "psd_per_hz"],
-               [(repr(float(f)), repr(float(v))) for f, v in zip(freqs, pxx)],
+               zip(freqs.tolist(), pxx.tolist()),
                comments=[f"segment={args.segment} overlap={args.overlap} window={args.window}"])
     print(json.dumps({"out": str(out), "grid_points": len(freqs)}))
     return 0
@@ -181,8 +182,7 @@ def _read_binned_csv(path) -> analysis.BinnedSpectrum:
 
 def _write_binned_csv(path, binned: analysis.BinnedSpectrum) -> None:
     _write_csv(path, ["bin_center_hz", "power_dbm"],
-               [(repr(float(c)), repr(float(v)))
-                for c, v in zip(binned.bin_centers, binned.bin_power_dbm)],
+               zip(binned.bin_centers.tolist(), binned.bin_power_dbm.tolist()),
                comments=[f"delta_f_hz={binned.delta_f!r}", f"ps_dbm={binned.ps_dbm!r}"])
 
 

@@ -73,5 +73,10 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     nvar = iq.mean_power / 10.0 ** (snr_db / 10.0)
     scale = np.sqrt(nvar / 2.0)
     n = len(iq)
-    noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return IqBuffer(iq.samples + noise, fs=iq.fs, t0=iq.t0)
+    out = iq.samples.copy()
+    # two draws, real part first: the order fixes the seeded output
+    for part in (out.real, out.imag):
+        draw = rng.standard_normal(n)
+        draw *= scale
+        part += draw
+    return IqBuffer(out, fs=iq.fs, t0=iq.t0)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import (IqBuffer, LoraParams, MaskSegment, MaskSpec,
+import lorachirp
+from lorachirp import analysis
+from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec,
                        bin_estimate, binned_power, bit_rate, chip_rate,
                        mask_check, modulate, occupied_bandwidth, psd_via_dft,
                        reproduce_table, spectral_efficiency, welch_psd)
@@ -153,6 +159,26 @@ def test_mask_margins_stable_under_grid_refinement(binned_125k):
         assert s1.worst_margin_db == pytest.approx(s2.worst_margin_db, abs=0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mask_check_rejects_non_finite_levels(binned_125k, bad):
+    levels = binned_125k.bin_power_dbm.copy()
+    i = int(np.searchsorted(binned_125k.bin_centers, 1000.0))
+    levels[i] = bad
+    binned = BinnedSpectrum(binned_125k.bin_centers, levels,
+                            binned_125k.delta_f, binned_125k.ps_dbm)
+    with pytest.raises(ValueError, match=r"868301000\.0 Hz in mask segment \[868000000\.0, "):
+        mask_check(binned, _example_mask(), f0=868.3e6)
+
+
+def test_mask_check_ignores_non_finite_levels_outside_the_mask():
+    # only the levels a segment checks must be finite
+    binned = BinnedSpectrum(np.array([0.0, 1000.0]), np.array([-20.0, np.nan]),
+                            1000.0, 14.0)
+    mask = MaskSpec(label="one bin", segments=(MaskSegment(-500.0, 500.0, 0.0, 1000.0),))
+    report = mask_check(binned, mask, f0=0.0)
+    assert report.passed and report.segments[0].n_bins == 1
+
+
 def test_mask_segments_must_not_overlap():
     with pytest.raises(ValueError):
         MaskSpec(label="overlap", segments=(
@@ -225,6 +251,57 @@ def test_welch_white_noise_variance_shrinks(rng):
     assert np.mean(p_many) == pytest.approx(1.0, rel=0.05)
 
 
+def _scipy_welch(iq, segment_len, overlap, window):
+    """scipy.signal.welch, rescaled to the buffer's mean power like welch_psd."""
+    from scipy import signal
+    noverlap = min(int(round(overlap * segment_len)), segment_len - 1)
+    freqs, pxx = signal.welch(iq.samples, fs=iq.fs, window=window, nperseg=segment_len,
+                              noverlap=noverlap, detrend=False,
+                              return_onesided=False, scaling="density")
+    freqs, pxx = np.fft.fftshift(freqs), np.fft.fftshift(pxx).real
+    return freqs, pxx * (iq.mean_power / np.trapezoid(pxx, freqs))
+
+
+@pytest.mark.parametrize("window, scipy_window", [
+    ("hann", "hann"), ("hamming", "hamming"), ("blackman", "blackman"),
+    ("rect", "boxcar"), ("boxcar", "boxcar")])
+def test_welch_matches_scipy(rng, window, scipy_window):
+    x = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    x[500:900] *= 10.0
+    iq = IqBuffer(x, fs=2.0e3)
+    for segment_len in (2, 3, 255, 256, 1000):
+        for overlap in (0.0, 0.3, 0.5, 0.75, 0.999):
+            freqs, pxx = welch_psd(iq, segment_len, overlap, window)
+            ref_freqs, ref = _scipy_welch(iq, segment_len, overlap, scipy_window)
+            np.testing.assert_array_equal(freqs, ref_freqs)
+            assert np.max(np.abs(pxx - ref)) <= 1e-12 * ref.max()
+
+
+def test_welch_matches_scipy_over_a_partial_last_block(rng):
+    segment_len, step = 256, 128
+    per_block = analysis._WELCH_BLOCK_SAMPLES // segment_len
+    n_seg = 2 * per_block + per_block // 3
+    assert n_seg % per_block
+    n = (n_seg - 1) * step + segment_len + step - 1  # a partial segment left over
+    iq = IqBuffer(rng.normal(size=n) + 1j * rng.normal(size=n), fs=1.0)
+    freqs, pxx = welch_psd(iq, segment_len, overlap=0.5)
+    ref_freqs, ref = _scipy_welch(iq, segment_len, 0.5, "hann")
+    np.testing.assert_array_equal(freqs, ref_freqs)
+    assert np.max(np.abs(pxx - ref)) <= 1e-12 * ref.max()
+
+
+def test_import_loads_no_scipy_signal_or_stats():
+    src = str(Path(lorachirp.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, lorachirp; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_welch_rejects_bad_arguments():
     iq = IqBuffer(np.ones(128, dtype=complex), fs=1.0)
     with pytest.raises(ValueError):
@@ -233,6 +310,9 @@ def test_welch_rejects_bad_arguments():
         welch_psd(iq, segment_len=64, overlap=1.0)
     with pytest.raises(ValueError):
         welch_psd(iq, segment_len=64, window="flattop")
+    for bad in (64.0, 64.5, True, "64"):
+        with pytest.raises(ValueError, match="segment_len must be an integer"):
+            welch_psd(iq, segment_len=bad)
 
 
 def test_welch_agrees_with_analytic_spectrum_smoke(rng):

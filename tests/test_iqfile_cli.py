@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -340,6 +342,40 @@ def test_cli_spectrum_rejects_step_off_the_lattice(tmp_path, capsys):
     assert rc == 1
     assert "B/(k*M)" in capsys.readouterr().err
     assert not (tmp_path / "psd.csv").exists()
+
+
+def _csv_text(comments, header, rows) -> bytes:
+    buf = io.StringIO()
+    buf.write("".join(f"# {line}\n" for line in comments))
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("ps_dbm", [None, 14.0])
+def test_cli_spectrum_csv_bytes(tmp_path, capsys, ps_dbm):
+    # every number is the repr of a float computed one grid point at a time
+    psd, lines = tmp_path / "psd.csv", tmp_path / "lines.csv"
+    argv = ["spectrum", "--sf", "3", "--bw", "125e3",
+            "--out-psd", str(psd), "--out-lines", str(lines)]
+    if ps_dbm is not None:
+        argv += ["--ps-dbm", str(ps_dbm)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    res = fresnel_spectrum(LoraParams(sf=3, b=125e3))
+    scale = 10.0 ** (ps_dbm / 10.0) if ps_dbm is not None else 1.0
+    unit = "mw" if ps_dbm is not None else "fraction"
+    assert psd.read_bytes() == _csv_text(
+        ["sf=3 bw_hz=125000.0",
+         "psd_db_rel_b = 10*log10(Gc(f)*B) of the unit-power envelope"],
+        ["frequency_hz", f"psd_{unit}_per_hz", "psd_db_rel_b"],
+        [(repr(float(f)), repr(float(g * scale)),
+          repr(float(10 * np.log10(max(g * 125e3, 1e-30)))))
+         for f, g in zip(res.grid, res.continuous)])
+    assert lines.read_bytes() == _csv_text(
+        ["sf=3 bw_hz=125000.0"], ["frequency_hz", f"power_{unit}"],
+        [(repr(float(f)), repr(float(pw * scale))) for f, pw in res.lines])
 
 
 def test_cli_spectrum_has_no_method_option(tmp_path, capsys):

@@ -110,6 +110,17 @@ def test_awgn_is_deterministic_under_seed():
     assert np.any(a.samples != c.samples)
 
 
+def test_awgn_equals_the_complex_noise_formula():
+    # the same two PCG64 draws, real part first, scaled and added
+    iq = modulate(P7, [3, 90, 127, 0], oversample=2)
+    out = awgn(iq, -7.5, seed=2024)
+    rng = np.random.default_rng(2024)
+    n = len(iq)
+    scale = np.sqrt(iq.mean_power / 10.0 ** (-7.5 / 10.0) / 2.0)
+    expected = iq.samples + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    np.testing.assert_array_equal(out.samples, expected)
+
+
 def test_awgn_very_high_snr_is_identity():
     iq = modulate(P7, [7, 70], oversample=1)
     out = awgn(iq, 200.0, seed=1)
