@@ -5,36 +5,33 @@ from .analysis import (BinnedSpectrum, MaskReport, MaskSegment, MaskSpec,
                        TableRow, bin_estimate, binned_power, bit_rate,
                        chip_rate, mask_check, occupied_bandwidth,
                        reproduce_table, spectral_efficiency, welch_psd)
-from .correlation import (MaxCorrelation, abs_cross_correlation,
-                          correlation_bound, correlation_matrix,
-                          cross_correlation, cross_correlation_real,
+from .correlation import (MaxCorrelation, correlation_bound,
+                          correlation_matrix, cross_correlation,
                           max_cross_correlation, orthogonality_offsets,
                           real_orthogonality_condition, snr_penalty_db)
 from .iqfile import IqFileHeader, read_header, read_iq, write_iq
 from .params import IqBuffer, LoraParams, Symbol, validate_symbol
 from .receiver import awgn, dechirp, demodulate_stream
-from .spectrum import (FresnelPair, SpectrumResult, discrete_power_total,
-                       discrete_spectrum_lines, fresnel, fresnel_spectrum,
-                       psd_via_dft, w_integral, waveform_fourier_transform)
-from .waveform import (baseband_waveform, instantaneous_frequency,
-                       mean_envelope_magnitude, modulate, payload_to_symbols,
-                       phase, waveform_at)
+from .spectrum import (SpectrumResult, discrete_spectrum_lines,
+                       fresnel_spectrum, psd_via_dft, w_integral,
+                       waveform_fourier_transform)
+from .waveform import (instantaneous_frequency, mean_envelope_magnitude,
+                       modulate, payload_to_symbols, phase, waveform_at)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinnedSpectrum", "FresnelPair", "IqBuffer", "IqFileHeader", "LoraParams",
+    "BinnedSpectrum", "IqBuffer", "IqFileHeader", "LoraParams",
     "MaskReport", "MaskSegment", "MaskSpec", "MaxCorrelation",
-    "SpectrumResult", "Symbol", "TableRow", "abs_cross_correlation", "awgn",
-    "baseband_waveform", "bin_estimate", "binned_power", "bit_rate",
-    "chip_rate", "correlation_bound", "correlation_matrix",
-    "cross_correlation", "cross_correlation_real", "dechirp",
-    "demodulate_stream", "discrete_power_total", "discrete_spectrum_lines",
-    "fresnel", "fresnel_spectrum", "instantaneous_frequency", "mask_check",
-    "max_cross_correlation", "mean_envelope_magnitude", "modulate",
-    "occupied_bandwidth", "orthogonality_offsets", "payload_to_symbols",
-    "phase", "psd_via_dft", "read_header", "read_iq",
-    "real_orthogonality_condition", "reproduce_table", "snr_penalty_db",
-    "spectral_efficiency", "validate_symbol", "w_integral", "waveform_at",
+    "SpectrumResult", "Symbol", "TableRow", "awgn", "bin_estimate",
+    "binned_power", "bit_rate", "chip_rate", "correlation_bound",
+    "correlation_matrix", "cross_correlation", "dechirp",
+    "demodulate_stream", "discrete_spectrum_lines", "fresnel_spectrum",
+    "instantaneous_frequency", "mask_check", "max_cross_correlation",
+    "mean_envelope_magnitude", "modulate", "occupied_bandwidth",
+    "orthogonality_offsets", "payload_to_symbols", "phase", "psd_via_dft",
+    "read_header", "read_iq", "real_orthogonality_condition",
+    "reproduce_table", "snr_penalty_db", "spectral_efficiency",
+    "validate_symbol", "w_integral", "waveform_at",
     "waveform_fourier_transform", "welch_psd", "write_iq",
 ]

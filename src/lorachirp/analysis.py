@@ -49,6 +49,8 @@ def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
     """dBm per delta_f at transmit power ps_dbm: the trapezoid integral of
     density over [c - delta_f/2, c + delta_f/2] for each center c, plus
     the powers of lines = (bin indices, powers) added into their bins."""
+    if not np.isfinite(ps_dbm):
+        raise ValueError(f"ps_dbm must be a finite number, got {ps_dbm!r}")
     cum = _cumulative_trapezoid(grid, density)
     power = (np.interp(centers + delta_f / 2, grid, cum)
              - np.interp(centers - delta_f / 2, grid, cum))
@@ -73,7 +75,9 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
                        tol: float | None = None) -> float:
     """Smallest two-sided width W (Hz) capturing `fraction` of the signal
     power: continuous PSD integrated over [-W/2, W/2] plus the discrete
-    lines inside.  Found by bisection; tol defaults to 1e-3 * B.
+    lines inside.  Found by bisection down to a bracket of width tol
+    (default 1e-3 * B; must be finite and positive) or until the bracket
+    cannot be halved in floating point.
 
     Total signal power is 1 (unit-power envelope).  The default spectrum
     is fresnel_spectrum over |f| <= 4B with step B/(k*M), k = max(1,
@@ -88,6 +92,8 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
         spectrum = fresnel_spectrum(p, f_max=4.0 * p.b, step=p.b / (k * p.m))
     if tol is None:
         tol = 1e-3 * p.b
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     cum = _cumulative_trapezoid(spectrum.grid, spectrum.continuous)
     span = 2.0 * float(spectrum.grid[-1])
     reachable = _captured_power(spectrum, span, cum)
@@ -98,6 +104,8 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
     lo, hi = 0.0, span
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if _captured_power(spectrum, mid, cum) >= fraction:
             hi = mid
         else:
@@ -172,8 +180,8 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     spectrum span.  Bins are half-open, so a line falling exactly on an
     edge is counted once, in the upper bin.
     """
-    if delta_f <= 0:
-        raise ValueError(f"delta_f must be positive, got {delta_f}")
+    if not (np.isfinite(delta_f) and delta_f > 0):
+        raise ValueError(f"delta_f must be finite and positive, got {delta_f!r}")
     grid = spec.grid
     k_lo = int(np.ceil((grid[0] + delta_f / 2 - origin) / delta_f - 1e-9))
     k_hi = int(np.floor((grid[-1] - delta_f / 2 - origin) / delta_f + 1e-9))
@@ -189,6 +197,9 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
                           delta_f=delta_f, ps_dbm=ps_dbm)
 
 
+_MASK_KEYS = ("f_start_hz", "f_stop_hz", "limit_dbm", "rbw_hz")
+
+
 @dataclass(frozen=True)
 class MaskSegment:
     """One piecewise emission limit: [f_start, f_stop) at limit_dbm per rbw_hz."""
@@ -199,13 +210,14 @@ class MaskSegment:
     rbw_hz: float
 
     def __post_init__(self):
+        for key in _MASK_KEYS:
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(
+                    f"mask segment {key} must be a finite number, got {getattr(self, key)!r}")
         if self.f_stop_hz <= self.f_start_hz:
             raise ValueError(f"empty mask segment [{self.f_start_hz}, {self.f_stop_hz})")
         if self.rbw_hz <= 0:
             raise ValueError(f"rbw_hz must be positive, got {self.rbw_hz}")
-
-
-_MASK_KEYS = ("f_start_hz", "f_stop_hz", "limit_dbm", "rbw_hz")
 
 
 @dataclass(frozen=True)
@@ -295,8 +307,11 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
     rbw (no implicit resampling).  Segments not covered by any bin are
     reported with n_bins = 0 and do not affect the verdict; an empty mask
     passes.  A level that is not finite in a checked bin raises
-    ValueError naming the segment.
+    ValueError naming the segment; so does a carrier f0 that is not
+    finite.
     """
+    if not np.isfinite(f0):
+        raise ValueError(f"carrier frequency f0 must be a finite number, got {f0!r}")
     f_abs = binned.bin_centers + f0
     results = []
     passed = True

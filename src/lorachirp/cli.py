@@ -97,6 +97,8 @@ def _cmd_xcorr(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.ps_dbm is not None and not np.isfinite(args.ps_dbm):
+        raise ValueError(f"--ps-dbm must be a finite number, got {args.ps_dbm}")
     res = spectrum.fresnel_spectrum(_params(args), step=args.grid_step)
     scale = 10.0 ** (args.ps_dbm / 10.0) if args.ps_dbm is not None else 1.0
     unit = "mw" if args.ps_dbm is not None else "fraction"

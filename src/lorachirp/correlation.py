@@ -1,14 +1,15 @@
 """Closed-form cross-correlations between chirp waveforms.
 
-For distinct symbols l, m the normalized correlation of the continuous
-waveforms is
+For symbols l, m at distance d = m - l the normalized correlation of the
+continuous waveforms is, in polar form,
 
-    C(l,m) = M * (e^{j2pi l(m-l)/M} - e^{j2pi m(m-l)/M})
-             / (j2pi (M - |m-l|) |m-l|)
+    C(l,m) = A(d) * e^{j*theta},  A(d) = -M*sin(pi*d^2/M) / (pi*(M-|d|)*|d|),
+                                  theta = pi*d*(l+m)/M,
 
-with C(l,l) = 1.  Its magnitude depends on the symbol distance d = |m-l|
-only, |C| = M*|sin(pi d^2/M)| / (pi (M-d) d), bounded by 1/(sqrt(2M)-1),
-so the waveform set is asymptotically orthogonal as M grows.
+with C(l,l) = 1.  Its magnitude |A(d)| depends on the distance only and
+is bounded by 1/(sqrt(2M)-1), so the waveform set is asymptotically
+orthogonal as M grows.  cross_correlation, correlation_matrix and
+max_cross_correlation all read C from the one kernel _polar.
 """
 from __future__ import annotations
 
@@ -19,36 +20,21 @@ import numpy as np
 from .params import LoraParams, Symbol, validate_symbol
 
 
+def _polar(M: int, l, m) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude A and phase theta of C(l,m) = A*e^{j*theta}, broadcast
+    over integer arrays l, m; A = 1 and theta = 0 where l == m."""
+    l, m = np.asarray(l), np.asarray(m)
+    d = m - l
+    ad = np.where(d == 0, 1, np.abs(d))  # keeps the unused diagonal quotient finite
+    amp = np.where(d == 0, 1.0, -M * np.sin(np.pi * d * d / M) / (np.pi * (M - ad) * ad))
+    return amp, np.pi * d * (l + m) / M
+
+
 def cross_correlation(p: LoraParams, l: Symbol, m: Symbol) -> complex:
-    """Normalized complex cross-correlation of the baseband waveforms."""
-    l = validate_symbol(p, l)
-    m = validate_symbol(p, m)
-    if l == m:
-        return 1.0 + 0.0j
-    M = p.m
-    d = m - l
-    num = np.exp(2j * np.pi * l * d / M) - np.exp(2j * np.pi * m * d / M)
-    return complex(M * num / (2j * np.pi * (M - abs(d)) * abs(d)))
-
-
-def cross_correlation_real(p: LoraParams, l: Symbol, m: Symbol) -> float:
-    """Real part of the cross-correlation (relevant for passband waveforms)."""
-    l = validate_symbol(p, l)
-    m = validate_symbol(p, m)
-    if l == m:
-        return 1.0
-    M = p.m
-    d = m - l
-    num = np.sin(2 * np.pi * l * d / M) - np.sin(2 * np.pi * m * d / M)
-    return float(M * num / (2 * np.pi * (M - abs(d)) * abs(d)))
-
-
-def abs_cross_correlation(p: LoraParams, d: int) -> float:
-    """|C| for symbol distance d in [1, M-1]; independent of the pair offset."""
-    if not 1 <= d <= p.m - 1:
-        raise ValueError(f"distance d must be in [1, {p.m - 1}], got {d}")
-    M = p.m
-    return float(M * np.abs(np.sin(np.pi * d * d / M)) / (np.pi * (M - d) * d))
+    """Normalized complex cross-correlation of the baseband waveforms; its
+    real part is the passband correlation."""
+    amp, theta = _polar(p.m, validate_symbol(p, l), validate_symbol(p, m))
+    return complex(amp * np.exp(1j * theta))
 
 
 @dataclass(frozen=True)
@@ -71,7 +57,7 @@ def max_cross_correlation(p: LoraParams) -> MaxCorrelation:
     """
     M = p.m
     d = np.arange(1, M)
-    absvals = M * np.abs(np.sin(np.pi * d * d / M)) / (np.pi * (M - d) * d)
+    absvals = np.abs(_polar(M, 0, d)[0])
     i_abs = int(np.argmax(absvals))
     max_abs = float(absvals[i_abs])
     argmax_abs = (0, int(d[i_abs]))
@@ -83,7 +69,8 @@ def max_cross_correlation(p: LoraParams) -> MaxCorrelation:
             break
         dd = int(d[i])
         ls = np.arange(M - dd)
-        vals = absvals[i] * np.abs(np.cos(np.pi * dd * (2 * ls + dd) / M))
+        amp, theta = _polar(M, ls, ls + dd)
+        vals = np.abs(amp * np.cos(theta))
         j = int(np.argmax(vals))
         if vals[j] > best_real:
             best_real = float(vals[j])
@@ -135,13 +122,5 @@ def correlation_matrix(p: LoraParams) -> np.ndarray:
     """Dense M x M matrix of C(l,m); refuses sf > 8 (16M+ entries)."""
     if p.sf > _MATRIX_SF_LIMIT:
         raise ValueError(f"dense matrix limited to sf <= {_MATRIX_SF_LIMIT}, got sf={p.sf}")
-    M = p.m
-    l = np.arange(M)[:, None]
-    m = np.arange(M)[None, :]
-    d = m - l
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = np.exp(2j * np.pi * l * d / M) - np.exp(2j * np.pi * m * d / M)
-        C = M * num / (2j * np.pi * (M - np.abs(d)) * np.abs(d))
-    np.fill_diagonal(C, 1.0)
-    return C
-
+    amp, theta = _polar(p.m, np.arange(p.m)[:, None], np.arange(p.m)[None, :])
+    return amp * np.exp(1j * theta)

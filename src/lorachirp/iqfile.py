@@ -31,6 +31,8 @@ class IqFileHeader:
             raise ValueError(f"unknown IQ format {self.format!r}")
         if not (np.isfinite(self.fs) and self.fs > 0):
             raise ValueError(f"fs must be finite and positive, got {self.fs}")
+        if not np.isfinite(self.center_freq):
+            raise ValueError(f"center_freq must be a finite number, got {self.center_freq}")
 
 
 def _default_header_path(path: Path) -> Path:

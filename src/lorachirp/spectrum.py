@@ -26,28 +26,13 @@ from .params import LoraParams, Symbol, validate_symbol
 from .waveform import _sample_symbols
 
 
-@dataclass(frozen=True)
-class FresnelPair:
-    """Fresnel cosine and sine integrals C(x), S(x)."""
-
-    c: float | np.ndarray
-    s: float | np.ndarray
-
-
-def fresnel(x) -> FresnelPair:
-    """Fresnel integrals C(x) = int_0^x cos(pi t^2/2) dt and the sine analogue.
+def _kfun(x):
+    """K(x) = C(x) + j*S(x) with the Fresnel integrals
+    C(x) = int_0^x cos(pi*t^2/2) dt and S(x) = int_0^x sin(pi*t^2/2) dt.
 
     Odd in x, accurate to well below 1e-9 absolute over |x| <= 1e4
     (Cephes rational approximations via scipy).
     """
-    s, c = _scipy_fresnel(x)
-    if np.ndim(x) == 0:
-        return FresnelPair(float(c), float(s))
-    return FresnelPair(c, s)
-
-
-def _kfun(x):
-    """K(x) = C(x) + j*S(x)."""
     s, c = _scipy_fresnel(x)
     return c + 1j * s
 
@@ -209,6 +194,15 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     return sum_abs2, sum_x
 
 
+def _line_powers(p: LoraParams, k: int, sum_x: np.ndarray, n_lines: int) -> np.ndarray:
+    """Lines at n*B/M, |n| <= n_lines, from sum_x on the lattice
+    f = n*B/(k*M): power |sum_l X|^2 / (Ts^2 * M^2) at every k-th point."""
+    mid = len(sum_x) // 2
+    sum_x = sum_x[mid - k * n_lines:mid + k * n_lines + 1:k]
+    f = np.arange(-n_lines, n_lines + 1) * p.b / p.m
+    return np.column_stack([f, np.abs(sum_x) ** 2 / (p.ts ** 2 * p.m ** 2)])
+
+
 def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarray:
     """Spectral-line powers at f = n*B/M for |n| <= n_max.
 
@@ -220,20 +214,7 @@ def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarr
     if n_max < p.m:
         raise ValueError(f"n_max must be >= M = {p.m}, got {n_max}")
     n_max = int(n_max)
-    f = np.arange(-n_max, n_max + 1) * p.b / p.m
-    _, sum_x = _lattice_sums(p, 1, n_max)
-    power = np.abs(sum_x) ** 2 / (p.ts ** 2 * p.m ** 2)
-    return np.column_stack([f, power])
-
-
-def discrete_power_total(p: LoraParams, n_max: int | None = None) -> tuple[float, float]:
-    """(analytic, numeric) total power of the discrete spectrum.
-
-    The analytic value is exactly 1/M; the numeric value sums the line
-    powers up to n_max and agrees within 1e-4.
-    """
-    lines = discrete_spectrum_lines(p, n_max)
-    return 1.0 / p.m, float(lines[:, 1].sum())
+    return _line_powers(p, 1, _lattice_sums(p, 1, n_max)[1], n_max)
 
 
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
@@ -246,9 +227,11 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     otherwise ValueError.  The defaults are |f| <= 8B and
     k = max(1, min(64, 8192 // M)), i.e. step max(B/(64M), B/8192), so
     the grid holds at most 131 073 points.  One table of Fresnel values
-    shared through strided prefix sums gives every grid point, so the
-    cost is O(k*M + len(grid)).  psd_via_dft is the independent
-    cross-check of these values.
+    shared through strided prefix sums gives every grid point and, at
+    every k-th point, every line; a grid narrower than 4B is extended to
+    4B for the lines and the PSD cropped back.  The cost is
+    O(k*M + len(grid)).  psd_via_dft is the independent cross-check of
+    these values.
     """
     if f_max is None:
         f_max = 8.0 * p.b
@@ -257,11 +240,12 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
         raise ValueError(f"f_max must be finite and positive, got {f_max}")
     step = p.b / (k * p.m)
     n = int(round(f_max / step))
-    grid = np.arange(-n, n + 1) * step
-    sum_abs2, sum_x = _lattice_sums(p, k, n)
-    cont = _psd_combine(sum_abs2, sum_x, p)
-    lines = discrete_spectrum_lines(p, max(4 * p.m, n // k))
-    return SpectrumResult(grid=grid, continuous=cont, lines=lines, params=p)
+    n_ext = max(n, 4 * k * p.m)
+    sum_abs2, sum_x = _lattice_sums(p, k, n_ext)
+    crop = slice(n_ext - n, n_ext + n + 1)
+    return SpectrumResult(grid=np.arange(-n, n + 1) * step,
+                          continuous=_psd_combine(sum_abs2[crop], sum_x[crop], p),
+                          lines=_line_powers(p, k, sum_x, n_ext // k), params=p)
 
 
 def psd_via_dft(p: LoraParams, zero_pad_factor: int = 1,

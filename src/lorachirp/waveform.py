@@ -102,22 +102,15 @@ def _sample_symbols(p: LoraParams, symbols: Sequence[Symbol], oversample: int) -
     return p.gamma * np.exp(1j * phases)
 
 
-def baseband_waveform(p: LoraParams, a: Symbol, oversample: int = 1) -> IqBuffer:
-    """Sample one symbol waveform on the left-closed grid t_k = k*Ts/(oversample*M).
-
-    Returns oversample*M samples at rate oversample*B; there is no sample
-    at t = Ts (it belongs to the next symbol).  With oversample = 1 these
-    are the chip-rate samples the receiver works on.
-    """
-    return modulate(p, [a], oversample)
-
-
 def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> IqBuffer:
     """Concatenate per-symbol waveforms into one phase-continuous stream.
 
     The modulation is memoryless: every symbol starts and ends at phase
     zero, so concatenation of independently synthesized waveforms is the
-    exact modulator output.
+    exact modulator output.  Each symbol is sampled on the left-closed
+    grid t_k = k*Ts/(oversample*M), oversample*M samples at rate
+    oversample*B with none at t = Ts; modulate(p, [a]) gives the
+    chip-rate samples of symbol a that the receiver works on.
     """
     symbols = list(symbols)
     if len(symbols) == 0:

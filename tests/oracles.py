@@ -1,8 +1,9 @@
 """Independent reference computations used to validate closed forms.
 
 These stay deliberately dumb: direct quadrature of defining integrals,
-per-chip Gauss-Legendre panels, the chip-rate formula written out and
-the per-symbol loop over closed-form transforms.  None of them call the
+per-chip Gauss-Legendre panels, the chip-rate formula written out, the
+correlation closed form as a difference of exponentials and the
+per-symbol loop over closed-form transforms.  None of them call the
 code paths they are checking; the waveform oracles evaluate the
 continuous law waveform_at, never the cyclic-shift sampler, and the
 spectrum oracles sum waveform_fourier_transform symbol by symbol, never
@@ -101,6 +102,22 @@ def chip_rate_samples(p: LoraParams, a: Symbol) -> np.ndarray:
     k = 0..M-1, with no modulo step."""
     k = np.arange(p.m)
     return p.gamma * np.exp(2j * np.pi * k * (a / p.m - 0.5 + k / (2.0 * p.m)))
+
+
+def difference_of_exponentials_correlation(p: LoraParams, l, m) -> np.ndarray:
+    """C(l,m) = M*(e^{j2pi*l*d/M} - e^{j2pi*m*d/M}) / (j2pi*(M-|d|)*|d|),
+    d = m - l, with C = 1 where l == m, broadcast over integer arrays l, m.
+
+    The closed form before its reduction to polar form.  The phases
+    l*d/M and m*d/M are reduced mod 1 in integers, so the only rounding
+    left is that of one exponential each.
+    """
+    M = p.m
+    l, m = np.asarray(l), np.asarray(m)
+    d = m - l
+    ad = np.where(d == 0, 1, np.abs(d))
+    num = np.exp(2j * np.pi * ((l * d) % M) / M) - np.exp(2j * np.pi * ((m * d) % M) / M)
+    return np.where(d == 0, 1.0, M * num / (2j * np.pi * (M - ad) * ad))
 
 
 def numeric_cross_correlation_oracle(p: LoraParams, l: Symbol, m: Symbol,

@@ -57,6 +57,43 @@ def test_occupied_bandwidth_errors(spec7):
         occupied_bandwidth(p, 0.9999999, spectrum=spec7)
 
 
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this lorachirp; a
+    call that does not return within 60 s fails the test."""
+    src = str(Path(lorachirp.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+_BISECT = """
+import sys
+from lorachirp import LoraParams, occupied_bandwidth
+p = LoraParams(sf=7, b=1.0)
+try:
+    width = occupied_bandwidth(p, 0.99, tol=float(sys.argv[1]))
+except ValueError as exc:
+    print("ValueError:", exc)
+else:
+    print(abs(width - occupied_bandwidth(p, 0.99)) <= 1e-3)
+"""
+
+
+@pytest.mark.parametrize("tol", ["0.0", "-1.0", "nan", "inf"])
+def test_occupied_bandwidth_rejects_bad_tol(tol):
+    proc = _run_python(_BISECT, tol)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError: tol must be finite and positive")
+
+
+def test_occupied_bandwidth_ends_when_the_bracket_cannot_be_split():
+    # tol below the float spacing of the bracket: bisection stops at adjacent floats
+    proc = _run_python(_BISECT, "1e-300")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 def test_reproduce_table_row_sf5():
     row = reproduce_table([5])[0]
     assert row.eff == pytest.approx(0.156, abs=5e-4)
@@ -96,6 +133,21 @@ def test_binned_power_is_additive_under_merging(spec7):
         if members.sum() == 2:
             assert fine_mw[members].sum() == pytest.approx(
                 coarse.bin_power_mw[j], rel=1e-9)
+
+
+@pytest.mark.parametrize("ps_dbm", [np.nan, np.inf, -np.inf])
+def test_binned_levels_reject_non_finite_power(spec7, ps_dbm):
+    with pytest.raises(ValueError, match="ps_dbm must be a finite number"):
+        binned_power(spec7, delta_f=1.0 / 128, ps_dbm=ps_dbm)
+    centers = np.array([-0.25, 0.0, 0.25])
+    with pytest.raises(ValueError, match="ps_dbm must be a finite number"):
+        bin_estimate(spec7.grid, spec7.continuous, centers, 1.0 / 128, ps_dbm=ps_dbm)
+
+
+@pytest.mark.parametrize("delta_f", [np.nan, np.inf, 0.0, -1.0])
+def test_binned_power_rejects_bad_bin_width(spec7, delta_f):
+    with pytest.raises(ValueError, match="delta_f must be finite and positive"):
+        binned_power(spec7, delta_f=delta_f, ps_dbm=14.0)
 
 
 def test_binned_peak_level_consistent_with_reported_scale():
@@ -177,6 +229,28 @@ def test_mask_check_ignores_non_finite_levels_outside_the_mask():
     mask = MaskSpec(label="one bin", segments=(MaskSegment(-500.0, 500.0, 0.0, 1000.0),))
     report = mask_check(binned, mask, f0=0.0)
     assert report.passed and report.segments[0].n_bins == 1
+
+
+@pytest.mark.parametrize("f0", [np.nan, np.inf, -np.inf])
+def test_mask_check_rejects_non_finite_carrier(binned_125k, f0):
+    with pytest.raises(ValueError, match=f"f0 must be a finite number, got {f0!r}"):
+        mask_check(binned_125k, _example_mask(), f0=f0)
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mask_segment_fields_must_be_finite(field, bad):
+    values = [868.0e6, 868.6e6, 14.0, 1000.0]
+    values[field] = bad
+    key = ("f_start_hz", "f_stop_hz", "limit_dbm", "rbw_hz")[field]
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        MaskSegment(*values)
+
+
+@pytest.mark.parametrize("delta_db", [np.nan, np.inf])
+def test_tightened_rejects_non_finite_delta(delta_db):
+    with pytest.raises(ValueError, match="limit_dbm must be a finite number"):
+        _example_mask().tightened(delta_db)
 
 
 def test_mask_segments_must_not_overlap():
@@ -291,13 +365,8 @@ def test_welch_matches_scipy_over_a_partial_last_block(rng):
 
 
 def test_import_loads_no_scipy_signal_or_stats():
-    src = str(Path(lorachirp.__file__).resolve().parents[1])
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = ("import sys, lorachirp; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_python("import sys, lorachirp; print(sorted(m for m in sys.modules "
+                       "if m.startswith(('scipy.signal', 'scipy.stats'))))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

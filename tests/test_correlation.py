@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import (LoraParams, abs_cross_correlation, correlation_bound,
-                       correlation_matrix, cross_correlation,
-                       cross_correlation_real, max_cross_correlation,
+from lorachirp import (LoraParams, correlation_bound, correlation_matrix,
+                       cross_correlation, max_cross_correlation,
                        orthogonality_offsets, real_orthogonality_condition,
                        snr_penalty_db)
-from oracles import (numeric_cross_correlation_matrix,
+from oracles import (difference_of_exponentials_correlation,
+                     numeric_cross_correlation_matrix,
                      numeric_cross_correlation_oracle)
 
 
@@ -15,7 +15,6 @@ def test_diagonal_is_one():
     p = LoraParams(sf=5, b=1.0)
     for l in (0, 7, 31):
         assert cross_correlation(p, l, l) == 1.0 + 0.0j
-        assert cross_correlation_real(p, l, l) == 1.0
 
 
 def test_orthogonal_pair_sf4():
@@ -23,19 +22,21 @@ def test_orthogonal_pair_sf4():
     assert abs(cross_correlation(p, 0, 4)) < 1e-12
 
 
-def test_real_part_consistent_with_complex():
-    p = LoraParams(sf=6, b=1.0)
-    for l in range(0, p.m, 5):
-        for m in range(0, p.m, 7):
-            assert cross_correlation_real(p, l, m) == pytest.approx(
-                cross_correlation(p, l, m).real, abs=1e-14)
+@pytest.mark.parametrize("sf", range(3, 9))
+def test_polar_kernel_matches_difference_of_exponentials(sf):
+    p = LoraParams(sf=sf, b=1.0)
+    l, m = np.arange(p.m)[:, None], np.arange(p.m)[None, :]
+    ref = difference_of_exponentials_correlation(p, l, m)
+    assert np.max(np.abs(correlation_matrix(p) - ref)) <= 1e-14
+    for pair in [(0, 1), (1, p.m - 1), (p.m - 1, 2), (3, 3)]:
+        assert abs(cross_correlation(p, *pair) - ref[pair]) <= 1e-14
 
 
 def test_real_zero_when_distance_squared_divides_m():
     p = LoraParams(sf=6, b=1.0)
     for l, m in [(0, 8), (3, 11), (5, 21), (0, 16)]:
         assert ((m - l) ** 2) % p.m == 0
-        assert abs(cross_correlation_real(p, l, m)) < 1e-12
+        assert abs(cross_correlation(p, l, m).real) < 1e-12
 
 
 @given(sf=st.integers(2, 10), data=st.data())
@@ -52,7 +53,7 @@ def test_magnitude_closed_form(sf, data):
     p = LoraParams(sf=sf, b=1.0)
     l = data.draw(st.integers(0, p.m - 1))
     m = data.draw(st.integers(0, p.m - 1).filter(lambda v: v != l))
-    assert abs_cross_correlation(p, abs(m - l)) == pytest.approx(
+    assert abs(cross_correlation(p, 0, abs(m - l))) == pytest.approx(
         abs(cross_correlation(p, l, m)), abs=1e-12)
 
 
@@ -103,7 +104,7 @@ def test_max_scan_agrees_with_dense_matrix():
     assert mc.max_abs == pytest.approx(np.max(np.abs(C)), abs=1e-12)
     assert mc.max_abs_real == pytest.approx(np.max(np.abs(C.real)), abs=1e-12)
     l, m = mc.argmax_real
-    assert abs(cross_correlation_real(p, l, m)) == pytest.approx(mc.max_abs_real)
+    assert abs(cross_correlation(p, l, m).real) == pytest.approx(mc.max_abs_real)
 
 
 @pytest.mark.parametrize("sf", range(3, 13))
@@ -145,7 +146,7 @@ def test_real_orthogonality_condition_is_exact(sf):
         for m in range(p.m):
             if l == m:
                 continue
-            numeric = abs(cross_correlation_real(p, l, m)) < 1e-9
+            numeric = abs(cross_correlation(p, l, m).real) < 1e-9
             assert numeric == real_orthogonality_condition(p, l, m), (sf, l, m)
 
 

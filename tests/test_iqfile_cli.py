@@ -49,6 +49,14 @@ def test_sidecar_matches_buffer(tmp_path, iq):
     assert doc["num_samples"] == len(iq)
 
 
+@pytest.mark.parametrize("f0", [float("nan"), float("inf")])
+def test_write_iq_rejects_non_finite_center_frequency(tmp_path, iq, f0):
+    path = tmp_path / "sig.iq"
+    with pytest.raises(ValueError, match="center_freq must be a finite number"):
+        write_iq(iq, path, center_freq=f0)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_truncated_payload_is_rejected(tmp_path, iq):
     path = tmp_path / "sig.iq"
     write_iq(iq, path)
@@ -253,6 +261,34 @@ def test_cli_mask_check_verdicts(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 2 and doc["passed"] is False
     assert doc["worst_margin_db"] < 0
+
+
+@pytest.mark.parametrize("f0", ["nan", "inf"])
+def test_cli_modulate_rejects_non_finite_center_frequency(tmp_path, capsys, f0):
+    out = tmp_path / "sig.iq"
+    assert main(["modulate", "--sf", "5", "--bw", "32", "--symbols", "1,9",
+                 "--f0", f0, "--out", str(out)]) == 1
+    assert "center_freq must be a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("f0", ["nan", "inf", "-inf"])
+def test_cli_mask_check_rejects_non_finite_carrier(tmp_path, capsys, f0):
+    rc = main(["mask-check", "--mask", str(example_mask_path()), f"--f0={f0}",
+               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"f0 must be a finite number, got {float(f0)!r}" in captured.err
+
+
+@pytest.mark.parametrize("ps_dbm", ["nan", "inf", "-inf"])
+def test_cli_spectrum_rejects_non_finite_power(tmp_path, capsys, ps_dbm):
+    psd, lines = tmp_path / "psd.csv", tmp_path / "lines.csv"
+    rc = main(["spectrum", "--sf", "3", "--bw", "125e3", f"--ps-dbm={ps_dbm}",
+               "--out-psd", str(psd), "--out-lines", str(lines)])
+    assert rc == 1
+    assert "--ps-dbm must be a finite number" in capsys.readouterr().err
+    assert not psd.exists() and not lines.exists()
 
 
 def test_cli_demod_rejects_infinite_sidecar_rate(tmp_path, capsys):

@@ -2,48 +2,48 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import (LoraParams, discrete_power_total, discrete_spectrum_lines,
-                       fresnel, fresnel_spectrum, psd_via_dft, w_integral,
+import lorachirp
+from lorachirp import (LoraParams, discrete_spectrum_lines, fresnel_spectrum,
+                       psd_via_dft, spectrum, w_integral,
                        waveform_fourier_transform)
+from lorachirp.spectrum import _kfun
 from oracles import (chirp_integral_quadrature, continuous_psd_loop,
                      fourier_transform_quadrature, fresnel_quadrature,
                      transform_sums_loop)
 
 
 def test_fresnel_at_zero():
-    fp = fresnel(0.0)
-    assert fp.c == 0.0 and fp.s == 0.0
+    assert _kfun(0.0) == 0.0
 
 
 def test_fresnel_at_one_frozen_values():
-    # frozen from the quadrature oracle of the defining integrals
-    fp = fresnel(1.0)
-    assert fp.c == pytest.approx(0.779893, abs=1e-6)
-    assert fp.s == pytest.approx(0.438259, abs=1e-6)
+    # K = C + jS, frozen from the quadrature oracle of the defining integrals
+    k = _kfun(1.0)
+    assert k.real == pytest.approx(0.779893, abs=1e-6)
+    assert k.imag == pytest.approx(0.438259, abs=1e-6)
 
 
 def test_fresnel_is_odd():
-    fp, fm = fresnel(1.0), fresnel(-1.0)
-    assert fm.c == -fp.c and fm.s == -fp.s
+    assert _kfun(-1.0) == -_kfun(1.0)
 
 
 def test_fresnel_vs_quadrature_oracle():
     for x in np.logspace(-3, 3, 13):
         c_ref, s_ref = fresnel_quadrature(float(x))
-        fp = fresnel(float(x))
-        assert abs(fp.c - c_ref) < 1e-9 and abs(fp.s - s_ref) < 1e-9
+        k = _kfun(float(x))
+        assert abs(k.real - c_ref) < 1e-9 and abs(k.imag - s_ref) < 1e-9
 
 
 @given(x=st.floats(-1e4, 1e4, allow_nan=False))
 def test_fresnel_stays_bounded(x):
-    fp = fresnel(x)
-    assert abs(fp.c) <= 0.8 and abs(fp.s) <= 0.8
+    k = _kfun(x)
+    assert abs(k.real) <= 0.8 and abs(k.imag) <= 0.8
 
 
 def test_fresnel_vectorized():
-    fp = fresnel(np.array([0.0, 1.0, -1.0]))
-    assert fp.c.shape == (3,)
-    assert fp.c[1] == -fp.c[2]
+    k = _kfun(np.array([0.0, 1.0, -1.0]))
+    assert k.shape == (3,)
+    assert k[1] == -k[2]
 
 
 def test_w_integral_empty_interval_is_zero():
@@ -60,7 +60,6 @@ def test_w_integral_matches_quadrature(a, b, t1, dt):
 
 def test_w_integral_phase_free_reduction():
     # a = 0, b = 1/2: (1/sqrt(2)) * [K(sqrt(2) t2) - K(sqrt(2) t1)]
-    from lorachirp.spectrum import _kfun
     got = w_integral(0.0, 0.5, 0.25, 1.75)
     ref = (_kfun(np.sqrt(2) * 1.75) - _kfun(np.sqrt(2) * 0.25)) / np.sqrt(2)
     assert got == pytest.approx(ref, abs=1e-14)
@@ -136,9 +135,8 @@ def test_lines_sit_on_exact_multiples_of_b_over_m():
 
 
 def test_line_power_totals():
-    assert discrete_power_total(LoraParams(sf=3, b=1.0))[0] == 0.125
-    analytic, numeric = discrete_power_total(LoraParams(sf=5, b=1.0))
-    assert abs(numeric - analytic) < 1e-4
+    p = LoraParams(sf=5, b=1.0)
+    assert abs(discrete_spectrum_lines(p)[:, 1].sum() - 1.0 / p.m) < 1e-4
     # SF=12 line share is 0.024% of the signal power
     assert 1.0 / LoraParams(sf=12, b=1.0).m == pytest.approx(0.024e-2, abs=5e-6)
 
@@ -260,3 +258,38 @@ def test_fresnel_spectrum_takes_a_step_within_tolerance():
     p = LoraParams(sf=3, b=1.0)
     res = fresnel_spectrum(p, f_max=1.0, step=(1 + 1e-11) / 128)
     np.testing.assert_array_equal(res.grid, np.arange(-128, 129) / 128)
+
+
+@pytest.mark.parametrize("sf", [3, 7, 12])
+@pytest.mark.parametrize("grid", ["default", "mask_check", "occupied_bandwidth", "narrow"])
+def test_fresnel_spectrum_lines_equal_discrete_spectrum_lines(sf, grid):
+    # the lines are every k-th point of the spectrum's own lattice sums,
+    # which a grid narrower than 4B extends to 4B
+    p = LoraParams(sf=sf, b=125e3)
+    k, f_max = {"default": (max(1, min(64, 8192 // p.m)), 8.0 * p.b),
+                "mask_check": (4, 8.0 * p.b),
+                "occupied_bandwidth": (max(1, 512 // p.m), 4.0 * p.b),
+                "narrow": (4, 0.5 * p.b)}[grid]
+    res = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
+    n = len(res.grid) // 2
+    ref = discrete_spectrum_lines(p, max(4 * p.m, n // k))
+    assert np.array_equal(res.lines, ref)
+
+
+@pytest.mark.parametrize("f_max,step", [(None, None), (1.0, 1.0 / 64), (8.0, 1.0 / 32)])
+def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, f_max, step):
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return scipy_fresnel(x)
+
+    scipy_fresnel = spectrum._scipy_fresnel
+    monkeypatch.setattr(spectrum, "_scipy_fresnel", counted)
+    fresnel_spectrum(LoraParams(sf=5, b=1.0), f_max=f_max, step=step)
+    assert len(calls) == 1
+
+
+def test_public_names_resolve():
+    for name in lorachirp.__all__:
+        assert getattr(lorachirp, name) is not None, name

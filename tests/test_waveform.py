@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import (IqBuffer, IqFileHeader, LoraParams, baseband_waveform,
-                       instantaneous_frequency, mean_envelope_magnitude,
-                       modulate, payload_to_symbols, phase, waveform_at)
+from lorachirp import (IqBuffer, IqFileHeader, LoraParams, instantaneous_frequency,
+                       mean_envelope_magnitude, modulate, payload_to_symbols,
+                       phase, waveform_at)
 from oracles import chip_rate_samples, mean_power_quadrature
 
 P_SF3 = LoraParams(sf=3, b=8.0)  # Ts = 1 s
@@ -87,7 +87,7 @@ def test_phase_domain_is_closed_at_ts():
 
 
 def test_baseband_waveform_basics():
-    buf = baseband_waveform(P_SF3, 0, oversample=4)
+    buf = modulate(P_SF3, [0], oversample=4)
     assert isinstance(buf, IqBuffer)
     assert len(buf) == 4 * P_SF3.m
     assert buf.fs == 4 * P_SF3.b
@@ -98,7 +98,7 @@ def test_baseband_waveform_basics():
 def test_constant_envelope(sf, oversample, data):
     p = LoraParams(sf=sf, b=1.0)
     a = data.draw(st.integers(0, p.m - 1))
-    buf = baseband_waveform(p, a, oversample)
+    buf = modulate(p, [a], oversample)
     assert np.max(np.abs(np.abs(buf.samples) - p.gamma)) < 1e-12
 
 
@@ -106,7 +106,7 @@ def test_chip_rate_sampling_matches_receiver_model():
     for sf in (3, 5, 8):
         p = LoraParams(sf=sf, b=1.0)
         for a in (0, 1, p.m // 2, p.m - 1):
-            wf = baseband_waveform(p, a, oversample=1).samples
+            wf = modulate(p, [a], oversample=1).samples
             chips = chip_rate_samples(p, a)
             np.testing.assert_allclose(wf, chips, atol=1e-9)
 
@@ -134,13 +134,14 @@ def test_modulate_rejects_bad_symbol_anywhere(bad, position):
 
 def test_baseband_waveform_rejects_bad_oversample():
     with pytest.raises(ValueError):
-        baseband_waveform(P_SF3, 0, oversample=0)
+        modulate(P_SF3, [0], oversample=0)
 
 
 def test_modulate_single_symbol_equals_waveform():
+    # memoryless: a symbol's samples do not depend on its neighbours
     one = modulate(P_SF3, [5], oversample=2)
-    ref = baseband_waveform(P_SF3, 5, oversample=2)
-    np.testing.assert_array_equal(one.samples, ref.samples)
+    stream = modulate(P_SF3, [3, 5, 7], oversample=2)
+    np.testing.assert_array_equal(one.samples, stream.samples[len(one):2 * len(one)])
 
 
 def test_modulate_phase_continuous_at_boundary():
@@ -207,6 +208,6 @@ def test_payload_mapping_rejects_empty():
 
 
 def test_iqbuffer_is_immutable():
-    buf = baseband_waveform(P_SF3, 1)
+    buf = modulate(P_SF3, [1])
     with pytest.raises((ValueError, RuntimeError)):
         buf.samples[0] = 0.0
