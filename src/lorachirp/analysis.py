@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import max_cross_correlation, snr_penalty_db
-from .params import IqBuffer, LoraParams
+from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams
 from .spectrum import SpectrumResult, fresnel_spectrum
 
 _TINY = 1e-30
@@ -343,8 +343,6 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
 # Periodic cosine-sum windows: w[n] = sum_k (-1)^k a_k cos(2*pi*k*n/L).
 _WINDOWS = {"hann": (0.5, 0.5), "hamming": (0.54, 0.46),
             "blackman": (0.42, 0.5, 0.08), "rect": (1.0,), "boxcar": (1.0,)}
-# welch_psd transforms its segments in blocks of about this many samples.
-_WELCH_BLOCK_SAMPLES = 1 << 20
 
 
 def _cosine_window(window: str, n: int) -> np.ndarray:
@@ -379,7 +377,7 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
         noverlap = segment_len - 1
     w = _cosine_window(window, segment_len)
     segments = sliding_window_view(iq.samples, segment_len)[::segment_len - noverlap]
-    per_block = max(1, _WELCH_BLOCK_SAMPLES // segment_len)
+    per_block = max(1, _BLOCK_SAMPLES // segment_len)
     power = np.zeros(segment_len)
     for start in range(0, len(segments), per_block):
         spec = np.fft.fft(segments[start:start + per_block] * w, axis=-1)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, correlation, iqfile, spectrum
-from .params import LoraParams
+from .params import LoraParams, _power_ratio
 from .receiver import demodulate_stream
 from .waveform import modulate, payload_to_symbols
 
@@ -99,8 +99,8 @@ def _cmd_xcorr(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.ps_dbm is not None and not np.isfinite(args.ps_dbm):
         raise ValueError(f"--ps-dbm must be a finite number, got {args.ps_dbm}")
+    scale = _power_ratio(args.ps_dbm, "--ps-dbm") if args.ps_dbm is not None else 1.0
     res = spectrum.fresnel_spectrum(_params(args), step=args.grid_step)
-    scale = 10.0 ** (args.ps_dbm / 10.0) if args.ps_dbm is not None else 1.0
     unit = "mw" if args.ps_dbm is not None else "fraction"
     out_psd = args.out_psd or f"spectrum_sf{args.sf}_psd.csv"
     out_lines = args.out_lines or f"spectrum_sf{args.sf}_lines.csv"

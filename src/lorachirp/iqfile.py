@@ -53,10 +53,8 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
                           description=description)
     try:
         if fmt == FORMAT_F32:
-            interleaved = np.empty(2 * len(buffer), dtype="<f4")
-            interleaved[0::2] = buffer.samples.real
-            interleaved[1::2] = buffer.samples.imag
-            path.write_bytes(interleaved.tobytes())
+            # complex128 is stored as I, Q float64 pairs: narrowing them interleaves
+            buffer.samples.view(np.float64).astype("<f4").tofile(path)
         else:
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -138,7 +136,8 @@ def read_iq(path, header_path=None) -> IqBuffer:
         raw = np.frombuffer(payload, dtype="<f4")
         # a float64 sum of finite float32 values cannot overflow
         finite = np.isfinite(raw.sum(dtype=np.float64))
-        samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
+        # every float32 widens to float64 exactly
+        samples = raw.astype(np.float64).view(np.complex128)
     else:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -146,7 +145,8 @@ def read_iq(path, header_path=None) -> IqBuffer:
         if not rows or [c.strip().lower() for c in rows[0]] != ["i", "q"]:
             raise ValueError(f"CSV IQ capture {path} must start with an 'i,q' header row")
         try:
-            samples = np.array([complex(float(r[0]), float(r[1])) for r in rows[1:]])
+            samples = np.array([complex(float(r[0]), float(r[1])) for r in rows[1:]],
+                               dtype=np.complex128)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"malformed CSV IQ row in {path}: {exc}") from exc
         finite = np.isfinite(samples).all()
@@ -155,4 +155,4 @@ def read_iq(path, header_path=None) -> IqBuffer:
     if n_expected is not None and n_expected != len(samples):
         raise ValueError(
             f"IQ capture {path} holds {len(samples)} samples but sidecar says {n_expected}")
-    return IqBuffer(samples, fs=header.fs)
+    return IqBuffer._adopt(samples, fs=header.fs)

@@ -1,12 +1,17 @@
 """Core modulation parameters and signal-buffer types."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Modulation symbols are plain integers in [0, M-1].
 Symbol = int
+
+# Passes over a whole sample stream (the receiver, Welch) work in blocks of
+# about this many samples, so that their temporaries stay small.
+_BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,25 @@ def validate_symbol(p: LoraParams, a) -> int:
     return a
 
 
+def _power_ratio(db, name: str) -> float:
+    """10**(db/10) as a float; ValueError naming `name` unless it is finite
+    and positive (a huge db overflows, a hugely negative one gives 0)."""
+    try:
+        ratio = 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ValueError(
+            f"{name} = {db!r} gives a power ratio 10**({name}/10) that is not "
+            "a finite positive number")
+    return ratio
+
+
+def _check_fs(fs) -> None:
+    if not (np.isfinite(fs) and fs > 0):
+        raise ValueError(f"fs must be finite and positive, got {fs}")
+
+
 @dataclass(frozen=True)
 class IqBuffer:
     """Uniformly sampled complex baseband signal.
@@ -79,6 +103,10 @@ class IqBuffer:
     samples: 1-D complex array, made read-only on construction
     fs:      sample rate in Hz
     t0:      start time in seconds of samples[0]
+
+    The constructor copies `samples`, so the caller's array stays its own.
+    Buffers that library functions return hold arrays those functions have
+    just built; they are adopted read-only without a copy (`_adopt`).
     """
 
     samples: np.ndarray
@@ -86,13 +114,28 @@ class IqBuffer:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.fs) and self.fs > 0):
-            raise ValueError(f"fs must be finite and positive, got {self.fs}")
+        _check_fs(self.fs)
         arr = np.array(self.samples, dtype=np.complex128, copy=True)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, fs: float, t0: float = 0.0) -> IqBuffer:
+        """Wrap a freshly built 1-D contiguous complex128 array without
+        copying it, and make it read-only.  The caller must hold no other
+        reference through which the array is written later."""
+        _check_fs(fs)
+        if not (samples.dtype == np.complex128 and samples.ndim == 1
+                and samples.flags.c_contiguous):
+            raise ValueError("adopted samples must be a 1-D contiguous complex128 array, "
+                             f"got {samples.dtype} with shape {samples.shape}")
+        samples.setflags(write=False)
+        buf = object.__new__(cls)
+        for name, value in (("samples", samples), ("fs", fs), ("t0", t0)):
+            object.__setattr__(buf, name, value)
+        return buf
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import IqBuffer, LoraParams, Symbol
+from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _power_ratio
 from .waveform import _sample_symbols
 
 
@@ -25,7 +25,8 @@ def dechirp(p: LoraParams, chips) -> np.ndarray:
     chips = np.asarray(chips)
     if chips.shape[-1:] != (p.m,):
         raise ValueError(f"expected M = {p.m} chips on the last axis, got shape {chips.shape}")
-    return chips * np.conj(_sample_symbols(LoraParams(sf=p.sf, b=p.b), [0], 1)[0])
+    base = _sample_symbols(LoraParams(sf=p.sf, b=p.b), np.zeros(1, np.int64), 1)[0]
+    return chips * np.conj(base)
 
 
 def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
@@ -40,20 +41,28 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
     """
     if len(iq) == 0:
         raise ValueError("cannot demodulate an empty buffer")
-    if not np.all(np.isfinite(iq.samples)):
-        raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
     ratio = iq.fs / p.b
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"fs = {iq.fs} Hz is not an integer multiple of B = {p.b} Hz")
-    chips = iq.samples[::r]
-    trailing = len(chips) % p.m
+    n_chips = -(-len(iq) // r)
+    trailing = n_chips % p.m
     if trailing:
         raise ValueError(
-            f"decimated stream has {len(chips)} chips, not a multiple of "
+            f"decimated stream has {n_chips} chips, not a multiple of "
             f"M = {p.m}: {trailing} trailing samples")
-    blocks = dechirp(p, chips.reshape(-1, p.m))
-    return np.argmax(np.abs(np.fft.fft(blocks, axis=1)), axis=1).tolist()
+    # symbol-aligned blocks keep every temporary about _BLOCK_SAMPLES long;
+    # each row is transformed on its own, so the blocking changes no output
+    step = r * p.m * max(1, _BLOCK_SAMPLES // (r * p.m))
+    out = np.empty(n_chips // p.m, dtype=np.int64)
+    for start in range(0, len(iq), step):
+        block = iq.samples[start:start + step]
+        if not np.isfinite(block).all():
+            raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
+        rows = dechirp(p, block[::r].reshape(-1, p.m))
+        first = start // (r * p.m)
+        out[first:first + len(rows)] = np.argmax(np.abs(np.fft.fft(rows, axis=1)), axis=1)
+    return out.tolist()
 
 
 def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
@@ -69,14 +78,16 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    nvar = iq.mean_power / _power_ratio(snr_db, "snr_db")
+    if not np.isfinite(nvar):
+        raise ValueError(f"snr_db = {snr_db!r} gives a noise variance that is not finite")
     rng = np.random.default_rng(seed)
-    nvar = iq.mean_power / 10.0 ** (snr_db / 10.0)
     scale = np.sqrt(nvar / 2.0)
-    n = len(iq)
     out = iq.samples.copy()
+    draw = np.empty(len(iq))
     # two draws, real part first: the order fixes the seeded output
     for part in (out.real, out.imag):
-        draw = rng.standard_normal(n)
+        rng.standard_normal(out=draw)
         draw *= scale
         part += draw
-    return IqBuffer(out, fs=iq.fs, t0=iq.t0)
+    return IqBuffer._adopt(out, fs=iq.fs, t0=iq.t0)

@@ -291,7 +291,7 @@ def psd_via_dft(p: LoraParams, zero_pad_factor: int = 1,
     sum_abs2 = np.zeros(nfft)
     sum_x = np.zeros(nfft, dtype=complex)
     for a in range(M):
-        x = _sample_symbols(unit, [a], N // M)[0]
+        x = _sample_symbols(unit, np.array([a]), N // M)[0]
         X = dt * (np.fft.fft(w * x, nfft) + end_term)
         sum_abs2 += np.abs(X) ** 2
         sum_x += X

@@ -82,7 +82,25 @@ def _base_phase_windows(p: LoraParams, oversample: int) -> np.ndarray:
     return sliding_window_view(np.concatenate([theta0, theta0]), len(theta0))
 
 
-def _sample_symbols(p: LoraParams, symbols: Sequence[Symbol], oversample: int) -> np.ndarray:
+def _symbol_array(p: LoraParams, symbols: Sequence[Symbol]) -> np.ndarray:
+    """symbols as an int64 array, each checked as validate_symbol checks it.
+
+    Plain integers in range take one vectorized check; anything else goes
+    through validate_symbol one symbol at a time, which raises on the first
+    bad one."""
+    symbols = list(symbols)
+    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+           for t in set(map(type, symbols))):
+        try:
+            a = np.array(symbols, dtype=np.int64)
+        except OverflowError:
+            a = None
+        if a is not None and np.all((a >= 0) & (a < p.m)):
+            return a
+    return np.array([validate_symbol(p, s) for s in symbols], dtype=np.int64)
+
+
+def _sample_symbols(p: LoraParams, a: np.ndarray, oversample: int) -> np.ndarray:
     """Rows x(n;a) = e^{j*pi*a*(1 - a/M)} * x0[(n + a*oversample) mod (oversample*M)].
 
     At the sampling instants t_n = n*Ts/(oversample*M) every symbol is a
@@ -90,12 +108,12 @@ def _sample_symbols(p: LoraParams, symbols: Sequence[Symbol], oversample: int) -
     its a-th chip on, x0 starts at frequency a*B/M and wraps back to its
     first chip exactly where x(t;a) wraps.  The rotation is added to the
     gathered phase rather than multiplied onto complex samples, so each
-    sample's magnitude is rounded once, as in waveform_at.  Returns a new
-    (len(symbols), oversample*M) array.
+    sample's magnitude is rounded once, as in waveform_at.  `a` is an int64
+    array of symbols already checked to lie in [0, M); returns a new
+    (len(a), oversample*M) array whose rows depend only on their symbol.
     """
     if not isinstance(oversample, (int, np.integer)) or oversample < 1:
         raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
-    a = np.array([validate_symbol(p, s) for s in symbols], dtype=np.int64)
     phases = _base_phase_windows(p, int(oversample))[a * oversample]
     # a*(M - a) mod 2M keeps the rotation angle exact for every a
     phases += (np.pi * ((a * (p.m - a)) % (2 * p.m)) / p.m)[:, None]
@@ -112,10 +130,16 @@ def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> I
     oversample*B with none at t = Ts; modulate(p, [a]) gives the
     chip-rate samples of symbol a that the receiver works on.
     """
-    symbols = list(symbols)
-    if len(symbols) == 0:
+    a = _symbol_array(p, symbols)
+    if len(a) == 0:
         raise ValueError("symbols must be a non-empty sequence")
-    return IqBuffer(_sample_symbols(p, symbols, oversample).ravel(), fs=oversample * p.b)
+    distinct, inverse = np.unique(a, return_inverse=True)
+    if 2 * len(distinct) <= len(a):
+        # a long stream repeats its at most M distinct rows: sample each once
+        rows = _sample_symbols(p, distinct, oversample)[inverse]
+    else:
+        rows = _sample_symbols(p, a, oversample)
+    return IqBuffer._adopt(rows.ravel(), fs=oversample * p.b)
 
 
 def mean_envelope_magnitude(p: LoraParams, t):

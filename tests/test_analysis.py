@@ -353,10 +353,11 @@ def test_welch_matches_scipy(rng, window, scipy_window):
 
 def test_welch_matches_scipy_over_a_partial_last_block(rng):
     segment_len, step = 256, 128
-    per_block = analysis._WELCH_BLOCK_SAMPLES // segment_len
-    n_seg = 2 * per_block + per_block // 3
+    per_block = analysis._BLOCK_SAMPLES // segment_len
+    n_seg = 6 * per_block + per_block // 3
     assert n_seg % per_block
     n = (n_seg - 1) * step + segment_len + step - 1  # a partial segment left over
+    assert n > 3 * analysis._BLOCK_SAMPLES
     iq = IqBuffer(rng.normal(size=n) + 1j * rng.normal(size=n), fs=1.0)
     freqs, pxx = welch_psd(iq, segment_len, overlap=0.5)
     ref_freqs, ref = _scipy_welch(iq, segment_len, 0.5, "hann")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import (LoraParams, SpectrumResult, binned_power, fresnel_spectrum,
+from lorachirp import (LoraParams, SpectrumResult, awgn, binned_power, fresnel_spectrum,
                        modulate, psd_via_dft, read_header, read_iq, write_iq)
 from lorachirp.cli import example_mask_path, main
 from lorachirp.analysis import MaskSpec
@@ -32,6 +32,26 @@ def test_binary_roundtrip_preserves_f32_values(tmp_path, iq):
     assert np.max(np.abs(back.samples - iq.samples)) < 1e-6
     # rereading is bit-identical
     np.testing.assert_array_equal(read_iq(path).samples, back.samples)
+
+
+def test_binary_layout_is_interleaved_float32(tmp_path, iq):
+    path = tmp_path / "sig.iq"
+    write_iq(iq, path)
+    interleaved = np.empty(2 * len(iq), dtype="<f4")
+    interleaved[0::2] = iq.samples.real
+    interleaved[1::2] = iq.samples.imag
+    assert path.read_bytes() == interleaved.tobytes()
+    raw = np.fromfile(path, dtype="<f4")
+    np.testing.assert_array_equal(
+        read_iq(path).samples, raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64))
+
+
+def test_library_buffers_are_read_only(tmp_path, iq):
+    noisy = awgn(iq, 0.0, seed=1)
+    write_iq(noisy, tmp_path / "sig.iq")
+    for buf in (modulate(P5, [3, 3, 3, 4]), iq, noisy, read_iq(tmp_path / "sig.iq")):
+        with pytest.raises(ValueError, match="read-only"):
+            buf.samples[0] = 0.0
 
 
 def test_file_size_is_eight_bytes_per_sample(tmp_path, iq):
@@ -288,6 +308,16 @@ def test_cli_spectrum_rejects_non_finite_power(tmp_path, capsys, ps_dbm):
                "--out-psd", str(psd), "--out-lines", str(lines)])
     assert rc == 1
     assert "--ps-dbm must be a finite number" in capsys.readouterr().err
+    assert not psd.exists() and not lines.exists()
+
+
+@pytest.mark.parametrize("ps_dbm", ["1e308", "-1e308"])
+def test_cli_spectrum_rejects_power_outside_float_range(tmp_path, capsys, ps_dbm):
+    psd, lines = tmp_path / "psd.csv", tmp_path / "lines.csv"
+    rc = main(["spectrum", "--sf", "3", "--bw", "125e3", f"--ps-dbm={ps_dbm}",
+               "--out-psd", str(psd), "--out-lines", str(lines)])
+    assert rc == 1
+    assert f"--ps-dbm = {float(ps_dbm)!r} gives a power ratio" in capsys.readouterr().err
     assert not psd.exists() and not lines.exists()
 
 

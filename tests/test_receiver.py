@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorachirp import IqBuffer, LoraParams, awgn, dechirp, demodulate_stream, modulate
+from lorachirp.params import _BLOCK_SAMPLES
 
 P7 = LoraParams(sf=7, b=125e3)
 
@@ -87,6 +88,30 @@ def test_stream_rejects_non_finite_samples(index, bad):
         demodulate_stream(IqBuffer(samples, fs=P7.b), P7)
 
 
+@pytest.mark.parametrize("oversample, index", [(1, _BLOCK_SAMPLES + 7), (2, 3),
+                                               (2, 2 * _BLOCK_SAMPLES + 1)],
+                         ids=["past-first-block", "skipped-by-decimation",
+                              "skipped-past-first-block"])
+def test_stream_rejects_non_finite_samples_in_every_block(oversample, index):
+    iq = modulate(P7, [5] * (3 * _BLOCK_SAMPLES // P7.m), oversample)
+    samples = iq.samples.copy()
+    samples[index] = np.nan
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        demodulate_stream(IqBuffer(samples, fs=iq.fs), P7)
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+def test_blocked_stream_decodes_like_one_unblocked_pass(oversample):
+    # noisy enough for errors, so the argmax ties and near-ties are exercised
+    symbols = np.random.default_rng(3).integers(0, P7.m, 3 * _BLOCK_SAMPLES // P7.m + 5)
+    noisy = awgn(modulate(P7, symbols.tolist(), oversample), -12.0, seed=11)
+    chips = noisy.samples[::oversample].reshape(-1, P7.m)
+    expected = np.argmax(np.abs(np.fft.fft(dechirp(P7, chips), axis=1)), axis=1)
+    decoded = demodulate_stream(noisy, P7)
+    assert decoded == expected.tolist()
+    assert decoded != symbols.tolist()
+
+
 def test_stream_reports_trailing_samples():
     iq = modulate(P7, [1, 2], oversample=1)
     bad = IqBuffer(iq.samples[:-3], fs=iq.fs)
@@ -139,6 +164,16 @@ def test_awgn_rejects_non_finite_snr():
     iq = modulate(P7, [1], oversample=1)
     with pytest.raises(ValueError):
         awgn(iq, float("nan"), seed=0)
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, 4000.0, 1e308, -1e308, np.float64(4000.0),
+                                    -3200.0],
+                         ids=["-4000", "4000", "1e308", "-1e308", "numpy-4000", "-3200"])
+def test_awgn_rejects_snr_without_a_finite_noise_variance(snr_db):
+    # 10**(snr_db/10) overflows, underflows to 0, or (at -3200) leaves
+    # mean_power / 10**(snr_db/10) infinite
+    with pytest.raises(ValueError, match="snr_db"):
+        awgn(modulate(P7, [1]), snr_db, seed=0)
 
 
 @given(seed=st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),

@@ -123,7 +123,7 @@ def test_modulate_matches_continuous_law_on_sampling_grid(sf, oversample):
         assert np.max(np.abs(row - waveform_at(p, a, t))) < 1e-10, a
 
 
-@pytest.mark.parametrize("bad", [True, 2.0, -1, P_SF3.m])
+@pytest.mark.parametrize("bad", [True, 2.0, -1, P_SF3.m, 2 ** 70, np.int64(-1)])
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_modulate_rejects_bad_symbol_anywhere(bad, position):
     symbols = [3, 5, 7]
@@ -166,6 +166,36 @@ def test_modulate_is_memoryless(s1, s2):
 def test_modulate_rejects_empty():
     with pytest.raises(ValueError):
         modulate(P_SF3, [])
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+@pytest.mark.parametrize("distinct", [5, 128], ids=["few-distinct", "all-distinct"])
+def test_modulate_equals_the_per_symbol_path(oversample, distinct):
+    # at most half the symbols distinct: one sampled row per distinct symbol
+    # is gathered; otherwise every symbol is sampled, as modulate(p, [a]) is
+    p = LoraParams(sf=7, b=125e3)
+    rng = np.random.default_rng(oversample)
+    symbols = (rng.integers(0, distinct, 300) if distinct < p.m else rng.permutation(p.m)).tolist()
+    expected = np.concatenate([modulate(p, [a], oversample).samples for a in symbols])
+    for given_as in (symbols, np.array(symbols), iter(symbols)):
+        np.testing.assert_array_equal(modulate(p, given_as, oversample).samples, expected)
+
+
+def test_iq_buffer_constructor_copies_the_callers_array():
+    x = np.ones(4, dtype=complex)
+    buf = IqBuffer(x, fs=1.0)
+    x[0] = 5.0
+    np.testing.assert_array_equal(buf.samples, np.ones(4))
+    assert x.flags.writeable and not buf.samples.flags.writeable
+
+
+@pytest.mark.parametrize("samples, fs", [
+    (np.ones(4), 1.0), (np.ones((2, 2), dtype=complex), 1.0),
+    (np.ones(8, dtype=complex)[::2], 1.0), (np.ones(4, dtype=complex), float("nan"))],
+    ids=["float64", "2-d", "strided", "nan-fs"])
+def test_iq_buffer_adopts_only_1d_contiguous_complex128(samples, fs):
+    with pytest.raises(ValueError):
+        IqBuffer._adopt(samples, fs=fs)
 
 
 def test_mean_envelope_endpoints():
