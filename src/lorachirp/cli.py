@@ -97,8 +97,6 @@ def _cmd_xcorr(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.ps_dbm is not None and not np.isfinite(args.ps_dbm):
-        raise ValueError(f"--ps-dbm must be a finite number, got {args.ps_dbm}")
     scale = _power_ratio(args.ps_dbm, "--ps-dbm") if args.ps_dbm is not None else 1.0
     res = spectrum.fresnel_spectrum(_params(args), step=args.grid_step)
     unit = "mw" if args.ps_dbm is not None else "fraction"

@@ -79,15 +79,15 @@ def validate_symbol(p: LoraParams, a) -> int:
 
 def _power_ratio(db, name: str) -> float:
     """10**(db/10) as a float; ValueError naming `name` unless it is finite
-    and positive (a huge db overflows, a hugely negative one gives 0)."""
+    and positive (NaN and a huge db give NaN or overflow, a hugely negative
+    one gives 0)."""
     try:
         ratio = 10.0 ** (float(db) / 10.0)
     except OverflowError:
         ratio = math.inf
     if not (math.isfinite(ratio) and ratio > 0):
-        raise ValueError(
-            f"{name} = {db!r} gives a power ratio 10**({name}/10) that is not "
-            "a finite positive number")
+        raise ValueError(f"{name} must be a finite number whose power ratio "
+                         f"10**({name}/10) is finite and positive, got {db!r}")
     return ratio
 
 
@@ -150,4 +150,5 @@ class IqBuffer:
         """Mean per-sample power |x|^2."""
         if len(self.samples) == 0:
             return 0.0
-        return float(np.mean(np.abs(self.samples) ** 2))
+        with np.errstate(over="ignore"):  # huge samples give inf, not a warning
+            return float(np.mean(np.abs(self.samples) ** 2))

@@ -74,11 +74,14 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     numpy's PCG64 generator seeded with `seed`, so equal seeds give
     identical output.
     """
-    if not np.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    nvar = iq.mean_power / _power_ratio(snr_db, "snr_db")
+    ratio = _power_ratio(snr_db, "snr_db")
+    power = iq.mean_power
+    if not np.isfinite(power):
+        raise ValueError(f"buffer mean power {power} is not finite: the samples hold "
+                         "NaN or infinite values, or |x|^2 overflows")
+    nvar = power / ratio
     if not np.isfinite(nvar):
         raise ValueError(f"snr_db = {snr_db!r} gives a noise variance that is not finite")
     rng = np.random.default_rng(seed)

@@ -82,24 +82,6 @@ def _base_phase_windows(p: LoraParams, oversample: int) -> np.ndarray:
     return sliding_window_view(np.concatenate([theta0, theta0]), len(theta0))
 
 
-def _symbol_array(p: LoraParams, symbols: Sequence[Symbol]) -> np.ndarray:
-    """symbols as an int64 array, each checked as validate_symbol checks it.
-
-    Plain integers in range take one vectorized check; anything else goes
-    through validate_symbol one symbol at a time, which raises on the first
-    bad one."""
-    symbols = list(symbols)
-    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-           for t in set(map(type, symbols))):
-        try:
-            a = np.array(symbols, dtype=np.int64)
-        except OverflowError:
-            a = None
-        if a is not None and np.all((a >= 0) & (a < p.m)):
-            return a
-    return np.array([validate_symbol(p, s) for s in symbols], dtype=np.int64)
-
-
 def _sample_symbols(p: LoraParams, a: np.ndarray, oversample: int) -> np.ndarray:
     """Rows x(n;a) = e^{j*pi*a*(1 - a/M)} * x0[(n + a*oversample) mod (oversample*M)].
 
@@ -130,15 +112,12 @@ def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> I
     oversample*B with none at t = Ts; modulate(p, [a]) gives the
     chip-rate samples of symbol a that the receiver works on.
     """
-    a = _symbol_array(p, symbols)
+    a = np.array([validate_symbol(p, s) for s in symbols], dtype=np.int64)
     if len(a) == 0:
         raise ValueError("symbols must be a non-empty sequence")
+    # a stream holds at most M distinct rows: sample each once and gather
     distinct, inverse = np.unique(a, return_inverse=True)
-    if 2 * len(distinct) <= len(a):
-        # a long stream repeats its at most M distinct rows: sample each once
-        rows = _sample_symbols(p, distinct, oversample)[inverse]
-    else:
-        rows = _sample_symbols(p, a, oversample)
+    rows = _sample_symbols(p, distinct, oversample)[inverse]
     return IqBuffer._adopt(rows.ravel(), fs=oversample * p.b)
 
 

@@ -317,7 +317,9 @@ def test_cli_spectrum_rejects_power_outside_float_range(tmp_path, capsys, ps_dbm
     rc = main(["spectrum", "--sf", "3", "--bw", "125e3", f"--ps-dbm={ps_dbm}",
                "--out-psd", str(psd), "--out-lines", str(lines)])
     assert rc == 1
-    assert f"--ps-dbm = {float(ps_dbm)!r} gives a power ratio" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--ps-dbm must be a finite number whose power ratio" in err
+    assert f"got {float(ps_dbm)!r}" in err
     assert not psd.exists() and not lines.exists()
 
 

@@ -176,6 +176,13 @@ def test_awgn_rejects_snr_without_a_finite_noise_variance(snr_db):
         awgn(modulate(P7, [1]), snr_db, seed=0)
 
 
+@pytest.mark.parametrize("samples", [[1.0, np.nan], [1e200, 1e200j]], ids=["nan", "overflow"])
+def test_awgn_rejects_a_buffer_without_a_finite_mean_power(samples):
+    # the buffer is at fault, not snr_db
+    with pytest.raises(ValueError, match="buffer mean power .* is not finite"):
+        awgn(IqBuffer(np.array(samples), fs=1.0), 0.0, seed=0)
+
+
 @given(seed=st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
                      st.lists(st.integers(0, 9), max_size=2)))
 def test_awgn_rejects_non_integer_seed(seed):

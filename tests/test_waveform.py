@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from lorachirp import (IqBuffer, IqFileHeader, LoraParams, instantaneous_frequency,
                        mean_envelope_magnitude, modulate, payload_to_symbols,
                        phase, waveform_at)
+from lorachirp.waveform import _sample_symbols
 from oracles import chip_rate_samples, mean_power_quadrature
 
 P_SF3 = LoraParams(sf=3, b=8.0)  # Ts = 1 s
@@ -171,12 +172,11 @@ def test_modulate_rejects_empty():
 @pytest.mark.parametrize("oversample", [1, 2, 4])
 @pytest.mark.parametrize("distinct", [5, 128], ids=["few-distinct", "all-distinct"])
 def test_modulate_equals_the_per_symbol_path(oversample, distinct):
-    # at most half the symbols distinct: one sampled row per distinct symbol
-    # is gathered; otherwise every symbol is sampled, as modulate(p, [a]) is
+    # one sampled row per distinct symbol, gathered, equals sampling every symbol
     p = LoraParams(sf=7, b=125e3)
     rng = np.random.default_rng(oversample)
     symbols = (rng.integers(0, distinct, 300) if distinct < p.m else rng.permutation(p.m)).tolist()
-    expected = np.concatenate([modulate(p, [a], oversample).samples for a in symbols])
+    expected = _sample_symbols(p, np.array(symbols), oversample).ravel()
     for given_as in (symbols, np.array(symbols), iter(symbols)):
         np.testing.assert_array_equal(modulate(p, given_as, oversample).samples, expected)
 
