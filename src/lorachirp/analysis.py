@@ -7,6 +7,7 @@ enters only as a dB offset applied to the unit-power envelope spectra
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import max_cross_correlation, snr_penalty_db
-from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams
+from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _map_chunks
 from .spectrum import SpectrumResult, fresnel_spectrum
 
 _TINY = 1e-30
@@ -361,7 +362,8 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     buffer's mean power exactly.  Before the rescaling this equals
     scipy.signal.welch(detrend=False, return_onesided=False,
     scaling="density") with the periodic window: no padding, and the
-    (N - segment_len) // step + 1 segments that fit in the buffer.
+    (N - segment_len) // step + 1 segments that fit in the buffer.  The
+    blocks of segments are shared among the CPUs of the affinity mask.
     """
     if isinstance(segment_len, bool) or not isinstance(segment_len, (int, np.integer)):
         raise ValueError(f"segment_len must be an integer, got {segment_len!r}")
@@ -378,11 +380,30 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     w = _cosine_window(window, segment_len)
     segments = sliding_window_view(iq.samples, segment_len)[::segment_len - noverlap]
     per_block = max(1, _BLOCK_SAMPLES // segment_len)
+
+    def block_powers(first: int, blocks: range) -> list[np.ndarray]:
+        # per-range scratch reused through out=, as in demodulate_stream
+        windowed = np.empty((min(per_block, len(segments)), segment_len), dtype=np.complex128)
+        spec = np.empty_like(windowed)
+        rows = []
+        for i in blocks:
+            start = (first + i) * per_block
+            k = len(segments[start:start + per_block])
+            np.multiply(segments[start:start + k], w, out=windowed[:k])
+            np.fft.fft(windowed[:k], axis=-1, out=spec[:k])
+            rows.append(np.einsum("ij,ij->j", spec[:k].real, spec[:k].real)
+                        + np.einsum("ij,ij->j", spec[:k].imag, spec[:k].imag))
+        return rows
+
+    # the blocks' sums of |X|^2 are added in block order, as in one serial
+    # pass; waves of blocks bound how many sums wait to be added at once
+    n_blocks = -(-len(segments) // per_block)
+    wave = max(_cpu_count(), 16 * _BLOCK_SAMPLES // segment_len)
     power = np.zeros(segment_len)
-    for start in range(0, len(segments), per_block):
-        spec = np.fft.fft(segments[start:start + per_block] * w, axis=-1)
-        power += (np.einsum("ij,ij->j", spec.real, spec.real)
-                  + np.einsum("ij,ij->j", spec.imag, spec.imag))
+    for first in range(0, n_blocks, wave):
+        for row in _map_chunks(functools.partial(block_powers, first),
+                               min(wave, n_blocks - first)):
+            power += row
     pxx = np.fft.fftshift(power / (len(segments) * iq.fs * np.sum(w ** 2)))
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / iq.fs))
     integral = np.trapezoid(pxx, freqs)

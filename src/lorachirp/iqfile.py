@@ -35,6 +35,14 @@ class IqFileHeader:
             raise ValueError(f"center_freq must be a finite number, got {self.center_freq}")
 
 
+def _all_finite_f32(raw: np.ndarray) -> bool:
+    """True when no value of the float32 array raw is NaN or infinite."""
+    # a float64 sum of finite float32 values cannot overflow; +inf with -inf
+    # sums to NaN, which is not finite either
+    with np.errstate(invalid="ignore"):
+        return bool(np.isfinite(raw.sum(dtype=np.float64)))
+
+
 def _default_header_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
@@ -45,16 +53,27 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
 
     Binary files hold interleaved little-endian float32 I/Q pairs (8 bytes
     per complex sample); CSV files carry an "i,q" header row.  Returns the
-    header that was written.
+    header that was written.  A sample whose I or Q is NaN, infinite or
+    (in the binary format) beyond the float32 range raises ValueError
+    before anything is written, since read_iq would reject the capture.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
     header = IqFileHeader(format=fmt, fs=buffer.fs, center_freq=center_freq,
                           description=description)
+    if fmt == FORMAT_F32:
+        with np.errstate(over="ignore"):  # a value outside the float32 range is reported below
+            # complex128 is stored as I, Q float64 pairs: narrowing them interleaves
+            raw = buffer.samples.view(np.float64).astype("<f4")
+        finite = _all_finite_f32(raw)
+    else:
+        finite = np.isfinite(buffer.samples).all()
+    if not finite:
+        raise ValueError(f"cannot write IQ capture {path}: the I or Q of a sample is NaN, "
+                         "infinite or too large for float32")
     try:
         if fmt == FORMAT_F32:
-            # complex128 is stored as I, Q float64 pairs: narrowing them interleaves
-            buffer.samples.view(np.float64).astype("<f4").tofile(path)
+            raw.tofile(path)
         else:
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -134,8 +153,7 @@ def read_iq(path, header_path=None) -> IqBuffer:
                 f"truncated IQ capture {path}: {len(payload)} bytes is not a "
                 "whole number of float32 I/Q pairs")
         raw = np.frombuffer(payload, dtype="<f4")
-        # a float64 sum of finite float32 values cannot overflow
-        finite = np.isfinite(raw.sum(dtype=np.float64))
+        finite = _all_finite_f32(raw)
         # every float32 widens to float64 exactly
         samples = raw.astype(np.float64).view(np.complex128)
     else:

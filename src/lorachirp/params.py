@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +15,81 @@ Symbol = int
 # Passes over a whole sample stream (the receiver, Welch) work in blocks of
 # about this many samples, so that their temporaries stay small.
 _BLOCK_SAMPLES = 1 << 16
+
+# Worker threads shared by every blocked pass, created on first use.  Workers
+# run numpy kernels only, never a public lorachirp function, so anything that
+# wraps those sees one thread.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask (`taskset` limits
+    it), else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The shared pool.  Its limit of os.cpu_count() - 1 threads covers any
+    affinity mask, so it never needs replacing; a thread starts only when a
+    submitted task finds no idle one."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
+                                       thread_name_prefix="lorachirp")
+        return _pool
+
+
+def _forget_pool_in_child() -> None:
+    # a forked child has none of the parent's worker threads: a pool
+    # inherited from the parent would queue work that never runs
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
+def _submit(fn, *args) -> Future:
+    """fn(*args) on a worker thread; with one CPU it runs inline and the
+    returned future is already done."""
+    if _cpu_count() > 1:
+        return _executor().submit(fn, *args)
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
+def _map_chunks(fn, n_blocks: int) -> list:
+    """Run fn(blocks) on contiguous ranges of block indices 0..n_blocks-1,
+    one range per CPU, and return the concatenated per-block results of
+    fn in block order.
+
+    The calling thread runs the first range, the shared pool the others.
+    If a range fails, every range is waited for and the first error in
+    block order is raised.  With one CPU or one block fn runs inline.
+    """
+    n_ranges = min(_cpu_count(), n_blocks)
+    if n_ranges <= 1:
+        return list(fn(range(n_blocks)))
+    bounds = [i * n_blocks // n_ranges for i in range(n_ranges + 1)]
+    pool = _executor()
+    futures = [pool.submit(fn, range(lo, hi)) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        results = list(fn(range(bounds[0], bounds[1])))
+    finally:
+        wait(futures)  # no range outlives the call, even when the first fails
+    for future in futures:
+        results.extend(future.result())  # raises the first failure in block order
+    return results
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _power_ratio
+from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _map_chunks,
+                     _power_ratio, _submit)
 from .waveform import _sample_symbols
+
+
+def _dechirp_reference(p: LoraParams) -> np.ndarray:
+    """Conjugate of the unit-amplitude base upchirp at chip rate."""
+    return np.conj(_sample_symbols(LoraParams(sf=p.sf, b=p.b), np.zeros(1, np.int64), 1)[0])
 
 
 def dechirp(p: LoraParams, chips) -> np.ndarray:
@@ -25,8 +31,7 @@ def dechirp(p: LoraParams, chips) -> np.ndarray:
     chips = np.asarray(chips)
     if chips.shape[-1:] != (p.m,):
         raise ValueError(f"expected M = {p.m} chips on the last axis, got shape {chips.shape}")
-    base = _sample_symbols(LoraParams(sf=p.sf, b=p.b), np.zeros(1, np.int64), 1)[0]
-    return chips * np.conj(base)
+    return chips * _dechirp_reference(p)
 
 
 def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
@@ -37,7 +42,8 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
     would distort the chirps, and at chip instants the plain samples are
     already exact.  After decimation the length must be a whole number of
     symbols.  Each symbol is detected as argmax_q |DFT(dechirped)[q]|;
-    ties break to the lowest bin.
+    ties break to the lowest bin.  The blocks of the stream are shared
+    among the CPUs of the affinity mask.
     """
     if len(iq) == 0:
         raise ValueError("cannot demodulate an empty buffer")
@@ -53,16 +59,30 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
             f"M = {p.m}: {trailing} trailing samples")
     # symbol-aligned blocks keep every temporary about _BLOCK_SAMPLES long;
     # each row is transformed on its own, so the blocking changes no output
-    step = r * p.m * max(1, _BLOCK_SAMPLES // (r * p.m))
-    out = np.empty(n_chips // p.m, dtype=np.int64)
-    for start in range(0, len(iq), step):
-        block = iq.samples[start:start + step]
-        if not np.isfinite(block).all():
-            raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
-        rows = dechirp(p, block[::r].reshape(-1, p.m))
-        first = start // (r * p.m)
-        out[first:first + len(rows)] = np.argmax(np.abs(np.fft.fft(rows, axis=1)), axis=1)
-    return out.tolist()
+    rows_per_block = max(1, _BLOCK_SAMPLES // (r * p.m))
+    step = r * p.m * rows_per_block
+    reference = _dechirp_reference(p)
+
+    def decode(blocks: range) -> list[np.ndarray]:
+        # scratch is allocated once per range and reused through out=, so
+        # the allocator does not hand pages back and fault them in per block
+        finite = np.empty(step, dtype=bool)
+        rows = np.empty((rows_per_block, p.m), dtype=np.complex128)
+        spec = np.empty_like(rows)
+        mag = np.empty(rows.shape)
+        symbols = []
+        for i in blocks:
+            block = iq.samples[i * step:(i + 1) * step]
+            if not np.isfinite(block, out=finite[:len(block)]).all():
+                raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
+            chips = block[::r].reshape(-1, p.m)
+            k = len(chips)
+            np.multiply(chips, reference, out=rows[:k])
+            np.fft.fft(rows[:k], axis=1, out=spec[:k])
+            symbols.append(np.argmax(np.abs(spec[:k], out=mag[:k]), axis=1))
+        return symbols
+
+    return np.concatenate(_map_chunks(decode, -(-len(iq) // step))).tolist()
 
 
 def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
@@ -72,7 +92,7 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     the buffer's mean sample power (gamma^2 for synthesized streams),
     split equally between the quadratures.  Noise is drawn from
     numpy's PCG64 generator seeded with `seed`, so equal seeds give
-    identical output.
+    identical output, whatever the number of CPUs.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
@@ -86,11 +106,27 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
         raise ValueError(f"snr_db = {snr_db!r} gives a noise variance that is not finite")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(nvar / 2.0)
-    out = iq.samples.copy()
-    draw = np.empty(len(iq))
-    # two draws, real part first: the order fixes the seeded output
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=draw)
-        draw *= scale
-        part += draw
+
+    def add_noise(dst, src, noise):
+        noise *= scale
+        np.add(src, noise, out=dst)
+
+    out = np.empty_like(iq.samples)
+    ring = [np.empty(min(len(iq), _BLOCK_SAMPLES)) for _ in range(3)]
+    pending = []
+    # both parts are drawn here, real part first, block after block of one
+    # seeded stream, which gives the same numbers as one full-length draw
+    # per part; a worker scales each block and adds it to the samples while
+    # the next is drawn, and a ring buffer is reused once its block is added
+    for src, dst in ((iq.samples.real, out.real), (iq.samples.imag, out.imag)):
+        for start in range(0, len(iq), _BLOCK_SAMPLES):
+            block = slice(start, start + _BLOCK_SAMPLES)
+            if len(pending) == len(ring):
+                pending.pop(0).result()
+            noise = ring[0][:len(src[block])]
+            ring.append(ring.pop(0))
+            rng.standard_normal(out=noise)
+            pending.append(_submit(add_noise, dst[block], src[block], noise))
+    for future in pending:
+        future.result()
     return IqBuffer._adopt(out, fs=iq.fs, t0=iq.t0)

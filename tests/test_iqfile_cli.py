@@ -1,13 +1,15 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lorachirp import (LoraParams, SpectrumResult, awgn, binned_power, fresnel_spectrum,
-                       modulate, psd_via_dft, read_header, read_iq, write_iq)
+from lorachirp import (IqBuffer, LoraParams, SpectrumResult, awgn, binned_power,
+                       fresnel_spectrum, modulate, psd_via_dft, read_header, read_iq, write_iq)
+from lorachirp import cli
 from lorachirp.cli import example_mask_path, main
 from lorachirp.analysis import MaskSpec
 from oracles import transform_sums_loop
@@ -485,24 +487,53 @@ def test_cli_mask_check_validates_binned_csv(tmp_path, capsys, line, text, messa
         assert message in err
 
 
-def _spoil_one_sample(path, fmt):
+def _spoil_one_sample(path, fmt, bad=(np.nan,)):
+    """Write the values `bad` into the capture from the third sample on."""
     if fmt == "csv":
         rows = path.read_text().splitlines()
-        rows[3] = "nan,0.0"
+        for i, value in enumerate(bad):
+            rows[3 + i] = f"{value},0.0"
         path.write_text("\n".join(rows) + "\n")
     else:
         raw = np.fromfile(path, dtype="<f4")
-        raw[5] = np.nan
+        raw[5:5 + len(bad)] = bad
         raw.tofile(path)
 
 
 @pytest.mark.parametrize("fmt", ["interleaved-f32-le", "csv"])
 def test_read_iq_rejects_non_finite_samples(tmp_path, iq, fmt):
     path = tmp_path / "sig.iq"
-    write_iq(iq, path, fmt=fmt)
-    _spoil_one_sample(path, fmt)
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        read_iq(path)
+    # +inf with -inf must not turn the float32 check into a RuntimeWarning
+    for bad in [(np.nan,), (np.inf, -np.inf)]:
+        write_iq(iq, path, fmt=fmt)
+        _spoil_one_sample(path, fmt, bad)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            read_iq(path)
+
+
+_HUGE = modulate(LoraParams(sf=5, b=32.0, ps=1e80), [1, 2]).samples
+
+
+@pytest.mark.parametrize("fmt, samples", [
+    ("interleaved-f32-le", _HUGE), ("interleaved-f32-le", np.array([1.0, complex(0.0, -4e38)])),
+    ("interleaved-f32-le", np.array([1.0, np.nan])), ("csv", np.array([1.0, np.nan])),
+    ("csv", np.array([np.inf, 1.0]))],
+    ids=["huge-power", "q-beyond-float32", "nan", "csv-nan", "csv-inf"])
+def test_write_iq_rejects_samples_its_capture_cannot_hold(tmp_path, fmt, samples):
+    path = tmp_path / "sig.iq"
+    with pytest.raises(ValueError, match=re.escape(f"cannot write IQ capture {path}:")):
+        write_iq(IqBuffer(samples, fs=64.0), path, fmt=fmt)
+    assert not path.exists() and not path.with_name("sig.iq.json").exists()
+
+
+def test_cli_modulate_exits_1_when_the_capture_cannot_hold_the_samples(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(cli, "_params", lambda args: LoraParams(sf=args.sf, b=args.bw, ps=1e80))
+    path = tmp_path / "sig.iq"
+    rc = main(["modulate", "--sf", "5", "--bw", "32", "--symbols", "1,2", "--out", str(path)])
+    assert rc == 1
+    assert f"cannot write IQ capture {path}" in capsys.readouterr().err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("command", [["welch", "--segment", "16"],
