@@ -233,7 +233,7 @@ def test_welch_memory_does_not_grow_with_the_number_of_blocks(cpus):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_forked_child_demodulates_after_the_pool_exists():
     proc = _run_script("""
-        import os, sys, warnings
+        import os, signal, sys, warnings
         warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
         from lorachirp import LoraParams, demodulate_stream, modulate, params
         params._cpu_count = lambda: 2
@@ -243,6 +243,7 @@ def test_a_forked_child_demodulates_after_the_pool_exists():
         assert demodulate_stream(iq, p) == symbols and params._pool is not None
         pid = os.fork()
         if pid == 0:
+            signal.alarm(30)  # a hung child ends itself rather than outliving the test
             os._exit(0 if demodulate_stream(iq, p) == symbols else 3)
         sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     """, timeout=60.0)
