@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from importlib import resources
@@ -20,6 +21,11 @@ from . import analysis, correlation, iqfile, spectrum
 from .params import LoraParams, _power_ratio
 from .receiver import demodulate_stream
 from .waveform import modulate, payload_to_symbols
+
+
+# rows of a CSV output formatted and written in one go: few enough that
+# the text of a chunk stays far below the columns it is formatted from
+_CSV_ROWS = 256
 
 
 def example_mask_path() -> Path:
@@ -38,15 +44,17 @@ def _parse_symbols(text: str) -> list[int]:
         raise ValueError(f"bad --symbols list {text!r}: {exc}") from exc
 
 
-def _write_csv(path, header_cols: list[str], rows, comments: list[str] = ()) -> None:
-    """Write '# ' comment lines, a header and rows; csv.writer writes a
-    Python float as its repr, so values read back exactly."""
+def _write_csv(path, header_cols: list[str], cols: list[list], comments: list[str] = ()) -> None:
+    """Write '# ' comment lines, a header and one row per entry of the
+    columns `cols` (lists of Python numbers), in csv.writer's default
+    layout: ',' between fields and '\r\n' after each row.  Every number is
+    written as its repr, so floats read back exactly.  Rows are formatted
+    and written _CSV_ROWS at a time, so the text never exists whole."""
+    rows = map(",".join, zip(*(map(repr, c) for c in cols)))
     with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header_cols)
-        writer.writerows(rows)
+        fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header_cols) + "\r\n")
+        while chunk := list(itertools.islice(rows, _CSV_ROWS)):
+            fh.write("\r\n".join(chunk) + "\r\n")
 
 
 def _cmd_modulate(args) -> int:
@@ -88,9 +96,9 @@ def _cmd_xcorr(args) -> int:
     }
     if args.full_matrix:
         C = correlation.correlation_matrix(p)
-        rows = [(l, m, repr(C[l, m].real), repr(C[l, m].imag))
-                for l in range(p.m) for m in range(p.m)]
-        _write_csv(args.full_matrix, ["l", "m", "re_c", "im_c"], rows)
+        l, m = np.indices(C.shape).reshape(2, -1).tolist()
+        _write_csv(args.full_matrix, ["l", "m", "re_c", "im_c"],
+                   [l, m, C.real.ravel().tolist(), C.imag.ravel().tolist()])
         doc["matrix_csv"] = str(args.full_matrix)
     print(json.dumps(doc))
     return 0
@@ -105,11 +113,11 @@ def _cmd_spectrum(args) -> int:
     g = res.continuous
     db_rel_b = 10 * np.log10(np.maximum(g * res.params.b, 1e-30))
     _write_csv(out_psd, ["frequency_hz", f"psd_{unit}_per_hz", "psd_db_rel_b"],
-               zip(res.grid.tolist(), (g * scale).tolist(), db_rel_b.tolist()),
+               [res.grid.tolist(), (g * scale).tolist(), db_rel_b.tolist()],
                comments=[f"sf={args.sf} bw_hz={args.bw}",
                          "psd_db_rel_b = 10*log10(Gc(f)*B) of the unit-power envelope"])
     _write_csv(out_lines, ["frequency_hz", f"power_{unit}"],
-               zip(res.line_frequencies.tolist(), (res.line_powers * scale).tolist()),
+               [res.line_frequencies.tolist(), (res.line_powers * scale).tolist()],
                comments=[f"sf={args.sf} bw_hz={args.bw}"])
     print(json.dumps({"psd_csv": str(out_psd), "lines_csv": str(out_lines),
                       "grid_points": len(res.grid), "num_lines": len(res.lines)}))
@@ -138,7 +146,7 @@ def _cmd_welch(args) -> int:
                                     overlap=args.overlap, window=args.window)
     out = args.out or "welch_psd.csv"
     _write_csv(out, ["frequency_hz", "psd_per_hz"],
-               zip(freqs.tolist(), pxx.tolist()),
+               [freqs.tolist(), pxx.tolist()],
                comments=[f"segment={args.segment} overlap={args.overlap} window={args.window}"])
     print(json.dumps({"out": str(out), "grid_points": len(freqs)}))
     return 0
@@ -182,7 +190,7 @@ def _read_binned_csv(path) -> analysis.BinnedSpectrum:
 
 def _write_binned_csv(path, binned: analysis.BinnedSpectrum) -> None:
     _write_csv(path, ["bin_center_hz", "power_dbm"],
-               zip(binned.bin_centers.tolist(), binned.bin_power_dbm.tolist()),
+               [binned.bin_centers.tolist(), binned.bin_power_dbm.tolist()],
                comments=[f"delta_f_hz={binned.delta_f!r}", f"ps_dbm={binned.ps_dbm!r}"])
 
 

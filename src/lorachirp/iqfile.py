@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .params import IqBuffer
+from .params import _BLOCK_SAMPLES, IqBuffer, _map_chunks
 
 FORMAT_F32 = "interleaved-f32-le"
 FORMAT_CSV = "csv"
@@ -56,16 +57,29 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     header that was written.  A sample whose I or Q is NaN, infinite or
     (in the binary format) beyond the float32 range raises ValueError
     before anything is written, since read_iq would reject the capture.
+    The float32 narrowing and its check run in blocks shared among the
+    CPUs of the affinity mask.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
     header = IqFileHeader(format=fmt, fs=buffer.fs, center_freq=center_freq,
                           description=description)
     if fmt == FORMAT_F32:
-        with np.errstate(over="ignore"):  # a value outside the float32 range is reported below
-            # complex128 is stored as I, Q float64 pairs: narrowing them interleaves
-            raw = buffer.samples.view(np.float64).astype("<f4")
-        finite = _all_finite_f32(raw)
+        # complex128 is stored as I, Q float64 pairs: narrowing them interleaves
+        values = buffer.samples.view(np.float64)
+        raw = np.empty(len(values), dtype="<f4")
+        step = 2 * _BLOCK_SAMPLES
+
+        def narrow(blocks: range) -> list[bool]:
+            finite = []
+            for i in blocks:
+                block = slice(i * step, (i + 1) * step)
+                with np.errstate(over="ignore"):  # too large for float32: reported below
+                    np.copyto(raw[block], values[block])
+                finite.append(_all_finite_f32(raw[block]))
+            return finite
+
+        finite = all(_map_chunks(narrow, -(-len(values) // step)))
     else:
         finite = np.isfinite(buffer.samples).all()
     if not finite:
@@ -133,29 +147,69 @@ def _finite_number(doc: dict, key: str, header_path, default=None) -> float:
     return number
 
 
+def _read_f32(path: Path, n_expected: int | None) -> tuple[np.ndarray, bool]:
+    """The complex samples of an interleaved float32 capture and whether
+    all of them are finite, read and checked block by block on every CPU,
+    each range through its own file handle.  The payload's length is
+    checked, also against the sidecar's count, before anything is
+    allocated."""
+    try:
+        with path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+    except OSError as exc:
+        raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
+    if size % 8:
+        raise ValueError(f"truncated IQ capture {path}: {size} bytes is not a "
+                         "whole number of float32 I/Q pairs")
+    _check_count(path, size // 8, n_expected)
+    values = np.empty(size // 4)
+    step = 2 * _BLOCK_SAMPLES
+
+    def widen(blocks: range) -> list[bool]:
+        raw = np.empty(min(len(values), step), dtype="<f4")
+        finite = []
+        try:
+            with path.open("rb", buffering=0) as fh:
+                fh.seek(4 * step * blocks.start)
+                for i in blocks:
+                    out = values[i * step:(i + 1) * step]
+                    block = raw[:len(out)]
+                    view = memoryview(block).cast("B")
+                    filled = 0
+                    while filled < len(view):
+                        got = fh.readinto(view[filled:])
+                        if not got:
+                            raise OSError(f"the file ended after {4 * i * step + filled} "
+                                          f"of {size} bytes")
+                        filled += got
+                    finite.append(_all_finite_f32(block))
+                    out[:] = block  # every float32 widens to float64 exactly
+        except OSError as exc:
+            raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
+        return finite
+
+    finite = all(_map_chunks(widen, -(-len(values) // step)))
+    return values.view(np.complex128), finite
+
+
+def _check_count(path: Path, n: int, n_expected: int | None) -> None:
+    if n_expected is not None and n_expected != n:
+        raise ValueError(f"IQ capture {path} holds {n} samples but sidecar says {n_expected}")
+
+
 def read_iq(path, header_path=None) -> IqBuffer:
     """Read an IQ capture back into an IqBuffer.
 
     Raises on truncated payloads (odd float count), NaN or infinite
     samples, malformed sidecars, nonpositive sample rates and
-    sidecar/payload length mismatches.
+    sidecar/payload length mismatches.  A float32 payload is read in
+    blocks shared among the CPUs of the affinity mask.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
     header, n_expected = read_header(header_path)
     if header.format == FORMAT_F32:
-        try:
-            payload = path.read_bytes()
-        except OSError as exc:
-            raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
-        if len(payload) % 8:
-            raise ValueError(
-                f"truncated IQ capture {path}: {len(payload)} bytes is not a "
-                "whole number of float32 I/Q pairs")
-        raw = np.frombuffer(payload, dtype="<f4")
-        finite = _all_finite_f32(raw)
-        # every float32 widens to float64 exactly
-        samples = raw.astype(np.float64).view(np.complex128)
+        samples, finite = _read_f32(path, n_expected)
     else:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -167,10 +221,8 @@ def read_iq(path, header_path=None) -> IqBuffer:
                                dtype=np.complex128)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"malformed CSV IQ row in {path}: {exc}") from exc
+        _check_count(path, len(samples), n_expected)
         finite = np.isfinite(samples).all()
     if not finite:
         raise ValueError(f"IQ capture {path} holds NaN or infinite samples")
-    if n_expected is not None and n_expected != len(samples):
-        raise ValueError(
-            f"IQ capture {path} holds {len(samples)} samples but sidecar says {n_expected}")
     return IqBuffer._adopt(samples, fs=header.fs)

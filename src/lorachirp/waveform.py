@@ -102,6 +102,23 @@ def _sample_symbols(p: LoraParams, a: np.ndarray, oversample: int) -> np.ndarray
     return p.gamma * np.exp(1j * phases)
 
 
+def _symbol_array(p: LoraParams, symbols) -> np.ndarray:
+    """The symbols as an int64 array, checked in bulk: the types, then the
+    range of the whole array.  Only if that check fails are they checked
+    one by one, so that validate_symbol names the first bad symbol."""
+    symbols = list(symbols)
+    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+           for t in set(map(type, symbols))):
+        try:
+            a = np.array(symbols, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            if len(a) == 0 or (a.min() >= 0 and a.max() < p.m):
+                return a
+    return np.array([validate_symbol(p, s) for s in symbols], dtype=np.int64)
+
+
 def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> IqBuffer:
     """Concatenate per-symbol waveforms into one phase-continuous stream.
 
@@ -112,7 +129,7 @@ def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> I
     oversample*B with none at t = Ts; modulate(p, [a]) gives the
     chip-rate samples of symbol a that the receiver works on.
     """
-    a = np.array([validate_symbol(p, s) for s in symbols], dtype=np.int64)
+    a = _symbol_array(p, symbols)
     if len(a) == 0:
         raise ValueError("symbols must be a non-empty sequence")
     # a stream holds at most M distinct rows: sample each once and gather

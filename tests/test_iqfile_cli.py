@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lorachirp import (IqBuffer, LoraParams, SpectrumResult, awgn, binned_power,
-                       fresnel_spectrum, modulate, psd_via_dft, read_header, read_iq, write_iq)
+                       correlation_matrix, fresnel_spectrum, modulate, psd_via_dft, read_header,
+                       read_iq, write_iq)
 from lorachirp import cli
 from lorachirp.cli import example_mask_path, main
 from lorachirp.analysis import MaskSpec
@@ -225,6 +226,17 @@ def test_cli_xcorr_report(tmp_path, capsys):
     rows = matrix_csv.read_text().splitlines()
     assert rows[0] == "l,m,re_c,im_c"
     assert len(rows) == 1 + 128 * 128
+
+
+def test_cli_xcorr_matrix_csv_bytes(tmp_path, capsys):
+    matrix_csv = tmp_path / "c.csv"
+    assert main(["xcorr", "--sf", "4", "--full-matrix", str(matrix_csv)]) == 0
+    capsys.readouterr()
+    C = correlation_matrix(LoraParams(sf=4, b=1.0))
+    assert matrix_csv.read_bytes() == _csv_text(
+        [], ["l", "m", "re_c", "im_c"],
+        [(l, m, repr(float(C[l, m].real)), repr(float(C[l, m].imag)))
+         for l in range(16) for m in range(16)])
 
 
 def test_cli_spectrum_methods_agree(tmp_path, capsys):

@@ -1,13 +1,17 @@
-"""The blocked passes (demodulate_stream, welch_psd, awgn) give the same
-bits on one CPU and on several, and keep their worker threads private."""
+"""The blocked passes (demodulate_stream, welch_psd, awgn, mean_power,
+read_iq, write_iq) give the same bits on one CPU and on several, and keep
+their worker threads private."""
 import importlib
 import inspect
+import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,7 @@ import pytest
 
 import lorachirp
 from lorachirp import (IqBuffer, LoraParams, awgn, demodulate_stream, modulate, params,
-                       welch_psd)
+                       read_iq, welch_psd, write_iq)
 from lorachirp.params import _BLOCK_SAMPLES, _map_chunks
 
 TESTS = Path(__file__).resolve().parent
@@ -89,7 +93,8 @@ CASES = [(sf, oversample, n_blocks) for sf in (7, 9) for oversample in (1, 2)
 
 def _outputs(p, iq):
     return (np.array(demodulate_stream(iq, p)), welch_psd(iq, 256)[1],
-            welch_psd(iq, 1 << 15, overlap=0.9)[1], awgn(iq, 3.0, seed=9).samples)
+            welch_psd(iq, 1 << 15, overlap=0.9)[1], awgn(iq, 3.0, seed=9).samples,
+            np.array([iq.mean_power]))
 
 
 @pytest.mark.parametrize("sf, oversample, n_blocks", CASES)
@@ -167,7 +172,7 @@ def test_a_nan_in_any_range_raises_the_same_error(cpus, index):
         demodulate_stream(IqBuffer(samples, fs=iq.fs), p)
 
 
-def test_public_functions_run_on_the_calling_thread_only(cpus, monkeypatch):
+def test_public_functions_run_on_the_calling_thread_only(cpus, monkeypatch, tmp_path):
     threads = set()
 
     def recording(fn):
@@ -186,6 +191,7 @@ def test_public_functions_run_on_the_calling_thread_only(cpus, monkeypatch):
             if id(value) in wrappers and value is originals[id(value)]:
                 monkeypatch.setattr(namespace, name, wrappers[id(value)])
     monkeypatch.setattr(IqBuffer, "__post_init__", recording(IqBuffer.__post_init__))
+    monkeypatch.setattr(IqBuffer, "mean_power", property(recording(IqBuffer.mean_power.fget)))
     assert len(originals) > 20
 
     cpus(4)
@@ -194,6 +200,9 @@ def test_public_functions_run_on_the_calling_thread_only(cpus, monkeypatch):
     lorachirp.demodulate_stream(iq, p)
     lorachirp.welch_psd(iq, 256)
     lorachirp.awgn(iq, 0.0, seed=1)
+    assert iq.mean_power > 0
+    lorachirp.write_iq(iq, tmp_path / "sig.iq")
+    assert len(lorachirp.read_iq(tmp_path / "sig.iq")) == len(iq)
     assert threads == {threading.get_ident()}
     assert any(t.name.startswith("lorachirp") for t in threading.enumerate())
 
@@ -228,6 +237,123 @@ def test_welch_memory_does_not_grow_with_the_number_of_blocks(cpus):
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, (1 << 16) - 1, 1 << 16,
+                               (1 << 16) + 1, (1 << 17) + 8, 5 * (1 << 16) + 13])
+def test_mean_power_equals_numpy_mean_bit_for_bit(cpus, n):
+    rng = np.random.default_rng(n)
+    # adding the values in another order than numpy's pairwise tree changes
+    # the last bits of the sum for some of these draws, not for all
+    for _ in range(4):
+        samples = rng.standard_normal(2 * n).view(complex) * np.exp(rng.uniform(-3, 3, n))
+        expected = float(np.mean(np.abs(samples) ** 2)) if n else 0.0
+        iq = IqBuffer._adopt(samples, fs=1.0)
+        for n_cpus in (1, 2, 3, 7):
+            cpus(n_cpus)
+            assert iq.mean_power == expected
+
+
+@pytest.mark.parametrize("n", [9, (1 << 16) + 1, 5 * (1 << 16) + 13])
+def test_mean_power_gives_nan_for_nan_and_inf_for_overflow_without_a_warning(cpus, n):
+    cpus(3)
+    samples = np.ones(n, dtype=complex)
+    samples[-1] = np.nan  # in the last range's last block
+    assert np.isnan(IqBuffer(samples, fs=1.0).mean_power)
+    samples[-1] = 1e200  # |x|^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a worker's warning would raise through _map_chunks
+        assert IqBuffer(samples, fs=1.0).mean_power == np.inf
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_mean_power_needs_no_full_size_scratch(cpus, n_cpus):
+    cpus(n_cpus)
+    n = 1 << 21
+    iq = IqBuffer._adopt(np.ones(n, dtype=complex), fs=1.0)
+    assert iq.mean_power == 1.0  # also starts the pool outside the measurement
+    tracemalloc.start()
+    try:
+        iq.mean_power
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # |x|^2 of the whole buffer takes 8*n = 16 MB
+
+
+@pytest.mark.parametrize("n_blocks", [1, 5.3])
+def test_iq_files_are_the_same_on_one_cpu_and_several(cpus, tmp_path, n_blocks):
+    _, iq = _stream(7, 2, n_blocks)
+    cpus(1)
+    serial_path = tmp_path / "serial.iq"
+    write_iq(iq, serial_path)
+    serial = read_iq(serial_path).samples
+    for n_cpus in (2, 3, 7):
+        cpus(n_cpus)
+        path = tmp_path / f"{n_cpus}.iq"
+        write_iq(iq, path)
+        assert path.read_bytes() == serial_path.read_bytes()
+        assert np.array_equal(read_iq(path).samples, serial)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_iq_files_reject_a_bad_last_block_or_a_truncated_payload(cpus, tmp_path, n_cpus):
+    cpus(n_cpus)
+    _, iq = _stream(7, 2, 5.3)
+    path = tmp_path / "sig.iq"
+    write_iq(iq, path)
+    raw = np.fromfile(path, dtype="<f4")
+    raw[-1] = np.nan
+    raw.tofile(path)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        read_iq(path)
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ValueError, match="^truncated IQ capture"):
+        read_iq(path)
+    samples = iq.samples.copy()
+    bad_path = tmp_path / "bad.iq"
+    for bad in (complex(1.0, np.inf), complex(4e38, 0.0)):  # 4e38 overflows float32
+        samples[-1] = bad
+        with pytest.raises(ValueError, match="^cannot write IQ capture"):
+            write_iq(IqBuffer(samples, fs=iq.fs), bad_path)
+        assert not bad_path.exists()
+
+
+def test_a_short_read_raises_an_os_error_naming_the_capture(cpus, tmp_path, monkeypatch):
+    cpus(3)
+    _, iq = _stream(7, 2, 5.3)
+    path = tmp_path / "sig.iq"
+    write_iq(iq, path)
+    sidecar = tmp_path / "sig.iq.json"
+    doc = json.loads(sidecar.read_text())
+    del doc["num_samples"]
+    sidecar.write_text(json.dumps(doc))
+    fstat = os.fstat
+
+    def fstat_one_sample_longer(fd):
+        st = fstat(fd)
+        return os.stat_result(st[:6] + (st.st_size + 8,) + st[7:])
+
+    monkeypatch.setattr(os, "fstat", fstat_one_sample_longer)
+    with pytest.raises(OSError, match=f"^cannot read IQ capture {re.escape(str(path))}: "):
+        read_iq(path)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_read_iq_needs_no_full_size_scratch(cpus, tmp_path, n_cpus):
+    cpus(n_cpus)
+    n = 1 << 21
+    path = tmp_path / "sig.iq"
+    write_iq(IqBuffer._adopt(np.full(n, 1.0 + 0.5j), fs=1.0), path)
+    read_iq(path)  # starts the pool outside the measurement
+    tracemalloc.start()
+    try:
+        back = read_iq(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(back.samples == 1.0 + 0.5j)
+    assert peak < 16 * n + (4 << 20)  # the samples, plus the payload's 8*n if read whole
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")

@@ -1,3 +1,5 @@
+import enum
+import re
 from functools import partial
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from lorachirp import (IqBuffer, IqFileHeader, LoraParams, instantaneous_frequency,
                        mean_envelope_magnitude, modulate, payload_to_symbols,
                        phase, waveform_at)
+from lorachirp.params import validate_symbol
 from lorachirp.waveform import _sample_symbols
 from oracles import chip_rate_samples, mean_power_quadrature
 
@@ -131,6 +134,31 @@ def test_modulate_rejects_bad_symbol_anywhere(bad, position):
     symbols[position] = bad
     with pytest.raises(ValueError, match="symbol"):
         modulate(P_SF3, symbols)
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 2.0, 2 ** 63, np.uint64(2 ** 63),
+                                 np.int64(-1), P_SF3.m],
+                         ids=["bool", "np.bool_", "float", "2**63", "uint64-2**63", "int64--1",
+                              "M"])
+@pytest.mark.parametrize("position", [0, 50, -1], ids=["first", "middle", "last"])
+def test_modulate_raises_validate_symbols_message_for_the_first_bad_symbol(bad, position):
+    symbols = [3, 5, 7] * 33 + [1]
+    symbols[position] = bad
+    if position != -1:
+        symbols[-1] = -5  # a later bad symbol is not the one named
+    with pytest.raises(ValueError) as expected:
+        validate_symbol(P_SF3, bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        modulate(P_SF3, symbols)
+
+
+def test_modulate_accepts_int_enum_members_and_iterators():
+    class Symbols(enum.IntEnum):
+        FIVE = 5
+
+    expected = modulate(P_SF3, [3, 5, 7]).samples
+    for symbols in ([3, Symbols.FIVE, np.int16(7)], iter([3, 5, 7]), (a for a in (3, 5, 7))):
+        np.testing.assert_array_equal(modulate(P_SF3, symbols).samples, expected)
 
 
 def test_baseband_waveform_rejects_bad_oversample():
