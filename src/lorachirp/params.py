@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,19 +53,6 @@ def _forget_pool_in_child() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_in_child)
-
-
-def _submit(fn, *args) -> Future:
-    """fn(*args) on a worker thread; with one CPU it runs inline and the
-    returned future is already done."""
-    if _cpu_count() > 1:
-        return _executor().submit(fn, *args)
-    done = Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
 
 
 def _map_chunks(fn, n_blocks: int) -> list:

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _map_chunks,
-                     _power_ratio, _submit)
+from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _map_chunks, _power_ratio
 from .waveform import _sample_symbols
+
+# awgn draws one seeded noise stream per block of this many samples.  The
+# length is part of the definition of awgn's output: changing it changes the
+# noise for every seed.
+_NOISE_BLOCK_SAMPLES = 1 << 16
 
 
 def _dechirp_reference(p: LoraParams) -> np.ndarray:
@@ -90,12 +94,25 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
 
     The noise variance per complex sample is P/10^(snr_db/10) where P is
     the buffer's mean sample power (gamma^2 for synthesized streams),
-    split equally between the quadratures.  Noise is drawn from
-    numpy's PCG64 generator seeded with `seed`, so equal seeds give
-    identical output, whatever the number of CPUs.
+    split equally between the quadratures.
+
+    The noise is defined block by block, and the block length of 2^16
+    samples is part of that definition: block i holds samples
+    i*2^16 .. (i+1)*2^16 - 1 (the last one may hold fewer, n_i), and its
+    noise is the 2*n_i values of
+    Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).standard_normal,
+    taken as interleaved real and imaginary parts and scaled by
+    sqrt(variance/2).  So a block's noise depends only on `seed` and i,
+    and the output only on the samples, `snr_db` and `seed`, never on the
+    number of CPUs the blocks are shared among.  `seed` must be a
+    non-negative integer.  Versions before this definition drew one
+    stream per quadrature, so they give other noise for the same seed.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     ratio = _power_ratio(snr_db, "snr_db")
     power = iq.mean_power
     if not np.isfinite(power):
@@ -104,29 +121,22 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     nvar = power / ratio
     if not np.isfinite(nvar):
         raise ValueError(f"snr_db = {snr_db!r} gives a noise variance that is not finite")
-    rng = np.random.default_rng(seed)
     scale = np.sqrt(nvar / 2.0)
-
-    def add_noise(dst, src, noise):
-        noise *= scale
-        np.add(src, noise, out=dst)
-
+    n = len(iq)
     out = np.empty_like(iq.samples)
-    ring = [np.empty(min(len(iq), _BLOCK_SAMPLES)) for _ in range(3)]
-    pending = []
-    # both parts are drawn here, real part first, block after block of one
-    # seeded stream, which gives the same numbers as one full-length draw
-    # per part; a worker scales each block and adds it to the samples while
-    # the next is drawn, and a ring buffer is reused once its block is added
-    for src, dst in ((iq.samples.real, out.real), (iq.samples.imag, out.imag)):
-        for start in range(0, len(iq), _BLOCK_SAMPLES):
-            block = slice(start, start + _BLOCK_SAMPLES)
-            if len(pending) == len(ring):
-                pending.pop(0).result()
-            noise = ring[0][:len(src[block])]
-            ring.append(ring.pop(0))
+
+    def add_noise(blocks: range) -> tuple:
+        # one float64 scratch per range, reused for every block's I/Q draw
+        scratch = np.empty(2 * min(n, _NOISE_BLOCK_SAMPLES))
+        for i in blocks:
+            lo, hi = i * _NOISE_BLOCK_SAMPLES, min(n, (i + 1) * _NOISE_BLOCK_SAMPLES)
+            noise = scratch[:2 * (hi - lo)]
+            # default_rng of a SeedSequence is Generator(PCG64(...))
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             rng.standard_normal(out=noise)
-            pending.append(_submit(add_noise, dst[block], src[block], noise))
-    for future in pending:
-        future.result()
+            noise *= scale
+            np.add(iq.samples[lo:hi], noise.view(np.complex128), out=out[lo:hi])
+        return ()
+
+    _map_chunks(add_noise, -(-n // _NOISE_BLOCK_SAMPLES))
     return IqBuffer._adopt(out, fs=iq.fs, t0=iq.t0)

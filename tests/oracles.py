@@ -12,6 +12,7 @@ the factorized lattice sums.
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import i0e
 
 from lorachirp import (LoraParams, Symbol, validate_symbol, waveform_at,
                        waveform_fourier_transform)
@@ -157,3 +158,29 @@ def numeric_cross_correlation_matrix(p: LoraParams, steps: int,
             X[a] = waveform_at(p, a, tc)
         G += (X * w[start:start + chunk]) @ X.conj().T
     return G * (p.ts / steps) / (p.ts * p.gamma ** 2)
+
+
+def noncoherent_orthogonal_ser(m: int, snr: float) -> float:
+    """Symbol error rate of the optimal noncoherent detector of m equally
+    likely, equal-energy orthogonal signals in complex white Gaussian noise:
+
+        Pe = 1 - int_0^inf r e^{-(r^2 + 2g)/2} I0(sqrt(2g) r) (1 - e^{-r^2/2})^{m-1} dr
+
+    with g = Es/N0 = m * snr, snr being the per-sample SNR of a symbol of m
+    chip samples.  e^{-(r^2 + 2g)/2} I0(a r) is rewritten as
+    e^{-(r - a)^2/2} i0e(a r), a = sqrt(2g), which cannot overflow.  The
+    first factor is the Rician density of the correct bin's magnitude and
+    integrates to 1, so Pe is integrated directly as its product with
+    1 - (1 - e^{-r^2/2})^{m-1}, the chance that one of the m - 1 other
+    bins is larger; that keeps small error rates accurate.
+    """
+    a = np.sqrt(2.0 * m * snr)
+
+    def integrand(r: float) -> float:
+        tail = np.exp(-r * r / 2)
+        wrong = 1.0 if tail == 1.0 else -np.expm1((m - 1) * np.log1p(-tail))
+        return r * np.exp(-(r - a) ** 2 / 2) * i0e(a * r) * wrong
+
+    edges = sorted({0.0, float(np.sqrt(2 * np.log(m))), float(a), float(a) + 40.0})
+    return sum(quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges, edges[1:]))

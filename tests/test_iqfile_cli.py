@@ -562,6 +562,16 @@ def test_cli_rejects_capture_with_nan(tmp_path, capsys, iq, command):
     assert not out.exists()
 
 
+def test_cli_exits_1_without_a_traceback_when_memory_runs_out(tmp_path, capsys):
+    # the sample times alone would take 90.9 PiB
+    path = tmp_path / "x.iq"
+    assert main(["modulate", "--sf", "7", "--bw", "125e3", "--symbols", "1",
+                 "--oversample", "100000000000000", "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_cli_errors_are_nonzero(tmp_path, capsys):
     assert main(["demod", "--sf", "7", "--bw", "125e3",
                  "--in", str(tmp_path / "missing.iq")]) == 1

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorachirp import IqBuffer, LoraParams, awgn, dechirp, demodulate_stream, modulate
 from lorachirp.params import _BLOCK_SAMPLES
+from oracles import noncoherent_orthogonal_ser
 
 P7 = LoraParams(sf=7, b=125e3)
 
@@ -135,14 +138,29 @@ def test_awgn_is_deterministic_under_seed():
 
 
 def test_awgn_equals_the_complex_noise_formula():
-    # the same two PCG64 draws, real part first, scaled and added
-    iq = modulate(P7, [3, 90, 127, 0], oversample=2)
-    out = awgn(iq, -7.5, seed=2024)
-    rng = np.random.default_rng(2024)
-    n = len(iq)
-    scale = np.sqrt(iq.mean_power / 10.0 ** (-7.5 / 10.0) / 2.0)
-    expected = iq.samples + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    np.testing.assert_array_equal(out.samples, expected)
+    # one PCG64 stream per block of 2^16 samples, spawned from the seed with
+    # the block index as its key; its 2*n_i normals are the interleaved real
+    # and imaginary parts, scaled and added
+    stream = modulate(P7, np.arange(5 * 2**15 // 256) % P7.m, oversample=2)
+    for n in (1, 2**16 - 1, 2**16, 2**16 + 1, 5 * 2**15):
+        iq = IqBuffer(stream.samples[:n], fs=stream.fs)
+        out = awgn(iq, -7.5, seed=2024)
+        scale = np.sqrt(iq.mean_power / 10.0 ** (-7.5 / 10.0) / 2.0)
+        expected = []
+        for i, lo in enumerate(range(0, n, 2**16)):
+            block = iq.samples[lo:lo + 2**16]
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2024,
+                                                                             spawn_key=(i,))))
+            expected.append(block + scale * rng.standard_normal(2 * len(block)).view(complex))
+        np.testing.assert_array_equal(out.samples, np.concatenate(expected), err_msg=f"n = {n}")
+
+
+def test_awgn_noise_of_a_block_depends_only_on_the_seed_and_its_index():
+    samples = np.full(3 * 2**16 + 5, 0.6 + 0.8j)  # the same mean power at every length
+    whole = awgn(IqBuffer(samples, fs=1.0), 2.0, seed=77).samples
+    for k in (2**16, 2 * 2**16, 3 * 2**16):
+        np.testing.assert_array_equal(awgn(IqBuffer(samples[:k], fs=1.0), 2.0, seed=77).samples,
+                                      whole[:k])
 
 
 def test_awgn_very_high_snr_is_identity():
@@ -191,8 +209,49 @@ def test_awgn_rejects_non_integer_seed(seed):
         awgn(iq, 10.0, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-5), -2**70])
+def test_awgn_rejects_a_negative_seed_before_reading_the_samples(seed):
+    # NaN samples would fail the mean-power check, so the seed is checked first
+    with pytest.raises(ValueError, match="^seed must be non-negative"):
+        awgn(IqBuffer(np.array([1.0, np.nan]), fs=1.0), 10.0, seed=seed)
+
+
 def test_high_snr_monte_carlo_is_error_free(rng):
     symbols = [int(s) for s in rng.integers(0, P7.m, 2000)]
     iq = modulate(P7, symbols, oversample=1)
     noisy = awgn(iq, 20.0, seed=7)
     assert demodulate_stream(noisy, P7) == symbols
+
+
+def _alternating_ser(m: int, snr: float) -> float:
+    """The textbook finite sum for the same error rate; it cancels
+    catastrophically for large m, so it serves only as a check at small m."""
+    g = m * snr
+    return math.fsum((-1) ** (k + 1) * math.comb(m - 1, k) / (k + 1) * math.exp(-k * g / (k + 1))
+                     for k in range(1, m))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+@pytest.mark.parametrize("snr_db", [-10.0, -5.0, 0.0, 5.0, 10.0])
+def test_ser_integral_matches_the_alternating_sum_at_small_m(m, snr_db):
+    snr = 10.0 ** (snr_db / 10.0)
+    assert abs(noncoherent_orthogonal_ser(m, snr) - _alternating_ser(m, snr)) < 1e-12
+
+
+# per-sample SNRs around each spreading factor's waterfall (theory about
+# 0.33, 0.1 and 0.01-0.03); a noise level 1 dB off moves the error rate of
+# every case by more than 4 sigma
+@pytest.mark.parametrize("sf, oversample, n_symbols, snr_db", [
+    (7, 1, 20_000, -13.0), (7, 1, 20_000, -11.0), (7, 1, 20_000, -9.0),
+    (7, 2, 10_000, -11.0),
+    (9, 1, 5_000, -18.0), (9, 1, 5_000, -16.0), (9, 1, 5_000, -15.0),
+    (12, 1, 1_000, -26.0), (12, 1, 1_000, -24.5), (12, 1, 1_000, -23.5)])
+def test_simulated_ser_is_within_4_sigma_of_theory(sf, oversample, n_symbols, snr_db):
+    # decimation keeps the per-sample SNR, so oversampling leaves the theory as it is
+    p = LoraParams(sf=sf, b=125e3)
+    symbols = np.random.default_rng(sf).integers(0, p.m, n_symbols)
+    noisy = awgn(modulate(p, symbols, oversample), snr_db, seed=1000 + sf)
+    ser = np.mean(np.array(demodulate_stream(noisy, p)) != symbols)
+    theory = noncoherent_orthogonal_ser(p.m, 10.0 ** (snr_db / 10.0))
+    sigma = math.sqrt(theory * (1 - theory) / n_symbols)
+    assert abs(ser - theory) < 4 * sigma, (ser, theory, sigma)
