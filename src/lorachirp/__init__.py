@@ -3,8 +3,8 @@ receiver, closed-form cross-correlations and exact power spectra."""
 
 from .analysis import (BinnedSpectrum, MaskReport, MaskSegment, MaskSpec,
                        TableRow, bin_estimate, binned_power, bit_rate,
-                       chip_rate, mask_check, occupied_bandwidth,
-                       reproduce_table, spectral_efficiency, welch_psd)
+                       mask_check, occupied_bandwidth, reproduce_table,
+                       spectral_efficiency, welch_psd)
 from .correlation import (MaxCorrelation, correlation_bound,
                           correlation_matrix, cross_correlation,
                           max_cross_correlation, orthogonality_offsets,
@@ -24,7 +24,7 @@ __all__ = [
     "BinnedSpectrum", "IqBuffer", "IqFileHeader", "LoraParams",
     "MaskReport", "MaskSegment", "MaskSpec", "MaxCorrelation",
     "SpectrumResult", "Symbol", "TableRow", "awgn", "bin_estimate",
-    "binned_power", "bit_rate", "chip_rate", "correlation_bound",
+    "binned_power", "bit_rate", "correlation_bound",
     "correlation_matrix", "cross_correlation", "dechirp",
     "demodulate_stream", "discrete_spectrum_lines", "fresnel_spectrum",
     "instantaneous_frequency", "mask_check", "max_cross_correlation",

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import max_cross_correlation, snr_penalty_db
 from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _map_chunks
@@ -25,11 +24,6 @@ _TINY = 1e-30
 def bit_rate(p: LoraParams) -> float:
     """Bit rate R_b = B * SF / 2^SF in bit/s."""
     return p.b * p.sf / p.m
-
-
-def chip_rate(p: LoraParams) -> float:
-    """Chip rate R_c = M/Ts = B in Hz."""
-    return p.b
 
 
 def spectral_efficiency(sf: int) -> float:
@@ -378,18 +372,25 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     if noverlap >= segment_len:
         noverlap = segment_len - 1
     w = _cosine_window(window, segment_len)
-    segments = sliding_window_view(iq.samples, segment_len)[::segment_len - noverlap]
+    hop = segment_len - noverlap
+    n_segments = (len(iq) - segment_len) // hop + 1
     per_block = max(1, _BLOCK_SAMPLES // segment_len)
 
     def block_powers(first: int, blocks: range) -> list[np.ndarray]:
         # per-range scratch reused through out=, as in demodulate_stream
-        windowed = np.empty((min(per_block, len(segments)), segment_len), dtype=np.complex128)
+        windowed = np.empty((min(per_block, n_segments), segment_len), dtype=np.complex128)
         spec = np.empty_like(windowed)
+        scratch = iq._scratch((len(windowed) - 1) * hop + segment_len)
         rows = []
         for i in blocks:
             start = (first + i) * per_block
-            k = len(segments[start:start + per_block])
-            np.multiply(segments[start:start + k], w, out=windowed[:k])
+            k = min(per_block, n_segments - start)
+            # the samples under segments start .. start+k-1, seen as those
+            # segments (far cheaper per block than sliding_window_view)
+            block = iq._block(start * hop, (start + k - 1) * hop + segment_len, scratch)
+            segments = np.ndarray((k, segment_len), block.dtype, block,
+                                  strides=(hop * block.itemsize, block.itemsize))
+            np.multiply(segments, w, out=windowed[:k])
             np.fft.fft(windowed[:k], axis=-1, out=spec[:k])
             rows.append(np.einsum("ij,ij->j", spec[:k].real, spec[:k].real)
                         + np.einsum("ij,ij->j", spec[:k].imag, spec[:k].imag))
@@ -397,14 +398,14 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
 
     # the blocks' sums of |X|^2 are added in block order, as in one serial
     # pass; waves of blocks bound how many sums wait to be added at once
-    n_blocks = -(-len(segments) // per_block)
+    n_blocks = -(-n_segments // per_block)
     wave = max(_cpu_count(), 16 * _BLOCK_SAMPLES // segment_len)
     power = np.zeros(segment_len)
     for first in range(0, n_blocks, wave):
         for row in _map_chunks(functools.partial(block_powers, first),
                                min(wave, n_blocks - first)):
             power += row
-    pxx = np.fft.fftshift(power / (len(segments) * iq.fs * np.sum(w ** 2)))
+    pxx = np.fft.fftshift(power / (n_segments * iq.fs * np.sum(w ** 2)))
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / iq.fs))
     integral = np.trapezoid(pxx, freqs)
     if integral > 0:

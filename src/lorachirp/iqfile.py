@@ -36,6 +36,12 @@ class IqFileHeader:
             raise ValueError(f"center_freq must be a finite number, got {self.center_freq}")
 
 
+# 2^128 - 2^103: the midpoint between FLT_MAX = 2^128 - 2^104 and 2^128.  A
+# float64 below it in magnitude rounds to a finite float32; at or above it,
+# to infinity.
+_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
+
+
 def _all_finite_f32(raw: np.ndarray) -> bool:
     """True when no value of the float32 array raw is NaN or infinite."""
     # a float64 sum of finite float32 values cannot overflow; +inf with -inf
@@ -57,29 +63,36 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     header that was written.  A sample whose I or Q is NaN, infinite or
     (in the binary format) beyond the float32 range raises ValueError
     before anything is written, since read_iq would reject the capture.
-    The float32 narrowing and its check run in blocks shared among the
-    CPUs of the affinity mask.
+    In the binary format the check, and then the narrowing and writing,
+    run in blocks shared among the CPUs of the affinity mask; no
+    full-size copy of the samples is made.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
     header = IqFileHeader(format=fmt, fs=buffer.fs, center_freq=center_freq,
                           description=description)
-    if fmt == FORMAT_F32:
-        # complex128 is stored as I, Q float64 pairs: narrowing them interleaves
-        values = buffer.samples.view(np.float64)
-        raw = np.empty(len(values), dtype="<f4")
-        step = 2 * _BLOCK_SAMPLES
+    n = len(buffer)
+    n_blocks = -(-n // _BLOCK_SAMPLES)
 
-        def narrow(blocks: range) -> list[bool]:
+    def blocks_in(blocks: range):
+        """(lo, hi, samples[lo:hi]) of each block, through one scratch."""
+        scratch = buffer._scratch(min(n, _BLOCK_SAMPLES))
+        for i in blocks:
+            lo, hi = i * _BLOCK_SAMPLES, min(n, (i + 1) * _BLOCK_SAMPLES)
+            yield lo, hi, buffer._block(lo, hi, scratch)
+
+    if fmt == FORMAT_F32:
+        def narrows(blocks: range) -> list[bool]:
+            # complex128 is stored as I, Q float64 pairs; NaN fails both
+            # comparisons
             finite = []
-            for i in blocks:
-                block = slice(i * step, (i + 1) * step)
-                with np.errstate(over="ignore"):  # too large for float32: reported below
-                    np.copyto(raw[block], values[block])
-                finite.append(_all_finite_f32(raw[block]))
+            for _, _, block in blocks_in(blocks):
+                values = block.view(np.float64)
+                finite.append(bool(np.maximum.reduce(values) < _F32_OVERFLOW
+                                   and np.minimum.reduce(values) > -_F32_OVERFLOW))
             return finite
 
-        finite = all(_map_chunks(narrow, -(-len(values) // step)))
+        finite = all(_map_chunks(narrows, n_blocks))
     else:
         finite = np.isfinite(buffer.samples).all()
     if not finite:
@@ -87,7 +100,21 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
                          "infinite or too large for float32")
     try:
         if fmt == FORMAT_F32:
-            raw.tofile(path)
+            path.open("wb").close()
+
+            def write(blocks: range) -> tuple:
+                # each range narrows its blocks into one reused scratch and
+                # writes them through its own handle, from its first block on
+                raw = np.empty(2 * min(n, _BLOCK_SAMPLES), dtype="<f4")
+                with path.open("r+b") as fh:
+                    fh.seek(8 * _BLOCK_SAMPLES * blocks.start)
+                    for lo, hi, block in blocks_in(blocks):
+                        out = raw[:2 * (hi - lo)]
+                        np.copyto(out, block.view(np.float64))
+                        fh.write(out)
+                return ()
+
+            _map_chunks(write, n_blocks)
         else:
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -99,7 +126,7 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
             "fs_hz": header.fs,
             "center_freq_hz": header.center_freq,
             "description": header.description,
-            "num_samples": len(buffer),
+            "num_samples": n,
         }, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing IQ capture {path}: {exc}") from exc

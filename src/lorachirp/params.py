@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -79,6 +80,11 @@ def _map_chunks(fn, n_blocks: int) -> list:
     return results
 
 
+def _finite_normal(x: float) -> bool:
+    """True when x is finite and nonzero and not subnormal."""
+    return math.isfinite(x) and abs(x) >= sys.float_info.min
+
+
 @dataclass(frozen=True)
 class LoraParams:
     """Frequency-shift chirp modulation configuration.
@@ -106,6 +112,10 @@ class LoraParams:
             raise ValueError(f"sf must be in [1, 16], got {self.sf}")
         if not (np.isfinite(self.b) and self.b > 0):
             raise ValueError(f"b must be finite and positive, got {self.b}")
+        if not (_finite_normal(1.0 / float(self.b))
+                and _finite_normal((1 << self.sf) / float(self.b))):
+            raise ValueError(f"b = {self.b} Hz gives a chip duration 1/b or symbol "
+                             "duration M/b that is not a finite normal float")
         if not (np.isfinite(self.f0) and self.f0 >= 0):
             raise ValueError(f"f0 must be finite and nonnegative, got {self.f0}")
         if not (np.isfinite(self.ps) and self.ps > 0):
@@ -165,13 +175,15 @@ def _check_fs(fs) -> None:
 class IqBuffer:
     """Uniformly sampled complex baseband signal.
 
-    samples: 1-D complex array, made read-only on construction
+    samples: 1-D complex128 array, read-only
     fs:      sample rate in Hz
     t0:      start time in seconds of samples[0]
 
     The constructor copies `samples`, so the caller's array stays its own.
     Buffers that library functions return hold arrays those functions have
-    just built; they are adopted read-only without a copy (`_adopt`).
+    just built; they are adopted read-only without a copy (`_adopt`), or
+    are lazy (`_lazy`): their samples are gathered block by block on
+    demand, and `samples` is built in full only when it is first read.
     """
 
     samples: np.ndarray
@@ -191,24 +203,73 @@ class IqBuffer:
         """Wrap a freshly built 1-D contiguous complex128 array without
         copying it, and make it read-only.  The caller must hold no other
         reference through which the array is written later."""
-        _check_fs(fs)
         if not (samples.dtype == np.complex128 and samples.ndim == 1
                 and samples.flags.c_contiguous):
             raise ValueError("adopted samples must be a 1-D contiguous complex128 array, "
                              f"got {samples.dtype} with shape {samples.shape}")
         samples.setflags(write=False)
+        return cls._new(fs, t0, samples=samples)
+
+    @classmethod
+    def _lazy(cls, n: int, fill, fs: float, t0: float = 0.0) -> IqBuffer:
+        """A buffer of n samples that are never stored whole unless
+        `samples` is read: fill(lo, hi, out) writes samples[lo:hi] into the
+        complex128 array out of length hi - lo, for any 0 <= lo < hi <= n,
+        and must give the same values every time it is called."""
+        return cls._new(fs, t0, _lazy=(n, fill, threading.Lock()))
+
+    @classmethod
+    def _new(cls, fs: float, t0: float, **state) -> IqBuffer:
+        """A buffer with the given instance state, made without __post_init__."""
+        _check_fs(fs)
         buf = object.__new__(cls)
-        for name, value in (("samples", samples), ("fs", fs), ("t0", t0)):
-            object.__setattr__(buf, name, value)
+        buf.__dict__.update(state, fs=fs, t0=t0)
         return buf
 
+    def __getattr__(self, name):
+        # reached only for a name missing from the instance dict, as
+        # `samples` is until a lazy buffer has built it there
+        if name == "samples":
+            lazy = self.__dict__.get("_lazy")
+            if lazy is not None:
+                n, fill, lock = lazy
+                with lock:  # one thread builds the samples, the others wait
+                    if "samples" not in self.__dict__:
+                        samples = np.empty(n, dtype=np.complex128)
+                        fill(0, n, samples)
+                        samples.setflags(write=False)
+                        self.__dict__["samples"] = samples
+                        del self.__dict__["_lazy"]  # frees what fill holds
+            if "samples" in self.__dict__:
+                return self.__dict__["samples"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self):
+        return {"samples": self.samples, "fs": self.fs, "t0": self.t0}
+
+    def _scratch(self, size: int) -> np.ndarray | None:
+        """Scratch of `size` samples for `_block`, or None when the buffer
+        holds its samples, so that only a lazy buffer's passes allocate."""
+        return np.empty(size, dtype=np.complex128) if "_lazy" in self.__dict__ else None
+
+    def _block(self, lo: int, hi: int, scratch: np.ndarray | None) -> np.ndarray:
+        """samples[lo:hi] without building a lazy buffer's samples: a view
+        when the buffer holds them, else gathered into scratch[:hi - lo]."""
+        lazy = self.__dict__.get("_lazy")
+        if lazy is None:
+            return self.samples[lo:hi]
+        out = scratch[:hi - lo]
+        lazy[1](lo, hi, out)
+        return out
+
     def __len__(self) -> int:
-        return len(self.samples)
+        lazy = self.__dict__.get("_lazy")
+        return lazy[0] if lazy is not None else len(self.samples)
 
     @property
     def duration(self) -> float:
         """Buffer length in seconds."""
-        return len(self.samples) / self.fs
+        return len(self) / self.fs
 
     @property
     def mean_power(self) -> float:
@@ -217,7 +278,7 @@ class IqBuffer:
         temporary: the sum is split into blocks along numpy's own pairwise
         summation tree, the blocks are summed on every CPU and their sums
         added back along the same tree."""
-        n = len(self.samples)
+        n = len(self)
         if n == 0:
             return 0.0
         leaves = []
@@ -239,12 +300,13 @@ class IqBuffer:
 
         def block_sums(blocks: range) -> list[float]:
             power = np.empty(min(n, _BLOCK_SAMPLES))
+            scratch = self._scratch(len(power))
             sums = []
             with np.errstate(over="ignore"):  # huge samples give inf, not a warning
                 for i in blocks:
                     lo, hi = leaves[i]
                     block = power[:hi - lo]
-                    np.abs(self.samples[lo:hi], out=block)
+                    np.abs(self._block(lo, hi, scratch), out=block)
                     np.square(block, out=block)
                     sums.append(float(np.add.reduce(block)))
             return sums

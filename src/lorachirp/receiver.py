@@ -74,9 +74,10 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
         rows = np.empty((rows_per_block, p.m), dtype=np.complex128)
         spec = np.empty_like(rows)
         mag = np.empty(rows.shape)
+        scratch = iq._scratch(min(step, len(iq)))
         symbols = []
         for i in blocks:
-            block = iq.samples[i * step:(i + 1) * step]
+            block = iq._block(i * step, min(len(iq), (i + 1) * step), scratch)
             if not np.isfinite(block, out=finite[:len(block)]).all():
                 raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
             chips = block[::r].reshape(-1, p.m)
@@ -123,7 +124,7 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
         raise ValueError(f"snr_db = {snr_db!r} gives a noise variance that is not finite")
     scale = np.sqrt(nvar / 2.0)
     n = len(iq)
-    out = np.empty_like(iq.samples)
+    out = np.empty(n, dtype=np.complex128)
 
     def add_noise(blocks: range) -> tuple:
         # one float64 scratch per range, reused for every block's I/Q draw
@@ -135,7 +136,8 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             rng.standard_normal(out=noise)
             noise *= scale
-            np.add(iq.samples[lo:hi], noise.view(np.complex128), out=out[lo:hi])
+            # a lazy buffer gathers the block straight into the output
+            np.add(iq._block(lo, hi, out[lo:hi]), noise.view(np.complex128), out=out[lo:hi])
         return ()
 
     _map_chunks(add_noise, -(-n // _NOISE_BLOCK_SAMPLES))

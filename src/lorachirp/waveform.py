@@ -9,13 +9,14 @@ frequency zero (the chirp sweeps [-B/2, B/2)).
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import diric
 
-from .params import IqBuffer, LoraParams, Symbol, validate_symbol
+from .params import IqBuffer, LoraParams, Symbol, _finite_normal, validate_symbol
 
 
 def _as_time_array(t, t_max: float, closed: bool):
@@ -96,6 +97,14 @@ def _sample_symbols(p: LoraParams, a: np.ndarray, oversample: int) -> np.ndarray
     """
     if not isinstance(oversample, (int, np.integer)) or oversample < 1:
         raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
+    try:
+        rate = int(oversample) * float(p.b)
+    except OverflowError:
+        rate = math.inf
+    if not (_finite_normal(rate) and _finite_normal(1.0 / rate)):
+        raise ValueError(f"oversample = {oversample} with b = {p.b} Hz gives a sample rate "
+                         "oversample*b or sample period 1/(oversample*b) that is not a "
+                         "finite normal float")
     phases = _base_phase_windows(p, int(oversample))[a * oversample]
     # a*(M - a) mod 2M keeps the rotation angle exact for every a
     phases += (np.pi * ((a * (p.m - a)) % (2 * p.m)) / p.m)[:, None]
@@ -128,14 +137,43 @@ def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> I
     grid t_k = k*Ts/(oversample*M), oversample*M samples at rate
     oversample*B with none at t = Ts; modulate(p, [a]) gives the
     chip-rate samples of symbol a that the receiver works on.
+
+    The buffer holds one sampled row per distinct symbol and the index of
+    each symbol's row.  The library's passes gather the stream from them
+    block by block; `samples` builds it whole on first access.
     """
     a = _symbol_array(p, symbols)
     if len(a) == 0:
         raise ValueError("symbols must be a non-empty sequence")
-    # a stream holds at most M distinct rows: sample each once and gather
+    # a stream holds at most M distinct rows: sample each once, and gather
+    # the rows of the stream block by block only when they are read
     distinct, inverse = np.unique(a, return_inverse=True)
-    rows = _sample_symbols(p, distinct, oversample)[inverse]
-    return IqBuffer._adopt(rows.ravel(), fs=oversample * p.b)
+    table = _sample_symbols(p, distinct, oversample)
+    return IqBuffer._lazy(table.shape[1] * len(a),
+                          functools.partial(_gather_rows, table, inverse),
+                          fs=oversample * p.b)
+
+
+def _gather_rows(table: np.ndarray, rows: np.ndarray, lo: int, hi: int,
+                 out: np.ndarray) -> None:
+    """Write samples lo..hi-1 of the stream table[rows].ravel() into out.
+    Whole rows are gathered in one np.take; a block that starts or ends
+    inside a row copies that row's part on its own."""
+    width = table.shape[1]
+    row, col = divmod(lo, width)
+    done = 0
+    if col:
+        done = min(width - col, hi - lo)
+        out[:done] = table[rows[row], col:col + done]
+        row += 1
+    whole = (hi - lo - done) // width
+    # mode="clip" skips the bounds check, which would buffer `out`;
+    # every entry of rows indexes the table
+    np.take(table, rows[row:row + whole], axis=0, mode="clip",
+            out=out[done:done + whole * width].reshape(whole, width))
+    done += whole * width
+    if done < hi - lo:
+        out[done:] = table[rows[row + whole], :hi - lo - done]
 
 
 def mean_envelope_magnitude(p: LoraParams, t):

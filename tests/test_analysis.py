@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 import lorachirp
 from lorachirp import analysis
 from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec,
-                       bin_estimate, binned_power, bit_rate, chip_rate,
-                       mask_check, modulate, occupied_bandwidth, psd_via_dft,
-                       reproduce_table, spectral_efficiency, welch_psd)
+                       bin_estimate, binned_power, bit_rate, mask_check, modulate,
+                       occupied_bandwidth, psd_via_dft, reproduce_table,
+                       spectral_efficiency, welch_psd)
 
 P7 = LoraParams(sf=7, b=125e3)
 
@@ -21,7 +21,7 @@ P7 = LoraParams(sf=7, b=125e3)
 def test_bit_rate_values():
     assert bit_rate(P7) == pytest.approx(6835.9375)
     assert bit_rate(LoraParams(sf=12, b=125e3)) == pytest.approx(366.2109375)
-    assert chip_rate(P7) == P7.b
+    assert P7.b * P7.tc == 1.0
 
 
 def test_spectral_efficiency_values():

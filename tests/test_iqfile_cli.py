@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,20 @@ def test_cli_modulate_rejects_non_finite_center_frequency(tmp_path, capsys, f0):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--sf", "7", "--bw", "1e-320"], "b = 1e-320 Hz gives a chip duration"),
+    (["--sf", "1", "--bw", "4e307", "--oversample", "5"], "oversample = 5 with b = 4e+307 Hz")],
+    ids=["subnormal-bw", "oversample-overflows"])
+def test_cli_modulate_blames_the_bandwidth_not_the_capture(tmp_path, capsys, argv, named):
+    out = tmp_path / "sig.iq"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["modulate", *argv, "--symbols", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("f0", ["nan", "inf", "-inf"])
 def test_cli_mask_check_rejects_non_finite_carrier(tmp_path, capsys, f0):
     rc = main(["mask-check", "--mask", str(example_mask_path()), f"--f0={f0}",
@@ -526,16 +541,38 @@ def test_read_iq_rejects_non_finite_samples(tmp_path, iq, fmt):
 _HUGE = modulate(LoraParams(sf=5, b=32.0, ps=1e80), [1, 2]).samples
 
 
+# 2^128 - 2^103, halfway between FLT_MAX and 2^128: the smallest float64
+# that rounds to a float32 infinity
+_F32_HALFWAY = 2.0 ** 128 - 2.0 ** 103
+
+
 @pytest.mark.parametrize("fmt, samples", [
     ("interleaved-f32-le", _HUGE), ("interleaved-f32-le", np.array([1.0, complex(0.0, -4e38)])),
-    ("interleaved-f32-le", np.array([1.0, np.nan])), ("csv", np.array([1.0, np.nan])),
-    ("csv", np.array([np.inf, 1.0]))],
-    ids=["huge-power", "q-beyond-float32", "nan", "csv-nan", "csv-inf"])
+    ("interleaved-f32-le", np.array([1.0, np.nan])),
+    ("interleaved-f32-le", np.array([1.0, complex(np.nan, 0.0), 1.0])),
+    ("interleaved-f32-le", np.array([_F32_HALFWAY, 1.0])),
+    ("interleaved-f32-le", np.array([1.0, complex(0.0, -_F32_HALFWAY)])),
+    ("interleaved-f32-le", np.array([complex(0.0, np.inf)])),
+    ("interleaved-f32-le", np.array([complex(-np.inf, 1.0)])),
+    ("csv", np.array([1.0, np.nan])), ("csv", np.array([np.inf, 1.0]))],
+    ids=["huge-power", "q-beyond-float32", "nan", "i-nan", "halfway", "minus-halfway", "inf",
+         "minus-inf", "csv-nan", "csv-inf"])
 def test_write_iq_rejects_samples_its_capture_cannot_hold(tmp_path, fmt, samples):
     path = tmp_path / "sig.iq"
     with pytest.raises(ValueError, match=re.escape(f"cannot write IQ capture {path}:")):
         write_iq(IqBuffer(samples, fs=64.0), path, fmt=fmt)
     assert not path.exists() and not path.with_name("sig.iq.json").exists()
+
+
+def test_write_iq_writes_every_value_that_narrows_to_a_finite_float32(tmp_path):
+    flt_max = float(np.finfo(np.float32).max)
+    below = np.nextafter(_F32_HALFWAY, 0.0)
+    path = tmp_path / "sig.iq"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from the narrowing
+        write_iq(IqBuffer(np.array([complex(flt_max, -flt_max), complex(below, -below)]),
+                          fs=1.0), path)
+    np.testing.assert_array_equal(np.fromfile(path, dtype="<f4"), [flt_max, -flt_max] * 2)
 
 
 def test_cli_modulate_exits_1_when_the_capture_cannot_hold_the_samples(tmp_path, capsys,

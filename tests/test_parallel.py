@@ -1,6 +1,7 @@
 """The blocked passes (demodulate_stream, welch_psd, awgn, mean_power,
-read_iq, write_iq) give the same bits on one CPU and on several, and keep
-their worker threads private."""
+read_iq, write_iq) give the same bits on one CPU and on several, and on a
+lazy modulated buffer as on its samples, and keep their worker threads
+private."""
 import importlib
 import inspect
 import json
@@ -354,6 +355,89 @@ def test_read_iq_needs_no_full_size_scratch(cpus, tmp_path, n_cpus):
         tracemalloc.stop()
     assert np.all(back.samples == 1.0 + 0.5j)
     assert peak < 16 * n + (4 << 20)  # the samples, plus the payload's 8*n if read whole
+
+
+LAZY_CASES = [(sf, oversample, n_blocks) for sf in (3, 7, 9, 12) for oversample in (1, 2, 3, 4)
+              for n_blocks in (1, 2.7, 5)]
+
+
+def _lazy_outputs(p, iq, path):
+    write_iq(iq, path)
+    return (np.array([iq.mean_power]), awgn(iq, -5.0, seed=3).samples,
+            np.frombuffer(path.read_bytes(), np.uint8), np.array(demodulate_stream(iq, p)),
+            welch_psd(iq, 256)[1], welch_psd(iq, 1000, overlap=0.3)[1])
+
+
+@pytest.mark.parametrize("sf, oversample, n_blocks", LAZY_CASES)
+def test_a_lazy_modulated_buffer_gives_the_bits_of_its_samples(cpus, tmp_path, sf, oversample,
+                                                               n_blocks):
+    p = LoraParams(sf=sf, b=125e3)
+    width = oversample * p.m
+    symbols = np.random.default_rng(sf * 10 + oversample).integers(
+        0, p.m, max(1, int(n_blocks * _BLOCK_SAMPLES / width))).tolist()
+    stored = IqBuffer(modulate(p, symbols, oversample).samples, fs=oversample * p.b)
+    for n_cpus in (1, 3):
+        cpus(n_cpus)
+        expected = _lazy_outputs(p, stored, tmp_path / "stored.iq")
+        lazy = modulate(p, symbols, oversample)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(expected, _lazy_outputs(p, lazy, tmp_path / "lazy.iq")))
+        assert "_lazy" in vars(lazy)  # no pass built the whole stream
+
+
+def test_concurrent_first_reads_of_a_lazy_buffer_get_one_array():
+    p = LoraParams(sf=7, b=125e3)
+    symbols = np.random.default_rng(2).integers(0, p.m, 4000).tolist()
+    expected = IqBuffer(modulate(p, symbols).samples, fs=p.b).samples
+    for _ in range(5):
+        lazy = modulate(p, symbols)
+        start = threading.Barrier(2)
+        seen = []
+
+        def read():
+            start.wait(timeout=30)
+            seen.append(lazy.samples)
+
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in readers) and len(seen) == 2
+        assert seen[0] is seen[1] and np.array_equal(seen[0], expected)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_the_link_writes_its_capture_with_one_full_size_array(cpus, tmp_path, n_cpus):
+    cpus(n_cpus)
+    p = LoraParams(sf=7, b=125e3)
+    n = 1 << 21
+    symbols = np.random.default_rng(5).integers(0, p.m, n // p.m).tolist()
+    path = tmp_path / "sig.iq"
+    write_iq(awgn(modulate(p, symbols[:600]), 0.0, seed=1), path)  # starts the pool
+    tracemalloc.start()
+    try:
+        write_iq(awgn(modulate(p, symbols), 0.0, seed=1), path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == 8 * n
+    # awgn's output; the stream itself takes another 16*n, its float32 copy 8*n
+    assert peak < 16 * n + (4 << 20)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_a_bad_last_block_leaves_an_existing_capture_untouched(cpus, tmp_path, n_cpus):
+    cpus(n_cpus)
+    _, iq = _stream(7, 2, 5.3)
+    path = tmp_path / "sig.iq"
+    write_iq(IqBuffer(iq.samples[::-1], fs=iq.fs), path)
+    before = (path.read_bytes(), path.with_name("sig.iq.json").read_bytes())
+    samples = iq.samples.copy()
+    samples[-1] = complex(0.0, 2.0 ** 128 - 2.0 ** 103)  # rounds to a float32 infinity
+    with pytest.raises(ValueError, match="^cannot write IQ capture"):
+        write_iq(IqBuffer(samples, fs=iq.fs), path)
+    assert (path.read_bytes(), path.with_name("sig.iq.json").read_bytes()) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")

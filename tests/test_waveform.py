@@ -1,5 +1,9 @@
+import dataclasses
 import enum
+import pickle
 import re
+import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -224,6 +228,73 @@ def test_iq_buffer_constructor_copies_the_callers_array():
 def test_iq_buffer_adopts_only_1d_contiguous_complex128(samples, fs):
     with pytest.raises(ValueError):
         IqBuffer._adopt(samples, fs=fs)
+
+
+@pytest.mark.parametrize("sf, oversample, n_symbols", [(3, 3, 700), (7, 2, 40), (9, 3, 7),
+                                                       (15, 4, 3)],
+                         ids=["sf3-x3", "sf7-x2", "sf9-x3", "rows-longer-than-a-block"])
+def test_a_modulated_buffer_is_gathered_only_when_its_samples_are_read(sf, oversample,
+                                                                       n_symbols):
+    p = LoraParams(sf=sf, b=125e3)
+    symbols = np.random.default_rng(sf + 10 * oversample).integers(0, p.m, n_symbols)
+    buf = modulate(p, symbols.tolist(), oversample)
+    width = oversample * p.m
+    assert len(buf) == n_symbols * width and buf.duration == len(buf) / buf.fs
+    rng = np.random.default_rng(sf)
+    scratch = buf._scratch(len(buf))
+    edges = [0, 1, width - 1, width, width + 1, len(buf) - 1, len(buf)]
+    blocks = [(lo, hi) for lo in edges for hi in edges if lo < hi]
+    blocks += [tuple(sorted(rng.choice(len(buf) + 1, 2, replace=False))) for _ in range(20)]
+    gathered = [buf._block(lo, hi, scratch).copy() for lo, hi in blocks]
+    assert "_lazy" in vars(buf)  # nothing above built the whole stream
+
+    distinct, inverse = np.unique(symbols, return_inverse=True)
+    expected = _sample_symbols(p, distinct, oversample)[inverse].ravel()
+    samples = buf.samples
+    np.testing.assert_array_equal(samples, expected)
+    assert buf.samples is samples and not samples.flags.writeable
+    assert "_lazy" not in vars(buf)
+    for (lo, hi), block in zip(blocks, gathered):
+        np.testing.assert_array_equal(block, expected[lo:hi])
+        assert buf._block(lo, hi, scratch).base is samples  # a view once built
+
+
+def test_a_lazy_buffer_pickles_copies_and_compares_as_its_samples():
+    buf = modulate(P_SF3, [1, 6, 1], oversample=3)
+    for copy in (pickle.loads(pickle.dumps(buf)), dataclasses.replace(buf, t0=0.0)):
+        assert "_lazy" not in vars(copy)
+        np.testing.assert_array_equal(copy.samples, buf.samples)
+        assert (copy.fs, copy.t0) == (buf.fs, buf.t0)
+    assert repr(buf).startswith("IqBuffer(samples=array([")
+    other = modulate(P_SF3, [1, 6, 1], oversample=3)
+    assert other == other and "_lazy" not in vars(other)  # == read the samples
+    with pytest.raises(AttributeError, match="has no attribute 'sample'"):
+        buf.sample
+
+
+@pytest.mark.parametrize("b", [1e-320, 5e-324, 1e-310, 1e308, sys.float_info.min],
+                         ids=["subnormal", "smallest", "1/b-overflows", "1/b-subnormal",
+                              "M/b-overflows"])
+def test_params_rejects_b_whose_chip_or_symbol_duration_is_not_a_normal_float(b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^b = {re.escape(str(b))} Hz gives a chip duration"):
+            LoraParams(sf=7, b=b)
+
+
+def test_params_accepts_b_at_the_edges_of_the_normal_range():
+    assert LoraParams(sf=1, b=4e307).tc == 1 / 4e307
+    assert LoraParams(sf=16, b=1e-300).ts == 2 ** 16 / 1e-300
+
+
+@pytest.mark.parametrize("oversample", [2, 5, 10 ** 400],
+                         ids=["period-subnormal", "rate-overflows", "int-beyond-float"])
+def test_modulate_rejects_oversample_whose_rate_or_period_is_not_a_normal_float(oversample):
+    p = LoraParams(sf=1, b=4e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^oversample = {oversample} with b = 4e"):
+            modulate(p, [0], oversample)
 
 
 def test_mean_envelope_endpoints():
