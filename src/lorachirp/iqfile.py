@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import _BLOCK_SAMPLES, IqBuffer, _map_chunks
+from .params import _BLOCK_SAMPLES, IqBuffer, _all_within, _map_chunks
 
 FORMAT_F32 = "interleaved-f32-le"
 FORMAT_CSV = "csv"
@@ -40,14 +40,6 @@ class IqFileHeader:
 # float64 below it in magnitude rounds to a finite float32; at or above it,
 # to infinity.
 _F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
-
-
-def _all_finite_f32(raw: np.ndarray) -> bool:
-    """True when no value of the float32 array raw is NaN or infinite."""
-    # a float64 sum of finite float32 values cannot overflow; +inf with -inf
-    # sums to NaN, which is not finite either
-    with np.errstate(invalid="ignore"):
-        return bool(np.isfinite(raw.sum(dtype=np.float64)))
 
 
 def _default_header_path(path: Path) -> Path:
@@ -83,14 +75,9 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
 
     if fmt == FORMAT_F32:
         def narrows(blocks: range) -> list[bool]:
-            # complex128 is stored as I, Q float64 pairs; NaN fails both
-            # comparisons
-            finite = []
-            for _, _, block in blocks_in(blocks):
-                values = block.view(np.float64)
-                finite.append(bool(np.maximum.reduce(values) < _F32_OVERFLOW
-                                   and np.minimum.reduce(values) > -_F32_OVERFLOW))
-            return finite
+            # complex128 is stored as I, Q float64 pairs
+            return [_all_within(block.view(np.float64), _F32_OVERFLOW)
+                    for _, _, block in blocks_in(blocks)]
 
         finite = all(_map_chunks(narrows, n_blocks))
     else:
@@ -196,20 +183,17 @@ def _read_f32(path: Path, n_expected: int | None) -> tuple[np.ndarray, bool]:
         raw = np.empty(min(len(values), step), dtype="<f4")
         finite = []
         try:
-            with path.open("rb", buffering=0) as fh:
+            with path.open("rb") as fh:
                 fh.seek(4 * step * blocks.start)
                 for i in blocks:
                     out = values[i * step:(i + 1) * step]
                     block = raw[:len(out)]
-                    view = memoryview(block).cast("B")
-                    filled = 0
-                    while filled < len(view):
-                        got = fh.readinto(view[filled:])
-                        if not got:
-                            raise OSError(f"the file ended after {4 * i * step + filled} "
-                                          f"of {size} bytes")
-                        filled += got
-                    finite.append(_all_finite_f32(block))
+                    # a buffered readinto fills the block unless the file ends
+                    got = fh.readinto(block)
+                    if got < block.nbytes:
+                        raise OSError(f"the file ended after {4 * i * step + got} "
+                                      f"of {size} bytes")
+                    finite.append(_all_within(block, np.inf))
                     out[:] = block  # every float32 widens to float64 exactly
         except OSError as exc:
             raise OSError(f"cannot read IQ capture {path}: {exc}") from exc

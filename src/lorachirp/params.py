@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +18,6 @@ Symbol = int
 # about this many samples, so that their temporaries stay small.
 _BLOCK_SAMPLES = 1 << 16
 
-# Worker threads shared by every blocked pass, created on first use.  Workers
-# run numpy kernels only, never a public lorachirp function, so anything that
-# wraps those sees one thread.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask (`taskset` limits
@@ -33,51 +28,47 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _executor() -> ThreadPoolExecutor:
-    """The shared pool.  Its limit of os.cpu_count() - 1 threads covers any
-    affinity mask, so it never needs replacing; a thread starts only when a
-    submitted task finds no idle one."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
-                                       thread_name_prefix="lorachirp")
-        return _pool
-
-
-def _forget_pool_in_child() -> None:
-    # a forked child has none of the parent's worker threads: a pool
-    # inherited from the parent would queue work that never runs
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_in_child)
-
-
+# The worker threads run numpy kernels only, never a public lorachirp
+# function, so anything that wraps those functions sees one thread.
 def _map_chunks(fn, n_blocks: int) -> list:
     """Run fn(blocks) on contiguous ranges of block indices 0..n_blocks-1,
     one range per CPU, and return the concatenated per-block results of
     fn in block order.
 
-    The calling thread runs the first range, the shared pool the others.
-    If a range fails, every range is waited for and the first error in
-    block order is raised.  With one CPU or one block fn runs inline.
+    The calling thread runs the first range, worker threads started for
+    this call the others.  Every range ends before the call returns; if
+    one fails, the first error in block order is raised.  With one CPU or
+    one block fn runs inline and no thread is started.
     """
     n_ranges = min(_cpu_count(), n_blocks)
     if n_ranges <= 1:
         return list(fn(range(n_blocks)))
     bounds = [i * n_blocks // n_ranges for i in range(n_ranges + 1)]
-    pool = _executor()
-    futures = [pool.submit(fn, range(lo, hi)) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
+    with ThreadPoolExecutor(n_ranges - 1, thread_name_prefix="lorachirp") as workers:
+        futures = [workers.submit(fn, range(lo, hi))
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
         results = list(fn(range(bounds[0], bounds[1])))
-    finally:
-        wait(futures)  # no range outlives the call, even when the first fails
     for future in futures:
         results.extend(future.result())  # raises the first failure in block order
     return results
+
+
+def _all_within(values: np.ndarray, bound: float) -> bool:
+    """True when every value is strictly inside (-bound, bound); NaN fails
+    both comparisons."""
+    return bool(np.maximum.reduce(values) < bound and np.minimum.reduce(values) > -bound)
+
+
+def _real(value, name: str) -> float:
+    """value as a float, an infinity for an integer too large for one;
+    ValueError naming `name` for a bool or a value that is not a real
+    number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _finite_normal(x: float) -> bool:
@@ -110,15 +101,15 @@ class LoraParams:
             raise ValueError(f"sf must be an integer, got {self.sf!r}")
         if not 1 <= self.sf <= 16:
             raise ValueError(f"sf must be in [1, 16], got {self.sf}")
-        if not (np.isfinite(self.b) and self.b > 0):
+        b, f0, ps = _real(self.b, "b"), _real(self.f0, "f0"), _real(self.ps, "ps")
+        if not (math.isfinite(b) and b > 0):
             raise ValueError(f"b must be finite and positive, got {self.b}")
-        if not (_finite_normal(1.0 / float(self.b))
-                and _finite_normal((1 << self.sf) / float(self.b))):
+        if not (_finite_normal(1.0 / b) and _finite_normal((1 << self.sf) / b)):
             raise ValueError(f"b = {self.b} Hz gives a chip duration 1/b or symbol "
                              "duration M/b that is not a finite normal float")
-        if not (np.isfinite(self.f0) and self.f0 >= 0):
+        if not (math.isfinite(f0) and f0 >= 0):
             raise ValueError(f"f0 must be finite and nonnegative, got {self.f0}")
-        if not (np.isfinite(self.ps) and self.ps > 0):
+        if not (math.isfinite(ps) and ps > 0):
             raise ValueError(f"ps must be finite and positive, got {self.ps}")
 
     @property

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _map_chunks, _power_ratio
+from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _all_within, _map_chunks,
+                     _power_ratio)
 from .waveform import _sample_symbols
 
 # awgn draws one seeded noise stream per block of this many samples.  The
@@ -70,7 +71,6 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
     def decode(blocks: range) -> list[np.ndarray]:
         # scratch is allocated once per range and reused through out=, so
         # the allocator does not hand pages back and fault them in per block
-        finite = np.empty(step, dtype=bool)
         rows = np.empty((rows_per_block, p.m), dtype=np.complex128)
         spec = np.empty_like(rows)
         mag = np.empty(rows.shape)
@@ -78,7 +78,7 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
         symbols = []
         for i in blocks:
             block = iq._block(i * step, min(len(iq), (i + 1) * step), scratch)
-            if not np.isfinite(block, out=finite[:len(block)]).all():
+            if not _all_within(block.view(np.float64), np.inf):
                 raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
             chips = block[::r].reshape(-1, p.m)
             k = len(chips)

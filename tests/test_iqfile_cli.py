@@ -531,7 +531,7 @@ def _spoil_one_sample(path, fmt, bad=(np.nan,)):
 def test_read_iq_rejects_non_finite_samples(tmp_path, iq, fmt):
     path = tmp_path / "sig.iq"
     # +inf with -inf must not turn the float32 check into a RuntimeWarning
-    for bad in [(np.nan,), (np.inf, -np.inf)]:
+    for bad in [(np.nan,), (np.inf, -np.inf), (-np.inf,)]:
         write_iq(iq, path, fmt=fmt)
         _spoil_one_sample(path, fmt, bad)
         with pytest.raises(ValueError, match="NaN or infinite"):

@@ -13,6 +13,7 @@ import textwrap
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,23 @@ def test_map_chunks_raises_the_first_error_after_every_range_ends(cpus):
     with pytest.raises(ValueError, match="range at 4"):
         _map_chunks(fn, 8)
     assert sorted(ended) == [0, 2, 4, 6]
+
+
+def test_a_pass_started_inside_a_pass_returns_its_results_in_block_order():
+    # in a child with a timeout: a pass that waited for workers busy with the
+    # pass around it would never return
+    proc = _run_script("""
+        from lorachirp import params
+        params._cpu_count = lambda: 3
+
+        def outer(blocks):
+            return [params._map_chunks(lambda inner: [10 * j for j in inner], 4 + i)
+                    for i in blocks]
+
+        assert params._map_chunks(outer, 5) == [[10 * j for j in range(4 + i)]
+                                                for i in range(5)]
+    """, timeout=30.0)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _stream(sf: int, oversample: int, n_blocks: float,
@@ -142,8 +160,16 @@ def test_concurrent_callers_get_the_serial_bits(cpus):
 def test_a_process_pinned_to_one_cpu_gives_the_same_bits(cpus, tmp_path):
     out = tmp_path / "pinned.npz"
     proc = _run_script(f"""
-        import os
+        import os, threading
         os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        threading.Thread.start = recording_start
         import numpy as np
         import test_parallel as cases
         from lorachirp import params
@@ -151,7 +177,8 @@ def test_a_process_pinned_to_one_cpu_gives_the_same_bits(cpus, tmp_path):
         for i, case in enumerate(cases.CASES):
             for j, a in enumerate(cases._outputs(*cases._stream(*case))):
                 arrays[f"{{i}}_{{j}}"] = a
-        assert params._cpu_count() == 1 and params._pool is None
+        assert params._cpu_count() == 1
+        assert not [name for name in started if name.startswith("lorachirp")], started
         np.savez({str(out)!r}, **arrays)
     """)
     assert proc.returncode == 0, proc.stderr
@@ -194,18 +221,29 @@ def test_public_functions_run_on_the_calling_thread_only(cpus, monkeypatch, tmp_
     monkeypatch.setattr(IqBuffer, "__post_init__", recording(IqBuffer.__post_init__))
     monkeypatch.setattr(IqBuffer, "mean_power", property(recording(IqBuffer.mean_power.fget)))
     assert len(originals) > 20
+    workers = []  # the threads that ran a pass's ranges, recorded inside the pass
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            def run(*args):
+                workers.append(threading.current_thread().name)
+                return fn(*args)
+            return super().submit(run, *args)
+
+    monkeypatch.setattr(params, "ThreadPoolExecutor", RecordingExecutor)
 
     cpus(4)
     p, iq = _stream(7, 2, 5.3)
     assert lorachirp.demodulate_stream is not demodulate_stream
-    lorachirp.demodulate_stream(iq, p)
-    lorachirp.welch_psd(iq, 256)
-    lorachirp.awgn(iq, 0.0, seed=1)
-    assert iq.mean_power > 0
-    lorachirp.write_iq(iq, tmp_path / "sig.iq")
-    assert len(lorachirp.read_iq(tmp_path / "sig.iq")) == len(iq)
+    path = tmp_path / "sig.iq"
+    for call in (lambda: lorachirp.demodulate_stream(iq, p), lambda: lorachirp.welch_psd(iq, 256),
+                 lambda: lorachirp.awgn(iq, 0.0, seed=1), lambda: iq.mean_power,
+                 lambda: lorachirp.write_iq(iq, path), lambda: lorachirp.read_iq(path)):
+        workers.clear()
+        call()
+        assert workers and all(name.startswith("lorachirp") for name in workers)
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("lorachirp")]
     assert threads == {threading.get_ident()}
-    assert any(t.name.startswith("lorachirp") for t in threading.enumerate())
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
@@ -213,7 +251,6 @@ def test_awgn_needs_no_full_size_scratch(cpus, n_cpus):
     cpus(n_cpus)
     n = 1 << 21
     iq = IqBuffer._adopt(np.full(n, 1.0 + 0.5j), fs=1.0)
-    awgn(iq, 0.0, seed=0)  # starts the pool outside the measurement
     tracemalloc.start()
     try:
         noisy = awgn(iq, 0.0, seed=1)
@@ -230,7 +267,6 @@ def test_welch_memory_does_not_grow_with_the_number_of_blocks(cpus):
     # sums of |X|^2 would take 160 MB if all of them waited to be added
     iq = IqBuffer._adopt(np.random.default_rng(4).standard_normal(1 << 22).view(complex),
                          fs=1.0)
-    welch_psd(iq, 1 << 15, overlap=0.95)  # starts the pool outside the measurement
     tracemalloc.start()
     try:
         welch_psd(iq, 1 << 15, overlap=0.95)
@@ -272,7 +308,7 @@ def test_mean_power_needs_no_full_size_scratch(cpus, n_cpus):
     cpus(n_cpus)
     n = 1 << 21
     iq = IqBuffer._adopt(np.ones(n, dtype=complex), fs=1.0)
-    assert iq.mean_power == 1.0  # also starts the pool outside the measurement
+    assert iq.mean_power == 1.0
     tracemalloc.start()
     try:
         iq.mean_power
@@ -346,7 +382,6 @@ def test_read_iq_needs_no_full_size_scratch(cpus, tmp_path, n_cpus):
     n = 1 << 21
     path = tmp_path / "sig.iq"
     write_iq(IqBuffer._adopt(np.full(n, 1.0 + 0.5j), fs=1.0), path)
-    read_iq(path)  # starts the pool outside the measurement
     tracemalloc.start()
     try:
         back = read_iq(path)
@@ -414,7 +449,6 @@ def test_the_link_writes_its_capture_with_one_full_size_array(cpus, tmp_path, n_
     n = 1 << 21
     symbols = np.random.default_rng(5).integers(0, p.m, n // p.m).tolist()
     path = tmp_path / "sig.iq"
-    write_iq(awgn(modulate(p, symbols[:600]), 0.0, seed=1), path)  # starts the pool
     tracemalloc.start()
     try:
         write_iq(awgn(modulate(p, symbols), 0.0, seed=1), path)
@@ -441,7 +475,7 @@ def test_a_bad_last_block_leaves_an_existing_capture_untouched(cpus, tmp_path, n
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_forked_child_demodulates_after_the_pool_exists():
+def test_a_forked_child_demodulates_after_a_multi_cpu_pass():
     proc = _run_script("""
         import os, signal, sys, warnings
         warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
@@ -450,7 +484,7 @@ def test_a_forked_child_demodulates_after_the_pool_exists():
         p = LoraParams(sf=7, b=125e3)
         symbols = list(range(p.m)) * 12
         iq = modulate(p, symbols)
-        assert demodulate_stream(iq, p) == symbols and params._pool is not None
+        assert demodulate_stream(iq, p) == symbols
         pid = os.fork()
         if pid == 0:
             signal.alarm(30)  # a hung child ends itself rather than outliving the test

@@ -41,6 +41,14 @@ def test_params_rejects_bad_values(bad):
         bad()
 
 
+@pytest.mark.parametrize("field", ["b", "f0", "ps"])
+@pytest.mark.parametrize("value", [True, 10 ** 400, "5", None, 1 + 0j],
+                         ids=["bool", "int-beyond-float", "str", "none", "complex"])
+def test_params_rejects_a_numeric_field_that_is_not_a_finite_real(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        LoraParams(**{"sf": 7, "b": 1.0, field: value})
+
+
 def test_initial_frequency():
     assert instantaneous_frequency(P_SF3, 2, 0.0) == pytest.approx(2.0)
 
