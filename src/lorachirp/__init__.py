@@ -13,7 +13,7 @@ from .iqfile import IqFileHeader, read_header, read_iq, write_iq
 from .params import IqBuffer, LoraParams, Symbol, validate_symbol
 from .receiver import awgn, dechirp, demodulate_stream
 from .spectrum import (SpectrumResult, discrete_spectrum_lines,
-                       fresnel_spectrum, psd_via_dft, w_integral,
+                       fresnel_spectrum, w_integral,
                        waveform_fourier_transform)
 from .waveform import (instantaneous_frequency, mean_envelope_magnitude,
                        modulate, payload_to_symbols, phase, waveform_at)
@@ -29,7 +29,7 @@ __all__ = [
     "demodulate_stream", "discrete_spectrum_lines", "fresnel_spectrum",
     "instantaneous_frequency", "mask_check", "max_cross_correlation",
     "mean_envelope_magnitude", "modulate", "occupied_bandwidth",
-    "orthogonality_offsets", "payload_to_symbols", "phase", "psd_via_dft",
+    "orthogonality_offsets", "payload_to_symbols", "phase",
     "read_header", "read_iq", "real_orthogonality_condition",
     "reproduce_table", "snr_penalty_db", "spectral_efficiency",
     "validate_symbol", "w_integral", "waveform_at",

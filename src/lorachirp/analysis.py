@@ -54,11 +54,9 @@ def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
     return 10.0 * np.log10(np.maximum(power, _TINY)) + ps_dbm
 
 
-def _captured_power(spec: SpectrumResult, width: float,
-                    cum: np.ndarray | None = None) -> float:
-    """Continuous power over [-width/2, width/2] plus lines inside."""
-    if cum is None:
-        cum = _cumulative_trapezoid(spec.grid, spec.continuous)
+def _captured_power(spec: SpectrumResult, width: float, cum: np.ndarray) -> float:
+    """Continuous power over [-width/2, width/2] plus lines inside; cum is
+    the cumulative trapezoid of spec.continuous over spec.grid."""
     half = width / 2.0
     cont = (np.interp(half, spec.grid, cum) - np.interp(-half, spec.grid, cum))
     lines = spec.line_powers[np.abs(spec.line_frequencies) <= half * (1 + 1e-12)].sum()

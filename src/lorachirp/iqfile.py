@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .params import _BLOCK_SAMPLES, IqBuffer, _all_within, _map_chunks
+from .params import (_BLOCK_SAMPLES, IqBuffer, _all_within, _check_fs, _map_chunks,
+                     _real)
 
 FORMAT_F32 = "interleaved-f32-le"
 FORMAT_CSV = "csv"
@@ -30,9 +32,8 @@ class IqFileHeader:
     def __post_init__(self):
         if self.format not in (FORMAT_F32, FORMAT_CSV):
             raise ValueError(f"unknown IQ format {self.format!r}")
-        if not (np.isfinite(self.fs) and self.fs > 0):
-            raise ValueError(f"fs must be finite and positive, got {self.fs}")
-        if not np.isfinite(self.center_freq):
+        _check_fs(self.fs)
+        if not math.isfinite(_real(self.center_freq, "center_freq")):
             raise ValueError(f"center_freq must be a finite number, got {self.center_freq}")
 
 

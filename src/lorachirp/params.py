@@ -158,7 +158,7 @@ def _power_ratio(db, name: str) -> float:
 
 
 def _check_fs(fs) -> None:
-    if not (np.isfinite(fs) and fs > 0):
+    if not (math.isfinite(_real(fs, "fs")) and fs > 0):
         raise ValueError(f"fs must be finite and positive, got {fs}")
 
 

@@ -10,10 +10,12 @@ where X(f;l) is the Fourier transform of the single-symbol waveform,
 available in closed form through Fresnel integrals.  The lines carry
 exactly a fraction 1/M of the total signal power.  On the frequency
 lattice f = n*B/(k*M) the sums over l for all frequencies come from one
-table of O(k*M + Nf) Fresnel values (fresnel_spectrum); psd_via_dft is
-an independent cross-check through FFTs of the sampled waveforms.  All
-spectra here are normalized to the unit-power complex envelope
-(gamma = 1); absolute power scaling belongs to the analysis layer.
+table of O(k*M + Nf) Fresnel values (fresnel_spectrum), the one
+spectrum path of the package.  Its independent cross-checks, a
+zero-padded DFT of the sampled waveforms and the per-symbol loop over
+closed-form transforms, live with the tests.  All spectra here are
+normalized to the unit-power complex envelope (gamma = 1); absolute
+power scaling belongs to the analysis layer.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ import numpy as np
 from scipy.special import fresnel as _scipy_fresnel
 
 from .params import LoraParams, Symbol, validate_symbol
-from .waveform import _sample_symbols
 
 
 def _kfun(x):
@@ -230,8 +231,8 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     shared through strided prefix sums gives every grid point and, at
     every k-th point, every line; a grid narrower than 4B is extended to
     4B for the lines and the PSD cropped back.  The cost is
-    O(k*M + len(grid)).  psd_via_dft is the independent cross-check of
-    these values.
+    O(k*M + len(grid)).  The tests check these values against a
+    zero-padded DFT of the sampled waveforms.
     """
     if f_max is None:
         f_max = 8.0 * p.b
@@ -246,68 +247,3 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     return SpectrumResult(grid=np.arange(-n, n + 1) * step,
                           continuous=_psd_combine(sum_abs2[crop], sum_x[crop], p),
                           lines=_line_powers(p, k, sum_x, n_ext // k), params=p)
-
-
-def psd_via_dft(p: LoraParams, zero_pad_factor: int = 1,
-                n_per_symbol: int | None = None) -> SpectrumResult:
-    """Spectrum through zero-padded DFTs of the sampled waveforms.
-
-    Each symbol waveform is sampled n_per_symbol times (default 16M) over
-    [0, Ts) and transformed with a zero-padded FFT of size
-    n_per_symbol * zero_pad_factor, giving frequency step B/(k*M).
-    Composite-Simpson weights plus the known endpoint x(Ts) = 1 make each
-    FFT a 4th-order quadrature of the Fourier integral; a plain Riemann
-    sum would leave an O(1/N) boundary error visible at -35 dB.  The
-    weighted quadrature degrades near the Nyquist edge (an alias image
-    appears around fs/2), so the output is cropped to |f| <= fs/4; raise
-    n_per_symbol for more span or accuracy.
-
-    Requires n_per_symbol >= 8M for aliasing control and divisible by 2M
-    so chip boundaries land on even sample indices.
-    """
-    if zero_pad_factor < 1:
-        raise ValueError(f"zero_pad_factor must be >= 1, got {zero_pad_factor}")
-    M, B, Ts = p.m, p.b, p.ts
-    if n_per_symbol is None:
-        n_per_symbol = 16 * M
-    N = int(n_per_symbol)
-    if N < 8 * M:
-        raise ValueError(f"n_per_symbol must be >= 8*M = {8 * M} for aliasing control, got {N}")
-    if N % (2 * M):
-        raise ValueError(f"n_per_symbol must be a multiple of 2*M = {2 * M}, got {N}")
-    k = int(zero_pad_factor)
-    dt = Ts / N
-    nfft = N * k
-    unit = LoraParams(sf=p.sf, b=B)
-
-    w = np.empty(N)
-    w[0] = 1.0 / 3.0
-    w[1::2] = 4.0 / 3.0
-    w[2::2] = 2.0 / 3.0
-    # closing Simpson term: every waveform ends at x(Ts) = 1 by phase continuity
-    q = np.arange(nfft)
-    end_term = (1.0 / 3.0) * np.exp(-2j * np.pi * q / k)
-
-    sum_abs2 = np.zeros(nfft)
-    sum_x = np.zeros(nfft, dtype=complex)
-    for a in range(M):
-        x = _sample_symbols(unit, np.array([a]), N // M)[0]
-        X = dt * (np.fft.fft(w * x, nfft) + end_term)
-        sum_abs2 += np.abs(X) ** 2
-        sum_x += X
-
-    grid = np.fft.fftshift(np.fft.fftfreq(nfft, d=dt))
-    sum_abs2 = np.fft.fftshift(sum_abs2)
-    sum_x = np.fft.fftshift(sum_x)
-
-    f_crop = N * B / (4.0 * M)  # fs/4
-    sel = np.abs(grid) <= f_crop * (1 + 1e-12)
-    grid, sum_abs2, sum_x = grid[sel], sum_abs2[sel], sum_x[sel]
-
-    cont = _psd_combine(sum_abs2, sum_x, p)
-    # lines sit on every k-th grid point; the crop edge -fs/4 is one of them
-    line_sel = np.zeros(len(grid), dtype=bool)
-    line_sel[::k] = True
-    lines = np.column_stack([grid[line_sel],
-                             np.abs(sum_x[line_sel]) ** 2 / (Ts ** 2 * M ** 2)])
-    return SpectrumResult(grid=grid, continuous=cont, lines=lines, params=p)

@@ -2,20 +2,22 @@
 
 These stay deliberately dumb: direct quadrature of defining integrals,
 per-chip Gauss-Legendre panels, the chip-rate formula written out, the
-correlation closed form as a difference of exponentials and the
-per-symbol loop over closed-form transforms.  None of them call the
-code paths they are checking; the waveform oracles evaluate the
-continuous law waveform_at, never the cyclic-shift sampler, and the
-spectrum oracles sum waveform_fourier_transform symbol by symbol, never
-the factorized lattice sums.
+correlation closed form as a difference of exponentials, the
+per-symbol loop over closed-form transforms and zero-padded DFTs of the
+sampled waveforms.  None of them call the code paths they are checking;
+the waveform oracles evaluate the continuous law waveform_at, never the
+cyclic-shift sampler, and the spectrum oracles never touch the
+factorized lattice sums: the loop oracles sum waveform_fourier_transform
+symbol by symbol, and the DFT oracle transforms the samples that the
+public modulate gives.
 """
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import i0e
 
-from lorachirp import (LoraParams, Symbol, validate_symbol, waveform_at,
-                       waveform_fourier_transform)
+from lorachirp import (LoraParams, SpectrumResult, Symbol, modulate,
+                       validate_symbol, waveform_at, waveform_fourier_transform)
 
 
 def fresnel_quadrature(x: float) -> tuple[float, float]:
@@ -96,6 +98,71 @@ def continuous_psd_loop(p: LoraParams, f) -> np.ndarray:
     unclipped."""
     sum_abs2, sum_x = transform_sums_loop(p, f)
     return (sum_abs2 - np.abs(sum_x) ** 2 / p.m) / (p.ts * p.m)
+
+
+def psd_via_dft(p: LoraParams, zero_pad_factor: int = 1,
+                n_per_symbol: int | None = None) -> SpectrumResult:
+    """Spectrum through zero-padded DFTs of the sampled waveforms.
+
+    Each symbol waveform is sampled n_per_symbol = N times (default 16M)
+    over [0, Ts) by modulate and transformed with a zero-padded FFT of
+    size N * zero_pad_factor, giving frequency step B/(k*M) with
+    k = zero_pad_factor.  Composite-Simpson weights plus the known
+    endpoint x(Ts) = 1 make each FFT a 4th-order quadrature of the
+    Fourier integral; a plain Riemann sum would leave an O(1/N) boundary
+    error visible at -35 dB.  The Simpson rule needs N >= 8M, for
+    aliasing control, and N a multiple of 2M, so chip boundaries land on
+    even sample indices.
+
+    The weighted quadrature degrades near the Nyquist edge (an alias
+    image appears around fs/2), so the output is cropped to |f| <= fs/4.
+    With N = 32M (crop at 8B) the PSD reads more than 0.1 dB low beyond
+    about 4.5B, and up to 1.7 dB low at the crop; raise N for more span
+    or accuracy.  Over |f| <= 2B it agrees with the Fresnel closed form
+    to below -60 dB of the peak.
+    """
+    M, B, Ts = p.m, p.b, p.ts
+    if n_per_symbol is None:
+        n_per_symbol = 16 * M
+    N = int(n_per_symbol)
+    assert N >= 8 * M and N % (2 * M) == 0, f"n_per_symbol = {N} for M = {M}"
+    k = int(zero_pad_factor)
+    dt = Ts / N
+    nfft = N * k
+    unit = LoraParams(sf=p.sf, b=B)
+
+    w = np.empty(N)
+    w[0] = 1.0 / 3.0
+    w[1::2] = 4.0 / 3.0
+    w[2::2] = 2.0 / 3.0
+    # closing Simpson term: every waveform ends at x(Ts) = 1 by phase continuity
+    q = np.arange(nfft)
+    end_term = (1.0 / 3.0) * np.exp(-2j * np.pi * q / k)
+
+    sum_abs2 = np.zeros(nfft)
+    sum_x = np.zeros(nfft, dtype=complex)
+    for a in range(M):
+        x = modulate(unit, [a], oversample=N // M).samples
+        X = dt * (np.fft.fft(w * x, nfft) + end_term)
+        sum_abs2 += np.abs(X) ** 2
+        sum_x += X
+
+    grid = np.fft.fftshift(np.fft.fftfreq(nfft, d=dt))
+    sum_abs2 = np.fft.fftshift(sum_abs2)
+    sum_x = np.fft.fftshift(sum_x)
+
+    f_crop = N * B / (4.0 * M)  # fs/4
+    sel = np.abs(grid) <= f_crop * (1 + 1e-12)
+    grid, sum_abs2, sum_x = grid[sel], sum_abs2[sel], sum_x[sel]
+
+    # Cauchy-Schwarz makes the continuous PSD nonnegative; clip the rounding
+    cont = np.maximum((sum_abs2 - np.abs(sum_x) ** 2 / M) / (Ts * M), 0.0)
+    # lines sit on every k-th grid point; the crop edge -fs/4 is one of them
+    line_sel = np.zeros(len(grid), dtype=bool)
+    line_sel[::k] = True
+    lines = np.column_stack([grid[line_sel],
+                             np.abs(sum_x[line_sel]) ** 2 / (Ts ** 2 * M ** 2)])
+    return SpectrumResult(grid=grid, continuous=cont, lines=lines, params=p)
 
 
 def chip_rate_samples(p: LoraParams, a: Symbol) -> np.ndarray:

@@ -12,11 +12,11 @@ from lorachirp import (LoraParams, MaskSpec, awgn, bin_estimate,
                        fresnel_spectrum, mask_check,
                        mean_envelope_magnitude, modulate,
                        orthogonality_offsets, payload_to_symbols, phase,
-                       psd_via_dft, reproduce_table, welch_psd)
+                       reproduce_table, welch_psd)
 from lorachirp.cli import example_mask_path, main as cli_main
 from lorachirp.spectrum import _kfun
 from oracles import (fresnel_quadrature, mean_power_quadrature,
-                     numeric_cross_correlation_matrix)
+                     numeric_cross_correlation_matrix, psd_via_dft)
 
 TABLE_I = {
     # sf: (eff, max|Re C|, b99/B, pd, delta_max_db)

@@ -12,8 +12,9 @@ import lorachirp
 from lorachirp import analysis
 from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec,
                        bin_estimate, binned_power, bit_rate, mask_check, modulate,
-                       occupied_bandwidth, psd_via_dft, reproduce_table,
+                       occupied_bandwidth, reproduce_table,
                        spectral_efficiency, welch_psd)
+from oracles import psd_via_dft
 
 P7 = LoraParams(sf=7, b=125e3)
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lorachirp import (IqBuffer, LoraParams, SpectrumResult, awgn, binned_power,
-                       correlation_matrix, fresnel_spectrum, modulate, psd_via_dft, read_header,
+                       correlation_matrix, fresnel_spectrum, modulate, read_header,
                        read_iq, write_iq)
 from lorachirp import cli
 from lorachirp.cli import example_mask_path, main
 from lorachirp.analysis import MaskSpec
-from oracles import transform_sums_loop
+from oracles import psd_via_dft, transform_sums_loop
 
 P5 = LoraParams(sf=5, b=32.0)
 

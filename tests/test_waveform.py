@@ -49,6 +49,19 @@ def test_params_rejects_a_numeric_field_that_is_not_a_finite_real(field, value):
         LoraParams(**{"sf": 7, "b": 1.0, field: value})
 
 
+@pytest.mark.parametrize("make, field", [
+    (partial(IqBuffer, np.ones(4, dtype=complex)), "fs"),
+    (partial(IqBuffer._adopt, np.ones(4, dtype=complex)), "fs"),
+    (partial(IqFileHeader, "csv"), "fs"),
+    (partial(IqFileHeader, "csv", fs=1.0), "center_freq")],
+    ids=["buffer-fs", "adopt-fs", "header-fs", "header-center_freq"])
+@pytest.mark.parametrize("value", [True, "5", None, 10 ** 400, float("nan")],
+                         ids=["bool", "str", "none", "int-beyond-float", "nan"])
+def test_iq_fields_reject_a_value_that_is_not_a_finite_real(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make(**{field: value})
+
+
 def test_initial_frequency():
     assert instantaneous_frequency(P_SF3, 2, 0.0) == pytest.approx(2.0)
 
