@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import max_cross_correlation, snr_penalty_db
-from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _map_chunks
+from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _integer, _map_chunks
 from .spectrum import SpectrumResult, fresnel_spectrum
 
 _TINY = 1e-30
@@ -28,7 +28,8 @@ def bit_rate(p: LoraParams) -> float:
 
 def spectral_efficiency(sf: int) -> float:
     """Modulation spectral efficiency sf / 2^sf in bit/s/Hz."""
-    if not isinstance(sf, (int, np.integer)) or sf < 1:
+    sf = _integer(sf, "sf")
+    if sf < 1:
         raise ValueError(f"sf must be a positive integer, got {sf!r}")
     return sf / (1 << sf)
 
@@ -131,14 +132,15 @@ def reproduce_table(sf_list, fraction: float = 0.99) -> list[TableRow]:
     """
     rows = []
     for sf in sf_list:
+        sf = _integer(sf, "sf")
         if not 3 <= sf <= 12:
             raise ValueError(f"sf values must lie in [3, 12], got {sf}")
-        p = LoraParams(sf=int(sf), b=1.0)
+        p = LoraParams(sf=sf, b=1.0)
         mc = max_cross_correlation(p)
         b99 = occupied_bandwidth(p, fraction)
         rows.append(TableRow(
-            sf=int(sf),
-            eff=spectral_efficiency(int(sf)),
+            sf=sf,
+            eff=spectral_efficiency(sf),
             max_re_c=mc.max_abs_real,
             b99_b=b99 / p.b,
             pd=1.0 / p.m,
@@ -357,8 +359,7 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     (N - segment_len) // step + 1 segments that fit in the buffer.  The
     blocks of segments are shared among the CPUs of the affinity mask.
     """
-    if isinstance(segment_len, bool) or not isinstance(segment_len, (int, np.integer)):
-        raise ValueError(f"segment_len must be an integer, got {segment_len!r}")
+    segment_len = _integer(segment_len, "segment_len")
     if segment_len < 2 or segment_len > len(iq):
         raise ValueError(
             f"segment_len must be in [2, {len(iq)}], got {segment_len}")

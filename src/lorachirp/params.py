@@ -59,6 +59,14 @@ def _all_within(values: np.ndarray, bound: float) -> bool:
     return bool(np.maximum.reduce(values) < bound and np.minimum.reduce(values) > -bound)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; ValueError naming `name` for a bool or a value that
+    is not an integer type (a float such as 7.0 included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _real(value, name: str) -> float:
     """value as a float, an infinity for an integer too large for one;
     ValueError naming `name` for a bool or a value that is not a real
@@ -97,9 +105,7 @@ class LoraParams:
     ps: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.sf, (int, np.integer)) or isinstance(self.sf, bool):
-            raise ValueError(f"sf must be an integer, got {self.sf!r}")
-        if not 1 <= self.sf <= 16:
+        if not 1 <= _integer(self.sf, "sf") <= 16:
             raise ValueError(f"sf must be in [1, 16], got {self.sf}")
         b, f0, ps = _real(self.b, "b"), _real(self.f0, "f0"), _real(self.ps, "ps")
         if not (math.isfinite(b) and b > 0):
@@ -135,9 +141,7 @@ class LoraParams:
 
 def validate_symbol(p: LoraParams, a) -> int:
     """Return a as int after checking 0 <= a < M."""
-    if not isinstance(a, (int, np.integer)) or isinstance(a, bool):
-        raise ValueError(f"symbol must be an integer, got {a!r}")
-    a = int(a)
+    a = _integer(a, "symbol")
     if not 0 <= a < p.m:
         raise ValueError(f"symbol {a} outside [0, {p.m - 1}] for sf={p.sf}")
     return a

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _all_within, _map_chunks,
-                     _power_ratio)
+from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _all_within, _integer,
+                     _map_chunks, _power_ratio)
 from .waveform import _sample_symbols
 
 # awgn draws one seeded noise stream per block of this many samples.  The
@@ -109,9 +109,7 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     non-negative integer.  Versions before this definition drew one
     stream per quadrature, so they give other noise for the same seed.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     ratio = _power_ratio(snr_db, "snr_db")

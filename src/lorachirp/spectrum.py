@@ -22,9 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fresnel as _scipy_fresnel
 
-from .params import LoraParams, Symbol, validate_symbol
+from .params import LoraParams, Symbol, _integer, validate_symbol
+
+
+def _load_fresnel(x):
+    """scipy.special.fresnel(x), imported on the first call, so that only
+    a closed-form spectrum loads scipy.  The call rebinds _scipy_fresnel
+    to scipy's function unless something else has been bound there."""
+    global _scipy_fresnel
+    from scipy.special import fresnel
+    if _scipy_fresnel is _load_fresnel:
+        _scipy_fresnel = fresnel
+    return fresnel(x)
+
+
+_scipy_fresnel = _load_fresnel
 
 
 def _kfun(x):
@@ -210,11 +223,9 @@ def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarr
     n_max defaults to 4*M, which empirically captures the 1/M total to
     well below 1e-4 absolute (the truncated tail decays like 1/f^4).
     """
-    if n_max is None:
-        n_max = 4 * p.m
+    n_max = 4 * p.m if n_max is None else _integer(n_max, "n_max")
     if n_max < p.m:
         raise ValueError(f"n_max must be >= M = {p.m}, got {n_max}")
-    n_max = int(n_max)
     return _line_powers(p, 1, _lattice_sums(p, 1, n_max)[1], n_max)
 
 

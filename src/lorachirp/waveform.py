@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import diric
 
-from .params import IqBuffer, LoraParams, Symbol, _finite_normal, validate_symbol
+from .params import IqBuffer, LoraParams, Symbol, _finite_normal, _integer, validate_symbol
 
 
 def _as_time_array(t, t_max: float, closed: bool):
@@ -95,17 +94,18 @@ def _sample_symbols(p: LoraParams, a: np.ndarray, oversample: int) -> np.ndarray
     array of symbols already checked to lie in [0, M); returns a new
     (len(a), oversample*M) array whose rows depend only on their symbol.
     """
-    if not isinstance(oversample, (int, np.integer)) or oversample < 1:
+    oversample = _integer(oversample, "oversample")
+    if oversample < 1:
         raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
     try:
-        rate = int(oversample) * float(p.b)
+        rate = oversample * float(p.b)
     except OverflowError:
         rate = math.inf
     if not (_finite_normal(rate) and _finite_normal(1.0 / rate)):
         raise ValueError(f"oversample = {oversample} with b = {p.b} Hz gives a sample rate "
                          "oversample*b or sample period 1/(oversample*b) that is not a "
                          "finite normal float")
-    phases = _base_phase_windows(p, int(oversample))[a * oversample]
+    phases = _base_phase_windows(p, oversample)[a * oversample]
     # a*(M - a) mod 2M keeps the rotation angle exact for every a
     phases += (np.pi * ((a * (p.m - a)) % (2 * p.m)) / p.m)[:, None]
     return p.gamma * np.exp(1j * phases)
@@ -182,6 +182,8 @@ def mean_envelope_magnitude(p: LoraParams, t):
     Evaluated through the Dirichlet kernel, which supplies the analytic
     limit at points where the denominator vanishes (t = 0 gives 1).
     """
+    from scipy.special import diric  # imported on use, so `import lorachirp` loads no scipy
+
     t, scalar = _as_time_array(t, p.ts, closed=False)
     v = np.abs(diric(2.0 * np.pi * p.b * t / p.m, p.m))
     return float(v[0]) if scalar else v
@@ -193,6 +195,7 @@ def payload_to_symbols(payload: bytes, sf: int) -> list[int]:
     The payload is read as a big-endian bit stream, chunked into SF-bit
     groups (most significant bit first) and zero-padded at the tail.
     """
+    sf = _integer(sf, "sf")
     if not 1 <= sf <= 16:
         raise ValueError(f"sf must be in [1, 16], got {sf}")
     if len(payload) == 0:

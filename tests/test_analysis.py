@@ -12,8 +12,8 @@ import lorachirp
 from lorachirp import analysis
 from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec,
                        bin_estimate, binned_power, bit_rate, mask_check, modulate,
-                       occupied_bandwidth, reproduce_table,
-                       spectral_efficiency, welch_psd)
+                       discrete_spectrum_lines, occupied_bandwidth, payload_to_symbols,
+                       reproduce_table, spectral_efficiency, welch_psd)
 from oracles import psd_via_dft
 
 P7 = LoraParams(sf=7, b=125e3)
@@ -366,11 +366,105 @@ def test_welch_matches_scipy_over_a_partial_last_block(rng):
     assert np.max(np.abs(pxx - ref)) <= 1e-12 * ref.max()
 
 
-def test_import_loads_no_scipy_signal_or_stats():
-    proc = _run_python("import sys, lorachirp; print(sorted(m for m in sys.modules "
-                       "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+def test_import_loads_no_scipy():
+    proc = _run_python("import sys, lorachirp, lorachirp.cli; print(sorted(m for m in "
+                       "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_CLI_SCIPY = """
+import sys
+from lorachirp import spectrum
+from lorachirp.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+sig, psd, lines = sys.argv[1:]
+for argv in (["modulate", "--sf", "7", "--bw", "125e3", "--symbols", "3,1,4,127,0,9",
+              "--out", sig],
+             ["demod", "--sf", "7", "--bw", "125e3", "--in", sig],
+             ["welch", "--in", sig, "--segment", "256", "--out", psd],
+             ["xcorr", "--sf", "7"]):
+    assert main(argv) == 0, argv
+before = scipy_modules()
+assert main(["spectrum", "--sf", "5", "--bw", "1.0", "--out-psd", psd,
+             "--out-lines", lines]) == 0
+import scipy.special
+print(before, "scipy.special" in scipy_modules(),
+      spectrum._scipy_fresnel is scipy.special.fresnel)
+"""
+
+
+def test_time_domain_commands_load_no_scipy_and_spectrum_loads_scipy_special(tmp_path):
+    proc = _run_python(_CLI_SCIPY, str(tmp_path / "sig.cf32"), str(tmp_path / "psd.csv"),
+                       str(tmp_path / "lines.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] True True"
+
+
+_FIRST_CALL = """
+import hashlib, sys
+import numpy as np
+name, eager = sys.argv[1], sys.argv[2] == "1"
+if eager:
+    import scipy.special
+from lorachirp import LoraParams, fresnel_spectrum, mean_envelope_magnitude
+from lorachirp.spectrum import _kfun
+loaded = "scipy.special" in sys.modules
+digest = hashlib.sha256()
+for sf in (5, 7):
+    p = LoraParams(sf=sf, b=125e3)
+    if name == "_kfun":
+        arrays = [_kfun(np.linspace(-3.0 * p.m, 3.0 * p.m, 4001))]
+    elif name == "fresnel_spectrum":
+        res = fresnel_spectrum(p)
+        arrays = [res.grid, res.continuous, res.lines]
+    else:
+        arrays = [mean_envelope_magnitude(p, np.linspace(0.0, p.ts, 1001)[:-1])]
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+print(loaded, digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("name", ["_kfun", "fresnel_spectrum", "mean_envelope_magnitude"])
+def test_first_call_loads_scipy_and_gives_the_same_bits(name):
+    # the first call in a fresh interpreter imports scipy.special itself;
+    # its values must equal those computed with scipy imported up front
+    lazy, eager = (_run_python(_FIRST_CALL, name, flag) for flag in ("0", "1"))
+    assert lazy.returncode == 0, lazy.stderr
+    assert eager.returncode == 0, eager.stderr
+    lazy_loaded, lazy_digest = lazy.stdout.split()
+    eager_loaded, eager_digest = eager.stdout.split()
+    assert (lazy_loaded, eager_loaded) == ("False", "True")
+    assert lazy_digest == eager_digest
+
+
+_INTEGER_ARGUMENTS = pytest.mark.parametrize("call,name", [
+    (spectral_efficiency, "sf"),
+    (lambda sf: reproduce_table([sf])[0], "sf"),
+    (lambda sf: payload_to_symbols(b"ab", sf), "sf"),
+    (lambda n_max: discrete_spectrum_lines(LoraParams(sf=2, b=1.0), n_max), "n_max"),
+], ids=["spectral_efficiency", "reproduce_table", "payload_to_symbols",
+        "discrete_spectrum_lines"])
+
+
+@_INTEGER_ARGUMENTS
+@pytest.mark.parametrize("bad", [True, 7.0, 7.5, "7"], ids=repr)
+def test_integer_arguments_reject_bools_floats_and_strings(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+        call(bad)
+
+
+@_INTEGER_ARGUMENTS
+def test_integer_arguments_accept_numpy_integers(call, name):
+    expected, got = call(7), call(np.int64(7))
+    if isinstance(expected, np.ndarray):
+        np.testing.assert_array_equal(got, expected)
+    else:
+        assert got == expected
 
 
 def test_welch_rejects_bad_arguments():
