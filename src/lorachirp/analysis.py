@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import max_cross_correlation, snr_penalty_db
-from .params import _BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _integer, _map_chunks
+from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _integer,
+                     _json_object, _map_chunks, _real)
 from .spectrum import SpectrumResult, fresnel_spectrum
 
 _TINY = 1e-30
@@ -45,7 +46,7 @@ def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
     """dBm per delta_f at transmit power ps_dbm: the trapezoid integral of
     density over [c - delta_f/2, c + delta_f/2] for each center c, plus
     the powers of lines = (bin indices, powers) added into their bins."""
-    if not np.isfinite(ps_dbm):
+    if not np.isfinite(_real(ps_dbm, "ps_dbm")):
         raise ValueError(f"ps_dbm must be a finite number, got {ps_dbm!r}")
     cum = _cumulative_trapezoid(grid, density)
     power = (np.interp(centers + delta_f / 2, grid, cum)
@@ -86,7 +87,7 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
         spectrum = fresnel_spectrum(p, f_max=4.0 * p.b, step=p.b / (k * p.m))
     if tol is None:
         tol = 1e-3 * p.b
-    if not (np.isfinite(tol) and tol > 0):
+    if not (np.isfinite(_real(tol, "tol")) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     cum = _cumulative_trapezoid(spectrum.grid, spectrum.continuous)
     span = 2.0 * float(spectrum.grid[-1])
@@ -175,7 +176,7 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     spectrum span.  Bins are half-open, so a line falling exactly on an
     edge is counted once, in the upper bin.
     """
-    if not (np.isfinite(delta_f) and delta_f > 0):
+    if not (np.isfinite(_real(delta_f, "delta_f")) and delta_f > 0):
         raise ValueError(f"delta_f must be finite and positive, got {delta_f!r}")
     grid = spec.grid
     k_lo = int(np.ceil((grid[0] + delta_f / 2 - origin) / delta_f - 1e-9))
@@ -206,7 +207,7 @@ class MaskSegment:
 
     def __post_init__(self):
         for key in _MASK_KEYS:
-            if not np.isfinite(getattr(self, key)):
+            if not np.isfinite(_real(getattr(self, key), f"mask segment {key}")):
                 raise ValueError(
                     f"mask segment {key} must be a finite number, got {getattr(self, key)!r}")
         if self.f_stop_hz <= self.f_start_hz:
@@ -232,31 +233,27 @@ class MaskSpec:
 
     @classmethod
     def from_json(cls, path) -> "MaskSpec":
-        """Parse a mask document; a top level that is not an object, a
-        'segments' value that is not a list, a missing key or a value that
-        is not a finite number raises ValueError naming the key."""
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise ValueError(f"mask {path} must hold a JSON object with a 'segments' list")
+        """Parse a mask document.  A file that cannot be read, is not JSON
+        or whose top level is not an object, a 'segments' value that is not
+        a list, a missing key, a value that is not a finite number and an
+        invalid segment or mask raise OSError or ValueError naming the
+        file."""
+        doc = _json_object(path, "mask", "a 'segments' list")
         segments = doc.get("segments", [])
         if not isinstance(segments, list):
             raise ValueError(f"mask {path}: 'segments' must be a list, got {segments!r}")
         segs = []
-        for i, seg in enumerate(segments):
-            values = []
-            for key in _MASK_KEYS:
-                if not isinstance(seg, dict) or key not in seg:
-                    raise ValueError(f"mask segment {i} is missing {key!r}")
-                try:
-                    value = float(seg[key])
-                except (TypeError, ValueError):
-                    value = np.nan
-                if not np.isfinite(value):
-                    raise ValueError(
-                        f"mask segment {i}: {key!r} must be a finite number, got {seg[key]!r}")
-                values.append(value)
-            segs.append(MaskSegment(*values))
-        return cls(label=str(doc.get("label", "")), segments=tuple(segs))
+        try:
+            for i, seg in enumerate(segments):
+                values = []
+                for key in _MASK_KEYS:
+                    if not isinstance(seg, dict) or key not in seg:
+                        raise ValueError(f"segment {i} is missing {key!r}")
+                    values.append(_finite(seg[key], f"segment {i}: {key!r}"))
+                segs.append(MaskSegment(*values))
+            return cls(label=str(doc.get("label", "")), segments=tuple(segs))
+        except ValueError as exc:
+            raise ValueError(f"mask {path}: {exc}") from exc
 
     def to_json(self, path) -> None:
         doc = {"label": self.label,
@@ -305,7 +302,7 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
     ValueError naming the segment; so does a carrier f0 that is not
     finite.
     """
-    if not np.isfinite(f0):
+    if not np.isfinite(_real(f0, "carrier frequency f0")):
         raise ValueError(f"carrier frequency f0 must be a finite number, got {f0!r}")
     f_abs = binned.bin_centers + f0
     results = []

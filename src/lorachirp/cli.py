@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from importlib import resources
@@ -18,14 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, correlation, iqfile, spectrum
-from .params import LoraParams, _power_ratio
+from .iqfile import _write_csv
+from .params import LoraParams, _finite, _power_ratio
 from .receiver import demodulate_stream
 from .waveform import modulate, payload_to_symbols
-
-
-# rows of a CSV output formatted and written in one go: few enough that
-# the text of a chunk stays far below the columns it is formatted from
-_CSV_ROWS = 256
 
 
 def example_mask_path() -> Path:
@@ -42,19 +37,6 @@ def _parse_symbols(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad --symbols list {text!r}: {exc}") from exc
-
-
-def _write_csv(path, header_cols: list[str], cols: list[list], comments: list[str] = ()) -> None:
-    """Write '# ' comment lines, a header and one row per entry of the
-    columns `cols` (lists of Python numbers), in csv.writer's default
-    layout: ',' between fields and '\r\n' after each row.  Every number is
-    written as its repr, so floats read back exactly.  Rows are formatted
-    and written _CSV_ROWS at a time, so the text never exists whole."""
-    rows = map(",".join, zip(*(map(repr, c) for c in cols)))
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header_cols) + "\r\n")
-        while chunk := list(itertools.islice(rows, _CSV_ROWS)):
-            fh.write("\r\n".join(chunk) + "\r\n")
 
 
 def _cmd_modulate(args) -> int:
@@ -152,17 +134,6 @@ def _cmd_welch(args) -> int:
     return 0
 
 
-def _csv_number(text: str, where: str) -> float:
-    """A finite float parsed from a CSV field, else ValueError naming `where`."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise ValueError(f"{where} must be a finite number, got {text!r}")
-    return value
-
-
 def _read_binned_csv(path) -> analysis.BinnedSpectrum:
     meta = {}
     centers, levels = [], []
@@ -178,14 +149,14 @@ def _read_binned_csv(path) -> analysis.BinnedSpectrum:
             where = f"binned CSV {path}, line {lineno}"
             if len(row) < 2:
                 raise ValueError(f"{where}: need bin_center_hz,power_dbm, got {line.strip()!r}")
-            centers.append(_csv_number(row[0], f"{where}: bin_center_hz"))
-            levels.append(_csv_number(row[1], f"{where}: power_dbm"))
+            centers.append(_finite(row[0], f"{where}: bin_center_hz"))
+            levels.append(_finite(row[1], f"{where}: power_dbm"))
     if "delta_f_hz" not in meta or "ps_dbm" not in meta:
         raise ValueError(f"binned CSV {path} is missing '# delta_f_hz=' / '# ps_dbm=' metadata")
     return analysis.BinnedSpectrum(
         bin_centers=np.array(centers), bin_power_dbm=np.array(levels),
-        delta_f=_csv_number(meta["delta_f_hz"], f"binned CSV {path}: delta_f_hz"),
-        ps_dbm=_csv_number(meta["ps_dbm"], f"binned CSV {path}: ps_dbm"))
+        delta_f=_finite(meta["delta_f_hz"], f"binned CSV {path}: delta_f_hz"),
+        ps_dbm=_finite(meta["ps_dbm"], f"binned CSV {path}: ps_dbm"))
 
 
 def _write_binned_csv(path, binned: analysis.BinnedSpectrum) -> None:

@@ -7,6 +7,7 @@ frequency and sample count so captures stay self-describing.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -15,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import (_BLOCK_SAMPLES, IqBuffer, _all_within, _check_fs, _map_chunks,
-                     _real)
+from .params import (_BLOCK_SAMPLES, IqBuffer, _all_within, _check_fs, _finite,
+                     _json_object, _map_chunks, _real)
 
 FORMAT_F32 = "interleaved-f32-le"
 FORMAT_CSV = "csv"
@@ -42,6 +43,23 @@ class IqFileHeader:
 # to infinity.
 _F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
+# rows of a CSV output formatted and written in one go: few enough that
+# the text of a chunk stays far below the columns it is formatted from
+_CSV_ROWS = 256
+
+
+def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = ()) -> None:
+    """Write '# ' comment lines, a header and one row per entry of the
+    columns `cols` (iterables of Python numbers), in csv.writer's default
+    layout: ',' between fields and '\r\n' after each row.  Every number is
+    written as its repr, so floats read back exactly.  Rows are formatted
+    and written _CSV_ROWS at a time, so the text never exists whole."""
+    rows = map(",".join, zip(*(map(repr, c) for c in cols)))
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header_cols) + "\r\n")
+        while chunk := list(itertools.islice(rows, _CSV_ROWS)):
+            fh.write("\r\n".join(chunk) + "\r\n")
+
 
 def _default_header_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
@@ -56,9 +74,9 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     header that was written.  A sample whose I or Q is NaN, infinite or
     (in the binary format) beyond the float32 range raises ValueError
     before anything is written, since read_iq would reject the capture.
-    In the binary format the check, and then the narrowing and writing,
-    run in blocks shared among the CPUs of the affinity mask; no
-    full-size copy of the samples is made.
+    The check, and in the binary format the narrowing and writing, run
+    in blocks shared among the CPUs of the affinity mask; no full-size
+    copy of the samples is made.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
@@ -74,16 +92,13 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
             lo, hi = i * _BLOCK_SAMPLES, min(n, (i + 1) * _BLOCK_SAMPLES)
             yield lo, hi, buffer._block(lo, hi, scratch)
 
-    if fmt == FORMAT_F32:
-        def narrows(blocks: range) -> list[bool]:
-            # complex128 is stored as I, Q float64 pairs
-            return [_all_within(block.view(np.float64), _F32_OVERFLOW)
-                    for _, _, block in blocks_in(blocks)]
+    bound = _F32_OVERFLOW if fmt == FORMAT_F32 else np.inf
 
-        finite = all(_map_chunks(narrows, n_blocks))
-    else:
-        finite = np.isfinite(buffer.samples).all()
-    if not finite:
+    def fits(blocks: range) -> list[bool]:
+        # complex128 is stored as I, Q float64 pairs
+        return [_all_within(block.view(np.float64), bound) for _, _, block in blocks_in(blocks)]
+
+    if not all(_map_chunks(fits, n_blocks)):
         raise ValueError(f"cannot write IQ capture {path}: the I or Q of a sample is NaN, "
                          "infinite or too large for float32")
     try:
@@ -104,11 +119,8 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
 
             _map_chunks(write, n_blocks)
         else:
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["i", "q"])
-                for z in buffer.samples:
-                    writer.writerow([repr(float(z.real)), repr(float(z.imag))])
+            samples = buffer.samples
+            _write_csv(path, ["i", "q"], [map(float, samples.real), map(float, samples.imag)])
         header_path.write_text(json.dumps({
             "format": header.format,
             "fs_hz": header.fs,
@@ -122,44 +134,29 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
 
 
 def read_header(header_path) -> tuple[IqFileHeader, int | None]:
-    """Parse a sidecar; returns the header and the recorded sample count."""
+    """Parse a sidecar; returns the header and the recorded sample count.
+    Every error names the sidecar."""
     header_path = Path(header_path)
-    try:
-        doc = json.loads(header_path.read_text())
-    except OSError as exc:
-        raise OSError(f"cannot read IQ sidecar {header_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed IQ sidecar {header_path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"IQ sidecar {header_path} must hold a JSON object with 'fs_hz'")
+    doc = _json_object(header_path, "IQ sidecar", "'fs_hz'")
     if "fs_hz" not in doc:
         raise ValueError(f"IQ sidecar {header_path} is missing fs_hz")
-    fs = _finite_number(doc, "fs_hz", header_path)
+    where = f"IQ sidecar {header_path}:"
+    fs = _finite(doc["fs_hz"], f"{where} 'fs_hz'")
     if not fs > 0:
-        raise ValueError(f"IQ sidecar {header_path}: 'fs_hz' must be positive, got {fs}")
-    header = IqFileHeader(format=str(doc.get("format", FORMAT_F32)), fs=fs,
-                          center_freq=_finite_number(doc, "center_freq_hz", header_path, 0.0),
-                          description=str(doc.get("description", "")))
+        raise ValueError(f"{where} 'fs_hz' must be positive, got {fs}")
+    center_freq = _finite(doc.get("center_freq_hz", 0.0), f"{where} 'center_freq_hz'")
+    try:
+        header = IqFileHeader(format=str(doc.get("format", FORMAT_F32)), fs=fs,
+                              center_freq=center_freq,
+                              description=str(doc.get("description", "")))
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from exc
     n = doc.get("num_samples")
     if isinstance(n, float) and n.is_integer():
         n = int(n)
     if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
-        raise ValueError(
-            f"IQ sidecar {header_path}: 'num_samples' must be a nonnegative integer, got {n!r}")
+        raise ValueError(f"{where} 'num_samples' must be a nonnegative integer, got {n!r}")
     return header, n
-
-
-def _finite_number(doc: dict, key: str, header_path, default=None) -> float:
-    """doc[key] as a finite float, else ValueError naming the key."""
-    value = doc.get(key, default)
-    try:
-        number = np.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = np.nan
-    if not np.isfinite(number):
-        raise ValueError(
-            f"IQ sidecar {header_path}: {key!r} must be a finite number, got {value!r}")
-    return number
 
 
 def _read_f32(path: Path, n_expected: int | None) -> tuple[np.ndarray, bool]:

@@ -1,6 +1,7 @@
 """Core modulation parameters and signal-buffer types."""
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import os
@@ -8,6 +9,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -79,6 +81,35 @@ def _real(value, name: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _finite(value, where: str) -> float:
+    """A number read from a file (a JSON value or CSV text) as a finite
+    float; ValueError naming `where` for a bool, for anything float()
+    rejects or overflows on, and for NaN or an infinity."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
+def _json_object(path, what: str, holding: str) -> dict:
+    """The JSON object in the file at path.  OSError or ValueError naming
+    the file as `what` when it cannot be read, is not JSON (or is nested
+    too deeply to decode), or holds no object; an object with `holding`
+    is what the last message asks for."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"malformed {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object with {holding}")
+    return doc
+
+
 def _finite_normal(x: float) -> bool:
     """True when x is finite and nonzero and not subnormal."""
     return math.isfinite(x) and abs(x) >= sys.float_info.min
@@ -148,11 +179,11 @@ def validate_symbol(p: LoraParams, a) -> int:
 
 
 def _power_ratio(db, name: str) -> float:
-    """10**(db/10) as a float; ValueError naming `name` unless it is finite
-    and positive (NaN and a huge db give NaN or overflow, a hugely negative
-    one gives 0)."""
+    """10**(db/10) as a float; ValueError naming `name` unless db is a real
+    number and the ratio is finite and positive (NaN and a huge db give
+    NaN or overflow, a hugely negative one gives 0)."""
     try:
-        ratio = 10.0 ** (float(db) / 10.0)
+        ratio = 10.0 ** (_real(db, name) / 10.0)
     except OverflowError:
         ratio = math.inf
     if not (math.isfinite(ratio) and ratio > 0):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LoraParams, Symbol, _integer, validate_symbol
+from .params import LoraParams, Symbol, _integer, _real, validate_symbol
 
 
 def _load_fresnel(x):
@@ -248,7 +248,7 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     if f_max is None:
         f_max = 8.0 * p.b
     k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
-    if not (np.isfinite(f_max) and f_max > 0):
+    if not (np.isfinite(_real(f_max, "f_max")) and f_max > 0):
         raise ValueError(f"f_max must be finite and positive, got {f_max}")
     step = p.b / (k * p.m)
     n = int(round(f_max / step))

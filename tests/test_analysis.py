@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,10 @@ from hypothesis import given, strategies as st
 
 import lorachirp
 from lorachirp import analysis
-from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec,
-                       bin_estimate, binned_power, bit_rate, mask_check, modulate,
-                       discrete_spectrum_lines, occupied_bandwidth, payload_to_symbols,
-                       reproduce_table, spectral_efficiency, welch_psd)
+from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec, awgn,
+                       bin_estimate, binned_power, bit_rate, fresnel_spectrum, mask_check,
+                       modulate, discrete_spectrum_lines, occupied_bandwidth,
+                       payload_to_symbols, reproduce_table, spectral_efficiency, welch_psd)
 from oracles import psd_via_dft
 
 P7 = LoraParams(sf=7, b=125e3)
@@ -149,6 +150,23 @@ def test_binned_levels_reject_non_finite_power(spec7, ps_dbm):
 def test_binned_power_rejects_bad_bin_width(spec7, delta_f):
     with pytest.raises(ValueError, match="delta_f must be finite and positive"):
         binned_power(spec7, delta_f=delta_f, ps_dbm=14.0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("delta_f", lambda spec, v: binned_power(spec, delta_f=v, ps_dbm=14.0)),
+    ("ps_dbm", lambda spec, v: binned_power(spec, delta_f=1.0 / 128, ps_dbm=v)),
+    ("carrier frequency f0", lambda spec, v: mask_check(
+        binned_power(spec, delta_f=1.0 / 128, ps_dbm=14.0), MaskSpec("empty"), f0=v)),
+    ("f_max", lambda spec, v: fresnel_spectrum(LoraParams(sf=3, b=1.0), f_max=v)),
+    ("tol", lambda spec, v: occupied_bandwidth(spec.params, 0.99, spectrum=spec, tol=v)),
+    ("mask segment rbw_hz", lambda spec, v: MaskSegment(0.0, 1.0, 0.0, rbw_hz=v)),
+    ("snr_db", lambda spec, v: awgn(modulate(P7, [1]), snr_db=v, seed=0))],
+    ids=["delta_f", "ps_dbm", "f0", "f_max", "tol", "rbw_hz", "snr_db"])
+@pytest.mark.parametrize("value", [True, "10"], ids=["bool", "str"])
+def test_real_arguments_reject_a_bool_or_a_string(spec7, name, call, value):
+    message = re.escape(f"{name} must be a real number, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(spec7, value)
 
 
 def test_binned_peak_level_consistent_with_reported_scale():

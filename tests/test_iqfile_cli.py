@@ -165,6 +165,41 @@ def test_sidecar_must_be_an_object(tmp_path, iq):
         read_iq(path)
 
 
+def test_sidecar_format_error_names_the_sidecar(capture):
+    path = _with_sidecar(capture, format="f64")
+    sidecar = re.escape(str(path.with_name("sig.iq.json")))
+    with pytest.raises(ValueError, match=f"^IQ sidecar {sidecar}: unknown IQ format 'f64'$"):
+        read_iq(path)
+
+
+@pytest.mark.parametrize("text", [b'{"fs_hz": 1', b"\xff", b"[" * 100_000],
+                         ids=["truncated", "not-utf8", "nested-too-deeply"])
+def test_sidecar_that_is_not_json_is_named(tmp_path, text):
+    sidecar = tmp_path / "sig.iq.json"
+    sidecar.write_bytes(text)
+    with pytest.raises(ValueError, match=f"^malformed IQ sidecar {re.escape(str(sidecar))}: "):
+        read_header(sidecar)
+
+
+_MASK_SEGMENT = {"f_start_hz": 863.0e6, "f_stop_hz": 865.0e6, "limit_dbm": -36.0,
+                 "rbw_hz": 1000.0}
+
+
+@pytest.fixture(scope="module")
+def mask_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mask") / "mask.json"
+
+
+@pytest.mark.parametrize("key", list(_MASK_SEGMENT))
+@given(value=st.one_of(_NOT_NUMBERS, st.sampled_from([10 ** 400, True])))
+def test_mask_fields_must_be_finite_numbers(mask_path, key, value):
+    # a bool is no number and an integer beyond the float range no finite one
+    mask_path.write_text(json.dumps({"label": "bad", "segments": [{**_MASK_SEGMENT, key: value}]}))
+    where = re.escape(f"mask {mask_path}: segment 0: '{key}'")
+    with pytest.raises(ValueError, match=f"^{where} must be a finite number"):
+        MaskSpec.from_json(mask_path)
+
+
 def test_csv_format_parses_equivalently(tmp_path, iq):
     bin_path = tmp_path / "sig.iq"
     csv_path = tmp_path / "sig.csv"
@@ -405,6 +440,16 @@ def test_cli_mask_check_rejects_malformed_document(tmp_path, capsys, doc, messag
                "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_mask_check_names_a_truncated_mask(tmp_path, capsys):
+    mask = tmp_path / "truncated.json"
+    mask.write_text(example_mask_path().read_text()[:28])
+    rc = main(["mask-check", "--mask", str(mask), "--f0", "868.3e6",
+               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: malformed mask {mask}: ")
 
 
 def test_cli_mask_check_bins_line_power_out_to_8b(tmp_path, capsys):
