@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import max_cross_correlation, snr_penalty_db
+from .correlation import _penalty_db, max_cross_correlation
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _integer,
                      _json_object, _map_chunks, _real)
 from .spectrum import SpectrumResult, fresnel_spectrum
@@ -56,13 +56,22 @@ def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
     return 10.0 * np.log10(np.maximum(power, _TINY)) + ps_dbm
 
 
-def _captured_power(spec: SpectrumResult, width: float, cum: np.ndarray) -> float:
-    """Continuous power over [-width/2, width/2] plus lines inside; cum is
-    the cumulative trapezoid of spec.continuous over spec.grid."""
-    half = width / 2.0
-    cont = (np.interp(half, spec.grid, cum) - np.interp(-half, spec.grid, cum))
-    lines = spec.line_powers[np.abs(spec.line_frequencies) <= half * (1 + 1e-12)].sum()
-    return float(cont + lines)
+def _lines_within(spec: SpectrumResult):
+    """The function h -> total power of spec's lines with |f| <= h.
+
+    The lines are sorted once by signed frequency (a stable sort, linear
+    on the ascending lines of every library spectrum), so the lines inside
+    are one slice, found by two binary searches and summed in frequency
+    order.
+    """
+    order = np.argsort(spec.line_frequencies, kind="stable")
+    freqs = spec.line_frequencies[order]
+    powers = spec.line_powers[order]
+
+    def power(h: float) -> float:
+        return float(powers[freqs.searchsorted(-h, "left"):freqs.searchsorted(h, "right")].sum())
+
+    return power
 
 
 def occupied_bandwidth(p: LoraParams, fraction: float,
@@ -80,7 +89,7 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
     exceeds what the computed spectrum span contains, the error reports
     the captured fraction.
     """
-    if not 0.0 < fraction < 1.0:
+    if not 0.0 < _real(fraction, "fraction") < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if spectrum is None:
         k = max(1, 512 // p.m)
@@ -89,19 +98,28 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
         tol = 1e-3 * p.b
     if not (np.isfinite(_real(tol, "tol")) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    cum = _cumulative_trapezoid(spectrum.grid, spectrum.continuous)
-    span = 2.0 * float(spectrum.grid[-1])
-    reachable = _captured_power(spectrum, span, cum)
+    grid = spectrum.grid
+    cum = _cumulative_trapezoid(grid, spectrum.continuous)
+    lines_within = _lines_within(spectrum)
+
+    def captured(width: float) -> float:
+        """Continuous power over [-width/2, width/2] plus the lines inside."""
+        half = width / 2.0
+        cont = np.interp(half, grid, cum) - np.interp(-half, grid, cum)
+        return float(cont + lines_within(half * (1 + 1e-12)))
+
+    span = 2.0 * float(grid[-1])
+    reachable = captured(span)
     if fraction > reachable:
         raise ValueError(
             f"fraction {fraction} unreachable: computed span |f| <= "
-            f"{spectrum.grid[-1]:.6g} Hz captures only {reachable:.6f}")
+            f"{grid[-1]:.6g} Hz captures only {reachable:.6f}")
     lo, hi = 0.0, span
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if _captured_power(spectrum, mid, cum) >= fraction:
+        if captured(mid) >= fraction:
             hi = mid
         else:
             lo = mid
@@ -128,8 +146,9 @@ class TableRow:
 def reproduce_table(sf_list, fraction: float = 0.99) -> list[TableRow]:
     """Compute the summary metrics table from first principles.
 
-    Every column is recomputed (correlation scan, bandwidth search on the
-    exact Fresnel spectrum, analytic line power); nothing is tabulated.
+    Every column is recomputed (one correlation scan per row, read for
+    max|Re C| and the SNR penalty, a bandwidth search on the exact Fresnel
+    spectrum, analytic line power); nothing is tabulated.
     """
     rows = []
     for sf in sf_list:
@@ -145,7 +164,7 @@ def reproduce_table(sf_list, fraction: float = 0.99) -> list[TableRow]:
             max_re_c=mc.max_abs_real,
             b99_b=b99 / p.b,
             pd=1.0 / p.m,
-            delta_max_db=snr_penalty_db(p),
+            delta_max_db=_penalty_db(mc.max_abs_real),
         ))
     return rows
 
@@ -178,6 +197,8 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     """
     if not (np.isfinite(_real(delta_f, "delta_f")) and delta_f > 0):
         raise ValueError(f"delta_f must be finite and positive, got {delta_f!r}")
+    if not np.isfinite(_real(origin, "origin")):
+        raise ValueError(f"origin must be a finite number, got {origin!r}")
     grid = spec.grid
     k_lo = int(np.ceil((grid[0] + delta_f / 2 - origin) / delta_f - 1e-9))
     k_hi = int(np.floor((grid[-1] - delta_f / 2 - origin) / delta_f + 1e-9))
@@ -360,7 +381,7 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     if segment_len < 2 or segment_len > len(iq):
         raise ValueError(
             f"segment_len must be in [2, {len(iq)}], got {segment_len}")
-    if not 0.0 <= overlap < 1.0:
+    if not 0.0 <= _real(overlap, "overlap") < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")

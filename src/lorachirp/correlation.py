@@ -83,10 +83,15 @@ def correlation_bound(p: LoraParams) -> float:
     return 1.0 / (np.sqrt(2.0 * p.m) - 1.0)
 
 
+def _penalty_db(max_abs_real: float) -> float:
+    """-10*log10(1 - max|Re C|) in dB, from a max_cross_correlation scan."""
+    return float(-10.0 * np.log10(1.0 - max_abs_real))
+
+
 def snr_penalty_db(p: LoraParams) -> float:
     """Worst-case SNR penalty -10*log10(1 - max|Re C|) in dB relative to
     an orthogonal waveform set."""
-    return float(-10.0 * np.log10(1.0 - max_cross_correlation(p).max_abs_real))
+    return _penalty_db(max_cross_correlation(p).max_abs_real)
 
 
 def orthogonality_offsets(p: LoraParams) -> list[int]:

@@ -169,7 +169,10 @@ def _strided_prefix(values: np.ndarray, k: int) -> np.ndarray:
 
 
 _HALF = 0.5 + 0.5j  # K(x) -> +-(1+j)/2 as x -> +-inf
-_CHUNK = 1 << 18  # frequencies per block of work
+# Frequencies per block of work: a block's temporaries (64 KiB for a
+# complex one) stay in cache and are reused by the allocator; larger blocks
+# run slower, as theirs fault fresh pages in on every call.
+_CHUNK = 1 << 12
 
 
 def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,22 +192,32 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     M = p.m
     j = np.arange(-(k * M // 2) - n_max, k * M // 2 + 1)
     d = _kfun(np.sqrt(2.0 / M) * (j / k)) + _HALF
-    # exp(-j*pi*u^2/M) with u = j/k, the phase reduced exactly in integers
-    e = np.exp(-1j * np.pi * ((j * j) % (2 * k * k * M)) / (k * k * M))
+    # exp(-j*pi*u^2/M) with u = j/k, the phase reduced exactly in integers;
+    # j^2 mod 2k^2M has period k^2M in j (M is even), so one period serves
+    first = j[:k * k * M]
+    e = np.resize(np.exp(-1j * np.pi * ((first * first) % (2 * k * k * M)) / (k * k * M)),
+                  len(j))
     prefix = [_strided_prefix(v, k) for v in (d, d.real ** 2 + d.imag ** 2, e, e * d)]
+    # w = exp(-j*2*pi*|n|/k) for |n| mod k = 0..k-1
+    roots = np.exp(-2j * np.pi * np.arange(k) / k)
     sum_abs2 = np.empty(2 * n_max + 1)
     sum_x = np.empty(2 * n_max + 1, dtype=complex)
-    for start in range(0, n_max + 1, _CHUNK):
-        m = np.arange(start, min(start + _CHUNK, n_max + 1))  # |n|
-        lo = n_max - m  # table index of l = 0 for n = +m
-        w = np.exp(-2j * np.pi * (m % k) / k)
-        # windows l = 0..M-1 for n = +m, l = 1..M for n = -m
-        s_pos = [c[lo + k * M] - c[lo] for c in prefix]
-        s_neg = [c[lo + k * M + k] - c[lo + k] for c in prefix]
-        sum_abs2[n_max - m], sum_x[n_max - m] = _factorized_sums(
-            p, -d[lo], -d[lo + k * M], np.conj(w), -s_neg[0], s_neg[1], s_neg[2], -s_neg[3])
-        sum_abs2[n_max + m], sum_x[n_max + m] = _factorized_sums(
-            p, d[lo + k * M], d[lo], w, *s_pos)
+    top = k * M
+    # Table index lo holds l = 0 of n = +|n| with |n| = n_max - lo, so walking
+    # lo upwards makes every read a forward slice: -|n| lands at lo, +|n|
+    # at 2*n_max - lo (a reversed slice); n = 0 is written last by +|n|.
+    for lo in range(0, n_max + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n_max + 1)
+        w = roots[(n_max - np.arange(lo, hi)) % k]
+        # windows l = 0..M-1 for n = +|n|, l = 1..M for n = -|n|
+        s_pos = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]
+        s_neg = [c[lo + top + k:hi + top + k] - c[lo + k:hi + k] for c in prefix]
+        sum_abs2[lo:hi], sum_x[lo:hi] = _factorized_sums(
+            p, -d[lo:hi], -d[lo + top:hi + top], np.conj(w),
+            -s_neg[0], s_neg[1], s_neg[2], -s_neg[3])
+        pos = slice(2 * n_max + 1 - hi, 2 * n_max + 1 - lo)
+        sum_abs2[pos][::-1], sum_x[pos][::-1] = _factorized_sums(
+            p, d[lo + top:hi + top], d[lo:hi], w, *s_pos)
     return sum_abs2, sum_x
 
 

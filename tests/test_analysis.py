@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import os
 import re
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lorachirp
-from lorachirp import analysis
+from lorachirp import analysis, correlation
 from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec, awgn,
                        bin_estimate, binned_power, bit_rate, fresnel_spectrum, mask_check,
                        modulate, discrete_spectrum_lines, occupied_bandwidth,
-                       payload_to_symbols, reproduce_table, spectral_efficiency, welch_psd)
+                       payload_to_symbols, reproduce_table, snr_penalty_db, spectral_efficiency,
+                       welch_psd)
 from oracles import psd_via_dft
 
 P7 = LoraParams(sf=7, b=125e3)
@@ -96,6 +99,51 @@ def test_occupied_bandwidth_ends_when_the_bracket_cannot_be_split():
     assert proc.stdout.strip() == "True"
 
 
+@functools.lru_cache(maxsize=None)
+def _bisection_spectrum(sf: int):
+    """occupied_bandwidth's default spectrum at B = 1 Hz."""
+    p = LoraParams(sf=sf, b=1.0)
+    k = max(1, 512 // p.m)
+    return fresnel_spectrum(p, f_max=4.0, step=1.0 / (k * p.m))
+
+
+@pytest.mark.parametrize("sf", [3, 7, 10])
+def test_occupied_bandwidth_ignores_the_order_of_the_lines(sf):
+    spec = _bisection_spectrum(sf)
+    order = np.random.default_rng(sf).permutation(len(spec.lines))
+    shuffled = dataclasses.replace(spec, lines=spec.lines[order])
+    for fraction in (0.5, 0.99):
+        assert (occupied_bandwidth(spec.params, fraction, spectrum=shuffled)
+                == occupied_bandwidth(spec.params, fraction, spectrum=spec))
+
+
+@given(sf=st.integers(3, 9), n=st.integers(0, 4 * 512),
+       nudge=st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12]))
+def test_line_term_equals_the_masked_sum(sf, n, nudge):
+    # h = n*B/M puts the edge exactly on a line (inclusive), or just inside
+    # or outside it
+    spec = _bisection_spectrum(sf)
+    h = n % (4 * spec.params.m + 1) / spec.params.m * nudge
+    ref = spec.line_powers[np.abs(spec.line_frequencies) <= h].sum()
+    assert abs(analysis._lines_within(spec)(h) - ref) <= 1e-15
+
+
+def test_reproduce_table_scans_the_correlations_once_per_row(monkeypatch):
+    calls = []
+    scan = correlation.max_cross_correlation
+
+    def counted(p):
+        calls.append(p.sf)
+        return scan(p)
+
+    monkeypatch.setattr(correlation, "max_cross_correlation", counted)
+    monkeypatch.setattr(analysis, "max_cross_correlation", counted)
+    rows = reproduce_table(range(3, 13))
+    assert calls == list(range(3, 13))
+    for row in rows:
+        assert row.delta_max_db == snr_penalty_db(LoraParams(sf=row.sf, b=1.0))
+
+
 def test_reproduce_table_row_sf5():
     row = reproduce_table([5])[0]
     assert row.eff == pytest.approx(0.156, abs=5e-4)
@@ -152,6 +200,12 @@ def test_binned_power_rejects_bad_bin_width(spec7, delta_f):
         binned_power(spec7, delta_f=delta_f, ps_dbm=14.0)
 
 
+@pytest.mark.parametrize("origin", [np.nan, np.inf, -np.inf])
+def test_binned_power_rejects_a_non_finite_origin(spec7, origin):
+    with pytest.raises(ValueError, match="origin must be a finite number"):
+        binned_power(spec7, delta_f=1.0 / 128, ps_dbm=14.0, origin=origin)
+
+
 @pytest.mark.parametrize("name, call", [
     ("delta_f", lambda spec, v: binned_power(spec, delta_f=v, ps_dbm=14.0)),
     ("ps_dbm", lambda spec, v: binned_power(spec, delta_f=1.0 / 128, ps_dbm=v)),
@@ -160,8 +214,12 @@ def test_binned_power_rejects_bad_bin_width(spec7, delta_f):
     ("f_max", lambda spec, v: fresnel_spectrum(LoraParams(sf=3, b=1.0), f_max=v)),
     ("tol", lambda spec, v: occupied_bandwidth(spec.params, 0.99, spectrum=spec, tol=v)),
     ("mask segment rbw_hz", lambda spec, v: MaskSegment(0.0, 1.0, 0.0, rbw_hz=v)),
-    ("snr_db", lambda spec, v: awgn(modulate(P7, [1]), snr_db=v, seed=0))],
-    ids=["delta_f", "ps_dbm", "f0", "f_max", "tol", "rbw_hz", "snr_db"])
+    ("snr_db", lambda spec, v: awgn(modulate(P7, [1]), snr_db=v, seed=0)),
+    ("origin", lambda spec, v: binned_power(spec, delta_f=1.0 / 128, ps_dbm=14.0, origin=v)),
+    ("fraction", lambda spec, v: occupied_bandwidth(spec.params, v, spectrum=spec)),
+    ("overlap", lambda spec, v: welch_psd(modulate(P7, [1]), 16, overlap=v))],
+    ids=["delta_f", "ps_dbm", "f0", "f_max", "tol", "rbw_hz", "snr_db", "origin", "fraction",
+         "overlap"])
 @pytest.mark.parametrize("value", [True, "10"], ids=["bool", "str"])
 def test_real_arguments_reject_a_bool_or_a_string(spec7, name, call, value):
     message = re.escape(f"{name} must be a real number, got {value!r}")

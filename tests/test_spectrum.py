@@ -265,6 +265,22 @@ def test_fresnel_spectrum_lines_equal_discrete_spectrum_lines(sf, grid):
     assert np.array_equal(res.lines, ref)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("sf,k,f_max", [(5, 1, None), (4, 3, None), (3, 64, None),
+                                        (5, 3, 1.5)], ids=["k1", "k3", "k64", "crop"])
+def test_fresnel_spectrum_is_the_same_across_chunk_boundaries(monkeypatch, chunk, sf, k,
+                                                              f_max):
+    # every block of the lattice walk reads and writes its own slices, so
+    # where the blocks end changes no bit; f_max = 1.5B is cropped from 4B
+    p = LoraParams(sf=sf, b=1.0)
+    ref = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
+    monkeypatch.setattr(spectrum, "_CHUNK", chunk)
+    got = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
+    assert len(ref.grid) // 2 + 1 > 2 * chunk  # three blocks or more
+    for name in ("grid", "continuous", "lines"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 @pytest.mark.parametrize("f_max,step", [(None, None), (1.0, 1.0 / 64), (8.0, 1.0 / 32)])
 def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, f_max, step):
     calls = []
