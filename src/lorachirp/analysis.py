@@ -397,14 +397,16 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
         # per-range scratch reused through out=, as in demodulate_stream
         windowed = np.empty((min(per_block, n_segments), segment_len), dtype=np.complex128)
         spec = np.empty_like(windowed)
-        scratch = iq._scratch((len(windowed) - 1) * hop + segment_len)
         rows = []
         for i in blocks:
             start = (first + i) * per_block
             k = min(per_block, n_segments - start)
             # the samples under segments start .. start+k-1, seen as those
-            # segments (far cheaper per block than sliding_window_view)
-            block = iq._block(start * hop, (start + k - 1) * hop + segment_len, scratch)
+            # segments (far cheaper per block than sliding_window_view); a
+            # lazy buffer gathers them into spec, which holds at least as
+            # many samples and is not written before the window is applied
+            block = iq._block(start * hop, (start + k - 1) * hop + segment_len,
+                              spec.reshape(-1))
             segments = np.ndarray((k, segment_len), block.dtype, block,
                                   strides=(hop * block.itemsize, block.itemsize))
             np.multiply(segments, w, out=windowed[:k])

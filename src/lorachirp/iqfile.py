@@ -7,6 +7,7 @@ frequency and sample count so captures stay self-describing.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -37,11 +38,6 @@ class IqFileHeader:
         if not math.isfinite(_real(self.center_freq, "center_freq")):
             raise ValueError(f"center_freq must be a finite number, got {self.center_freq}")
 
-
-# 2^128 - 2^103: the midpoint between FLT_MAX = 2^128 - 2^104 and 2^128.  A
-# float64 below it in magnitude rounds to a finite float32; at or above it,
-# to infinity.
-_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
 # rows of a CSV output formatted and written in one go: few enough that
 # the text of a chunk stays far below the columns it is formatted from
@@ -74,9 +70,10 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     header that was written.  A sample whose I or Q is NaN, infinite or
     (in the binary format) beyond the float32 range raises ValueError
     before anything is written, since read_iq would reject the capture.
-    The check, and in the binary format the narrowing and writing, run
-    in blocks shared among the CPUs of the affinity mask; no full-size
-    copy of the samples is made.
+    The binary format reads the buffer once, in blocks shared among the
+    CPUs of the affinity mask, narrowing each block into the file's
+    float32 payload (8 bytes per sample) and checking it there; the CSV
+    format reads `samples` once.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
@@ -84,21 +81,29 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
                           description=description)
     n = len(buffer)
     n_blocks = -(-n // _BLOCK_SAMPLES)
+    if fmt == FORMAT_F32:
+        payload = np.empty(2 * n, dtype="<f4")
 
-    def blocks_in(blocks: range):
-        """(lo, hi, samples[lo:hi]) of each block, through one scratch."""
-        scratch = buffer._scratch(min(n, _BLOCK_SAMPLES))
-        for i in blocks:
-            lo, hi = i * _BLOCK_SAMPLES, min(n, (i + 1) * _BLOCK_SAMPLES)
-            yield lo, hi, buffer._block(lo, hi, scratch)
+        def narrow(blocks: range) -> list[bool]:
+            scratch = buffer._scratch(min(n, _BLOCK_SAMPLES))
+            fits = []
+            # a float64 narrows to a finite float32 exactly when its magnitude
+            # is below 2^128 - 2^103, halfway from FLT_MAX to 2^128; one at or
+            # beyond it narrows to inf, here without a warning
+            with np.errstate(over="ignore"):
+                for i in blocks:
+                    lo, hi = i * _BLOCK_SAMPLES, min(n, (i + 1) * _BLOCK_SAMPLES)
+                    out = payload[2 * lo:2 * hi]
+                    # complex128 is stored as I, Q float64 pairs
+                    np.copyto(out, buffer._block(lo, hi, scratch).view(np.float64))
+                    fits.append(_all_within(out, np.inf))
+            return fits
 
-    bound = _F32_OVERFLOW if fmt == FORMAT_F32 else np.inf
-
-    def fits(blocks: range) -> list[bool]:
-        # complex128 is stored as I, Q float64 pairs
-        return [_all_within(block.view(np.float64), bound) for _, _, block in blocks_in(blocks)]
-
-    if not all(_map_chunks(fits, n_blocks)):
+        fits = all(_map_chunks(narrow, n_blocks))
+    else:
+        samples = buffer.samples
+        fits = _all_within(samples.view(np.float64), np.inf)
+    if not fits:
         raise ValueError(f"cannot write IQ capture {path}: the I or Q of a sample is NaN, "
                          "infinite or too large for float32")
     try:
@@ -106,20 +111,15 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
             path.open("wb").close()
 
             def write(blocks: range) -> tuple:
-                # each range narrows its blocks into one reused scratch and
-                # writes them through its own handle, from its first block on
-                raw = np.empty(2 * min(n, _BLOCK_SAMPLES), dtype="<f4")
+                # each range writes its blocks through its own handle
                 with path.open("r+b") as fh:
                     fh.seek(8 * _BLOCK_SAMPLES * blocks.start)
-                    for lo, hi, block in blocks_in(blocks):
-                        out = raw[:2 * (hi - lo)]
-                        np.copyto(out, block.view(np.float64))
-                        fh.write(out)
+                    fh.write(payload[2 * _BLOCK_SAMPLES * blocks.start:
+                                     2 * _BLOCK_SAMPLES * blocks.stop])
                 return ()
 
             _map_chunks(write, n_blocks)
         else:
-            samples = buffer.samples
             _write_csv(path, ["i", "q"], [map(float, samples.real), map(float, samples.imag)])
         header_path.write_text(json.dumps({
             "format": header.format,
@@ -160,8 +160,8 @@ def read_header(header_path) -> tuple[IqFileHeader, int | None]:
 
 
 def _read_f32(path: Path, n_expected: int | None) -> tuple[np.ndarray, bool]:
-    """The complex samples of an interleaved float32 capture and whether
-    all of them are finite, read and checked block by block on every CPU,
+    """The read-only float32 payload of an interleaved capture and whether
+    all of it is finite, read and checked block by block on every CPU,
     each range through its own file handle.  The payload's length is
     checked, also against the sidecar's count, before anything is
     allocated."""
@@ -174,31 +174,35 @@ def _read_f32(path: Path, n_expected: int | None) -> tuple[np.ndarray, bool]:
         raise ValueError(f"truncated IQ capture {path}: {size} bytes is not a "
                          "whole number of float32 I/Q pairs")
     _check_count(path, size // 8, n_expected)
-    values = np.empty(size // 4)
+    payload = np.empty(size // 4, dtype="<f4")
     step = 2 * _BLOCK_SAMPLES
 
-    def widen(blocks: range) -> list[bool]:
-        raw = np.empty(min(len(values), step), dtype="<f4")
+    def read(blocks: range) -> list[bool]:
         finite = []
         try:
             with path.open("rb") as fh:
                 fh.seek(4 * step * blocks.start)
                 for i in blocks:
-                    out = values[i * step:(i + 1) * step]
-                    block = raw[:len(out)]
+                    block = payload[i * step:(i + 1) * step]
                     # a buffered readinto fills the block unless the file ends
                     got = fh.readinto(block)
                     if got < block.nbytes:
                         raise OSError(f"the file ended after {4 * i * step + got} "
                                       f"of {size} bytes")
                     finite.append(_all_within(block, np.inf))
-                    out[:] = block  # every float32 widens to float64 exactly
         except OSError as exc:
             raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
         return finite
 
-    finite = all(_map_chunks(widen, -(-len(values) // step)))
-    return values.view(np.complex128), finite
+    finite = all(_map_chunks(read, -(-len(payload) // step)))
+    payload.setflags(write=False)
+    return payload, finite
+
+
+def _widen(payload: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Write samples lo..hi-1 of an interleaved float32 payload into the
+    complex128 array out; every float32 widens to float64 exactly."""
+    np.copyto(out.view(np.float64), payload[2 * lo:2 * hi])
 
 
 def _check_count(path: Path, n: int, n_expected: int | None) -> None:
@@ -206,32 +210,48 @@ def _check_count(path: Path, n: int, n_expected: int | None) -> None:
         raise ValueError(f"IQ capture {path} holds {n} samples but sidecar says {n_expected}")
 
 
+def _read_csv(path: Path) -> np.ndarray:
+    """The samples of a CSV capture: an 'i,q' header row, then one row of
+    two numbers per sample; blank rows are skipped."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or [c.strip().lower() for c in rows[0][1]] != ["i", "q"]:
+        raise ValueError(f"CSV IQ capture {path} must start with an 'i,q' header row")
+    samples = []
+    for line, row in rows[1:]:
+        try:
+            if len(row) != 2:
+                raise ValueError(f"expected 2 fields (i, q), got {len(row)}: {row!r}")
+            samples.append(complex(float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise ValueError(f"malformed CSV IQ row in {path} at line {line}: {exc}") from exc
+    return np.array(samples, dtype=np.complex128)
+
+
 def read_iq(path, header_path=None) -> IqBuffer:
     """Read an IQ capture back into an IqBuffer.
 
     Raises on truncated payloads (odd float count), NaN or infinite
-    samples, malformed sidecars, nonpositive sample rates and
-    sidecar/payload length mismatches.  A float32 payload is read in
-    blocks shared among the CPUs of the affinity mask.
+    samples, malformed sidecars, nonpositive sample rates, CSV rows
+    without exactly two fields and sidecar/payload length mismatches.  A
+    float32 payload is read and checked in blocks shared among the CPUs of
+    the affinity mask and kept as it is, in 8 bytes per sample: the
+    buffer widens the blocks a pass reads to complex128, and `samples`
+    widens all of them once.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
     header, n_expected = read_header(header_path)
     if header.format == FORMAT_F32:
-        samples, finite = _read_f32(path, n_expected)
+        payload, finite = _read_f32(path, n_expected)
+        buffer = IqBuffer._lazy(len(payload) // 2, functools.partial(_widen, payload),
+                                fs=header.fs)
     else:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
-        if not rows or [c.strip().lower() for c in rows[0]] != ["i", "q"]:
-            raise ValueError(f"CSV IQ capture {path} must start with an 'i,q' header row")
-        try:
-            samples = np.array([complex(float(r[0]), float(r[1])) for r in rows[1:]],
-                               dtype=np.complex128)
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"malformed CSV IQ row in {path}: {exc}") from exc
+        samples = _read_csv(path)
         _check_count(path, len(samples), n_expected)
         finite = np.isfinite(samples).all()
+        buffer = IqBuffer._adopt(samples, fs=header.fs)
     if not finite:
         raise ValueError(f"IQ capture {path} holds NaN or infinite samples")
-    return IqBuffer._adopt(samples, fs=header.fs)
+    return buffer

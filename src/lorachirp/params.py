@@ -208,8 +208,11 @@ class IqBuffer:
     The constructor copies `samples`, so the caller's array stays its own.
     Buffers that library functions return hold arrays those functions have
     just built; they are adopted read-only without a copy (`_adopt`), or
-    are lazy (`_lazy`): their samples are gathered block by block on
-    demand, and `samples` is built in full only when it is first read.
+    are lazy (`_lazy`): their samples are computed block by block on
+    demand, from what the buffer holds instead (the distinct rows of a
+    modulated stream, the input and noise seed of `awgn`, the float32
+    payload of a capture), and `samples` is built in full, on every CPU,
+    only when it is first read.
     """
 
     samples: np.ndarray
@@ -262,7 +265,14 @@ class IqBuffer:
                 with lock:  # one thread builds the samples, the others wait
                     if "samples" not in self.__dict__:
                         samples = np.empty(n, dtype=np.complex128)
-                        fill(0, n, samples)
+
+                        def fill_blocks(blocks: range) -> tuple:
+                            for i in blocks:
+                                lo, hi = i * _BLOCK_SAMPLES, min(n, (i + 1) * _BLOCK_SAMPLES)
+                                fill(lo, hi, samples[lo:hi])
+                            return ()
+
+                        _map_chunks(fill_blocks, -(-n // _BLOCK_SAMPLES))
                         samples.setflags(write=False)
                         self.__dict__["samples"] = samples
                         del self.__dict__["_lazy"]  # frees what fill holds

@@ -10,6 +10,8 @@ whose M-point DFT peaks at bin a.
 """
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _all_within, _integer,
@@ -20,6 +22,8 @@ from .waveform import _sample_symbols
 # length is part of the definition of awgn's output: changing it changes the
 # noise for every seed.
 _NOISE_BLOCK_SAMPLES = 1 << 16
+# awgn's output reads a lazy input this many samples at a time
+_GATHER_SAMPLES = 1 << 12
 
 
 def _dechirp_reference(p: LoraParams) -> np.ndarray:
@@ -74,7 +78,8 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
         rows = np.empty((rows_per_block, p.m), dtype=np.complex128)
         spec = np.empty_like(rows)
         mag = np.empty(rows.shape)
-        scratch = iq._scratch(min(step, len(iq)))
+        # at chip rate a lazy buffer's block is gathered straight into rows
+        scratch = rows.reshape(-1) if r == 1 else iq._scratch(min(step, len(iq)))
         symbols = []
         for i in blocks:
             block = iq._block(i * step, min(len(iq), (i + 1) * step), scratch)
@@ -108,6 +113,13 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     number of CPUs the blocks are shared among.  `seed` must be a
     non-negative integer.  Versions before this definition drew one
     stream per quadrature, so they give other noise for the same seed.
+
+    The input is checked and P computed here; the noisy stream is not
+    stored.  The result is a lazy buffer that keeps the input and draws
+    the noise of a block whenever a pass reads it, so each pass over the
+    result (write_iq, demodulate_stream, welch_psd, mean_power) draws the
+    noise of the blocks it reads, and reading `samples` draws all of it
+    once and keeps the sum.
     """
     seed = _integer(seed, "seed")
     if seed < 0:
@@ -122,21 +134,39 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
         raise ValueError(f"snr_db = {snr_db!r} gives a noise variance that is not finite")
     scale = np.sqrt(nvar / 2.0)
     n = len(iq)
-    out = np.empty(n, dtype=np.complex128)
+    # per thread: the last noise block drawn for a pass that reads part of
+    # one (its next block reads the rest), and the scratch a lazy input is
+    # gathered into
+    local = threading.local()
 
-    def add_noise(blocks: range) -> tuple:
-        # one float64 scratch per range, reused for every block's I/Q draw
-        scratch = np.empty(2 * min(n, _NOISE_BLOCK_SAMPLES))
-        for i in blocks:
-            lo, hi = i * _NOISE_BLOCK_SAMPLES, min(n, (i + 1) * _NOISE_BLOCK_SAMPLES)
-            noise = scratch[:2 * (hi - lo)]
-            # default_rng of a SeedSequence is Generator(PCG64(...))
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            rng.standard_normal(out=noise)
-            noise *= scale
-            # a lazy buffer gathers the block straight into the output
-            np.add(iq._block(lo, hi, out[lo:hi]), noise.view(np.complex128), out=out[lo:hi])
-        return ()
+    def draw(i: int, out: np.ndarray) -> None:
+        """The scaled I/Q noise of noise block i into the float64 array out."""
+        # default_rng of a SeedSequence is Generator(PCG64(...))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        rng.standard_normal(out=out)
+        out *= scale
 
-    _map_chunks(add_noise, -(-n // _NOISE_BLOCK_SAMPLES))
-    return IqBuffer._adopt(out, fs=iq.fs, t0=iq.t0)
+    def fill(lo: int, hi: int, out: np.ndarray) -> None:
+        values = out.view(np.float64)
+        for i in range(lo // _NOISE_BLOCK_SAMPLES, (hi - 1) // _NOISE_BLOCK_SAMPLES + 1):
+            first, end = i * _NOISE_BLOCK_SAMPLES, min(n, (i + 1) * _NOISE_BLOCK_SAMPLES)
+            a, b = max(lo, first), min(hi, end)
+            if (a, b) == (first, end):  # the whole block, drawn where it goes
+                draw(i, values[2 * (a - lo):2 * (b - lo)])
+                continue
+            if getattr(local, "block", None) != i:
+                if not hasattr(local, "noise"):
+                    local.noise = np.empty(2 * min(n, _NOISE_BLOCK_SAMPLES))
+                local.block = None
+                draw(i, local.noise[:2 * (end - first)])
+                local.block = i
+            values[2 * (a - lo):2 * (b - lo)] = local.noise[2 * (a - first):2 * (b - first)]
+        # noise + x is x + noise bit for bit; a lazy input is gathered a
+        # chunk at a time, so its scratch stays small
+        if not hasattr(local, "chunk"):
+            local.chunk = iq._scratch(_GATHER_SAMPLES)
+        for c in range(lo, hi, _GATHER_SAMPLES):
+            d = min(hi, c + _GATHER_SAMPLES)
+            np.add(out[c - lo:d - lo], iq._block(c, d, local.chunk), out=out[c - lo:d - lo])
+
+    return IqBuffer._lazy(n, fill, fs=iq.fs, t0=iq.t0)

@@ -221,6 +221,16 @@ def test_csv_requires_header_row(tmp_path, iq):
         read_iq(csv_path)
 
 
+@pytest.mark.parametrize("row", ["1.0,2.0,99", "1.0"], ids=["three-fields", "one-field"])
+def test_csv_rows_must_hold_two_fields(tmp_path, row):
+    csv_path = tmp_path / "sig.csv"
+    write_iq(IqBuffer(np.array([0.5 + 0.25j]), fs=1.0), csv_path, fmt="csv")
+    csv_path.write_bytes(csv_path.read_bytes() + row.encode() + b"\r\n")
+    where = re.escape(f"malformed CSV IQ row in {csv_path} at line 3")
+    with pytest.raises(ValueError, match=f"^{where}: expected 2 fields"):
+        read_iq(csv_path)
+
+
 # --- CLI ---
 
 def test_cli_modulate_demod_roundtrip(tmp_path, capsys):

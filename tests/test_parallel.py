@@ -1,7 +1,7 @@
 """The blocked passes (demodulate_stream, welch_psd, awgn, mean_power,
 read_iq, write_iq) give the same bits on one CPU and on several, and on a
-lazy modulated buffer as on its samples, and keep their worker threads
-private."""
+lazy buffer (modulated, noisy or read back from a file) as on its samples,
+and keep their worker threads private."""
 import importlib
 import inspect
 import json
@@ -258,7 +258,7 @@ def test_awgn_needs_no_full_size_scratch(cpus, n_cpus):
     finally:
         tracemalloc.stop()
     assert len(noisy) == n
-    assert peak < 16 * n + (4 << 20)
+    assert peak < 4 << 20  # the noisy stream would take 16*n = 32 MB
 
 
 def test_welch_memory_does_not_grow_with_the_number_of_blocks(cpus):
@@ -389,11 +389,22 @@ def test_read_iq_needs_no_full_size_scratch(cpus, tmp_path, n_cpus):
     finally:
         tracemalloc.stop()
     assert np.all(back.samples == 1.0 + 0.5j)
-    assert peak < 16 * n + (4 << 20)  # the samples, plus the payload's 8*n if read whole
+    assert peak < 8 * n + (4 << 20)  # the float32 payload; its complex128 samples take 16*n
 
 
 LAZY_CASES = [(sf, oversample, n_blocks) for sf in (3, 7, 9, 12) for oversample in (1, 2, 3, 4)
               for n_blocks in (1, 2.7, 5)]
+# oversample 3 puts the receiver's blocks across awgn's noise blocks
+NOISY_CASES = [(sf, oversample, n_blocks) for sf in (7, 9) for oversample in (1, 3)
+               for n_blocks in (1, 2.7)]
+
+
+def _symbols(sf: int, oversample: int, n_blocks: float) -> tuple[LoraParams, list[int]]:
+    """Random symbols filling about n_blocks blocks, rarely a whole number."""
+    p = LoraParams(sf=sf, b=125e3)
+    width = oversample * p.m
+    return p, np.random.default_rng(sf * 10 + oversample).integers(
+        0, p.m, max(1, int(n_blocks * _BLOCK_SAMPLES / width))).tolist()
 
 
 def _lazy_outputs(p, iq, path):
@@ -403,21 +414,49 @@ def _lazy_outputs(p, iq, path):
             welch_psd(iq, 256)[1], welch_psd(iq, 1000, overlap=0.3)[1])
 
 
+def _assert_passes_give_the_bits_of_the_samples(p, make, tmp_path):
+    """Every pass over a lazy buffer from make() gives the bits it gives
+    over a copy of the buffer's samples, and none of them builds them."""
+    first = make()
+    expected = _lazy_outputs(p, IqBuffer(first.samples, fs=first.fs), tmp_path / "stored.iq")
+    lazy = make()
+    assert "_lazy" in vars(lazy)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(expected, _lazy_outputs(p, lazy, tmp_path / "lazy.iq")))
+    assert "_lazy" in vars(lazy)  # no pass built the whole stream
+
+
 @pytest.mark.parametrize("sf, oversample, n_blocks", LAZY_CASES)
 def test_a_lazy_modulated_buffer_gives_the_bits_of_its_samples(cpus, tmp_path, sf, oversample,
                                                                n_blocks):
-    p = LoraParams(sf=sf, b=125e3)
-    width = oversample * p.m
-    symbols = np.random.default_rng(sf * 10 + oversample).integers(
-        0, p.m, max(1, int(n_blocks * _BLOCK_SAMPLES / width))).tolist()
-    stored = IqBuffer(modulate(p, symbols, oversample).samples, fs=oversample * p.b)
+    p, symbols = _symbols(sf, oversample, n_blocks)
     for n_cpus in (1, 3):
         cpus(n_cpus)
-        expected = _lazy_outputs(p, stored, tmp_path / "stored.iq")
-        lazy = modulate(p, symbols, oversample)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(expected, _lazy_outputs(p, lazy, tmp_path / "lazy.iq")))
-        assert "_lazy" in vars(lazy)  # no pass built the whole stream
+        _assert_passes_give_the_bits_of_the_samples(
+            p, lambda: modulate(p, symbols, oversample), tmp_path)
+
+
+@pytest.mark.parametrize("sf, oversample, n_blocks", NOISY_CASES)
+def test_a_lazy_noisy_buffer_gives_the_bits_of_its_samples(cpus, tmp_path, sf, oversample,
+                                                           n_blocks):
+    p, symbols = _symbols(sf, oversample, n_blocks)
+    held = IqBuffer(modulate(p, symbols, oversample).samples, fs=oversample * p.b)
+    for n_cpus in (1, 3):
+        cpus(n_cpus)
+        for make_input in (lambda: held, lambda: modulate(p, symbols, oversample)):
+            _assert_passes_give_the_bits_of_the_samples(
+                p, lambda: awgn(make_input(), -3.0, seed=n_cpus), tmp_path)
+
+
+@pytest.mark.parametrize("sf, oversample, n_blocks", NOISY_CASES)
+def test_a_read_back_capture_gives_the_bits_of_its_samples(cpus, tmp_path, sf, oversample,
+                                                           n_blocks):
+    p, symbols = _symbols(sf, oversample, n_blocks)
+    path = tmp_path / "capture.iq"
+    write_iq(awgn(modulate(p, symbols, oversample), -3.0, seed=5), path)
+    for n_cpus in (1, 3):
+        cpus(n_cpus)
+        _assert_passes_give_the_bits_of_the_samples(p, lambda: read_iq(path), tmp_path)
 
 
 def test_concurrent_first_reads_of_a_lazy_buffer_get_one_array():
@@ -456,8 +495,8 @@ def test_the_link_writes_its_capture_with_one_full_size_array(cpus, tmp_path, n_
     finally:
         tracemalloc.stop()
     assert path.stat().st_size == 8 * n
-    # awgn's output; the stream itself takes another 16*n, its float32 copy 8*n
-    assert peak < 16 * n + (4 << 20)
+    # the float32 payload; the noisy stream, never stored, would take 16*n
+    assert peak < 8 * n + (4 << 20)
 
 
 @pytest.mark.parametrize("n_cpus", [1, 3])
