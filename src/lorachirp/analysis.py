@@ -7,7 +7,6 @@ enters only as a dB offset applied to the unit-power envelope spectra
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import _penalty_db, max_cross_correlation
-from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _integer,
-                     _json_object, _map_chunks, _real)
+from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite,
+                     _finite_power, _integer, _json_object, _map_chunks, _real, _spans)
 from .spectrum import SpectrumResult, fresnel_spectrum
 
 _TINY = 1e-30
@@ -376,6 +375,9 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     scaling="density") with the periodic window: no padding, and the
     (N - segment_len) // step + 1 segments that fit in the buffer.  The
     blocks of segments are shared among the CPUs of the affinity mask.
+    A buffer whose mean power is not finite (a NaN or infinite sample,
+    under a segment or not, or one whose |x|^2 overflows) raises
+    ValueError.
     """
     segment_len = _integer(segment_len, "segment_len")
     if segment_len < 2 or segment_len > len(iq):
@@ -391,22 +393,22 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     w = _cosine_window(window, segment_len)
     hop = segment_len - noverlap
     n_segments = (len(iq) - segment_len) // hop + 1
+    mean_power = _finite_power(iq)
     per_block = max(1, _BLOCK_SAMPLES // segment_len)
+    # the samples under each block of per_block segments
+    spans = [(lo * hop, (hi - 1) * hop + segment_len) for lo, hi in _spans(n_segments, per_block)]
 
-    def block_powers(first: int, blocks: range) -> list[np.ndarray]:
-        # per-range scratch reused through out=, as in demodulate_stream
+    def block_powers(part: list) -> list[np.ndarray]:
+        # per-part scratch reused through out=, as in demodulate_stream
         windowed = np.empty((min(per_block, n_segments), segment_len), dtype=np.complex128)
         spec = np.empty_like(windowed)
         rows = []
-        for i in blocks:
-            start = (first + i) * per_block
-            k = min(per_block, n_segments - start)
-            # the samples under segments start .. start+k-1, seen as those
-            # segments (far cheaper per block than sliding_window_view); a
-            # lazy buffer gathers them into spec, which holds at least as
-            # many samples and is not written before the window is applied
-            block = iq._block(start * hop, (start + k - 1) * hop + segment_len,
-                              spec.reshape(-1))
+        # a lazy buffer gathers a block into spec, which holds at least as
+        # many samples and is not written before the window is applied
+        for block in iq._blocks(part, spec.reshape(-1)):
+            # the block's samples seen as its k segments (far cheaper per
+            # block than sliding_window_view)
+            k = (len(block) - segment_len) // hop + 1
             segments = np.ndarray((k, segment_len), block.dtype, block,
                                   strides=(hop * block.itemsize, block.itemsize))
             np.multiply(segments, w, out=windowed[:k])
@@ -417,18 +419,16 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
 
     # the blocks' sums of |X|^2 are added in block order, as in one serial
     # pass; waves of blocks bound how many sums wait to be added at once
-    n_blocks = -(-n_segments // per_block)
     wave = max(_cpu_count(), 16 * _BLOCK_SAMPLES // segment_len)
     power = np.zeros(segment_len)
-    for first in range(0, n_blocks, wave):
-        for row in _map_chunks(functools.partial(block_powers, first),
-                               min(wave, n_blocks - first)):
+    for first in range(0, len(spans), wave):
+        for row in _map_chunks(block_powers, spans[first:first + wave]):
             power += row
     pxx = np.fft.fftshift(power / (n_segments * iq.fs * np.sum(w ** 2)))
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / iq.fs))
     integral = np.trapezoid(pxx, freqs)
     if integral > 0:
-        pxx = pxx * (iq.mean_power / integral)
+        pxx = pxx * (mean_power / integral)
     return freqs, pxx
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .params import (_BLOCK_SAMPLES, IqBuffer, _all_within, _check_fs, _finite,
-                     _json_object, _map_chunks, _real)
+                     _json_object, _map_chunks, _real, _spans)
 
 FORMAT_F32 = "interleaved-f32-le"
 FORMAT_CSV = "csv"
@@ -80,26 +80,24 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     header = IqFileHeader(format=fmt, fs=buffer.fs, center_freq=center_freq,
                           description=description)
     n = len(buffer)
-    n_blocks = -(-n // _BLOCK_SAMPLES)
+    spans = _spans(n, _BLOCK_SAMPLES)
     if fmt == FORMAT_F32:
         payload = np.empty(2 * n, dtype="<f4")
 
-        def narrow(blocks: range) -> list[bool]:
-            scratch = buffer._scratch(min(n, _BLOCK_SAMPLES))
+        def narrow(part: list) -> list[bool]:
             fits = []
             # a float64 narrows to a finite float32 exactly when its magnitude
             # is below 2^128 - 2^103, halfway from FLT_MAX to 2^128; one at or
             # beyond it narrows to inf, here without a warning
             with np.errstate(over="ignore"):
-                for i in blocks:
-                    lo, hi = i * _BLOCK_SAMPLES, min(n, (i + 1) * _BLOCK_SAMPLES)
+                for (lo, hi), block in zip(part, buffer._blocks(part)):
                     out = payload[2 * lo:2 * hi]
                     # complex128 is stored as I, Q float64 pairs
-                    np.copyto(out, buffer._block(lo, hi, scratch).view(np.float64))
+                    np.copyto(out, block.view(np.float64))
                     fits.append(_all_within(out, np.inf))
             return fits
 
-        fits = all(_map_chunks(narrow, n_blocks))
+        fits = all(_map_chunks(narrow, spans))
     else:
         samples = buffer.samples
         fits = _all_within(samples.view(np.float64), np.inf)
@@ -110,15 +108,14 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
         if fmt == FORMAT_F32:
             path.open("wb").close()
 
-            def write(blocks: range) -> tuple:
-                # each range writes its blocks through its own handle
+            def write(part: list) -> tuple:
+                # each part writes its blocks through its own handle
                 with path.open("r+b") as fh:
-                    fh.seek(8 * _BLOCK_SAMPLES * blocks.start)
-                    fh.write(payload[2 * _BLOCK_SAMPLES * blocks.start:
-                                     2 * _BLOCK_SAMPLES * blocks.stop])
+                    fh.seek(8 * part[0][0])
+                    fh.write(payload[2 * part[0][0]:2 * part[-1][1]])
                 return ()
 
-            _map_chunks(write, n_blocks)
+            _map_chunks(write, spans)
         else:
             _write_csv(path, ["i", "q"], [map(float, samples.real), map(float, samples.imag)])
         header_path.write_text(json.dumps({
@@ -175,26 +172,24 @@ def _read_f32(path: Path, n_expected: int | None) -> tuple[np.ndarray, bool]:
                          "whole number of float32 I/Q pairs")
     _check_count(path, size // 8, n_expected)
     payload = np.empty(size // 4, dtype="<f4")
-    step = 2 * _BLOCK_SAMPLES
 
-    def read(blocks: range) -> list[bool]:
+    def read(part: list) -> list[bool]:
         finite = []
         try:
             with path.open("rb") as fh:
-                fh.seek(4 * step * blocks.start)
-                for i in blocks:
-                    block = payload[i * step:(i + 1) * step]
+                fh.seek(8 * part[0][0])
+                for lo, hi in part:
+                    block = payload[2 * lo:2 * hi]
                     # a buffered readinto fills the block unless the file ends
                     got = fh.readinto(block)
                     if got < block.nbytes:
-                        raise OSError(f"the file ended after {4 * i * step + got} "
-                                      f"of {size} bytes")
+                        raise OSError(f"the file ended after {8 * lo + got} of {size} bytes")
                     finite.append(_all_within(block, np.inf))
         except OSError as exc:
             raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
         return finite
 
-    finite = all(_map_chunks(read, -(-len(payload) // step)))
+    finite = all(_map_chunks(read, _spans(size // 8, _BLOCK_SAMPLES)))
     payload.setflags(write=False)
     return payload, finite
 
@@ -251,7 +246,7 @@ def read_iq(path, header_path=None) -> IqBuffer:
         samples = _read_csv(path)
         _check_count(path, len(samples), n_expected)
         finite = np.isfinite(samples).all()
-        buffer = IqBuffer._adopt(samples, fs=header.fs)
+        buffer = IqBuffer(samples, fs=header.fs)
     if not finite:
         raise ValueError(f"IQ capture {path} holds NaN or infinite samples")
     return buffer

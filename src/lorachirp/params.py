@@ -30,35 +30,42 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _spans(n: int, step: int, start: int = 0) -> list[tuple[int, int]]:
+    """The (lo, hi) blocks of `step` samples, the last one shorter, that
+    cover start..n-1."""
+    return [(lo, min(n, lo + step)) for lo in range(start, n, step)]
+
+
 # The worker threads run numpy kernels only, never a public lorachirp
 # function, so anything that wraps those functions sees one thread.
-def _map_chunks(fn, n_blocks: int) -> list:
-    """Run fn(blocks) on contiguous ranges of block indices 0..n_blocks-1,
-    one range per CPU, and return the concatenated per-block results of
-    fn in block order.
+def _map_chunks(fn, spans: list) -> list:
+    """Run fn(part) on contiguous parts of the list `spans`, one part per
+    CPU, and return the concatenated per-span results of fn in span order.
 
-    The calling thread runs the first range, worker threads started for
-    this call the others.  Every range ends before the call returns; if
-    one fails, the first error in block order is raised.  With one CPU or
-    one block fn runs inline and no thread is started.
+    The calling thread runs the first part, worker threads started for
+    this call the others.  Every part ends before the call returns; if
+    one fails, the first error in span order is raised.  With one CPU or
+    one span fn runs inline and no thread is started; with no span it is
+    not called and the result is [].
     """
-    n_ranges = min(_cpu_count(), n_blocks)
-    if n_ranges <= 1:
-        return list(fn(range(n_blocks)))
-    bounds = [i * n_blocks // n_ranges for i in range(n_ranges + 1)]
-    with ThreadPoolExecutor(n_ranges - 1, thread_name_prefix="lorachirp") as workers:
-        futures = [workers.submit(fn, range(lo, hi))
-                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        results = list(fn(range(bounds[0], bounds[1])))
+    n_parts = min(_cpu_count(), len(spans))
+    if n_parts <= 1:
+        return list(fn(spans)) if spans else []
+    bounds = [i * len(spans) // n_parts for i in range(n_parts + 1)]
+    parts = [spans[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(n_parts - 1, thread_name_prefix="lorachirp") as workers:
+        futures = [workers.submit(fn, part) for part in parts[1:]]
+        results = list(fn(parts[0]))
     for future in futures:
-        results.extend(future.result())  # raises the first failure in block order
+        results.extend(future.result())  # raises the first failure in span order
     return results
 
 
 def _all_within(values: np.ndarray, bound: float) -> bool:
-    """True when every value is strictly inside (-bound, bound); NaN fails
-    both comparisons."""
-    return bool(np.maximum.reduce(values) < bound and np.minimum.reduce(values) > -bound)
+    """True when every value is strictly inside (-bound, bound), as for no
+    value at all; NaN fails both comparisons."""
+    return bool(values.size == 0 or (np.maximum.reduce(values) < bound
+                                     and np.minimum.reduce(values) > -bound))
 
 
 def _integer(value, name: str) -> int:
@@ -206,13 +213,12 @@ class IqBuffer:
     t0:      start time in seconds of samples[0]
 
     The constructor copies `samples`, so the caller's array stays its own.
-    Buffers that library functions return hold arrays those functions have
-    just built; they are adopted read-only without a copy (`_adopt`), or
-    are lazy (`_lazy`): their samples are computed block by block on
-    demand, from what the buffer holds instead (the distinct rows of a
-    modulated stream, the input and noise seed of `awgn`, the float32
-    payload of a capture), and `samples` is built in full, on every CPU,
-    only when it is first read.
+    Buffers that library functions return, but for a CSV capture, are lazy
+    (`_lazy`): their samples are computed block by block on demand, from
+    what the buffer holds instead (the distinct rows of a modulated stream,
+    the input and noise seed of `awgn`, the float32 payload of a capture),
+    and `samples` is built in full, on every CPU, only when it is first
+    read.  The library's passes read every buffer through `_blocks`.
     """
 
     samples: np.ndarray
@@ -228,31 +234,14 @@ class IqBuffer:
         object.__setattr__(self, "samples", arr)
 
     @classmethod
-    def _adopt(cls, samples: np.ndarray, fs: float, t0: float = 0.0) -> IqBuffer:
-        """Wrap a freshly built 1-D contiguous complex128 array without
-        copying it, and make it read-only.  The caller must hold no other
-        reference through which the array is written later."""
-        if not (samples.dtype == np.complex128 and samples.ndim == 1
-                and samples.flags.c_contiguous):
-            raise ValueError("adopted samples must be a 1-D contiguous complex128 array, "
-                             f"got {samples.dtype} with shape {samples.shape}")
-        samples.setflags(write=False)
-        return cls._new(fs, t0, samples=samples)
-
-    @classmethod
     def _lazy(cls, n: int, fill, fs: float, t0: float = 0.0) -> IqBuffer:
         """A buffer of n samples that are never stored whole unless
         `samples` is read: fill(lo, hi, out) writes samples[lo:hi] into the
         complex128 array out of length hi - lo, for any 0 <= lo < hi <= n,
         and must give the same values every time it is called."""
-        return cls._new(fs, t0, _lazy=(n, fill, threading.Lock()))
-
-    @classmethod
-    def _new(cls, fs: float, t0: float, **state) -> IqBuffer:
-        """A buffer with the given instance state, made without __post_init__."""
         _check_fs(fs)
         buf = object.__new__(cls)
-        buf.__dict__.update(state, fs=fs, t0=t0)
+        buf.__dict__.update(_lazy=(n, fill, threading.Lock()), fs=fs, t0=t0)
         return buf
 
     def __getattr__(self, name):
@@ -266,13 +255,12 @@ class IqBuffer:
                     if "samples" not in self.__dict__:
                         samples = np.empty(n, dtype=np.complex128)
 
-                        def fill_blocks(blocks: range) -> tuple:
-                            for i in blocks:
-                                lo, hi = i * _BLOCK_SAMPLES, min(n, (i + 1) * _BLOCK_SAMPLES)
+                        def fill_blocks(part: list) -> tuple:
+                            for lo, hi in part:
                                 fill(lo, hi, samples[lo:hi])
                             return ()
 
-                        _map_chunks(fill_blocks, -(-n // _BLOCK_SAMPLES))
+                        _map_chunks(fill_blocks, _spans(n, _BLOCK_SAMPLES))
                         samples.setflags(write=False)
                         self.__dict__["samples"] = samples
                         del self.__dict__["_lazy"]  # frees what fill holds
@@ -283,20 +271,21 @@ class IqBuffer:
     def __getstate__(self):
         return {"samples": self.samples, "fs": self.fs, "t0": self.t0}
 
-    def _scratch(self, size: int) -> np.ndarray | None:
-        """Scratch of `size` samples for `_block`, or None when the buffer
-        holds its samples, so that only a lazy buffer's passes allocate."""
-        return np.empty(size, dtype=np.complex128) if "_lazy" in self.__dict__ else None
-
-    def _block(self, lo: int, hi: int, scratch: np.ndarray | None) -> np.ndarray:
-        """samples[lo:hi] without building a lazy buffer's samples: a view
-        when the buffer holds them, else gathered into scratch[:hi - lo]."""
+    def _blocks(self, spans: list, out: np.ndarray | None = None):
+        """Yield samples[lo:hi] for each (lo, hi) in spans: a view when the
+        buffer holds its samples, else the block computed into out[:hi - lo],
+        which the next block overwrites.  out defaults to one scratch of the
+        longest span, so only a lazy buffer's passes allocate, and none
+        builds its samples."""
         lazy = self.__dict__.get("_lazy")
         if lazy is None:
-            return self.samples[lo:hi]
-        out = scratch[:hi - lo]
-        lazy[1](lo, hi, out)
-        return out
+            yield from (self.samples[lo:hi] for lo, hi in spans)
+            return
+        if out is None:
+            out = np.empty(max((hi - lo for lo, hi in spans), default=0), dtype=np.complex128)
+        for lo, hi in spans:
+            lazy[1](lo, hi, out[:hi - lo])
+            yield out[:hi - lo]
 
     def __len__(self) -> int:
         lazy = self.__dict__.get("_lazy")
@@ -334,22 +323,29 @@ class IqBuffer:
 
         root = tree(0, n)
 
-        def block_sums(blocks: range) -> list[float]:
+        def block_sums(part: list) -> list[float]:
             power = np.empty(min(n, _BLOCK_SAMPLES))
-            scratch = self._scratch(len(power))
             sums = []
             with np.errstate(over="ignore"):  # huge samples give inf, not a warning
-                for i in blocks:
-                    lo, hi = leaves[i]
-                    block = power[:hi - lo]
-                    np.abs(self._block(lo, hi, scratch), out=block)
-                    np.square(block, out=block)
-                    sums.append(float(np.add.reduce(block)))
+                for block in self._blocks(part):
+                    squares = power[:len(block)]
+                    np.abs(block, out=squares)
+                    np.square(squares, out=squares)
+                    sums.append(float(np.add.reduce(squares)))
             return sums
 
-        sums = _map_chunks(block_sums, len(leaves))
+        sums = _map_chunks(block_sums, leaves)
 
         def join(node) -> float:
             return sums[node] if isinstance(node, int) else join(node[0]) + join(node[1])
 
         return join(root) / n
+
+
+def _finite_power(iq: IqBuffer) -> float:
+    """iq.mean_power; ValueError when it is not finite."""
+    power = iq.mean_power
+    if not math.isfinite(power):
+        raise ValueError(f"buffer mean power {power} is not finite: the samples hold "
+                         "NaN or infinite values, or |x|^2 overflows")
+    return power

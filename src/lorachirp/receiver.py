@@ -15,7 +15,7 @@ import threading
 import numpy as np
 
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _all_within, _integer,
-                     _map_chunks, _power_ratio)
+                     _finite_power, _map_chunks, _power_ratio, _spans)
 from .waveform import _sample_symbols
 
 # awgn draws one seeded noise stream per block of this many samples.  The
@@ -69,20 +69,17 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
     # symbol-aligned blocks keep every temporary about _BLOCK_SAMPLES long;
     # each row is transformed on its own, so the blocking changes no output
     rows_per_block = max(1, _BLOCK_SAMPLES // (r * p.m))
-    step = r * p.m * rows_per_block
     reference = _dechirp_reference(p)
 
-    def decode(blocks: range) -> list[np.ndarray]:
-        # scratch is allocated once per range and reused through out=, so
+    def decode(part: list) -> list[np.ndarray]:
+        # scratch is allocated once per part and reused through out=, so
         # the allocator does not hand pages back and fault them in per block
         rows = np.empty((rows_per_block, p.m), dtype=np.complex128)
         spec = np.empty_like(rows)
         mag = np.empty(rows.shape)
-        # at chip rate a lazy buffer's block is gathered straight into rows
-        scratch = rows.reshape(-1) if r == 1 else iq._scratch(min(step, len(iq)))
         symbols = []
-        for i in blocks:
-            block = iq._block(i * step, min(len(iq), (i + 1) * step), scratch)
+        # at chip rate a lazy buffer's block is gathered straight into rows
+        for block in iq._blocks(part, rows.reshape(-1) if r == 1 else None):
             if not _all_within(block.view(np.float64), np.inf):
                 raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
             chips = block[::r].reshape(-1, p.m)
@@ -92,7 +89,8 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
             symbols.append(np.argmax(np.abs(spec[:k], out=mag[:k]), axis=1))
         return symbols
 
-    return np.concatenate(_map_chunks(decode, -(-len(iq) // step))).tolist()
+    spans = _spans(len(iq), r * p.m * rows_per_block)
+    return np.concatenate(_map_chunks(decode, spans)).tolist()
 
 
 def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
@@ -125,18 +123,14 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     ratio = _power_ratio(snr_db, "snr_db")
-    power = iq.mean_power
-    if not np.isfinite(power):
-        raise ValueError(f"buffer mean power {power} is not finite: the samples hold "
-                         "NaN or infinite values, or |x|^2 overflows")
-    nvar = power / ratio
+    nvar = _finite_power(iq) / ratio
     if not np.isfinite(nvar):
         raise ValueError(f"snr_db = {snr_db!r} gives a noise variance that is not finite")
     scale = np.sqrt(nvar / 2.0)
     n = len(iq)
+    noise_blocks = _spans(n, _NOISE_BLOCK_SAMPLES)
     # per thread: the last noise block drawn for a pass that reads part of
-    # one (its next block reads the rest), and the scratch a lazy input is
-    # gathered into
+    # one (its next block reads the rest)
     local = threading.local()
 
     def draw(i: int, out: np.ndarray) -> None:
@@ -149,7 +143,7 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     def fill(lo: int, hi: int, out: np.ndarray) -> None:
         values = out.view(np.float64)
         for i in range(lo // _NOISE_BLOCK_SAMPLES, (hi - 1) // _NOISE_BLOCK_SAMPLES + 1):
-            first, end = i * _NOISE_BLOCK_SAMPLES, min(n, (i + 1) * _NOISE_BLOCK_SAMPLES)
+            first, end = noise_blocks[i]
             a, b = max(lo, first), min(hi, end)
             if (a, b) == (first, end):  # the whole block, drawn where it goes
                 draw(i, values[2 * (a - lo):2 * (b - lo)])
@@ -163,10 +157,8 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
             values[2 * (a - lo):2 * (b - lo)] = local.noise[2 * (a - first):2 * (b - first)]
         # noise + x is x + noise bit for bit; a lazy input is gathered a
         # chunk at a time, so its scratch stays small
-        if not hasattr(local, "chunk"):
-            local.chunk = iq._scratch(_GATHER_SAMPLES)
-        for c in range(lo, hi, _GATHER_SAMPLES):
-            d = min(hi, c + _GATHER_SAMPLES)
-            np.add(out[c - lo:d - lo], iq._block(c, d, local.chunk), out=out[c - lo:d - lo])
+        chunks = _spans(hi, _GATHER_SAMPLES, lo)
+        for (c, d), block in zip(chunks, iq._blocks(chunks)):
+            np.add(out[c - lo:d - lo], block, out=out[c - lo:d - lo])
 
     return IqBuffer._lazy(n, fill, fs=iq.fs, t0=iq.t0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LoraParams, Symbol, _integer, _real, validate_symbol
+from .params import LoraParams, Symbol, _integer, _real, _spans, validate_symbol
 
 
 def _load_fresnel(x):
@@ -206,8 +206,7 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     # Table index lo holds l = 0 of n = +|n| with |n| = n_max - lo, so walking
     # lo upwards makes every read a forward slice: -|n| lands at lo, +|n|
     # at 2*n_max - lo (a reversed slice); n = 0 is written last by +|n|.
-    for lo in range(0, n_max + 1, _CHUNK):
-        hi = min(lo + _CHUNK, n_max + 1)
+    for lo, hi in _spans(n_max + 1, _CHUNK):
         w = roots[(n_max - np.arange(lo, hi)) % k]
         # windows l = 0..M-1 for n = +|n|, l = 1..M for n = -|n|
         s_pos = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +555,23 @@ def test_welch_rejects_bad_arguments():
     for bad in (64.0, 64.5, True, "64"):
         with pytest.raises(ValueError, match="segment_len must be an integer"):
             welch_psd(iq, segment_len=bad)
+
+
+@pytest.mark.parametrize("index, value", [(0, np.nan), (-3, np.nan), (100, np.inf),
+                                          (2000, 1e200)],
+                         ids=["nan-first", "nan-under-no-segment", "inf", "power-overflows"])
+def test_welch_rejects_a_buffer_whose_mean_power_is_not_finite(index, value):
+    # 4101 samples hold 31 segments of 256 at hop 128; the last 5 are in none
+    samples = np.ones(4101, dtype=complex)
+    samples[index] = value
+    held = IqBuffer(samples, fs=1.0)
+    lazy = IqBuffer._lazy(len(samples), lambda lo, hi, out: np.copyto(out, samples[lo:hi]),
+                          fs=1.0)
+    for iq in (held, lazy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^buffer mean power .* is not finite"):
+                welch_psd(iq, segment_len=256)
 
 
 def test_welch_agrees_with_analytic_spectrum_smoke(rng):

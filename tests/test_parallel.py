@@ -46,36 +46,55 @@ def _run_script(code: str, timeout: float = 120.0) -> subprocess.CompletedProces
                           capture_output=True, text=True, timeout=timeout)
 
 
+def test_spans_cover_start_to_n_in_blocks_of_step():
+    assert params._spans(0, 4) == []
+    assert params._spans(8, 4) == [(0, 4), (4, 8)]
+    assert params._spans(9, 4) == [(0, 4), (4, 8), (8, 9)]
+    assert params._spans(9, 4, start=3) == [(3, 7), (7, 9)]
+    assert params._spans(3, 4, start=3) == []
+
+
 def test_map_chunks_returns_results_in_block_order(cpus):
     seen = []
 
-    def fn(blocks):
-        seen.append(blocks)
-        return [10 * i for i in blocks]
+    def fn(part):
+        seen.append(part)
+        return [10 * lo for lo, _ in part]
 
-    for n_cpus, n_blocks in [(1, 7), (3, 1), (3, 2), (3, 10), (4, 4)]:
+    for n_cpus, n_spans in [(1, 7), (3, 1), (3, 2), (3, 10), (4, 4)]:
         cpus(n_cpus)
         seen.clear()
-        assert _map_chunks(fn, n_blocks) == [10 * i for i in range(n_blocks)]
-        assert len(seen) == min(n_cpus, n_blocks)
-        assert sorted(i for r in seen for i in r) == list(range(n_blocks))
-        assert all(r.step == 1 and len(r) > 0 for r in seen)
+        spans = params._spans(3 * n_spans - 1, 3)
+        assert _map_chunks(fn, spans) == [10 * lo for lo, _ in spans]
+        assert len(seen) == min(n_cpus, n_spans)
+        assert sorted(span for part in seen for span in part) == spans
+        for part in seen:  # a contiguous part of the list
+            start = spans.index(part[0])
+            assert part == spans[start:start + len(part)]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_map_chunks_of_no_span_calls_nothing(cpus, n_cpus):
+    cpus(n_cpus)
+    called = []
+    assert _map_chunks(called.append, []) == [] and called == []
 
 
 def test_map_chunks_raises_the_first_error_after_every_range_ends(cpus):
     cpus(4)
     ended = []
 
-    def fn(blocks):
-        if blocks.start > 0:
-            threading.Event().wait(0.05 * (4 - blocks.start // 2))
-        ended.append(blocks.start)
-        if blocks.start in (4, 6):
-            raise ValueError(f"range at {blocks.start}")
-        return list(blocks)
+    def fn(part):
+        start = part[0][0]
+        if start > 0:
+            threading.Event().wait(0.05 * (4 - start // 2))
+        ended.append(start)
+        if start in (4, 6):
+            raise ValueError(f"range at {start}")
+        return part
 
     with pytest.raises(ValueError, match="range at 4"):
-        _map_chunks(fn, 8)
+        _map_chunks(fn, params._spans(8, 1))
     assert sorted(ended) == [0, 2, 4, 6]
 
 
@@ -86,14 +105,42 @@ def test_a_pass_started_inside_a_pass_returns_its_results_in_block_order():
         from lorachirp import params
         params._cpu_count = lambda: 3
 
-        def outer(blocks):
-            return [params._map_chunks(lambda inner: [10 * j for j in inner], 4 + i)
-                    for i in blocks]
+        def inner(part):
+            return [10 * lo for lo, _ in part]
 
-        assert params._map_chunks(outer, 5) == [[10 * j for j in range(4 + i)]
-                                                for i in range(5)]
+        def outer(part):
+            return [params._map_chunks(inner, params._spans(4 + lo, 1)) for lo, _ in part]
+
+        assert params._map_chunks(outer, params._spans(5, 1)) == [
+            [10 * j for j in range(4 + i)] for i in range(5)]
     """, timeout=30.0)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_blocks_are_views_of_held_samples_and_computed_for_a_lazy_buffer():
+    samples = np.arange(20) * (1 + 2j)
+    held = IqBuffer(samples, fs=1.0)
+    calls = []
+
+    def fill(lo, hi, out):
+        calls.append((lo, hi))
+        out[:] = samples[lo:hi]
+
+    spans = [(0, 7), (7, 9), (3, 20), (19, 20)]
+    for block, (lo, hi) in zip(held._blocks(spans), spans):
+        assert block.base is held.samples and np.array_equal(block, samples[lo:hi])
+    lazy = IqBuffer._lazy(len(samples), fill, fs=1.0)
+    out = np.empty(17, dtype=complex)
+    for given in (None, out):
+        bases = []
+        for block, (lo, hi) in zip(lazy._blocks(spans, given), spans):
+            assert np.array_equal(block, samples[lo:hi])
+            bases.append(block.base)
+        # every block is computed into one array: out, else a scratch of the longest span
+        assert all(base is bases[0] for base in bases) and len(bases[0]) == 17
+        assert bases[0] is out or given is None
+        assert calls == spans and "_lazy" in vars(lazy)
+        calls.clear()
 
 
 def _stream(sf: int, oversample: int, n_blocks: float,
@@ -250,7 +297,7 @@ def test_public_functions_run_on_the_calling_thread_only(cpus, monkeypatch, tmp_
 def test_awgn_needs_no_full_size_scratch(cpus, n_cpus):
     cpus(n_cpus)
     n = 1 << 21
-    iq = IqBuffer._adopt(np.full(n, 1.0 + 0.5j), fs=1.0)
+    iq = IqBuffer(np.full(n, 1.0 + 0.5j), fs=1.0)
     tracemalloc.start()
     try:
         noisy = awgn(iq, 0.0, seed=1)
@@ -265,8 +312,7 @@ def test_welch_memory_does_not_grow_with_the_number_of_blocks(cpus):
     cpus(2)
     # 2^21 samples in 1260 overlapping segments of 2^15: 630 blocks whose
     # sums of |X|^2 would take 160 MB if all of them waited to be added
-    iq = IqBuffer._adopt(np.random.default_rng(4).standard_normal(1 << 22).view(complex),
-                         fs=1.0)
+    iq = IqBuffer(np.random.default_rng(4).standard_normal(1 << 22).view(complex), fs=1.0)
     tracemalloc.start()
     try:
         welch_psd(iq, 1 << 15, overlap=0.95)
@@ -285,7 +331,7 @@ def test_mean_power_equals_numpy_mean_bit_for_bit(cpus, n):
     for _ in range(4):
         samples = rng.standard_normal(2 * n).view(complex) * np.exp(rng.uniform(-3, 3, n))
         expected = float(np.mean(np.abs(samples) ** 2)) if n else 0.0
-        iq = IqBuffer._adopt(samples, fs=1.0)
+        iq = IqBuffer(samples, fs=1.0)
         for n_cpus in (1, 2, 3, 7):
             cpus(n_cpus)
             assert iq.mean_power == expected
@@ -307,7 +353,7 @@ def test_mean_power_gives_nan_for_nan_and_inf_for_overflow_without_a_warning(cpu
 def test_mean_power_needs_no_full_size_scratch(cpus, n_cpus):
     cpus(n_cpus)
     n = 1 << 21
-    iq = IqBuffer._adopt(np.ones(n, dtype=complex), fs=1.0)
+    iq = IqBuffer(np.ones(n, dtype=complex), fs=1.0)
     assert iq.mean_power == 1.0
     tracemalloc.start()
     try:
@@ -381,7 +427,7 @@ def test_read_iq_needs_no_full_size_scratch(cpus, tmp_path, n_cpus):
     cpus(n_cpus)
     n = 1 << 21
     path = tmp_path / "sig.iq"
-    write_iq(IqBuffer._adopt(np.full(n, 1.0 + 0.5j), fs=1.0), path)
+    write_iq(IqBuffer(np.full(n, 1.0 + 0.5j), fs=1.0), path)
     tracemalloc.start()
     try:
         back = read_iq(path)
@@ -390,6 +436,23 @@ def test_read_iq_needs_no_full_size_scratch(cpus, tmp_path, n_cpus):
         tracemalloc.stop()
     assert np.all(back.samples == 1.0 + 0.5j)
     assert peak < 8 * n + (4 << 20)  # the float32 payload; its complex128 samples take 16*n
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+@pytest.mark.parametrize("fmt", ["interleaved-f32-le", "csv"])
+def test_an_empty_capture_round_trips_in_both_formats(cpus, tmp_path, n_cpus, fmt):
+    cpus(n_cpus)
+    empty = IqBuffer(np.zeros(0, dtype=complex), fs=1.0)
+    expected = {}
+    for out_fmt in ("interleaved-f32-le", "csv"):
+        write_iq(empty, tmp_path / out_fmt, fmt=out_fmt)
+        expected[out_fmt] = (tmp_path / out_fmt).read_bytes()
+    back = read_iq(tmp_path / fmt)
+    assert len(back) == 0 and back.mean_power == 0.0
+    for out_fmt in ("interleaved-f32-le", "csv"):  # the float32 one first, while it is lazy
+        write_iq(back, tmp_path / "again", fmt=out_fmt)
+        assert (tmp_path / "again").read_bytes() == expected[out_fmt]
+    assert back.samples.shape == (0,)
 
 
 LAZY_CASES = [(sf, oversample, n_blocks) for sf in (3, 7, 9, 12) for oversample in (1, 2, 3, 4)

@@ -51,10 +51,9 @@ def test_params_rejects_a_numeric_field_that_is_not_a_finite_real(field, value):
 
 @pytest.mark.parametrize("make, field", [
     (partial(IqBuffer, np.ones(4, dtype=complex)), "fs"),
-    (partial(IqBuffer._adopt, np.ones(4, dtype=complex)), "fs"),
     (partial(IqFileHeader, "csv"), "fs"),
     (partial(IqFileHeader, "csv", fs=1.0), "center_freq")],
-    ids=["buffer-fs", "adopt-fs", "header-fs", "header-center_freq"])
+    ids=["buffer-fs", "header-fs", "header-center_freq"])
 @pytest.mark.parametrize("value", [True, "5", None, 10 ** 400, float("nan")],
                          ids=["bool", "str", "none", "int-beyond-float", "nan"])
 def test_iq_fields_reject_a_value_that_is_not_a_finite_real(make, field, value):
@@ -242,15 +241,6 @@ def test_iq_buffer_constructor_copies_the_callers_array():
     assert x.flags.writeable and not buf.samples.flags.writeable
 
 
-@pytest.mark.parametrize("samples, fs", [
-    (np.ones(4), 1.0), (np.ones((2, 2), dtype=complex), 1.0),
-    (np.ones(8, dtype=complex)[::2], 1.0), (np.ones(4, dtype=complex), float("nan"))],
-    ids=["float64", "2-d", "strided", "nan-fs"])
-def test_iq_buffer_adopts_only_1d_contiguous_complex128(samples, fs):
-    with pytest.raises(ValueError):
-        IqBuffer._adopt(samples, fs=fs)
-
-
 @pytest.mark.parametrize("sf, oversample, n_symbols", [(3, 3, 700), (7, 2, 40), (9, 3, 7),
                                                        (15, 4, 3)],
                          ids=["sf3-x3", "sf7-x2", "sf9-x3", "rows-longer-than-a-block"])
@@ -262,11 +252,10 @@ def test_a_modulated_buffer_is_gathered_only_when_its_samples_are_read(sf, overs
     width = oversample * p.m
     assert len(buf) == n_symbols * width and buf.duration == len(buf) / buf.fs
     rng = np.random.default_rng(sf)
-    scratch = buf._scratch(len(buf))
     edges = [0, 1, width - 1, width, width + 1, len(buf) - 1, len(buf)]
     blocks = [(lo, hi) for lo in edges for hi in edges if lo < hi]
     blocks += [tuple(sorted(rng.choice(len(buf) + 1, 2, replace=False))) for _ in range(20)]
-    gathered = [buf._block(lo, hi, scratch).copy() for lo, hi in blocks]
+    gathered = [block.copy() for block in buf._blocks(blocks)]
     assert "_lazy" in vars(buf)  # nothing above built the whole stream
 
     distinct, inverse = np.unique(symbols, return_inverse=True)
@@ -275,9 +264,9 @@ def test_a_modulated_buffer_is_gathered_only_when_its_samples_are_read(sf, overs
     np.testing.assert_array_equal(samples, expected)
     assert buf.samples is samples and not samples.flags.writeable
     assert "_lazy" not in vars(buf)
-    for (lo, hi), block in zip(blocks, gathered):
+    for (lo, hi), block, view in zip(blocks, gathered, buf._blocks(blocks)):
         np.testing.assert_array_equal(block, expected[lo:hi])
-        assert buf._block(lo, hi, scratch).base is samples  # a view once built
+        assert view.base is samples  # a view once built
 
 
 def test_a_lazy_buffer_pickles_copies_and_compares_as_its_samples():
