@@ -7,17 +7,19 @@ frequency and sample count so captures stay self-describing.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import math
 import os
+import stat
+import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .params import (_BLOCK_SAMPLES, IqBuffer, _all_within, _check_fs, _finite,
+from .params import (_BLOCK_SAMPLES, IqBuffer, _all_finite, _check_fs, _finite,
                      _json_object, _map_chunks, _real, _spans)
 
 FORMAT_F32 = "interleaved-f32-le"
@@ -61,6 +63,63 @@ def _default_header_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
+def _unfit(path: Path) -> ValueError:
+    return ValueError(f"cannot write IQ capture {path}: the I or Q of a sample is NaN, "
+                      "infinite or too large for float32")
+
+
+def _write_f32(buffer: IqBuffer, path: Path) -> None:
+    """Write the interleaved float32 capture at path (at the target of a
+    symlink there) through a new file beside it, which is renamed onto
+    path once every block has been narrowed, checked and written.  On any
+    error, a sample that does not fit float32 (ValueError) included, the
+    new file is removed and path is left as it was."""
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+    # O_EXCL never opens an existing file; the umask applies, as for open()
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+
+    def write(part: list) -> tuple:
+        payload = np.empty(2 * min(len(buffer), _BLOCK_SAMPLES), dtype="<f4")
+        # a float64 narrows to a finite float32 exactly when its magnitude
+        # is below 2^128 - 2^103, halfway from FLT_MAX to 2^128; one at or
+        # beyond it narrows to inf, here without a warning
+        with np.errstate(over="ignore"):
+            for (lo, hi), block in zip(part, buffer._blocks(part)):
+                out = payload[:2 * (hi - lo)]
+                # complex128 is stored as I, Q float64 pairs
+                np.copyto(out, block.view(np.float64))
+                if not _all_finite(out):
+                    raise _unfit(path)
+                data, offset = memoryview(out).cast("B"), 8 * lo
+                while data:  # a write to a regular file is short only when the disk fills
+                    done = os.pwrite(fd, data, offset)
+                    data, offset = data[done:], offset + done
+        return ()
+
+    try:
+        try:  # keep the permission bits of a capture already there, as open() does
+            os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+        except FileNotFoundError:
+            pass
+        try:
+            _map_chunks(write, _spans(len(buffer), _BLOCK_SAMPLES))
+        finally:
+            os.close(fd)
+        # renaming onto an existing file would make ext4 (auto_da_alloc)
+        # start writing the new one back at once; a buffer read_iq returned
+        # keeps the unlinked file open, so its samples stay as they were
+        try:
+            os.unlink(target)
+        except FileNotFoundError:
+            pass
+    except BaseException:
+        os.unlink(temp)
+        raise
+    # the old file is gone: should the rename fail, the new one is kept
+    os.rename(temp, target)
+
+
 def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
              description: str = "", fmt: str = FORMAT_F32) -> IqFileHeader:
     """Write an IqBuffer to disk plus its JSON sidecar.
@@ -69,61 +128,37 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     per complex sample); CSV files carry an "i,q" header row.  Returns the
     header that was written.  A sample whose I or Q is NaN, infinite or
     (in the binary format) beyond the float32 range raises ValueError
-    before anything is written, since read_iq would reject the capture.
+    and leaves the file at path and its sidecar as they were, since
+    read_iq would reject the capture.
+
     The binary format reads the buffer once, in blocks shared among the
-    CPUs of the affinity mask, narrowing each block into the file's
-    float32 payload (8 bytes per sample) and checking it there; the CSV
-    format reads `samples` once.
+    CPUs of the affinity mask.  Each block is narrowed to float32, checked
+    and written at its place in a new file beside path.  Only once every
+    block has been written is the old file unlinked and the new one
+    renamed onto path (a symlink at path is followed and its target
+    replaced); then the sidecar is written.  A failed or interrupted
+    write removes the new file.  A buffer that read_iq returned for the
+    old file keeps reading it, unchanged.  The CSV format reads `samples`
+    once and checks them before it opens path.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
     header = IqFileHeader(format=fmt, fs=buffer.fs, center_freq=center_freq,
                           description=description)
-    n = len(buffer)
-    spans = _spans(n, _BLOCK_SAMPLES)
-    if fmt == FORMAT_F32:
-        payload = np.empty(2 * n, dtype="<f4")
-
-        def narrow(part: list) -> list[bool]:
-            fits = []
-            # a float64 narrows to a finite float32 exactly when its magnitude
-            # is below 2^128 - 2^103, halfway from FLT_MAX to 2^128; one at or
-            # beyond it narrows to inf, here without a warning
-            with np.errstate(over="ignore"):
-                for (lo, hi), block in zip(part, buffer._blocks(part)):
-                    out = payload[2 * lo:2 * hi]
-                    # complex128 is stored as I, Q float64 pairs
-                    np.copyto(out, block.view(np.float64))
-                    fits.append(_all_within(out, np.inf))
-            return fits
-
-        fits = all(_map_chunks(narrow, spans))
-    else:
-        samples = buffer.samples
-        fits = _all_within(samples.view(np.float64), np.inf)
-    if not fits:
-        raise ValueError(f"cannot write IQ capture {path}: the I or Q of a sample is NaN, "
-                         "infinite or too large for float32")
     try:
         if fmt == FORMAT_F32:
-            path.open("wb").close()
-
-            def write(part: list) -> tuple:
-                # each part writes its blocks through its own handle
-                with path.open("r+b") as fh:
-                    fh.seek(8 * part[0][0])
-                    fh.write(payload[2 * part[0][0]:2 * part[-1][1]])
-                return ()
-
-            _map_chunks(write, spans)
+            _write_f32(buffer, path)
         else:
+            samples = buffer.samples
+            if not _all_finite(samples.view(np.float64)):
+                raise _unfit(path)
             _write_csv(path, ["i", "q"], [map(float, samples.real), map(float, samples.imag)])
         header_path.write_text(json.dumps({
             "format": header.format,
             "fs_hz": header.fs,
             "center_freq_hz": header.center_freq,
             "description": header.description,
-            "num_samples": n,
+            "num_samples": len(buffer),
         }, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing IQ capture {path}: {exc}") from exc
@@ -156,48 +191,63 @@ def read_header(header_path) -> tuple[IqFileHeader, int | None]:
     return header, n
 
 
-def _read_f32(path: Path, n_expected: int | None) -> tuple[np.ndarray, bool]:
-    """The read-only float32 payload of an interleaved capture and whether
-    all of it is finite, read and checked block by block on every CPU,
-    each range through its own file handle.  The payload's length is
-    checked, also against the sidecar's count, before anything is
-    allocated."""
+def _read_f32(path: Path, n_expected: int | None, fs: float) -> IqBuffer:
+    """A lazy buffer over the interleaved float32 capture at path, which it
+    keeps open: the samples a pass reads are read from the file, block by
+    block, into a float32 scratch of its thread and widened to complex128
+    (every float32 widens exactly).  The file's length is checked, also
+    against the sidecar's count, and its samples are checked finite by a
+    mean-power pass, whose value the buffer keeps.  A read that comes
+    short is an OSError naming the capture; a pass over a file whose
+    size, inode or modification time has changed since is a ValueError."""
     try:
-        with path.open("rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
+        fd = os.open(path, os.O_RDONLY)
     except OSError as exc:
         raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
-    if size % 8:
-        raise ValueError(f"truncated IQ capture {path}: {size} bytes is not a "
-                         "whole number of float32 I/Q pairs")
-    _check_count(path, size // 8, n_expected)
-    payload = np.empty(size // 4, dtype="<f4")
+    local = threading.local()
 
-    def read(part: list) -> list[bool]:
-        finite = []
+    def identity() -> tuple:
+        st = os.fstat(fd)
+        # not st_ctime: write_iq's unlink of this file changes only that
+        return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+    def fill(lo: int, hi: int, out: np.ndarray) -> None:
+        if not hasattr(local, "payload"):
+            local.payload = np.empty(2 * min(n, _BLOCK_SAMPLES), dtype="<f4")
         try:
-            with path.open("rb") as fh:
-                fh.seek(8 * part[0][0])
-                for lo, hi in part:
-                    block = payload[2 * lo:2 * hi]
-                    # a buffered readinto fills the block unless the file ends
-                    got = fh.readinto(block)
-                    if got < block.nbytes:
-                        raise OSError(f"the file ended after {8 * lo + got} of {size} bytes")
-                    finite.append(_all_within(block, np.inf))
+            if identity() != seen:
+                raise ValueError(f"IQ capture {path} changed after read_iq")
+            for a, b in _spans(hi, _BLOCK_SAMPLES, lo):
+                payload = local.payload[:2 * (b - a)]
+                got = os.preadv(fd, [payload], 8 * a)
+                if got < payload.nbytes:
+                    raise OSError(f"the file ended after {8 * a + got} of {8 * n} bytes")
+                np.copyto(out[a - lo:b - lo].view(np.float64), payload)
         except OSError as exc:
             raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
-        return finite
 
-    finite = all(_map_chunks(read, _spans(size // 8, _BLOCK_SAMPLES)))
-    payload.setflags(write=False)
-    return payload, finite
-
-
-def _widen(payload: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
-    """Write samples lo..hi-1 of an interleaved float32 payload into the
-    complex128 array out; every float32 widens to float64 exactly."""
-    np.copyto(out.view(np.float64), payload[2 * lo:2 * hi])
+    # closes the file once the buffer has built its samples or is collected
+    close = weakref.finalize(fill, os.close, fd)
+    try:
+        try:
+            seen = identity()
+        except OSError as exc:
+            raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
+        size = seen[2]
+        if size % 8:
+            raise ValueError(f"truncated IQ capture {path}: {size} bytes is not a "
+                             "whole number of float32 I/Q pairs")
+        n = size // 8
+        _check_count(path, n, n_expected)
+        buffer = IqBuffer._lazy(n, fill, fs=fs)
+        # |x|^2 of a widened float32 cannot overflow, so the mean power is
+        # finite exactly when every sample is
+        if not math.isfinite(buffer.mean_power):
+            raise ValueError(f"IQ capture {path} holds NaN or infinite samples")
+    except BaseException:
+        close()
+        raise
+    return buffer
 
 
 def _check_count(path: Path, n: int, n_expected: int | None) -> None:
@@ -229,24 +279,27 @@ def read_iq(path, header_path=None) -> IqBuffer:
 
     Raises on truncated payloads (odd float count), NaN or infinite
     samples, malformed sidecars, nonpositive sample rates, CSV rows
-    without exactly two fields and sidecar/payload length mismatches.  A
-    float32 payload is read and checked in blocks shared among the CPUs of
-    the affinity mask and kept as it is, in 8 bytes per sample: the
-    buffer widens the blocks a pass reads to complex128, and `samples`
-    widens all of them once.
+    without exactly two fields and sidecar/payload length mismatches.
+
+    A float32 capture is not loaded: the buffer keeps the file open and
+    reads the blocks each pass needs, shared among the CPUs of the
+    affinity mask, so it holds no full-size copy of the capture until
+    `samples` is read; that reads the file once and closes it, as
+    collecting the buffer does.  The samples are checked finite by the
+    pass that computes `mean_power`, which the buffer keeps.  write_iq to
+    the same path leaves the buffer reading the old file.  Editing or
+    truncating the file in place makes the buffer's next pass raise
+    ValueError naming the capture; an edit is seen through the file's
+    modification time, so only once the filesystem's clock has ticked
+    since the file was last written.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
     header, n_expected = read_header(header_path)
     if header.format == FORMAT_F32:
-        payload, finite = _read_f32(path, n_expected)
-        buffer = IqBuffer._lazy(len(payload) // 2, functools.partial(_widen, payload),
-                                fs=header.fs)
-    else:
-        samples = _read_csv(path)
-        _check_count(path, len(samples), n_expected)
-        finite = np.isfinite(samples).all()
-        buffer = IqBuffer(samples, fs=header.fs)
-    if not finite:
+        return _read_f32(path, n_expected, header.fs)
+    samples = _read_csv(path)
+    _check_count(path, len(samples), n_expected)
+    if not np.isfinite(samples).all():
         raise ValueError(f"IQ capture {path} holds NaN or infinite samples")
-    return buffer
+    return IqBuffer(samples, fs=header.fs)

@@ -61,11 +61,11 @@ def _map_chunks(fn, spans: list) -> list:
     return results
 
 
-def _all_within(values: np.ndarray, bound: float) -> bool:
-    """True when every value is strictly inside (-bound, bound), as for no
-    value at all; NaN fails both comparisons."""
-    return bool(values.size == 0 or (np.maximum.reduce(values) < bound
-                                     and np.minimum.reduce(values) > -bound))
+def _all_finite(values: np.ndarray) -> bool:
+    """True when no value is NaN or infinite, as for no value at all; NaN
+    fails both comparisons."""
+    return bool(values.size == 0 or (np.maximum.reduce(values) < np.inf
+                                     and np.minimum.reduce(values) > -np.inf))
 
 
 def _integer(value, name: str) -> int:
@@ -216,9 +216,10 @@ class IqBuffer:
     Buffers that library functions return, but for a CSV capture, are lazy
     (`_lazy`): their samples are computed block by block on demand, from
     what the buffer holds instead (the distinct rows of a modulated stream,
-    the input and noise seed of `awgn`, the float32 payload of a capture),
+    the input and noise seed of `awgn`, the open file of a float32 capture),
     and `samples` is built in full, on every CPU, only when it is first
-    read.  The library's passes read every buffer through `_blocks`.
+    read.  The library's passes read every buffer through `_blocks`.  A
+    buffer's samples never change, so `mean_power` is computed once.
     """
 
     samples: np.ndarray
@@ -302,7 +303,12 @@ class IqBuffer:
         np.mean(np.abs(samples)**2) and computed without a full-size
         temporary: the sum is split into blocks along numpy's own pairwise
         summation tree, the blocks are summed on every CPU and their sums
-        added back along the same tree."""
+        added back along the same tree.  The samples never change, so the
+        first read's value is kept in the instance dict and a later read
+        runs no pass."""
+        kept = self.__dict__.get("_mean_power")
+        if kept is not None:
+            return kept
         n = len(self)
         if n == 0:
             return 0.0
@@ -339,7 +345,8 @@ class IqBuffer:
         def join(node) -> float:
             return sums[node] if isinstance(node, int) else join(node[0]) + join(node[1])
 
-        return join(root) / n
+        power = self.__dict__["_mean_power"] = join(root) / n
+        return power
 
 
 def _finite_power(iq: IqBuffer) -> float:

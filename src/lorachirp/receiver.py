@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 
-from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _all_within, _integer,
+from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _all_finite, _integer,
                      _finite_power, _map_chunks, _power_ratio, _spans)
 from .waveform import _sample_symbols
 
@@ -80,7 +80,7 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
         symbols = []
         # at chip rate a lazy buffer's block is gathered straight into rows
         for block in iq._blocks(part, rows.reshape(-1) if r == 1 else None):
-            if not _all_within(block.view(np.float64), np.inf):
+            if not _all_finite(block.view(np.float64)):
                 raise ValueError("cannot demodulate a buffer holding NaN or infinite samples")
             chips = block[::r].reshape(-1, p.m)
             k = len(chips)

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -62,6 +64,28 @@ def test_file_size_is_eight_bytes_per_sample(tmp_path, iq):
     path = tmp_path / "sig.iq"
     write_iq(iq, path)
     assert path.stat().st_size == 8 * len(iq)
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink") or os.name != "posix", reason="POSIX modes")
+def test_write_iq_writes_through_a_symlink_and_keeps_the_file_mode(tmp_path, iq):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "sig.iq"
+    link = tmp_path / "sig.iq"
+    link.symlink_to(target)
+    second = modulate(P5, [2, 4, 6], oversample=2)
+    umask = os.umask(0o027)
+    try:
+        write_iq(iq, link)  # through a dangling link, then over the file it names
+        write_iq(second, link)
+    finally:
+        os.umask(umask)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert np.array_equal(read_iq(link).samples, second.samples.astype(np.complex64))
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    target.chmod(0o600)
+    write_iq(iq, link)  # keeps the mode of the file it replaces, as open() does
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(p.name for p in target.parent.iterdir()) == ["sig.iq"]
 
 
 def test_sidecar_matches_buffer(tmp_path, iq):
