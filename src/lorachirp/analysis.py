@@ -306,6 +306,11 @@ class MaskReport:
     segments: tuple[SegmentResult, ...]
 
     @property
+    def complete(self) -> bool:
+        """Every segment checked at least one bin (true for an empty mask)."""
+        return all(s.n_bins for s in self.segments)
+
+    @property
     def worst_margin_db(self) -> float | None:
         margins = [s.worst_margin_db for s in self.segments if s.worst_margin_db is not None]
         return min(margins) if margins else None
@@ -316,11 +321,14 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
 
     Every bin whose center falls inside a segment is compared with that
     segment's limit.  The binned resolution bandwidth must equal the mask
-    rbw (no implicit resampling).  Segments not covered by any bin are
-    reported with n_bins = 0 and do not affect the verdict; an empty mask
-    passes.  A level that is not finite in a checked bin raises
-    ValueError naming the segment; so does a carrier f0 that is not
-    finite.
+    rbw (no implicit resampling).  A segment that no bin falls in is
+    reported with n_bins = 0 and makes the report incomplete, and an
+    incomplete report does not pass: the spectrum says nothing about
+    that segment.  So the verdict passes only when every segment checked
+    at least one bin and no checked bin exceeds its limit; a segment
+    covered in part is judged on the bins it has.  An empty mask passes.
+    A level that is not finite in a checked bin raises ValueError naming
+    the segment; so does a carrier f0 that is not finite.
     """
     if not np.isfinite(_real(f0, "carrier frequency f0")):
         raise ValueError(f"carrier frequency f0 must be a finite number, got {f0!r}")
@@ -333,8 +341,9 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
                 f"mask rbw {seg.rbw_hz} Hz != binned resolution {binned.delta_f} Hz; "
                 "recompute the binned spectrum at the mask rbw")
         sel = (f_abs >= seg.f_start_hz) & (f_abs < seg.f_stop_hz)
-        if not np.any(sel):
+        if not np.any(sel):  # unchecked: the report is incomplete
             results.append(SegmentResult(seg, 0, None, None))
+            passed = False
             continue
         levels = binned.bin_power_dbm[sel]
         if not np.all(np.isfinite(levels)):

@@ -78,9 +78,9 @@ def _cmd_xcorr(args) -> int:
     }
     if args.full_matrix:
         C = correlation.correlation_matrix(p)
-        l, m = np.indices(C.shape).reshape(2, -1).tolist()
+        l, m = np.indices(C.shape).reshape(2, -1)
         _write_csv(args.full_matrix, ["l", "m", "re_c", "im_c"],
-                   [l, m, C.real.ravel().tolist(), C.imag.ravel().tolist()])
+                   [l, m, C.real.ravel(), C.imag.ravel()])
         doc["matrix_csv"] = str(args.full_matrix)
     print(json.dumps(doc))
     return 0
@@ -95,11 +95,11 @@ def _cmd_spectrum(args) -> int:
     g = res.continuous
     db_rel_b = 10 * np.log10(np.maximum(g * res.params.b, 1e-30))
     _write_csv(out_psd, ["frequency_hz", f"psd_{unit}_per_hz", "psd_db_rel_b"],
-               [res.grid.tolist(), (g * scale).tolist(), db_rel_b.tolist()],
+               [res.grid, g * scale, db_rel_b],
                comments=[f"sf={args.sf} bw_hz={args.bw}",
                          "psd_db_rel_b = 10*log10(Gc(f)*B) of the unit-power envelope"])
     _write_csv(out_lines, ["frequency_hz", f"power_{unit}"],
-               [res.line_frequencies.tolist(), (res.line_powers * scale).tolist()],
+               [res.line_frequencies, res.line_powers * scale],
                comments=[f"sf={args.sf} bw_hz={args.bw}"])
     print(json.dumps({"psd_csv": str(out_psd), "lines_csv": str(out_lines),
                       "grid_points": len(res.grid), "num_lines": len(res.lines)}))
@@ -128,7 +128,7 @@ def _cmd_welch(args) -> int:
                                     overlap=args.overlap, window=args.window)
     out = args.out or "welch_psd.csv"
     _write_csv(out, ["frequency_hz", "psd_per_hz"],
-               [freqs.tolist(), pxx.tolist()],
+               [freqs, pxx],
                comments=[f"segment={args.segment} overlap={args.overlap} window={args.window}"])
     print(json.dumps({"out": str(out), "grid_points": len(freqs)}))
     return 0
@@ -161,7 +161,7 @@ def _read_binned_csv(path) -> analysis.BinnedSpectrum:
 
 def _write_binned_csv(path, binned: analysis.BinnedSpectrum) -> None:
     _write_csv(path, ["bin_center_hz", "power_dbm"],
-               [binned.bin_centers.tolist(), binned.bin_power_dbm.tolist()],
+               [binned.bin_centers, binned.bin_power_dbm],
                comments=[f"delta_f_hz={binned.delta_f!r}", f"ps_dbm={binned.ps_dbm!r}"])
 
 
@@ -188,12 +188,16 @@ def _cmd_mask_check(args) -> int:
         "mask": mask.label,
         "f0_hz": args.f0,
         "passed": report.passed,
+        "complete": report.complete,
         "worst_margin_db": report.worst_margin_db,
         "segments": [{
             "f_start_hz": s.segment.f_start_hz,
             "f_stop_hz": s.segment.f_stop_hz,
             "limit_dbm": s.segment.limit_dbm,
             "n_bins": s.n_bins,
+            # of the rbw-wide bins the segment spans
+            "coverage": s.n_bins / max(1, round((s.segment.f_stop_hz - s.segment.f_start_hz)
+                                                / s.segment.rbw_hz)),
             "worst_margin_db": s.worst_margin_db,
             "worst_freq_hz": s.worst_freq_hz,
         } for s in report.segments],

@@ -7,7 +7,6 @@ frequency and sample count so captures stay self-describing.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import params
 from .params import (_BLOCK_SAMPLES, IqBuffer, _all_finite, _check_fs, _finite,
                      _json_object, _map_chunks, _real, _spans)
 
@@ -44,19 +44,83 @@ class IqFileHeader:
 # rows of a CSV output formatted and written in one go: few enough that
 # the text of a chunk stays far below the columns it is formatted from
 _CSV_ROWS = 256
+# values (rows x columns) per forked child writing a CSV output: a smaller
+# file is formatted inline, where a fork would cost more than it saves
+_CSV_FORK_VALUES = 1 << 16
+
+
+def _csv_text(cols: list, lo: int, hi: int):
+    """The text of rows lo..hi-1 of the columns `cols`, _CSV_ROWS rows at a
+    time: each number is the repr of the Python float or int that
+    tolist() makes of it, ',' between fields and '\r\n' after each row."""
+    for a, b in _spans(hi, _CSV_ROWS, lo):
+        fields = [map(repr, c[a:b].tolist()) for c in cols]
+        yield "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
 
 
 def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = ()) -> None:
     """Write '# ' comment lines, a header and one row per entry of the
-    columns `cols` (iterables of Python numbers), in csv.writer's default
-    layout: ',' between fields and '\r\n' after each row.  Every number is
-    written as its repr, so floats read back exactly.  Rows are formatted
-    and written _CSV_ROWS at a time, so the text never exists whole."""
-    rows = map(",".join, zip(*(map(repr, c) for c in cols)))
+    columns `cols` (equal-length 1-D numpy arrays), in csv.writer's
+    default layout: ',' between fields and '\r\n' after each row.  Every
+    number is written as its repr, so floats read back exactly.
+
+    A file of at least 2 * _CSV_FORK_VALUES values, written on several
+    CPUs by a process with no other thread, has its rows cut into one
+    contiguous part per CPU (at most one per _CSV_FORK_VALUES values).
+    After the comments and header are flushed, a forked child formats
+    each part after the first into an anonymous spill file while this
+    process formats the first part into the output; then each child is
+    reaped in order and its spill file copied onto the output, so the
+    bytes are those of a one-CPU run.  A child that fails is an OSError
+    naming path.  No child or spill file outlives the call, on any exit.
+    Rows are formatted and written _CSV_ROWS at a time by every process,
+    so the text never exists whole, in any process."""
+    n = len(cols[0])
+    n_parts = 1
+    # a fork copies only the calling thread: another thread's locks could be held
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        n_parts = max(1, min(params._cpu_count(), n * len(cols) // _CSV_FORK_VALUES))
+    bounds = [i * n // n_parts for i in range(n_parts + 1)]
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header_cols) + "\r\n")
-        while chunk := list(itertools.islice(rows, _CSV_ROWS)):
-            fh.write("\r\n".join(chunk) + "\r\n")
+        if n_parts == 1:
+            fh.writelines(_csv_text(cols, 0, n))
+            return
+        import shutil
+        import signal
+        import tempfile
+        fh.flush()  # a child must inherit no unwritten text
+        pids, spills = [], []
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                spills.append(tempfile.TemporaryFile())
+                pid = os.fork()
+                if pid == 0:  # the child: never returns into the caller's stack
+                    try:
+                        spills[-1].writelines(text.encode(fh.encoding)
+                                              for text in _csv_text(cols, lo, hi))
+                        spills[-1].flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+            fh.writelines(_csv_text(cols, 0, bounds[1]))
+            fh.flush()
+            for lo, hi, spill in zip(bounds[1:], bounds[2:], spills):
+                status = os.waitpid(pids[0], 0)[1]
+                del pids[0]
+                if status:
+                    raise OSError(f"cannot write {path}: the process formatting rows "
+                                  f"{lo}..{hi - 1} exited with status "
+                                  f"{os.waitstatus_to_exitcode(status)}")
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh.buffer)
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for spill in spills:
+                spill.close()
 
 
 def _default_header_path(path: Path) -> Path:
@@ -139,7 +203,8 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     replaced); then the sidecar is written.  A failed or interrupted
     write removes the new file.  A buffer that read_iq returned for the
     old file keeps reading it, unchanged.  The CSV format reads `samples`
-    once and checks them before it opens path.
+    once and checks them before it opens path; a large capture's rows are
+    formatted on every CPU, as _write_csv does for every CSV output.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
@@ -152,7 +217,7 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
             samples = buffer.samples
             if not _all_finite(samples.view(np.float64)):
                 raise _unfit(path)
-            _write_csv(path, ["i", "q"], [map(float, samples.real), map(float, samples.imag)])
+            _write_csv(path, ["i", "q"], [samples.real, samples.imag])
         header_path.write_text(json.dumps({
             "format": header.format,
             "fs_hz": header.fs,

@@ -269,6 +269,20 @@ def test_mask_check_empty_mask_passes(binned_125k):
     assert report.segments == ()
 
 
+def test_mask_check_an_unchecked_segment_cannot_pass(binned_125k):
+    # no bin of the spectrum falls in 900-901 MHz around a 868.3 MHz carrier
+    far = MaskSegment(900.0e6, 901.0e6, -36.0, 1000.0)
+    report = mask_check(binned_125k, MaskSpec(label="far", segments=(far,)), f0=868.3e6)
+    assert not report.complete and not report.passed
+    assert report.segments[0].n_bins == 0 and report.worst_margin_db is None
+    # beside segments that pass, it still fails the verdict
+    mask = _example_mask()
+    report = mask_check(binned_125k, MaskSpec(mask.label, mask.segments + (far,)), f0=868.3e6)
+    assert not report.complete and not report.passed and report.worst_margin_db > 0
+    report = mask_check(binned_125k, mask, f0=868.3e6)
+    assert report.complete and report.passed
+
+
 def test_mask_check_rejects_rbw_mismatch(binned_125k):
     mask = MaskSpec(label="bad rbw", segments=(
         MaskSegment(868.0e6, 868.6e6, 14.0, 500.0),))

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import stat
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,9 +15,9 @@ from hypothesis import given, strategies as st
 from lorachirp import (IqBuffer, LoraParams, SpectrumResult, awgn, binned_power,
                        correlation_matrix, fresnel_spectrum, modulate, read_header,
                        read_iq, write_iq)
-from lorachirp import cli
+from lorachirp import cli, iqfile, params
 from lorachirp.cli import example_mask_path, main
-from lorachirp.analysis import MaskSpec
+from lorachirp.analysis import MaskSegment, MaskSpec
 from oracles import psd_via_dft, transform_sums_loop
 
 P5 = LoraParams(sf=5, b=32.0)
@@ -367,6 +369,24 @@ def test_cli_mask_check_verdicts(tmp_path, capsys):
     assert doc["worst_margin_db"] < 0
 
 
+def test_cli_mask_check_fails_an_unchecked_segment(tmp_path, capsys):
+    mask = tmp_path / "far.json"
+    MaskSpec(label="far", segments=(MaskSegment(900.0e6, 901.0e6, -36.0, 1000.0),)
+             ).to_json(mask)
+    rc = main(["mask-check", "--mask", str(mask), "--f0", "868.3e6",
+               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert doc["passed"] is False and doc["complete"] is False
+    assert doc["segments"][0]["n_bins"] == 0 and doc["segments"][0]["coverage"] == 0.0
+    # the shipped mask is complete, its outer segments covered in part
+    rc = main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6",
+               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["passed"] is True and doc["complete"] is True
+    assert [s["coverage"] for s in doc["segments"]] == [499 / 800, 1.0, 1.0, 1.0, 500 / 800]
+
+
 @pytest.mark.parametrize("f0", ["nan", "inf"])
 def test_cli_modulate_rejects_non_finite_center_frequency(tmp_path, capsys, f0):
     out = tmp_path / "sig.iq"
@@ -554,6 +574,150 @@ def test_cli_spectrum_csv_bytes(tmp_path, capsys, ps_dbm):
         [(repr(float(f)), repr(float(pw * scale))) for f, pw in res.lines])
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids _write_csv forks; every file of at least one value per CPU
+    is formatted on `n` CPUs."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def use(n):
+        monkeypatch.setattr(params, "_cpu_count", lambda: n)
+        monkeypatch.setattr(iqfile, "_CSV_FORK_VALUES", 1)
+        return pids
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return use
+
+
+def _fd_count() -> int | None:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_write_csv_bytes_match_csv_writer(tmp_path, forks, n_cpus, n_rows):
+    # 7 and 1000 rows do not split evenly into 2 or 3 parts; a strided
+    # view (the real part of a complex array, as write_iq passes) and an
+    # int column are formatted like any other
+    pids = forks(n_cpus)
+    special = [-0.0, 5e-324, 1e308, -1e308, 0.1]
+    x = np.array([complex(special[i] if i < 5 else i / 3, -i / 7) for i in range(n_rows)])
+    ints = np.arange(n_rows, dtype=np.int64) - 3
+    path = tmp_path / "out.csv"
+    iqfile._write_csv(path, ["x", "k", "y"], [x.real, ints, x.imag], comments=["a=1", "b"])
+    assert path.read_bytes() == _csv_text(
+        ["a=1", "b"], ["x", "k", "y"],
+        [(repr(float(a)), repr(int(k)), repr(float(b)))
+         for a, k, b in zip(x.real, ints, x.imag)])
+    assert path.read_text().splitlines()[3:6] == [
+        "-0.0,-3,0.0", "5e-324,-2,-0.14285714285714285", "1e+308,-1,-0.2857142857142857"
+    ][:n_rows]
+    assert len(pids) == (n_cpus - 1 if n_rows else 0)
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_failing_csv_child_raises_and_leaves_nothing(tmp_path, forks, monkeypatch):
+    forks(3)
+    text = iqfile._csv_text
+
+    def failing_after_the_first_part(cols, lo, hi):
+        if lo > 0:
+            raise RuntimeError("formatting failed")
+        return text(cols, lo, hi)
+
+    monkeypatch.setattr(iqfile, "_csv_text", failing_after_the_first_part)
+    fds = _fd_count()
+    path = tmp_path / "out.csv"
+    with pytest.raises(OSError, match=rf"^cannot write {re.escape(str(path))}: the process "
+                                      r"formatting rows 3\.\.5 exited with status 1$"):
+        iqfile._write_csv(path, ["a", "b"], [np.arange(9.0), np.arange(9.0)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _fd_count() == fds
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_failing_csv_parent_kills_its_children(tmp_path, forks, monkeypatch):
+    forks(3)
+    text = iqfile._csv_text
+
+    def failing_in_the_parent(cols, lo, hi):
+        if lo == 0:
+            raise KeyboardInterrupt
+        return text(cols, lo, hi)
+
+    monkeypatch.setattr(iqfile, "_csv_text", failing_in_the_parent)
+    fds = _fd_count()
+    with pytest.raises(KeyboardInterrupt):
+        iqfile._write_csv(tmp_path / "out.csv", ["a"], [np.arange(9.0)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _fd_count() == fds
+
+
+def test_write_csv_does_not_fork_on_one_cpu_or_beside_a_thread(tmp_path, forks, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    cols = [np.arange(10.0), np.arange(10)]
+    expected = _csv_text([], ["a", "b"], [(repr(float(i)), repr(i)) for i in range(10)])
+    forks(1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    iqfile._write_csv(tmp_path / "one_cpu.csv", ["a", "b"], cols)
+    assert (tmp_path / "one_cpu.csv").read_bytes() == expected
+    forks(2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        iqfile._write_csv(tmp_path / "threaded.csv", ["a", "b"], cols)
+    finally:
+        release.set()
+        thread.join()
+    assert (tmp_path / "threaded.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_write_csv_holds_no_whole_column_as_python_objects(tmp_path, monkeypatch, n_cpus):
+    monkeypatch.setattr(params, "_cpu_count", lambda: n_cpus)
+    n = 1 << 17
+    cols = [np.linspace(-1e6, 1e6, n), np.random.default_rng(1).random(n), np.arange(n) / 7]
+    tracemalloc.start()
+    try:
+        iqfile._write_csv(tmp_path / "big.csv", ["a", "b", "c"], cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three whole-column lists of Python floats would take about 12 MB
+    assert peak < 1 << 20
+    with (tmp_path / "big.csv").open() as fh:
+        assert sum(1 for _ in fh) == n + 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_cli_spectrum_bytes_are_the_same_forked_and_inline(tmp_path, capsys, monkeypatch):
+    # SF 7's default grid has 131 073 rows: two or more parts on 2+ CPUs
+    out = {}
+    for n_cpus in (1, 2):
+        monkeypatch.setattr(params, "_cpu_count", lambda: n_cpus)
+        psd, lines = tmp_path / f"psd{n_cpus}.csv", tmp_path / f"lines{n_cpus}.csv"
+        assert main(["spectrum", "--sf", "7", "--bw", "125e3",
+                     "--out-psd", str(psd), "--out-lines", str(lines)]) == 0
+        out[n_cpus] = psd.read_bytes(), lines.read_bytes()
+    capsys.readouterr()
+    assert out[1][0].count(b"\r\n") == 131_074
+    assert out[1] == out[2]
+
+
 def test_cli_spectrum_has_no_method_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--sf", "3", "--bw", "1.0", "--method", "dft",
@@ -585,9 +749,14 @@ def test_cli_mask_check_validates_binned_csv(tmp_path, capsys, line, text, messa
     binned_csv.write_text("\n".join(rows) + "\n")
     rc = main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6",
                "--spectrum-csv", str(binned_csv)])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if message is None:
-        assert rc == 0
+        # read whole: a verdict, failed as incomplete, since four of the
+        # mask's five segments have no bin in this two-bin spectrum
+        assert rc == 2 and err == ""
+        doc = json.loads(out)
+        assert doc["complete"] is False
+        assert [s["n_bins"] for s in doc["segments"]] == [0, 0, 2, 0, 0]
     else:
         assert rc == 1
         assert message in err
