@@ -394,7 +394,7 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
             f"segment_len must be in [2, {len(iq)}], got {segment_len}")
     if not 0.0 <= _real(overlap, "overlap") < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    if window not in _WINDOWS:
+    if not isinstance(window, str) or window not in _WINDOWS:
         raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
     noverlap = int(round(overlap * segment_len))
     if noverlap >= segment_len:

@@ -83,9 +83,6 @@ def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = (
     bounds = [i * n // n_parts for i in range(n_parts + 1)]
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header_cols) + "\r\n")
-        if n_parts == 1:
-            fh.writelines(_csv_text(cols, 0, n))
-            return
         import shutil
         import signal
         import tempfile

@@ -299,35 +299,17 @@ class IqBuffer:
 
     @property
     def mean_power(self) -> float:
-        """Mean per-sample power |x|^2, equal bit for bit to
-        np.mean(np.abs(samples)**2) and computed without a full-size
-        temporary: the sum is split into blocks along numpy's own pairwise
-        summation tree, the blocks are summed on every CPU and their sums
-        added back along the same tree.  The samples never change, so the
-        first read's value is kept in the instance dict and a later read
-        runs no pass."""
+        """Mean per-sample power |x|^2, computed without a full-size
+        temporary: the sums of |x|^2 over the blocks of _spans(n,
+        _BLOCK_SAMPLES), taken on every CPU, are added in span order.  The
+        blocks depend only on n, so the value is the same at any CPU count;
+        it is inf when |x|^2 overflows and NaN for a NaN sample.  The
+        samples never change, so the first read's value is kept in the
+        instance dict and a later read runs no pass."""
         kept = self.__dict__.get("_mean_power")
         if kept is not None:
             return kept
         n = len(self)
-        if n == 0:
-            return 0.0
-        leaves = []
-
-        def tree(lo: int, size: int):
-            """Leaf index, or (left, right) subtrees, of samples[lo:lo+size].
-            numpy's pairwise sum splits a run of more than 128 values at
-            about half, rounded down to a multiple of 8; a shorter run it
-            sums in one loop.  So a leaf of at most _BLOCK_SAMPLES > 128
-            values sums to the same bits alone as inside the whole sum."""
-            if size <= _BLOCK_SAMPLES:
-                leaves.append((lo, lo + size))
-                return len(leaves) - 1
-            half = size // 2
-            half -= half % 8
-            return tree(lo, half), tree(lo + half, size - half)
-
-        root = tree(0, n)
 
         def block_sums(part: list) -> list[float]:
             power = np.empty(min(n, _BLOCK_SAMPLES))
@@ -340,12 +322,9 @@ class IqBuffer:
                     sums.append(float(np.add.reduce(squares)))
             return sums
 
-        sums = _map_chunks(block_sums, leaves)
-
-        def join(node) -> float:
-            return sums[node] if isinstance(node, int) else join(node[0]) + join(node[1])
-
-        power = self.__dict__["_mean_power"] = join(root) / n
+        # sum(), not math.fsum, which raises OverflowError where this gives inf
+        total = sum(_map_chunks(block_sums, _spans(n, _BLOCK_SAMPLES)))
+        power = self.__dict__["_mean_power"] = total / n if n else 0.0
         return power
 
 

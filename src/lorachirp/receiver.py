@@ -22,8 +22,6 @@ from .waveform import _sample_symbols
 # length is part of the definition of awgn's output: changing it changes the
 # noise for every seed.
 _NOISE_BLOCK_SAMPLES = 1 << 16
-# awgn's output reads a lazy input this many samples at a time
-_GATHER_SAMPLES = 1 << 12
 
 
 def _dechirp_reference(p: LoraParams) -> np.ndarray:
@@ -117,7 +115,11 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     the noise of a block whenever a pass reads it, so each pass over the
     result (write_iq, demodulate_stream, welch_psd, mean_power) draws the
     noise of the blocks it reads, and reading `samples` draws all of it
-    once and keeps the sum.
+    once and keeps the sum.  A block of the result reads its input block
+    once (a view of held samples, or a lazy input's block computed into
+    the result's block) and adds to it the overlapping pieces of the
+    noise blocks, each drawn into a scratch of the calling thread that
+    keeps the last one drawn.
     """
     seed = _integer(seed, "seed")
     if seed < 0:
@@ -129,36 +131,26 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     scale = np.sqrt(nvar / 2.0)
     n = len(iq)
     noise_blocks = _spans(n, _NOISE_BLOCK_SAMPLES)
-    # per thread: the last noise block drawn for a pass that reads part of
-    # one (its next block reads the rest)
+    # per thread: the scaled noise of the last noise block drawn (a pass
+    # that reads part of one reads the rest with its next block)
     local = threading.local()
 
-    def draw(i: int, out: np.ndarray) -> None:
-        """The scaled I/Q noise of noise block i into the float64 array out."""
-        # default_rng of a SeedSequence is Generator(PCG64(...))
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        rng.standard_normal(out=out)
-        out *= scale
-
     def fill(lo: int, hi: int, out: np.ndarray) -> None:
-        values = out.view(np.float64)
+        # the input block, a view of held samples or computed into out
+        x, = iq._blocks([(lo, hi)], out)
         for i in range(lo // _NOISE_BLOCK_SAMPLES, (hi - 1) // _NOISE_BLOCK_SAMPLES + 1):
             first, end = noise_blocks[i]
-            a, b = max(lo, first), min(hi, end)
-            if (a, b) == (first, end):  # the whole block, drawn where it goes
-                draw(i, values[2 * (a - lo):2 * (b - lo)])
-                continue
             if getattr(local, "block", None) != i:
                 if not hasattr(local, "noise"):
-                    local.noise = np.empty(2 * min(n, _NOISE_BLOCK_SAMPLES))
+                    local.noise = np.empty(min(n, _NOISE_BLOCK_SAMPLES), dtype=np.complex128)
                 local.block = None
-                draw(i, local.noise[:2 * (end - first)])
+                # default_rng of a SeedSequence is Generator(PCG64(...))
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                noise = local.noise[:end - first].view(np.float64)
+                rng.standard_normal(out=noise)
+                noise *= scale
                 local.block = i
-            values[2 * (a - lo):2 * (b - lo)] = local.noise[2 * (a - first):2 * (b - first)]
-        # noise + x is x + noise bit for bit; a lazy input is gathered a
-        # chunk at a time, so its scratch stays small
-        chunks = _spans(hi, _GATHER_SAMPLES, lo)
-        for (c, d), block in zip(chunks, iq._blocks(chunks)):
-            np.add(out[c - lo:d - lo], block, out=out[c - lo:d - lo])
+            a, b = max(lo, first), min(hi, end)
+            np.add(x[a - lo:b - lo], local.noise[a - first:b - first], out=out[a - lo:b - lo])
 
     return IqBuffer._lazy(n, fill, fs=iq.fs, t0=iq.t0)

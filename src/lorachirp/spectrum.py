@@ -125,6 +125,7 @@ def _lattice_k(p: LoraParams, step: float) -> int:
     Spectra are computed on the lattice f = n*B/(k*M); a step off that
     lattice raises ValueError rather than being snapped to a nearby one.
     """
+    step = _real(step, "step")
     ratio = p.b / (p.m * step) if step > 0 else 0.0
     k = round(ratio) if np.isfinite(ratio) else 0
     if k < 1 or abs(ratio - k) > 1e-9 * ratio:

@@ -213,14 +213,15 @@ def test_binned_power_rejects_a_non_finite_origin(spec7, origin):
     ("carrier frequency f0", lambda spec, v: mask_check(
         binned_power(spec, delta_f=1.0 / 128, ps_dbm=14.0), MaskSpec("empty"), f0=v)),
     ("f_max", lambda spec, v: fresnel_spectrum(LoraParams(sf=3, b=1.0), f_max=v)),
+    ("step", lambda spec, v: fresnel_spectrum(LoraParams(sf=7, b=128.0), f_max=4.0, step=v)),
     ("tol", lambda spec, v: occupied_bandwidth(spec.params, 0.99, spectrum=spec, tol=v)),
     ("mask segment rbw_hz", lambda spec, v: MaskSegment(0.0, 1.0, 0.0, rbw_hz=v)),
     ("snr_db", lambda spec, v: awgn(modulate(P7, [1]), snr_db=v, seed=0)),
     ("origin", lambda spec, v: binned_power(spec, delta_f=1.0 / 128, ps_dbm=14.0, origin=v)),
     ("fraction", lambda spec, v: occupied_bandwidth(spec.params, v, spectrum=spec)),
     ("overlap", lambda spec, v: welch_psd(modulate(P7, [1]), 16, overlap=v))],
-    ids=["delta_f", "ps_dbm", "f0", "f_max", "tol", "rbw_hz", "snr_db", "origin", "fraction",
-         "overlap"])
+    ids=["delta_f", "ps_dbm", "f0", "f_max", "step", "tol", "rbw_hz", "snr_db", "origin",
+         "fraction", "overlap"])
 @pytest.mark.parametrize("value", [True, "10"], ids=["bool", "str"])
 def test_real_arguments_reject_a_bool_or_a_string(spec7, name, call, value):
     message = re.escape(f"{name} must be a real number, got {value!r}")
@@ -564,8 +565,9 @@ def test_welch_rejects_bad_arguments():
         welch_psd(iq, segment_len=256)
     with pytest.raises(ValueError):
         welch_psd(iq, segment_len=64, overlap=1.0)
-    with pytest.raises(ValueError):
-        welch_psd(iq, segment_len=64, window="flattop")
+    for window in ("flattop", ["hann"], None):
+        with pytest.raises(ValueError, match="^window must be one of"):
+            welch_psd(iq, segment_len=64, window=window)
     for bad in (64.0, 64.5, True, "64"):
         with pytest.raises(ValueError, match="segment_len must be an integer"):
             welch_psd(iq, segment_len=bad)

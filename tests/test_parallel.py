@@ -5,6 +5,7 @@ and keep their worker threads private."""
 import importlib
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -326,19 +327,31 @@ def test_welch_memory_does_not_grow_with_the_number_of_blocks(cpus):
     assert peak < 32 << 20
 
 
+def _span_mean_power(samples: np.ndarray) -> float:
+    """The sums of |x|^2 over blocks of 2^16 samples, added in order, over n."""
+    n = len(samples)
+    return sum(float(np.add.reduce(np.abs(samples[lo:lo + 2**16]) ** 2))
+               for lo in range(0, n, 2**16)) / n if n else 0.0
+
+
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, (1 << 16) - 1, 1 << 16,
                                (1 << 16) + 1, (1 << 17) + 8, 5 * (1 << 16) + 13])
 def test_mean_power_equals_numpy_mean_bit_for_bit(cpus, n):
+    """Up to one block of 2^16 samples, mean_power is np.mean of |x|^2 bit
+    for bit.  At any length it is the sum of the block sums in span order,
+    bit for bit at every CPU count, and within 1e-14 of the exact mean."""
     rng = np.random.default_rng(n)
-    # adding the values in another order than numpy's pairwise tree changes
-    # the last bits of the sum for some of these draws, not for all
     for _ in range(4):
         samples = rng.standard_normal(2 * n).view(complex) * np.exp(rng.uniform(-3, 3, n))
-        expected = float(np.mean(np.abs(samples) ** 2)) if n else 0.0
-        iq = IqBuffer(samples, fs=1.0)
+        expected = _span_mean_power(samples)
+        if 0 < n <= 1 << 16:
+            assert expected == float(np.mean(np.abs(samples) ** 2))
+        if n:
+            exact = math.fsum(np.abs(samples) ** 2) / n
+            assert abs(expected - exact) <= 1e-14 * exact
         for n_cpus in (1, 2, 3, 7):
             cpus(n_cpus)
-            assert iq.mean_power == expected
+            assert IqBuffer(samples, fs=1.0).mean_power == expected
 
 
 @pytest.mark.parametrize("n", [9, (1 << 16) + 1, 5 * (1 << 16) + 13])
@@ -713,7 +726,7 @@ def test_mean_power_is_computed_once(cpus, tmp_path, monkeypatch, n_cpus, kind):
     first = iq.mean_power
     assert len(passes) == (kind != "read-back")  # read_iq's check computed it
     assert iq.mean_power == first and len(passes) == (kind != "read-back")
-    assert first == float(np.mean(np.abs(iq.samples) ** 2))
+    assert first == _span_mean_power(iq.samples)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")

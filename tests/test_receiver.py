@@ -141,18 +141,28 @@ def test_awgn_equals_the_complex_noise_formula():
     # one PCG64 stream per block of 2^16 samples, spawned from the seed with
     # the block index as its key; its 2*n_i normals are the interleaved real
     # and imaginary parts, scaled and added
-    stream = modulate(P7, np.arange(5 * 2**15 // 256) % P7.m, oversample=2)
-    for n in (1, 2**16 - 1, 2**16, 2**16 + 1, 5 * 2**15):
-        iq = IqBuffer(stream.samples[:n], fs=stream.fs)
+    symbols = np.arange(5 * 2**15 // 256) % P7.m
+    stream = modulate(P7, symbols, oversample=2)
+    inputs = [IqBuffer(stream.samples[:n], fs=stream.fs)
+              for n in (1, 2**16 - 1, 2**16, 2**16 + 1, 5 * 2**15)]
+    # a lazy input, whose blocks are computed into awgn's output
+    inputs.append(modulate(P7, symbols, oversample=2))
+    for iq in inputs:
+        n = len(iq)
         out = awgn(iq, -7.5, seed=2024)
         scale = np.sqrt(iq.mean_power / 10.0 ** (-7.5 / 10.0) / 2.0)
         expected = []
         for i, lo in enumerate(range(0, n, 2**16)):
-            block = iq.samples[lo:lo + 2**16]
+            block = stream.samples[lo:lo + min(n - lo, 2**16)]
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2024,
                                                                              spawn_key=(i,))))
             expected.append(block + scale * rng.standard_normal(2 * len(block)).view(complex))
-        np.testing.assert_array_equal(out.samples, np.concatenate(expected), err_msg=f"n = {n}")
+        expected = np.concatenate(expected)
+        # spans that start or end inside a noise block, read before the samples are built
+        spans = [(lo, hi) for lo, hi in [(2**16 - 5, 2**16 + 7), (3, 2**17 + 1)] if hi <= n]
+        for (lo, hi), block in zip(spans, out._blocks(spans)):
+            np.testing.assert_array_equal(block, expected[lo:hi], err_msg=f"n = {n}")
+        np.testing.assert_array_equal(out.samples, expected, err_msg=f"n = {n}")
 
 
 def test_awgn_noise_of_a_block_depends_only_on_the_seed_and_its_index():
