@@ -168,7 +168,7 @@ def reproduce_table(sf_list, fraction: float = 0.99) -> list[TableRow]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedSpectrum:
     """Spectrum integrated into bins of width delta_f at transmit power ps_dbm.
 
@@ -327,11 +327,14 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
     that segment.  So the verdict passes only when every segment checked
     at least one bin and no checked bin exceeds its limit; a segment
     covered in part is judged on the bins it has.  An empty mask passes.
-    A level that is not finite in a checked bin raises ValueError naming
-    the segment; so does a carrier f0 that is not finite.
+    A non-finite level in a checked bin raises ValueError naming the
+    segment; so do a non-finite carrier f0 and unequal-length arrays.
     """
     if not np.isfinite(_real(f0, "carrier frequency f0")):
         raise ValueError(f"carrier frequency f0 must be a finite number, got {f0!r}")
+    if len(binned.bin_centers) != len(binned.bin_power_dbm):
+        raise ValueError(f"binned spectrum has {len(binned.bin_centers)} bin centers "
+                         f"but {len(binned.bin_power_dbm)} levels")
     f_abs = binned.bin_centers + f0
     results = []
     passed = True

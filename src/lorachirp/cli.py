@@ -8,7 +8,6 @@ columns and units; structured reports are JSON on stdout.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from importlib import resources
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, correlation, iqfile, spectrum
-from .iqfile import _write_csv
+from .iqfile import _read_csv, _write_csv
 from .params import LoraParams, _finite, _power_ratio
 from .receiver import demodulate_stream
 from .waveform import modulate, payload_to_symbols
@@ -135,34 +134,11 @@ def _cmd_welch(args) -> int:
 
 
 def _read_binned_csv(path) -> analysis.BinnedSpectrum:
-    meta = {}
-    centers, levels = [], []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key] = value
-                continue
-            row = next(csv.reader([line]), [])
-            if not row or row[0] == "bin_center_hz":
-                continue
-            where = f"binned CSV {path}, line {lineno}"
-            if len(row) < 2:
-                raise ValueError(f"{where}: need bin_center_hz,power_dbm, got {line.strip()!r}")
-            centers.append(_finite(row[0], f"{where}: bin_center_hz"))
-            levels.append(_finite(row[1], f"{where}: power_dbm"))
+    meta, columns = _read_csv(path, "binned CSV", ["bin_center_hz", "power_dbm"])
     if "delta_f_hz" not in meta or "ps_dbm" not in meta:
         raise ValueError(f"binned CSV {path} is missing '# delta_f_hz=' / '# ps_dbm=' metadata")
-    return analysis.BinnedSpectrum(
-        bin_centers=np.array(centers), bin_power_dbm=np.array(levels),
-        delta_f=_finite(meta["delta_f_hz"], f"binned CSV {path}: delta_f_hz"),
-        ps_dbm=_finite(meta["ps_dbm"], f"binned CSV {path}: ps_dbm"))
-
-
-def _write_binned_csv(path, binned: analysis.BinnedSpectrum) -> None:
-    _write_csv(path, ["bin_center_hz", "power_dbm"],
-               [binned.bin_centers, binned.bin_power_dbm],
-               comments=[f"delta_f_hz={binned.delta_f!r}", f"ps_dbm={binned.ps_dbm!r}"])
+    return analysis.BinnedSpectrum(*columns, *(_finite(meta[key], f"binned CSV {path}: {key}")
+                                               for key in ("delta_f_hz", "ps_dbm")))
 
 
 def _cmd_mask_check(args) -> int:
@@ -182,7 +158,9 @@ def _cmd_mask_check(args) -> int:
         res = spectrum.fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
         binned = analysis.binned_power(res, delta_f=rbw, ps_dbm=args.ps_dbm)
     if args.out_binned:
-        _write_binned_csv(args.out_binned, binned)
+        _write_csv(args.out_binned, ["bin_center_hz", "power_dbm"],
+                   [binned.bin_centers, binned.bin_power_dbm],
+                   comments=[f"delta_f_hz={binned.delta_f!r}", f"ps_dbm={binned.ps_dbm!r}"])
     report = analysis.mask_check(binned, mask, f0=args.f0)
     doc = {
         "mask": mask.label,

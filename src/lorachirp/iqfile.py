@@ -2,7 +2,8 @@
 
 The binary layout is the de facto SDR convention: little-endian float32
 pairs I0, Q0, I1, Q1, ...  The sidecar records the sample rate, center
-frequency and sample count so captures stay self-describing.
+frequency and sample count so captures stay self-describing.  Every CSV
+file is written by _write_csv; CSV captures and binned spectra are read by _read_csv.
 """
 from __future__ import annotations
 
@@ -118,6 +119,37 @@ def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = (
                 os.waitpid(pid, 0)
             for spill in spills:
                 spill.close()
+
+
+def _read_csv(path, what: str, names: list[str]) -> tuple[dict, list[np.ndarray]]:
+    """The '# key=value' comments (a dict of strings) and the columns of a
+    CSV file in _write_csv's layout: '#' lines, a header row of `names`
+    (stripped, any case), then rows of len(names) finite numbers; blank
+    rows are skipped.  Errors name the file as `what`, the line, the column."""
+    k, meta, values, text = len(names), {}, [], ""  # text stays "" in an empty file
+    where = f"{what} {path}, line"
+    try:
+        with open(path, newline="") as fh:
+            for first, text in enumerate(fh, 1):
+                if text.startswith("#"):
+                    key, _, value = text[1:].strip().partition("=")
+                    meta[key] = value
+                elif text.rstrip("\r\n"):
+                    break
+            if [c.strip().lower() for c in next(csv.reader([text]), [])] != names:
+                raise ValueError(f"{what} {path} must start with a header row "
+                                 f"'{','.join(names)}', after any '#' lines")
+            reader = csv.reader(fh)
+            for row in reader:  # a blank row is [], and adds no value
+                line = first + reader.line_num
+                if row and len(row) != k:
+                    raise ValueError(f"malformed {what} row in {path} at line {line}: expected "
+                                     f"{k} fields ({', '.join(names)}), got {len(row)}: {row!r}")
+                values += [_finite(field, f"{where} {line}: {name}")
+                           for field, name in zip(row, names)]
+    except (csv.Error, UnicodeDecodeError) as exc:  # an overlong field, or not UTF-8
+        raise ValueError(f"malformed {what} {path}: {exc}") from exc
+    return meta, list(np.array(values).reshape(-1, k).T)
 
 
 def _default_header_path(path: Path) -> Path:
@@ -317,31 +349,13 @@ def _check_count(path: Path, n: int, n_expected: int | None) -> None:
         raise ValueError(f"IQ capture {path} holds {n} samples but sidecar says {n_expected}")
 
 
-def _read_csv(path: Path) -> np.ndarray:
-    """The samples of a CSV capture: an 'i,q' header row, then one row of
-    two numbers per sample; blank rows are skipped."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows or [c.strip().lower() for c in rows[0][1]] != ["i", "q"]:
-        raise ValueError(f"CSV IQ capture {path} must start with an 'i,q' header row")
-    samples = []
-    for line, row in rows[1:]:
-        try:
-            if len(row) != 2:
-                raise ValueError(f"expected 2 fields (i, q), got {len(row)}: {row!r}")
-            samples.append(complex(float(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise ValueError(f"malformed CSV IQ row in {path} at line {line}: {exc}") from exc
-    return np.array(samples, dtype=np.complex128)
-
-
 def read_iq(path, header_path=None) -> IqBuffer:
     """Read an IQ capture back into an IqBuffer.
 
     Raises on truncated payloads (odd float count), NaN or infinite
-    samples, malformed sidecars, nonpositive sample rates, CSV rows
-    without exactly two fields and sidecar/payload length mismatches.
+    samples, malformed sidecars, nonpositive sample rates, malformed CSV
+    (see _read_csv) and sidecar/payload length mismatches.  A CSV
+    capture's samples are the i and q columns of _read_csv, bit for bit.
 
     A float32 capture is not loaded: the buffer keeps the file open and
     reads the blocks each pass needs, shared among the CPUs of the
@@ -360,8 +374,8 @@ def read_iq(path, header_path=None) -> IqBuffer:
     header, n_expected = read_header(header_path)
     if header.format == FORMAT_F32:
         return _read_f32(path, n_expected, header.fs)
-    samples = _read_csv(path)
-    _check_count(path, len(samples), n_expected)
-    if not np.isfinite(samples).all():
-        raise ValueError(f"IQ capture {path} holds NaN or infinite samples")
+    _, (i, q) = _read_csv(path, "CSV IQ", ["i", "q"])
+    _check_count(path, len(i), n_expected)
+    samples = np.empty(len(i), dtype=np.complex128)
+    samples.real, samples.imag = i, q  # every bit, -0.0 included
     return IqBuffer(samples, fs=header.fs)

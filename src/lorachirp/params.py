@@ -204,7 +204,7 @@ def _check_fs(fs) -> None:
         raise ValueError(f"fs must be finite and positive, got {fs}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IqBuffer:
     """Uniformly sampled complex baseband signal.
 
@@ -269,8 +269,8 @@ class IqBuffer:
                 return self.__dict__["samples"]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def __getstate__(self):
-        return {"samples": self.samples, "fs": self.fs, "t0": self.t0}
+    def __reduce__(self):  # unpickled and copied through the constructor
+        return IqBuffer, (self.samples, self.fs, self.t0)
 
     def _blocks(self, spans: list, out: np.ndarray | None = None):
         """Yield samples[lo:hi] for each (lo, hi) in spans: a view when the

@@ -88,7 +88,7 @@ def waveform_fourier_transform(p: LoraParams, l: Symbol, f):
     return complex(out) if np.ndim(f) == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Two-sided baseband power spectrum, unit total power.
 

@@ -324,6 +324,23 @@ def test_mask_check_ignores_non_finite_levels_outside_the_mask():
     assert report.passed and report.segments[0].n_bins == 1
 
 
+def test_mask_check_rejects_centers_and_levels_of_unequal_lengths():
+    binned = BinnedSpectrum(np.array([0.0, 1e3, 2e3]), np.array([1.0]), 1e3, 0.0)
+    mask = MaskSpec("m", (MaskSegment(0.0, 3e3, 0.0, 1e3),))
+    with pytest.raises(ValueError, match="^binned spectrum has 3 bin centers but 1 levels$"):
+        mask_check(binned, mask, 0.0)
+
+
+def test_array_holding_results_compare_and_hash_by_identity(binned_125k):
+    res = fresnel_spectrum(LoraParams(sf=3, b=8.0))
+    for value, twin in [(res, fresnel_spectrum(LoraParams(sf=3, b=8.0))),
+                        (binned_125k, dataclasses.replace(binned_125k))]:
+        assert value == value and value != twin
+        assert hash(value) == object.__hash__(value) and {value: 1}[value] == 1
+    # the parameters keep their value equality, which lru_caches key on
+    assert res.params == LoraParams(sf=3, b=8.0)
+
+
 @pytest.mark.parametrize("f0", [np.nan, np.inf, -np.inf])
 def test_mask_check_rejects_non_finite_carrier(binned_125k, f0):
     with pytest.raises(ValueError, match=f"f0 must be a finite number, got {f0!r}"):

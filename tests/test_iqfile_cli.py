@@ -733,7 +733,7 @@ _BINNED = ["# delta_f_hz=1000.0", "# ps_dbm=14.0", "bin_center_hz,power_dbm",
 
 @pytest.mark.parametrize("line,text,message", [
     (None, None, None),
-    (4, "1000.0", "line 5: need bin_center_hz,power_dbm"),
+    (4, "1000.0", "at line 5: expected 2 fields"),
     (3, "0.0,nan", "line 4: power_dbm must be a finite number"),
     (4, "inf,-20.0", "line 5: bin_center_hz must be a finite number"),
     (3, "0.0,low", "line 4: power_dbm must be a finite number"),
@@ -775,15 +775,110 @@ def _spoil_one_sample(path, fmt, bad=(np.nan,)):
         raw.tofile(path)
 
 
-@pytest.mark.parametrize("fmt", ["interleaved-f32-le", "csv"])
-def test_read_iq_rejects_non_finite_samples(tmp_path, iq, fmt):
+@pytest.mark.parametrize("fmt, message", [("interleaved-f32-le", "NaN or infinite"),
+                                          ("csv", "line 4: i must be a finite number")],
+                         ids=["interleaved-f32-le", "csv"])
+def test_read_iq_rejects_non_finite_samples(tmp_path, iq, fmt, message):
     path = tmp_path / "sig.iq"
     # +inf with -inf must not turn the float32 check into a RuntimeWarning
     for bad in [(np.nan,), (np.inf, -np.inf), (-np.inf,)]:
         write_iq(iq, path, fmt=fmt)
         _spoil_one_sample(path, fmt, bad)
-        with pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(ValueError, match=message):
             read_iq(path)
+
+
+def _read_as_capture(path, capsys):
+    """read_iq on the CSV capture at path: its samples, or its error text."""
+    path.with_name(path.name + ".json").write_text('{"format": "csv", "fs_hz": 1.0}')
+    try:
+        return read_iq(path).samples
+    except ValueError as exc:
+        return str(exc)
+
+
+def _read_as_binned(path, capsys):
+    """mask-check --spectrum-csv on path: the n_bins of the verdict, or the
+    error text of an exit 1."""
+    rc = main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6",
+               "--spectrum-csv", str(path)])
+    out, err = capsys.readouterr()
+    if rc == 1:
+        return err
+    assert rc == 2 and err == ""  # incomplete: four segments have no bin
+    return [s["n_bins"] for s in json.loads(out)["segments"]]
+
+
+# both callers of iqfile._read_csv: the header, the names of the columns
+# and what a file of the rows "0.0,-10.0" and "1000.0,-20.0" reads as
+_CSV_CALLERS = {
+    "capture": (_read_as_capture, "i,q", ("i", "q"), np.array([-10j, 1000 - 20j])),
+    "binned": (_read_as_binned, "bin_center_hz,power_dbm", ("bin_center_hz", "power_dbm"),
+               [0, 0, 2, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case, messages", [
+    ("valid", None),
+    ("extra-field", ["malformed", "at line 7: expected 2 fields", "got 3"]),
+    ("missing-header", ["must start with a header row", "after any '#' lines"]),
+    ("comment-after-header", ["at line 7: expected 2 fields", "got 1: ['# late=1']"]),
+    ("text-field", ["line 7: {1} must be a finite number, got 'low'"]),
+    ("nan", ["line 7: {0} must be a finite number, got 'nan'"]),
+    ("minus-inf", ["line 7: {1} must be a finite number, got '-inf'"])])
+@pytest.mark.parametrize("caller", list(_CSV_CALLERS))
+def test_both_csv_readers_parse_one_layout(tmp_path, capsys, caller, case, messages):
+    read, header, names, expected = _CSV_CALLERS[caller]
+    # leading '#' lines and blank rows anywhere are read past
+    lines = ["# delta_f_hz=1000.0", "# ps_dbm=14.0", "", header, "0.0,-10.0", "", "1000.0,-20.0"]
+    edits = {"extra-field": (6, "1000.0,-20.0,3.0"), "missing-header": (3, ""),
+             "comment-after-header": (6, "# late=1"), "text-field": (6, "1000.0,low"),
+             "nan": (6, "nan,-20.0"), "minus-inf": (6, "1000.0,-inf")}
+    if case in edits:
+        i, text = edits[case]
+        lines[i] = text
+    path = tmp_path / "in.csv"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    got = read(path, capsys)
+    if messages is None:
+        np.testing.assert_array_equal(got, expected)
+        return
+    assert isinstance(got, str) and str(path) in got
+    for message in messages:
+        assert message.format(*names) in got
+    if case == "missing-header":
+        assert f"'{header}'" in got
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"i,q\r\n1.0,\xff\r\n", "'utf-8' codec can't decode"),
+    (b"i,q\r\n1.0," + b"1" * ((1 << 17) + 1) + b"\r\n", "field larger than field limit")],
+    ids=["not-utf8", "overlong-field"])
+def test_read_csv_names_a_file_it_cannot_decode(tmp_path, capsys, content, message):
+    path = tmp_path / "in.csv"
+    path.write_bytes(content)
+    got = _read_as_capture(path, capsys)
+    assert got.startswith(f"malformed CSV IQ {path}: ") and message in got
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_write_csv_then_read_csv_is_bit_identical(tmp_path, forks, n_cpus):
+    pids = forks(n_cpus)  # at 2 CPUs a child formats the second half
+    rng = np.random.default_rng(3)
+    a = np.concatenate([[-0.0, 5e-324, 1e308, -1e308], rng.standard_normal(1 << 17)])
+    b = np.concatenate([[0.0, -5e-324, -0.0, 1.0], rng.random(1 << 17) * 1e-300])
+    path = tmp_path / "out.csv"
+    iqfile._write_csv(path, ["a", "b"], [a, b], comments=["x=1.5", "plain"])
+    assert len(pids) == n_cpus - 1
+    meta, cols = iqfile._read_csv(path, "test CSV", ["a", "b"])
+    assert meta == {"x": "1.5", "plain": ""}
+    for col, want in zip(cols, (a, b)):
+        np.testing.assert_array_equal(col.view(np.int64), want.view(np.int64))
+    # a capture keeps the sign of a zero I or Q
+    samples = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324j])
+    write_iq(IqBuffer(samples, fs=1.0), path, fmt="csv")
+    np.testing.assert_array_equal(read_iq(path).samples.view(np.int64), samples.view(np.int64))
 
 
 _HUGE = modulate(LoraParams(sf=5, b=32.0, ps=1e80), [1, 2]).samples

@@ -1,3 +1,4 @@
+import copy as copy_module
 import dataclasses
 import enum
 import pickle
@@ -270,14 +271,24 @@ def test_a_modulated_buffer_is_gathered_only_when_its_samples_are_read(sf, overs
 
 
 def test_a_lazy_buffer_pickles_copies_and_compares_as_its_samples():
+    held = IqBuffer(np.arange(4, dtype=complex), fs=1.0, t0=2.0)
+    for buf in (modulate(P_SF3, [1, 6, 1], oversample=3), held):
+        for copy in (pickle.loads(pickle.dumps(buf)), dataclasses.replace(buf, t0=0.0),
+                     copy_module.copy(buf), copy_module.deepcopy(buf)):
+            assert "_lazy" not in vars(copy)
+            np.testing.assert_array_equal(copy.samples, buf.samples)
+            assert copy.fs == buf.fs and copy.t0 in (0.0, buf.t0)
+            # built by the constructor: read-only, and not the original's array
+            assert not copy.samples.flags.writeable and copy.samples is not buf.samples
+            with pytest.raises(ValueError, match="read-only"):
+                copy.samples[0] = 100
     buf = modulate(P_SF3, [1, 6, 1], oversample=3)
-    for copy in (pickle.loads(pickle.dumps(buf)), dataclasses.replace(buf, t0=0.0)):
-        assert "_lazy" not in vars(copy)
-        np.testing.assert_array_equal(copy.samples, buf.samples)
-        assert (copy.fs, copy.t0) == (buf.fs, buf.t0)
     assert repr(buf).startswith("IqBuffer(samples=array([")
+    # == is identity and hash is object's: neither reads the samples
     other = modulate(P_SF3, [1, 6, 1], oversample=3)
-    assert other == other and "_lazy" not in vars(other)  # == read the samples
+    assert other == other and other != buf and hash(other) == object.__hash__(other)
+    assert {other: 1}[other] == 1 and "_lazy" in vars(other)
+    assert held != IqBuffer(held.samples, fs=1.0, t0=2.0)
     with pytest.raises(AttributeError, match="has no attribute 'sample'"):
         buf.sample
 
