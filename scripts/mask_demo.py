@@ -9,7 +9,8 @@ Usage: python scripts/mask_demo.py [--mask path.json]
 """
 import argparse
 
-from lorachirp import LoraParams, MaskSpec, binned_power, fresnel_spectrum, mask_check
+from lorachirp import LoraParams, MaskSpec, binned_power, mask_check
+from lorachirp.analysis import _mask_spectrum
 from lorachirp.cli import example_mask_path
 
 PLANS = [
@@ -28,8 +29,8 @@ def main():
     print(f"mask: {mask.label}")
 
     for label, bw, carriers in PLANS:
-        p = LoraParams(sf=args.sf, b=bw)
-        res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
+        # one spectrum wide enough for the mask at every carrier of the plan
+        res = _mask_spectrum(LoraParams(sf=args.sf, b=bw), mask, carriers)
         binned = binned_power(res, delta_f=mask.segments[0].rbw_hz,
                               ps_dbm=args.ps_dbm)
         print(f"\n{label} (SF={args.sf}, Ps={args.ps_dbm} dBm):")

@@ -142,7 +142,7 @@ class TableRow:
     delta_max_db: float
 
 
-def reproduce_table(sf_list, fraction: float = 0.99) -> list[TableRow]:
+def reproduce_table(sf_list) -> list[TableRow]:
     """Compute the summary metrics table from first principles.
 
     Every column is recomputed (one correlation scan per row, read for
@@ -156,7 +156,7 @@ def reproduce_table(sf_list, fraction: float = 0.99) -> list[TableRow]:
             raise ValueError(f"sf values must lie in [3, 12], got {sf}")
         p = LoraParams(sf=sf, b=1.0)
         mc = max_cross_correlation(p)
-        b99 = occupied_bandwidth(p, fraction)
+        b99 = occupied_bandwidth(p, 0.99)
         rows.append(TableRow(
             sf=sf,
             eff=spectral_efficiency(sf),
@@ -316,6 +316,17 @@ class MaskReport:
         return min(margins) if margins else None
 
 
+def _mask_spectrum(p: LoraParams, mask: MaskSpec, carriers) -> SpectrumResult:
+    """fresnel_spectrum at step B/(4M) over |f| <= max(8B, the segment edge
+    farthest from a carrier f0 in `carriers` plus half its rbw), rounded up
+    to the lattice, so whole bins cover every segment at every carrier.  A
+    carrier that is not finite adds no span; mask_check rejects it."""
+    step = p.b / (4 * p.m)
+    reach = max((abs(edge - f0) + s.rbw_hz / 2 for f0 in carriers if np.isfinite(f0)
+                 for s in mask.segments for edge in (s.f_start_hz, s.f_stop_hz)), default=0.0)
+    return fresnel_spectrum(p, f_max=np.ceil(max(8.0 * p.b, reach) / step) * step, step=step)
+
+
 def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
     """Compare a binned spectrum, shifted to carrier f0, against a mask.
 
@@ -337,7 +348,6 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
                          f"but {len(binned.bin_power_dbm)} levels")
     f_abs = binned.bin_centers + f0
     results = []
-    passed = True
     for seg in mask.segments:
         if abs(seg.rbw_hz - binned.delta_f) > 1e-6 * seg.rbw_hz:
             raise ValueError(
@@ -346,7 +356,6 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
         sel = (f_abs >= seg.f_start_hz) & (f_abs < seg.f_stop_hz)
         if not np.any(sel):  # unchecked: the report is incomplete
             results.append(SegmentResult(seg, 0, None, None))
-            passed = False
             continue
         levels = binned.bin_power_dbm[sel]
         if not np.all(np.isfinite(levels)):
@@ -356,12 +365,9 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
                 f"{seg.f_stop_hz}) Hz is not a finite number")
         margins = seg.limit_dbm - levels
         i = int(np.argmin(margins))
-        worst = float(margins[i])
-        results.append(SegmentResult(seg, int(sel.sum()), worst,
-                                     float(f_abs[sel][i])))
-        if worst < 0:
-            passed = False
-    return MaskReport(passed=passed, segments=tuple(results))
+        results.append(SegmentResult(seg, int(sel.sum()), float(margins[i]), float(f_abs[sel][i])))
+    return MaskReport(passed=all(r.n_bins and r.worst_margin_db >= 0 for r in results),
+                      segments=tuple(results))
 
 
 # Periodic cosine-sum windows: w[n] = sum_k (-1)^k a_k cos(2*pi*k*n/L).

@@ -143,8 +143,6 @@ def _read_binned_csv(path) -> analysis.BinnedSpectrum:
 
 def _cmd_mask_check(args) -> int:
     mask = analysis.MaskSpec.from_json(args.mask)
-    if not mask.segments and args.spectrum_csv is None and args.sf is None:
-        raise ValueError("empty mask and no spectrum given")
     if args.spectrum_csv:
         binned = _read_binned_csv(args.spectrum_csv)
     else:
@@ -154,8 +152,7 @@ def _cmd_mask_check(args) -> int:
         if len(rbws) > 1:
             raise ValueError(f"mask {mask.label!r} mixes resolution bandwidths {sorted(rbws)}")
         rbw = rbws.pop() if rbws else 1000.0
-        p = LoraParams(sf=args.sf, b=args.bw)
-        res = spectrum.fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
+        res = analysis._mask_spectrum(_params(args), mask, [args.f0])
         binned = analysis.binned_power(res, delta_f=rbw, ps_dbm=args.ps_dbm)
     if args.out_binned:
         _write_csv(args.out_binned, ["bin_center_hz", "power_dbm"],

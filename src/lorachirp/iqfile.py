@@ -145,8 +145,14 @@ def _read_csv(path, what: str, names: list[str]) -> tuple[dict, list[np.ndarray]
                 if row and len(row) != k:
                     raise ValueError(f"malformed {what} row in {path} at line {line}: expected "
                                      f"{k} fields ({', '.join(names)}), got {len(row)}: {row!r}")
-                values += [_finite(field, f"{where} {line}: {name}")
-                           for field, name in zip(row, names)]
+                try:
+                    numbers = list(map(float, row))
+                except ValueError:
+                    numbers = [math.nan]
+                if not all(map(math.isfinite, numbers)):  # _finite words the error
+                    for field, name in zip(row, names):
+                        _finite(field, f"{where} {line}: {name}")
+                values += numbers
     except (csv.Error, UnicodeDecodeError) as exc:  # an overlong field, or not UTF-8
         raise ValueError(f"malformed {what} {path}: {exc}") from exc
     return meta, list(np.array(values).reshape(-1, k).T)

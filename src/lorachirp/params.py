@@ -90,14 +90,17 @@ def _real(value, name: str) -> float:
 
 def _finite(value, where: str) -> float:
     """A number read from a file (a JSON value or CSV text) as a finite
-    float; ValueError naming `where` for a bool, for anything float()
-    rejects or overflows on, and for NaN or an infinity."""
+    float; ValueError naming `where`, quoting at most 64 characters of the
+    value's repr, for a bool, for anything float() rejects or overflows
+    on, and for NaN or an infinity."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
-        raise ValueError(f"{where} must be a finite number, got {value!r}")
+        text = repr(value)
+        got = text if len(text) <= 64 else f"{text[:64]}... ({len(text)} characters)"
+        raise ValueError(f"{where} must be a finite number, got {got}")
     return number
 
 
@@ -128,33 +131,25 @@ class LoraParams:
 
     sf: spreading factor; the alphabet size is M = 2**sf
     b:  frequency deviation (sweep width) in Hz
-    f0: carrier frequency in Hz (baseband operations ignore it)
-    ps: passband signal power in watts; the complex envelope has
-        amplitude gamma = sqrt(2*ps), so the default ps = 0.5 gives
-        the unit-amplitude envelope used throughout the spectral code
 
-    The derived quantities m and ts are properties so that b*ts == m
-    holds exactly and cannot drift.
+    Every waveform is the unit-amplitude complex envelope, of power 1;
+    absolute power enters only as ps_dbm, in the analysis layer and the
+    CLI.  The derived quantities m and ts are properties so that
+    b*ts == m holds exactly and cannot drift.
     """
 
     sf: int
     b: float
-    f0: float = 0.0
-    ps: float = 0.5
 
     def __post_init__(self):
         if not 1 <= _integer(self.sf, "sf") <= 16:
             raise ValueError(f"sf must be in [1, 16], got {self.sf}")
-        b, f0, ps = _real(self.b, "b"), _real(self.f0, "f0"), _real(self.ps, "ps")
+        b = _real(self.b, "b")
         if not (math.isfinite(b) and b > 0):
             raise ValueError(f"b must be finite and positive, got {self.b}")
         if not (_finite_normal(1.0 / b) and _finite_normal((1 << self.sf) / b)):
             raise ValueError(f"b = {self.b} Hz gives a chip duration 1/b or symbol "
                              "duration M/b that is not a finite normal float")
-        if not (math.isfinite(f0) and f0 >= 0):
-            raise ValueError(f"f0 must be finite and nonnegative, got {self.f0}")
-        if not (math.isfinite(ps) and ps > 0):
-            raise ValueError(f"ps must be finite and positive, got {self.ps}")
 
     @property
     def m(self) -> int:
@@ -170,11 +165,6 @@ class LoraParams:
     def tc(self) -> float:
         """Chip duration 1/B; there are M chips per symbol."""
         return 1.0 / self.b
-
-    @property
-    def gamma(self) -> float:
-        """Complex-envelope amplitude sqrt(2*ps)."""
-        return float(np.sqrt(2.0 * self.ps))
 
 
 def validate_symbol(p: LoraParams, a) -> int:
@@ -210,7 +200,6 @@ class IqBuffer:
 
     samples: 1-D complex128 array, read-only
     fs:      sample rate in Hz
-    t0:      start time in seconds of samples[0]
 
     The constructor copies `samples`, so the caller's array stays its own.
     Buffers that library functions return, but for a CSV capture, are lazy
@@ -224,7 +213,6 @@ class IqBuffer:
 
     samples: np.ndarray
     fs: float
-    t0: float = 0.0
 
     def __post_init__(self):
         _check_fs(self.fs)
@@ -235,14 +223,14 @@ class IqBuffer:
         object.__setattr__(self, "samples", arr)
 
     @classmethod
-    def _lazy(cls, n: int, fill, fs: float, t0: float = 0.0) -> IqBuffer:
+    def _lazy(cls, n: int, fill, fs: float) -> IqBuffer:
         """A buffer of n samples that are never stored whole unless
         `samples` is read: fill(lo, hi, out) writes samples[lo:hi] into the
         complex128 array out of length hi - lo, for any 0 <= lo < hi <= n,
         and must give the same values every time it is called."""
         _check_fs(fs)
         buf = object.__new__(cls)
-        buf.__dict__.update(_lazy=(n, fill, threading.Lock()), fs=fs, t0=t0)
+        buf.__dict__.update(_lazy=(n, fill, threading.Lock()), fs=fs)
         return buf
 
     def __getattr__(self, name):
@@ -270,7 +258,10 @@ class IqBuffer:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __reduce__(self):  # unpickled and copied through the constructor
-        return IqBuffer, (self.samples, self.fs, self.t0)
+        return IqBuffer, (self.samples, self.fs)
+
+    def __repr__(self) -> str:  # the length and fs: builds no samples
+        return f"IqBuffer(<{len(self)} samples>, fs={self.fs!r})"
 
     def _blocks(self, spans: list, out: np.ndarray | None = None):
         """Yield samples[lo:hi] for each (lo, hi) in spans: a view when the

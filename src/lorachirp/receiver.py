@@ -26,14 +26,14 @@ _NOISE_BLOCK_SAMPLES = 1 << 16
 
 def _dechirp_reference(p: LoraParams) -> np.ndarray:
     """Conjugate of the unit-amplitude base upchirp at chip rate."""
-    return np.conj(_sample_symbols(LoraParams(sf=p.sf, b=p.b), np.zeros(1, np.int64), 1)[0])
+    return np.conj(_sample_symbols(p, np.zeros(1, np.int64), 1)[0])
 
 
 def dechirp(p: LoraParams, chips) -> np.ndarray:
     """Multiply chip-rate symbols (M samples on the last axis) by the
     conjugate base upchirp.
 
-    For a clean symbol a the result is gamma * e^{j*2*pi*k*a/M}, k = 0..M-1.
+    For a clean symbol a the result is e^{j*2*pi*k*a/M}, k = 0..M-1.
     """
     chips = np.asarray(chips)
     if chips.shape[-1:] != (p.m,):
@@ -95,7 +95,7 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     """Add circularly-symmetric complex Gaussian noise at the given SNR.
 
     The noise variance per complex sample is P/10^(snr_db/10) where P is
-    the buffer's mean sample power (gamma^2 for synthesized streams),
+    the buffer's mean sample power (1 for synthesized streams),
     split equally between the quadratures.
 
     The noise is defined block by block, and the block length of 2^16
@@ -153,4 +153,4 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
             a, b = max(lo, first), min(hi, end)
             np.add(x[a - lo:b - lo], local.noise[a - first:b - first], out=out[a - lo:b - lo])
 
-    return IqBuffer._lazy(n, fill, fs=iq.fs, t0=iq.t0)
+    return IqBuffer._lazy(n, fill, fs=iq.fs)

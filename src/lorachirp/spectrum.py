@@ -14,8 +14,8 @@ table of O(k*M + Nf) Fresnel values (fresnel_spectrum), the one
 spectrum path of the package.  Its independent cross-checks, a
 zero-padded DFT of the sampled waveforms and the per-symbol loop over
 closed-form transforms, live with the tests.  All spectra here are
-normalized to the unit-power complex envelope (gamma = 1); absolute
-power scaling belongs to the analysis layer.
+those of the unit-power complex envelope, as every waveform of the
+package is; absolute power enters as ps_dbm in the analysis layer.
 """
 from __future__ import annotations
 
@@ -209,15 +209,14 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     # at 2*n_max - lo (a reversed slice); n = 0 is written last by +|n|.
     for lo, hi in _spans(n_max + 1, _CHUNK):
         w = roots[(n_max - np.arange(lo, hi)) % k]
-        # windows l = 0..M-1 for n = +|n|, l = 1..M for n = -|n|
-        s_pos = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]
-        s_neg = [c[lo + top + k:hi + top + k] - c[lo + k:hi + k] for c in prefix]
+        # window sums from index lo: l = 0..M-1 (n = +|n|) at offset 0, l = 1..M (-|n|) at k
+        s = [c[lo + top:hi + top + k] - c[lo:hi + k] for c in prefix]
         sum_abs2[lo:hi], sum_x[lo:hi] = _factorized_sums(
             p, -d[lo:hi], -d[lo + top:hi + top], np.conj(w),
-            -s_neg[0], s_neg[1], s_neg[2], -s_neg[3])
+            -s[0][k:], s[1][k:], s[2][k:], -s[3][k:])
         pos = slice(2 * n_max + 1 - hi, 2 * n_max + 1 - lo)
         sum_abs2[pos][::-1], sum_x[pos][::-1] = _factorized_sums(
-            p, d[lo + top:hi + top], d[lo:hi], w, *s_pos)
+            p, d[lo + top:hi + top], d[lo:hi], w, *(v[:hi - lo] for v in s))
     return sum_abs2, sum_x
 
 

@@ -61,14 +61,14 @@ def phase(p: LoraParams, a: Symbol, t):
 def waveform_at(p: LoraParams, a: Symbol, t):
     """Complex envelope centered at frequency zero, for t in [0, Ts].
 
-    x(t;a) = gamma * exp{j*(phase(t;a) - pi*B*t)}
-           = gamma * exp{j*2*pi*B*t*[a/M - 1/2 + B*t/(2M) - u(t - (M-a)/B)]}
+    x(t;a) = exp{j*(phase(t;a) - pi*B*t)}
+           = exp{j*2*pi*B*t*[a/M - 1/2 + B*t/(2M) - u(t - (M-a)/B)]}
 
     the two forms differ by a multiple of 2*pi.  This is the only
     closed-form expression of the waveform; every sampled waveform is
     gathered from it by `_sample_symbols`.
     """
-    x = p.gamma * np.exp(1j * (phase(p, a, t) - np.pi * p.b * np.asarray(t, dtype=float)))
+    x = np.exp(1j * (phase(p, a, t) - np.pi * p.b * np.asarray(t, dtype=float)))
     return complex(x) if np.ndim(t) == 0 else x
 
 
@@ -108,7 +108,7 @@ def _sample_symbols(p: LoraParams, a: np.ndarray, oversample: int) -> np.ndarray
     phases = _base_phase_windows(p, oversample)[a * oversample]
     # a*(M - a) mod 2M keeps the rotation angle exact for every a
     phases += (np.pi * ((a * (p.m - a)) % (2 * p.m)) / p.m)[:, None]
-    return p.gamma * np.exp(1j * phases)
+    return np.exp(1j * phases)
 
 
 def _symbol_array(p: LoraParams, symbols) -> np.ndarray:

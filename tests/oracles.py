@@ -166,10 +166,10 @@ def psd_via_dft(p: LoraParams, zero_pad_factor: int = 1,
 
 
 def chip_rate_samples(p: LoraParams, a: Symbol) -> np.ndarray:
-    """The paper's chip-rate model x[k] = gamma*exp{j*2*pi*k*(a/M - 1/2 + k/(2M))},
+    """The paper's chip-rate model x[k] = exp{j*2*pi*k*(a/M - 1/2 + k/(2M))},
     k = 0..M-1, with no modulo step."""
     k = np.arange(p.m)
-    return p.gamma * np.exp(2j * np.pi * k * (a / p.m - 0.5 + k / (2.0 * p.m)))
+    return np.exp(2j * np.pi * k * (a / p.m - 0.5 + k / (2.0 * p.m)))
 
 
 def difference_of_exponentials_correlation(p: LoraParams, l, m) -> np.ndarray:
@@ -201,7 +201,7 @@ def numeric_cross_correlation_oracle(p: LoraParams, l: Symbol, m: Symbol,
         raise ValueError(f"steps must be >= 64*M = {64 * p.m}, got {steps}")
     t = np.linspace(0.0, p.ts, steps + 1)
     f = waveform_at(p, l, t) * np.conj(waveform_at(p, m, t))
-    return complex(np.trapezoid(f, dx=p.ts / steps) / (p.ts * p.gamma ** 2))
+    return complex(np.trapezoid(f, dx=p.ts / steps) / p.ts)
 
 
 def numeric_cross_correlation_matrix(p: LoraParams, steps: int,
@@ -224,7 +224,7 @@ def numeric_cross_correlation_matrix(p: LoraParams, steps: int,
         for a in range(M):
             X[a] = waveform_at(p, a, tc)
         G += (X * w[start:start + chunk]) @ X.conj().T
-    return G * (p.ts / steps) / (p.ts * p.gamma ** 2)
+    return G * (p.ts / steps) / p.ts
 
 
 def noncoherent_orthogonal_ser(m: int, snr: float) -> float:

@@ -13,6 +13,7 @@ from lorachirp import (LoraParams, MaskSpec, awgn, bin_estimate,
                        mean_envelope_magnitude, modulate,
                        orthogonality_offsets, payload_to_symbols, phase,
                        reproduce_table, welch_psd)
+from lorachirp.analysis import _mask_spectrum
 from lorachirp.cli import example_mask_path, main as cli_main
 from lorachirp.spectrum import _kfun
 from oracles import (fresnel_quadrature, mean_power_quadrature,
@@ -191,9 +192,10 @@ def test_criterion_7_welch_vs_analytic_binned():
 
 def test_criterion_8_mask_verdicts(tmp_path, capsys):
     p = LoraParams(sf=7, b=125e3)
-    res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
-    binned = binned_power(res, delta_f=1000.0, ps_dbm=14.0)
     mask = MaskSpec.from_json(example_mask_path())
+    # the span the CLI computes: every segment covered by whole bins
+    res = _mask_spectrum(p, mask, [868.3e6])
+    binned = binned_power(res, delta_f=1000.0, ps_dbm=14.0)
     rep = mask_check(binned, mask, f0=868.3e6)
     rep_tight = mask_check(binned, mask.tightened(40.0), f0=868.3e6)
     # same verdicts via the CLI, which must exit 0 / 2
@@ -206,7 +208,9 @@ def test_criterion_8_mask_verdicts(tmp_path, capsys):
                         "--f0", "868.3e6", "--sf", "7", "--bw", "125e3",
                         "--ps-dbm", "14"])
     capsys.readouterr()
-    ok = (rep.passed and not rep_tight.passed and rc_pass == 0 and rc_fail == 2)
+    covered = all(s.n_bins * s.segment.rbw_hz == s.segment.f_stop_hz - s.segment.f_start_hz
+                  for s in rep.segments)
+    ok = (rep.passed and covered and not rep_tight.passed and rc_pass == 0 and rc_fail == 2)
     _report("criterion 8", ok,
             f"SF=7 B=125 kHz Ps=14 dBm passes example G1 mask (worst margin "
             f"{rep.worst_margin_db:+.1f} dB); tightening 40 dB flips the verdict "

@@ -284,6 +284,20 @@ def test_mask_check_an_unchecked_segment_cannot_pass(binned_125k):
     assert report.complete and report.passed
 
 
+@given(data=st.data())
+def test_adding_mask_segments_never_turns_a_fail_into_a_pass(data):
+    levels = data.draw(st.lists(st.floats(-50, 50), min_size=1, max_size=20))
+    binned = BinnedSpectrum(np.arange(float(len(levels))), np.array(levels), 1.0, 0.0)
+    # disjoint segments between integer edges, some beyond the bins
+    edges = sorted(set(data.draw(st.lists(st.integers(-5, 25), min_size=2, max_size=12))))
+    segments = [MaskSegment(lo - 0.5, hi - 0.5, data.draw(st.floats(-50, 50)), 1.0)
+                for lo, hi in zip(edges, edges[1:])]
+    kept = data.draw(st.lists(st.booleans(), min_size=len(segments), max_size=len(segments)))
+    subset = MaskSpec("subset", tuple(s for s, keep in zip(segments, kept) if keep))
+    if not mask_check(binned, subset, f0=0.0).passed:
+        assert not mask_check(binned, MaskSpec("all", tuple(segments)), f0=0.0).passed
+
+
 def test_mask_check_rejects_rbw_mismatch(binned_125k):
     mask = MaskSpec(label="bad rbw", segments=(
         MaskSegment(868.0e6, 868.6e6, 14.0, 500.0),))

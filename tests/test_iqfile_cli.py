@@ -17,7 +17,7 @@ from lorachirp import (IqBuffer, LoraParams, SpectrumResult, awgn, binned_power,
                        read_iq, write_iq)
 from lorachirp import cli, iqfile, params
 from lorachirp.cli import example_mask_path, main
-from lorachirp.analysis import MaskSegment, MaskSpec
+from lorachirp.analysis import MaskSegment, MaskSpec, _mask_spectrum
 from oracles import psd_via_dft, transform_sums_loop
 
 P5 = LoraParams(sf=5, b=32.0)
@@ -370,21 +370,32 @@ def test_cli_mask_check_verdicts(tmp_path, capsys):
 
 
 def test_cli_mask_check_fails_an_unchecked_segment(tmp_path, capsys):
+    # the computed spectrum spans every segment of the mask: each is covered whole
+    for sf in (7, 9, 12):
+        for f0 in ("868.1e6", "868.3e6"):
+            rc = main(["mask-check", "--mask", str(example_mask_path()), "--f0", f0,
+                       "--sf", str(sf), "--bw", "125e3", "--ps-dbm", "14"])
+            doc = json.loads(capsys.readouterr().out)
+            assert rc == 0 and doc["passed"] is True and doc["complete"] is True
+            assert [s["coverage"] for s in doc["segments"]] == [1.0] * 5
     mask = tmp_path / "far.json"
     MaskSpec(label="far", segments=(MaskSegment(900.0e6, 901.0e6, -36.0, 1000.0),)
              ).to_json(mask)
+    binned_csv = tmp_path / "binned.csv"
+    rc = main(["mask-check", "--mask", str(mask), "--f0", "868.3e6", "--sf", "7",
+               "--bw", "125e3", "--ps-dbm", "14", "--out-binned", str(binned_csv)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["complete"] is True and doc["segments"][0]["coverage"] == 1.0
+    # a binned spectrum that ends short of the segment leaves it unchecked
+    main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6", "--sf", "7",
+          "--bw", "125e3", "--ps-dbm", "14", "--out-binned", str(binned_csv)])
+    capsys.readouterr()
     rc = main(["mask-check", "--mask", str(mask), "--f0", "868.3e6",
-               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
+               "--spectrum-csv", str(binned_csv)])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 2
     assert doc["passed"] is False and doc["complete"] is False
     assert doc["segments"][0]["n_bins"] == 0 and doc["segments"][0]["coverage"] == 0.0
-    # the shipped mask is complete, its outer segments covered in part
-    rc = main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6",
-               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
-    doc = json.loads(capsys.readouterr().out)
-    assert rc == 0 and doc["passed"] is True and doc["complete"] is True
-    assert [s["coverage"] for s in doc["segments"]] == [499 / 800, 1.0, 1.0, 1.0, 500 / 800]
 
 
 @pytest.mark.parametrize("f0", ["nan", "inf"])
@@ -507,7 +518,8 @@ def test_cli_mask_check_names_a_truncated_mask(tmp_path, capsys):
 
 
 def test_cli_mask_check_bins_line_power_out_to_8b(tmp_path, capsys):
-    # the mask-check grid spans |f| <= 8B; lines between 4B and 8B count
+    # the mask-check grid spans |f| <= 8B, or out to the mask's farthest
+    # edge (10.4B here); lines beyond 4B count
     p = LoraParams(sf=7, b=125e3)
     binned_csv = tmp_path / "binned.csv"
     main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6",
@@ -515,19 +527,20 @@ def test_cli_mask_check_bins_line_power_out_to_8b(tmp_path, capsys):
     capsys.readouterr()
     got = np.loadtxt(binned_csv, delimiter=",", comments="#", skiprows=3)
 
-    res = fresnel_spectrum(p, f_max=8.0 * p.b, step=p.b / (4 * p.m))
-    n = np.arange(-8 * p.m, 8 * p.m + 1)
+    res = _mask_spectrum(p, MaskSpec.from_json(example_mask_path()), [868.3e6])
+    n = np.arange(-(len(res.lines) // 2), len(res.lines) // 2 + 1)
+    assert n[-1] > 10 * p.m
     _, sum_x = transform_sums_loop(p, n * p.b / p.m)
     lines = np.column_stack([n * p.b / p.m, np.abs(sum_x) ** 2 / (p.ts * p.m) ** 2])
     ref = {n_max: binned_power(SpectrumResult(res.grid, res.continuous,
                                               lines[np.abs(n) <= n_max], p),
                                delta_f=1000.0, ps_dbm=14.0)
-           for n_max in (4 * p.m, 8 * p.m)}
-    np.testing.assert_array_equal(got[:, 0], ref[8 * p.m].bin_centers)
+           for n_max in (4 * p.m, n[-1])}
+    np.testing.assert_array_equal(got[:, 0], ref[n[-1]].bin_centers)
     outer = np.abs(got[:, 0]) > 4 * p.b
-    assert np.max(np.abs(got[outer, 1] - ref[8 * p.m].bin_power_dbm[outer])) < 1e-9
+    assert np.max(np.abs(got[outer, 1] - ref[n[-1]].bin_power_dbm[outer])) < 1e-9
     # without the lines beyond 4B those bins read visibly low
-    assert np.max(ref[8 * p.m].bin_power_dbm[outer]
+    assert np.max(ref[n[-1]].bin_power_dbm[outer]
                   - ref[4 * p.m].bin_power_dbm[outer]) > 0.01
 
 
@@ -825,7 +838,10 @@ _CSV_CALLERS = {
     ("comment-after-header", ["at line 7: expected 2 fields", "got 1: ['# late=1']"]),
     ("text-field", ["line 7: {1} must be a finite number, got 'low'"]),
     ("nan", ["line 7: {0} must be a finite number, got 'nan'"]),
-    ("minus-inf", ["line 7: {1} must be a finite number, got '-inf'"])])
+    ("minus-inf", ["line 7: {1} must be a finite number, got '-inf'"]),
+    # float() reads 131 072 digits as inf; the message quotes 64 characters
+    ("huge-field", ["line 7: {1} must be a finite number, got '" + "1" * 63 + "... "
+                    "(131074 characters)"])])
 @pytest.mark.parametrize("caller", list(_CSV_CALLERS))
 def test_both_csv_readers_parse_one_layout(tmp_path, capsys, caller, case, messages):
     read, header, names, expected = _CSV_CALLERS[caller]
@@ -833,7 +849,8 @@ def test_both_csv_readers_parse_one_layout(tmp_path, capsys, caller, case, messa
     lines = ["# delta_f_hz=1000.0", "# ps_dbm=14.0", "", header, "0.0,-10.0", "", "1000.0,-20.0"]
     edits = {"extra-field": (6, "1000.0,-20.0,3.0"), "missing-header": (3, ""),
              "comment-after-header": (6, "# late=1"), "text-field": (6, "1000.0,low"),
-             "nan": (6, "nan,-20.0"), "minus-inf": (6, "1000.0,-inf")}
+             "nan": (6, "nan,-20.0"), "minus-inf": (6, "1000.0,-inf"),
+             "huge-field": (6, "1000.0," + "1" * (1 << 17))}
     if case in edits:
         i, text = edits[case]
         lines[i] = text
@@ -843,7 +860,7 @@ def test_both_csv_readers_parse_one_layout(tmp_path, capsys, caller, case, messa
     if messages is None:
         np.testing.assert_array_equal(got, expected)
         return
-    assert isinstance(got, str) and str(path) in got
+    assert isinstance(got, str) and str(path) in got and len(got) < 1000
     for message in messages:
         assert message.format(*names) in got
     if case == "missing-header":
@@ -881,7 +898,8 @@ def test_write_csv_then_read_csv_is_bit_identical(tmp_path, forks, n_cpus):
     np.testing.assert_array_equal(read_iq(path).samples.view(np.int64), samples.view(np.int64))
 
 
-_HUGE = modulate(LoraParams(sf=5, b=32.0, ps=1e80), [1, 2]).samples
+# a modulated stream at amplitude 1e40, beyond float32's 3.4e38
+_HUGE = 1e40 * modulate(LoraParams(sf=5, b=32.0), [1, 2]).samples
 
 
 # 2^128 - 2^103, halfway between FLT_MAX and 2^128: the smallest float64
@@ -920,7 +938,9 @@ def test_write_iq_writes_every_value_that_narrows_to_a_finite_float32(tmp_path):
 
 def test_cli_modulate_exits_1_when_the_capture_cannot_hold_the_samples(tmp_path, capsys,
                                                                        monkeypatch):
-    monkeypatch.setattr(cli, "_params", lambda args: LoraParams(sf=args.sf, b=args.bw, ps=1e80))
+    real_modulate = cli.modulate
+    monkeypatch.setattr(cli, "modulate", lambda *args, **kwargs: IqBuffer(
+        1e40 * real_modulate(*args, **kwargs).samples, fs=32.0))
     path = tmp_path / "sig.iq"
     rc = main(["modulate", "--sf", "5", "--bw", "32", "--symbols", "1,2", "--out", str(path)])
     assert rc == 1

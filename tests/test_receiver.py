@@ -45,9 +45,10 @@ def test_dechirp_gives_complex_sinusoid():
 
 
 def test_dechirp_keeps_amplitude_gamma():
-    p = LoraParams(sf=5, b=1.0, ps=2.0)
-    vals = dechirp(p, modulate(p, [3]).samples)
-    np.testing.assert_allclose(np.abs(vals), p.gamma, atol=1e-12)
+    # the reference is unit-amplitude: a symbol of amplitude gamma keeps it
+    p, gamma = LoraParams(sf=5, b=1.0), 2.0
+    vals = dechirp(p, gamma * modulate(p, [3]).samples)
+    np.testing.assert_allclose(np.abs(vals), gamma, atol=1e-12)
 
 
 def test_dft_of_dechirped_is_spike_at_symbol():

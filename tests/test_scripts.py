@@ -52,6 +52,10 @@ def test_mask_demo(tmp_path):
     verdicts = re.findall(r"carrier (\d+\.\d) MHz: (PASS|FAIL)", out)
     assert verdicts == [("868.3", "PASS"), ("868.1", "PASS"), ("868.3", "PASS"),
                         ("868.5", "PASS")]
+    # every segment at every carrier is covered by one 1 kHz bin per kHz
+    segments = re.findall(r"([0-9.]+)-([0-9.]+) MHz .* \((\d+) bins\)", out)
+    assert len(segments) == 4 * 5
+    assert all(round((float(hi) - float(lo)) * 1000) == int(n) for lo, hi, n in segments)
 
 
 def test_welch_demo(tmp_path):
