@@ -16,7 +16,7 @@ import numpy as np
 from .correlation import _penalty_db, max_cross_correlation
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite,
                      _finite_power, _integer, _json_object, _map_chunks, _real, _spans)
-from .spectrum import SpectrumResult, fresnel_spectrum
+from .spectrum import SpectrumResult, _check_lattice, _lattice_points, fresnel_spectrum
 
 _TINY = 1e-30
 
@@ -84,7 +84,9 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
 
     Total signal power is 1 (unit-power envelope).  The default spectrum
     is fresnel_spectrum over |f| <= 4B with step B/(k*M), k = max(1,
-    512 // M), so the search resolves small SF.  If the requested fraction
+    512 // M), so the search resolves small SF; from SF 9 up k = 1, the
+    line lattice, where the spectrum builds only the E_l prefix sums and
+    not those of the beta terms, which are zero there.  If the requested fraction
     exceeds what the computed spectrum span contains, the error reports
     the captured fraction.
     """
@@ -320,11 +322,18 @@ def _mask_spectrum(p: LoraParams, mask: MaskSpec, carriers) -> SpectrumResult:
     """fresnel_spectrum at step B/(4M) over |f| <= max(8B, the segment edge
     farthest from a carrier f0 in `carriers` plus half its rbw), rounded up
     to the lattice, so whole bins cover every segment at every carrier.  A
-    carrier that is not finite adds no span; mask_check rejects it."""
+    carrier that is not finite adds no span; mask_check rejects it.  A
+    carrier so far from the mask that the lattice table would exceed
+    spectrum._MAX_LATTICE raises ValueError naming it."""
     step = p.b / (4 * p.m)
-    reach = max((abs(edge - f0) + s.rbw_hz / 2 for f0 in carriers if np.isfinite(f0)
-                 for s in mask.segments for edge in (s.f_start_hz, s.f_stop_hz)), default=0.0)
-    return fresnel_spectrum(p, f_max=np.ceil(max(8.0 * p.b, reach) / step) * step, step=step)
+    reach, far = max(((abs(edge - f0) + s.rbw_hz / 2, f0) for f0 in carriers if np.isfinite(f0)
+                      for s in mask.segments for edge in (s.f_start_hz, s.f_stop_hz)),
+                     default=(0.0, None))
+    f_max = float(np.ceil(max(8.0 * p.b, reach) / step)) * step
+    _check_lattice(_lattice_points(p, 4, f_max),
+                   f"carrier f0 = {far!r} Hz, {reach:.6g} Hz from the farthest edge of mask "
+                   f"{mask.label!r},")
+    return fresnel_spectrum(p, f_max=f_max, step=step)
 
 
 def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:

@@ -119,11 +119,36 @@ def _psd_combine(sum_abs2: np.ndarray, sum_x: np.ndarray, p: LoraParams) -> np.n
     return np.maximum(g, 0.0)
 
 
+# The most points, k*M + n_max + 1, that the table of one lattice may hold:
+# its Fresnel values, prefix sums and per-frequency sums peak at about 180
+# bytes a point (130 for k = 1), so 2^22 points take about 0.7 GB.  The
+# default grids stay far below it (at most 589 825 points, at SF 16).
+_MAX_LATTICE = 1 << 22
+
+
+def _check_lattice(points, what: str) -> None:
+    """ValueError naming `what` unless a lattice table of `points` points
+    (an int or a float, possibly inf) fits in _MAX_LATTICE; checked before
+    any of it is allocated."""
+    if not points <= _MAX_LATTICE:
+        raise ValueError(f"{what} needs a lattice table of {_real(points, what):.4g} points, "
+                         f"more than the {_MAX_LATTICE} a spectrum may hold")
+
+
+def _lattice_points(p: LoraParams, k: int, f_max: float) -> float:
+    """Points k*M + max(n, 4*k*M) + 1 of the table fresnel_spectrum builds
+    for |f| <= f_max = n*B/(k*M); inf when n is beyond float range."""
+    top = k * p.m
+    return top + max(f_max / (p.b / top), 4 * top) + 1
+
+
 def _lattice_k(p: LoraParams, step: float) -> int:
     """The integer k >= 1 with step = B/(k*M), to within 1e-9 relative.
 
     Spectra are computed on the lattice f = n*B/(k*M); a step off that
-    lattice raises ValueError rather than being snapped to a nearby one.
+    lattice raises ValueError rather than being snapped to a nearby one,
+    and so does a step whose smallest table, 5*k*M + 1 points, exceeds
+    _MAX_LATTICE.
     """
     step = _real(step, "step")
     ratio = p.b / (p.m * step) if step > 0 else 0.0
@@ -132,11 +157,12 @@ def _lattice_k(p: LoraParams, step: float) -> int:
         raise ValueError(
             f"grid step {step!r} Hz is not B/(k*M) = {p.b / p.m!r} Hz / k "
             "for an integer k >= 1")
+    _check_lattice(5 * k * p.m + 1, f"grid step {step!r} Hz (k = {k})")
     return k
 
 
-def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_d, s_d2, s_e, s_ed):
-    """sum_l |X(f;l)|^2 and sum_l X(f;l) from the four window sums.
+def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_e, beta_sums=None):
+    """sum_l |X(f;l)|^2 and sum_l X(f;l) from the window sums.
 
     With phi = f*M/B, u_l = l - M/2 - phi, a0 = sqrt(2/M), b = B^2/(2M),
     K = C + jS and E_l = exp(-j*pi*u_l^2/M), every transform factors as
@@ -146,12 +172,19 @@ def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_d, s_d2, s_e, s_ed):
 
     The identity holds with K replaced throughout by D = K - c for any
     constant c, which lets the caller anchor D near 0 where it is summed.
-    Inputs: d_top = D(a0*u_M), d_bot = D(a0*u_0) and the sums over
-    l = 0..M-1 of D(a0*u_l), |D|^2, E_l and E_l*D.
+    Inputs: d_top = D(a0*u_M), d_bot = D(a0*u_0), s_e the sum over
+    l = 0..M-1 of E_l and beta_sums those of D(a0*u_l), |D|^2 and E_l*D.
+    On the lines f = n*B/M, w = 1 and beta = 0: there beta_sums is None
+    and the sums are M*|alpha|^2/(4b) and alpha*s_e/(2*sqrt(b)), the
+    general expressions with their zero beta terms left out.
     """
+    four_b = 2.0 * p.b * p.b / p.m
+    if beta_sums is None:
+        alpha = d_top - d_bot
+        return p.m * np.abs(alpha) ** 2 / four_b, alpha * s_e / np.sqrt(four_b)
+    s_d, s_d2, s_ed = beta_sums
     alpha = d_top - w * d_bot
     beta = w - 1.0
-    four_b = 2.0 * p.b * p.b / p.m
     sum_abs2 = (p.m * np.abs(alpha) ** 2 + 2.0 * np.real(np.conj(alpha) * beta * s_d)
                 + np.abs(beta) ** 2 * s_d2) / four_b
     sum_x = (alpha * s_e + beta * s_ed) / np.sqrt(four_b)
@@ -181,14 +214,16 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
 
     On this lattice u_l = j/k with j = k*l - k*M/2 - n, so the M arguments
     of one frequency are a stride-k window of a single table over j, and
-    the four window sums of _factorized_sums are differences of strided
+    the window sums of _factorized_sums are differences of strided
     prefix sums.  The table holds D = K + (1+j)/2, which decays to 0 as
     j -> -inf, so in the far tail of f > 0 the prefix sums stay small and
     the PSD is not left as a difference of O(M) terms.  K is odd and E
     even in u: the window of -n is the window of +n shifted by one step
     (l = 1..M) with D negated, which is K - (1+j)/2, small as j -> +inf.
     One table over j <= k*M/2 thus serves both signs of f with
-    k*M + n_max + 1 Fresnel evaluations.
+    k*M + n_max + 1 Fresnel evaluations.  For k = 1 every point is a line,
+    where beta = 0: only E and its prefix sums are built, not those of D,
+    |D|^2 and E*D.
     """
     M = p.m
     j = np.arange(-(k * M // 2) - n_max, k * M // 2 + 1)
@@ -198,7 +233,9 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     first = j[:k * k * M]
     e = np.resize(np.exp(-1j * np.pi * ((first * first) % (2 * k * k * M)) / (k * k * M)),
                   len(j))
-    prefix = [_strided_prefix(v, k) for v in (d, d.real ** 2 + d.imag ** 2, e, e * d)]
+    # |D|^2 and E*D live only while their prefix sums are built
+    prefix = [_strided_prefix(v, k)
+              for v in ((e,) if k == 1 else (e, d, d.real ** 2 + d.imag ** 2, e * d))]
     # w = exp(-j*2*pi*|n|/k) for |n| mod k = 0..k-1
     roots = np.exp(-2j * np.pi * np.arange(k) / k)
     sum_abs2 = np.empty(2 * n_max + 1)
@@ -210,13 +247,14 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     for lo, hi in _spans(n_max + 1, _CHUNK):
         w = roots[(n_max - np.arange(lo, hi)) % k]
         # window sums from index lo: l = 0..M-1 (n = +|n|) at offset 0, l = 1..M (-|n|) at k
-        s = [c[lo + top:hi + top + k] - c[lo:hi + k] for c in prefix]
+        s_e, *s = [c[lo + top:hi + top + k] - c[lo:hi + k] for c in prefix]
         sum_abs2[lo:hi], sum_x[lo:hi] = _factorized_sums(
-            p, -d[lo:hi], -d[lo + top:hi + top], np.conj(w),
-            -s[0][k:], s[1][k:], s[2][k:], -s[3][k:])
+            p, -d[lo:hi], -d[lo + top:hi + top], np.conj(w), s_e[k:],
+            (-s[0][k:], s[1][k:], -s[2][k:]) if s else None)
         pos = slice(2 * n_max + 1 - hi, 2 * n_max + 1 - lo)
         sum_abs2[pos][::-1], sum_x[pos][::-1] = _factorized_sums(
-            p, d[lo + top:hi + top], d[lo:hi], w, *(v[:hi - lo] for v in s))
+            p, d[lo + top:hi + top], d[lo:hi], w, s_e[:hi - lo],
+            tuple(v[:hi - lo] for v in s) if s else None)
     return sum_abs2, sum_x
 
 
@@ -234,10 +272,13 @@ def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarr
 
     n_max defaults to 4*M, which empirically captures the 1/M total to
     well below 1e-4 absolute (the truncated tail decays like 1/f^4).
+    These are the k = 1 lattice sums, which build only the E_l table's
+    prefix sums; an n_max whose table exceeds _MAX_LATTICE raises.
     """
     n_max = 4 * p.m if n_max is None else _integer(n_max, "n_max")
     if n_max < p.m:
         raise ValueError(f"n_max must be >= M = {p.m}, got {n_max}")
+    _check_lattice(p.m + n_max + 1, f"n_max = {n_max}")
     return _line_powers(p, 1, _lattice_sums(p, 1, n_max)[1], n_max)
 
 
@@ -254,7 +295,10 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     shared through strided prefix sums gives every grid point and, at
     every k-th point, every line; a grid narrower than 4B is extended to
     4B for the lines and the PSD cropped back.  The cost is
-    O(k*M + len(grid)).  The tests check these values against a
+    O(k*M + len(grid)).  For k = 1 every grid point is a line, and only
+    the table of E_l and its prefix sums are built (see _lattice_sums).
+    A table of more than _MAX_LATTICE points raises ValueError naming
+    f_max and the step.  The tests check these values against a
     zero-padded DFT of the sampled waveforms.
     """
     if f_max is None:
@@ -263,6 +307,7 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     if not (np.isfinite(_real(f_max, "f_max")) and f_max > 0):
         raise ValueError(f"f_max must be finite and positive, got {f_max}")
     step = p.b / (k * p.m)
+    _check_lattice(_lattice_points(p, k, f_max), f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
     n = int(round(f_max / step))
     n_ext = max(n, 4 * k * p.m)
     sum_abs2, sum_x = _lattice_sums(p, k, n_ext)

@@ -430,6 +430,30 @@ def test_cli_mask_check_rejects_non_finite_carrier(tmp_path, capsys, f0):
     assert f"f0 must be a finite number, got {float(f0)!r}" in captured.err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["mask-check", "--mask", str(example_mask_path()), "--f0", "1e15", "--sf", "7",
+      "--bw", "125e3", "--ps-dbm", "14"], "carrier f0 = 1000000000000000.0 Hz"),
+    (["mask-check", "--mask", str(example_mask_path()), "--f0", "1e22", "--sf", "7",
+      "--bw", "125e3", "--ps-dbm", "14"], "carrier f0 = 1e+22 Hz"),
+    (["spectrum", "--sf", "7", "--bw", "125e3", "--grid-step", "1e-7"], "grid step 1e-07 Hz"),
+], ids=["f0_1e15", "f0_1e22", "grid_step"])
+def test_cli_oversized_lattice_names_its_argument(tmp_path, capsys, monkeypatch, argv, named):
+    # the spectra would take 29.8 TiB and more, which numpy refuses outright:
+    # the size is checked first, and the message names the argument
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err.startswith(f"error: {named}")
+    assert "more than the 4194304" in captured.err and "Unable to allocate" not in captured.err
+
+
+def test_mask_spectrum_names_the_farthest_carrier():
+    mask = MaskSpec.from_json(example_mask_path())
+    with pytest.raises(ValueError, match=r"^carrier f0 = 1e\+18 Hz, 1e\+18 Hz from"):
+        _mask_spectrum(LoraParams(sf=7, b=125e3), mask, [868.3e6, 1e18, -1e9, float("nan")])
+
+
 @pytest.mark.parametrize("ps_dbm", ["nan", "inf", "-inf"])
 def test_cli_spectrum_rejects_non_finite_power(tmp_path, capsys, ps_dbm):
     psd, lines = tmp_path / "psd.csv", tmp_path / "lines.csv"

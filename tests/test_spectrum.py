@@ -189,12 +189,14 @@ def test_fresnel_spectrum_assembles_both_parts():
     assert res.params is p
 
 
-@pytest.mark.parametrize("sf", [3, 7, 10, 12])
-def test_lattice_engine_matches_per_symbol_loop(sf):
+@pytest.mark.parametrize("sf,k", [pytest.param(sf, 2 if sf >= 10 else 8, id=str(sf))
+                                  for sf in (3, 7, 10, 12)]
+                         + [pytest.param(sf, 1, id=f"{sf}-k1") for sf in (3, 7, 10, 12)])
+def test_lattice_engine_matches_per_symbol_loop(sf, k):
     # 201 points spread over |f| <= 8B, edges included: the deepest tail
-    # point sits about 88 dB below the peak at SF 12
+    # point sits about 88 dB below the peak at SF 12; k = 1 puts every
+    # point on a line, where the engine leaves out the beta terms
     p = LoraParams(sf=sf, b=1.0)
-    k = 2 if sf >= 10 else 8
     res = fresnel_spectrum(p, step=p.b / (k * p.m))
     assert res.grid[-1] == 8.0 * p.b
     idx = np.linspace(0, len(res.grid) - 1, 201).astype(int)
@@ -203,6 +205,48 @@ def test_lattice_engine_matches_per_symbol_loop(sf):
     got = res.continuous[idx]
     assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
     assert np.max(np.abs(got - ref) / ref) <= 1e-4
+
+
+@pytest.mark.parametrize("sf", [3, 5])
+def test_transforms_share_their_magnitude_on_the_lines(sf):
+    # at f = n*B/M, w = 1 and beta = 0: |X(f;l)| = |alpha|/(2*sqrt(b)) for every l,
+    # also beyond |n| = 2M
+    p = LoraParams(sf=sf, b=1.0)
+    f = np.arange(-3 * p.m, 3 * p.m + 1) * p.b / p.m
+    mag = np.array([np.abs(waveform_fourier_transform(p, l, f)) for l in range(p.m)])
+    np.testing.assert_allclose(mag, np.broadcast_to(mag[0], mag.shape), rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("sf", [3, 7, 10])
+def test_continuous_psd_on_the_lines_is_m_minus_1_times_the_line(sf):
+    # equal magnitudes give sum_l |X|^2 = |sum_l X|^2, so
+    # Gc(n*B/M) = (M - 1)*Ts*P_line(n) at every point of a k = 1 grid
+    p = LoraParams(sf=sf, b=125e3)
+    res = fresnel_spectrum(p, step=p.b / p.m)
+    assert np.array_equal(res.line_frequencies, res.grid)
+    np.testing.assert_allclose(res.continuous, (p.m - 1) * p.ts * res.line_powers,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("sf", [3, 7, 10, 12])
+def test_line_lattice_builds_only_the_e_window_sums(monkeypatch, sf):
+    # k = 1: each window sum of E_l = exp(-j*pi*u_l^2/M) over l = 0..M-1 is the
+    # quadratic Gauss sum sqrt(M)*e^{-j*pi/4}, and no beta window sums are built
+    seen = []
+
+    def spy(p, d_top, d_bot, w, s_e, beta_sums=None):
+        seen.append((s_e.copy(), beta_sums))
+        return factorized_sums(p, d_top, d_bot, w, s_e, beta_sums)
+
+    factorized_sums = spectrum._factorized_sums
+    monkeypatch.setattr(spectrum, "_factorized_sums", spy)
+    p = LoraParams(sf=sf, b=1.0)
+    fresnel_spectrum(p, step=p.b / p.m)
+    assert all(beta_sums is None for _, beta_sums in seen)
+    s_e = np.concatenate([s for s, _ in seen])
+    assert len(s_e) == 2 * (8 * p.m + 1)
+    gauss = np.sqrt(p.m) * np.exp(-1j * np.pi / 4)
+    assert np.max(np.abs(s_e - gauss)) <= 1e-12 * np.sqrt(p.m)
 
 
 @pytest.mark.parametrize("sf,n_max", [(3, None), (7, None), (10, 1024)])
@@ -293,6 +337,39 @@ def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, f_max, step):
     monkeypatch.setattr(spectrum, "_scipy_fresnel", counted)
     fresnel_spectrum(LoraParams(sf=5, b=1.0), f_max=f_max, step=step)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda p: fresnel_spectrum(p, f_max=1e15), "f_max = 1000000000000000.0 Hz"),
+    (lambda p: fresnel_spectrum(p, f_max=1e300, step=p.b / p.m), "f_max = 1e+300 Hz"),
+    (lambda p: fresnel_spectrum(p, step=1e-7), "grid step 1e-07 Hz"),
+    (lambda p: discrete_spectrum_lines(p, 10 ** 15), "n_max = 1000000000000000"),
+    (lambda p: discrete_spectrum_lines(p, 10 ** 400), "n_max = 1000"),
+], ids=["f_max", "f_max_overflow", "step", "n_max", "n_max_overflow"])
+def test_oversized_lattice_raises_before_allocating(call, named):
+    # each table would take terabytes or more, which numpy refuses outright
+    with pytest.raises(ValueError, match="more than the 4194304") as info:
+        call(LoraParams(sf=7, b=125e3))
+    assert str(info.value).startswith(named)
+
+
+def test_lattice_size_bound_is_exact(monkeypatch):
+    # k*M + max(n, 4kM) + 1 points: at SF 3, k = 2, f_max = 5B (n = 80) it is 97
+    p = LoraParams(sf=3, b=1.0)
+    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 97)
+    fresnel_spectrum(p, f_max=5.0, step=1.0 / 16)
+    with pytest.raises(ValueError, match="f_max = 5.0625 Hz"):
+        fresnel_spectrum(p, f_max=5.0625, step=1.0 / 16)
+    # a step's smallest table is 5kM + 1 points
+    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 81)
+    fresnel_spectrum(p, f_max=1.0, step=1.0 / 16)
+    with pytest.raises(ValueError, match=r"^grid step 0.041666666666666664 Hz \(k = 3\) needs"):
+        fresnel_spectrum(p, f_max=1.0, step=1.0 / 24)
+    # the lines take M + n_max + 1
+    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 41)
+    discrete_spectrum_lines(p, 32)
+    with pytest.raises(ValueError, match="n_max = 33"):
+        discrete_spectrum_lines(p, 33)
 
 
 def test_public_names_resolve():
