@@ -428,20 +428,22 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     def block_powers(part: list) -> list[np.ndarray]:
         # per-part scratch reused through out=, as in demodulate_stream
         windowed = np.empty((min(per_block, n_segments), segment_len), dtype=np.complex128)
-        spec = np.empty_like(windowed)
         rows = []
-        # a lazy buffer gathers a block into spec, which holds at least as
-        # many samples and is not written before the window is applied
-        for block in iq._blocks(part, spec.reshape(-1)):
+        # a lazy buffer gathers each block into one scratch of the longest span
+        for block in iq._blocks(part):
             # the block's samples seen as its k segments (far cheaper per
             # block than sliding_window_view)
             k = (len(block) - segment_len) // hop + 1
             segments = np.ndarray((k, segment_len), block.dtype, block,
                                   strides=(hop * block.itemsize, block.itemsize))
-            np.multiply(segments, w, out=windowed[:k])
-            np.fft.fft(windowed[:k], axis=-1, out=spec[:k])
-            rows.append(np.einsum("ij,ij->j", spec[:k].real, spec[:k].real)
-                        + np.einsum("ij,ij->j", spec[:k].imag, spec[:k].imag))
+            spec = windowed[:k]
+            np.multiply(segments, w, out=spec)
+            np.fft.fft(spec, axis=-1, out=spec)
+            # |X|^2 summed over the segments: re^2 and im^2 side by side
+            parts = spec.view(np.float64)
+            np.square(parts, out=parts)
+            sums = np.add.reduce(parts, axis=0)
+            rows.append(sums[0::2] + sums[1::2])
         return rows
 
     # the blocks' sums of |X|^2 are added in block order, as in one serial

@@ -73,7 +73,6 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
         # scratch is allocated once per part and reused through out=, so
         # the allocator does not hand pages back and fault them in per block
         rows = np.empty((rows_per_block, p.m), dtype=np.complex128)
-        spec = np.empty_like(rows)
         mag = np.empty(rows.shape)
         symbols = []
         # at chip rate a lazy buffer's block is gathered straight into rows
@@ -83,8 +82,8 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
             chips = block[::r].reshape(-1, p.m)
             k = len(chips)
             np.multiply(chips, reference, out=rows[:k])
-            np.fft.fft(rows[:k], axis=1, out=spec[:k])
-            symbols.append(np.argmax(np.abs(spec[:k], out=mag[:k]), axis=1))
+            np.fft.fft(rows[:k], axis=1, out=rows[:k])
+            symbols.append(np.argmax(np.abs(rows[:k], out=mag[:k]), axis=1))
         return symbols
 
     spans = _spans(len(iq), r * p.m * rows_per_block)

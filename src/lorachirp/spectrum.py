@@ -11,14 +11,19 @@ available in closed form through Fresnel integrals.  The lines carry
 exactly a fraction 1/M of the total signal power.  On the frequency
 lattice f = n*B/(k*M) the sums over l for all frequencies come from one
 table of O(k*M + Nf) Fresnel values (fresnel_spectrum), the one
-spectrum path of the package.  Its independent cross-checks, a
-zero-padded DFT of the sampled waveforms and the per-symbol loop over
-closed-form transforms, live with the tests.  All spectra here are
-those of the unit-power complex envelope, as every waveform of the
-package is; absolute power enters as ps_dbm in the analysis layer.
+spectrum path of the package.  scipy's fresnel gives the table's
+points with |x| < 8; beyond, an asymptotic series and the lattice's
+exactly reduced phase give them to a few ulp, at even SF too, where
+scipy's phase at the rounded argument would be off by about x^2*eps.
+The engine's independent cross-checks, a zero-padded DFT of the
+sampled waveforms and the per-symbol loop over closed-form transforms,
+live with the tests.  All spectra here are those of the unit-power
+complex envelope, as every waveform of the package is; absolute power
+enters as ps_dbm in the analysis layer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,11 +207,92 @@ def _strided_prefix(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-_HALF = 0.5 + 0.5j  # K(x) -> +-(1+j)/2 as x -> +-inf
 # Frequencies per block of work: a block's temporaries (64 KiB for a
 # complex one) stay in cache and are reused by the allocator; larger blocks
 # run slower, as theirs fault fresh pages in on every call.
 _CHUNK = 1 << 12
+# The lattice table takes K from scipy for |x| < _TAIL_X and from the
+# auxiliary functions f and g beyond (Abramowitz & Stegun 7.3.27-28): with
+# y = 1/(pi*x^2), f = (1/(pi*x)) * F and g = (y/(pi*x)) * G, where
+# F = sum_m (-1)^m (4m-1)!! y^(2m) and G = sum_m (-1)^m (4m+1)!! y^(2m).
+# Term m counts where it is at least 1e-17 of the first, |x| <
+# _SERIES_X[m]; the series alternate with falling terms there, so one left
+# out errs by less than that.  Term 8 is below 1e-17 at every |x| >= 8.
+_TAIL_X = 8.0
+# row m: the coefficients of G and -F
+_SERIES = np.array([[(-1) ** m * math.prod(range(1, 4 * m + 2, 2)),
+                     -(-1) ** m * math.prod(range(1, 4 * m, 2))] for m in range(8)], dtype=float)
+_SERIES_X = np.array([np.inf] + [(math.pi * (1e-17 / abs(g)) ** (0.5 / m)) ** -0.5
+                                 for m, g in enumerate(_SERIES[:, 0]) if m])
+
+
+def _lattice_phase(M: int, k: int, j: np.ndarray) -> np.ndarray:
+    """E = exp(-j*pi*u^2/M) at u = j/k, the phase reduced exactly in
+    integers (j^2 mod 2k^2M); E = exp(-j*pi*x^2/2) at x = sqrt(2/M)*u."""
+    return np.exp(-1j * np.pi * ((j * j) % (2 * k * k * M)) / (k * k * M))
+
+
+def _tail_into(out: np.ndarray, x: np.ndarray, e: np.ndarray, terms: list, c: complex) -> None:
+    """out = c - sign(x)*(g + j*f)*conj(e) for |x| >= _TAIL_X, given
+    e = exp(-j*pi*x^2/2).  (g + j*f)*conj(e) is int_|x|^inf
+    exp(j*pi*t^2/2) dt = (1+j)/2 - K(|x|), so c = 1+j gives
+    D = K + (1+j)/2 where x > 0, and c = 0 where x < 0.  terms[m] is the
+    slice of points where term m of the series counts (each holds the
+    next).  Two temporaries are allocated, and every pass runs over a
+    whole column: fresh pages and short inner loops cost more here than
+    the arithmetic.
+    """
+    scale = np.multiply(x, np.pi)
+    np.divide(1.0, scale, out=scale)  # 1/(pi*x), which carries sign(x)
+    z = scale / x
+    z *= z  # y^2
+    # out holds G - j*F, by Horner in y^2, each step over the points it counts at
+    out.fill(0.0)
+    g, f = out.real, out.imag
+    for (coef_g, coef_f), s in zip(_SERIES[::-1], terms[::-1]):
+        if s.start != s.stop:
+            z_s, g_s, f_s = z[s], g[s], f[s]
+            g_s *= z_s
+            g_s += coef_g
+            f_s *= z_s
+            f_s += coef_f
+    f *= scale
+    g *= scale
+    np.divide(scale, x, out=scale)  # y
+    g *= scale
+    # now sign(x)*(g - j*f); times e, the conjugate of what c loses
+    out *= e
+    np.subtract(c.real, g, out=g)
+    np.add(f, c.imag, out=f)
+
+
+def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """D = K(x) + (1+j)/2 at x = sqrt(2/M)*j/k for ascending integers j,
+    given E = _lattice_phase(M, k, j).
+
+    For |x| < _TAIL_X, K is scipy's fresnel at the rounded x.  Beyond, the
+    table uses int_|x|^inf exp(j*pi*t^2/2) dt = T(|x|)*exp(j*pi*x^2/2)
+    with T = g + j*f from the asymptotic series (see _SERIES):
+    D = T(|x|)*conj(E) for x <= -8 and D = (1+j) - T(x)*conj(E) for
+    x >= 8.  The phase is E's, reduced exactly, and the rounded x enters
+    only the slowly varying T, so there D is exact to a few ulp even at
+    even SF, where sqrt(2/M) is rounded and scipy's phase pi*x^2/2 would
+    be off by about x^2*eps.  Each tail is one pass over its whole slice.
+    """
+    x = j / k
+    x *= np.sqrt(2.0 / M)
+    neg = np.searchsorted(x, -_TAIL_X, side="right")
+    pos = np.searchsorted(x, _TAIL_X, side="left")
+    d = np.empty(len(j), dtype=complex)
+    s, c = _scipy_fresnel(x[neg:pos])
+    np.add(c, 0.5, out=d.real[neg:pos])
+    np.add(s, 0.5, out=d.imag[neg:pos])
+    # term m counts on the side of each tail next to the band
+    starts = np.searchsorted(x[:neg], -_SERIES_X, side="right")
+    _tail_into(d[:neg], x[:neg], e[:neg], [slice(a, neg) for a in starts], 0j)
+    ends = np.searchsorted(x[pos:], _SERIES_X, side="left")
+    _tail_into(d[pos:], x[pos:], e[pos:], [slice(0, b) for b in ends], 1 + 1j)
+    return d
 
 
 def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,19 +306,17 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     the PSD is not left as a difference of O(M) terms.  K is odd and E
     even in u: the window of -n is the window of +n shifted by one step
     (l = 1..M) with D negated, which is K - (1+j)/2, small as j -> +inf.
-    One table over j <= k*M/2 thus serves both signs of f with
-    k*M + n_max + 1 Fresnel evaluations.  For k = 1 every point is a line,
-    where beta = 0: only E and its prefix sums are built, not those of D,
-    |D|^2 and E*D.
+    One table over j <= k*M/2 thus serves both signs of f; scipy's fresnel
+    gives its points with |x| < 8, at most 16*k*sqrt(M/2), and the
+    asymptotic series with E's exact phase the rest (_fresnel_table).
+    For k = 1 every point is a line, where beta = 0: only E and its prefix
+    sums are built, not those of D, |D|^2 and E*D.
     """
     M = p.m
     j = np.arange(-(k * M // 2) - n_max, k * M // 2 + 1)
-    d = _kfun(np.sqrt(2.0 / M) * (j / k)) + _HALF
-    # exp(-j*pi*u^2/M) with u = j/k, the phase reduced exactly in integers;
-    # j^2 mod 2k^2M has period k^2M in j (M is even), so one period serves
-    first = j[:k * k * M]
-    e = np.resize(np.exp(-1j * np.pi * ((first * first) % (2 * k * k * M)) / (k * k * M)),
-                  len(j))
+    # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E serves
+    e = np.resize(_lattice_phase(M, k, j[:k * k * M]), len(j))
+    d = _fresnel_table(M, k, j, e)
     # |D|^2 and E*D live only while their prefix sums are built
     prefix = [_strided_prefix(v, k)
               for v in ((e,) if k == 1 else (e, d, d.real ** 2 + d.imag ** 2, e * d))]
@@ -245,11 +329,12 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     # lo upwards makes every read a forward slice: -|n| lands at lo, +|n|
     # at 2*n_max - lo (a reversed slice); n = 0 is written last by +|n|.
     for lo, hi in _spans(n_max + 1, _CHUNK):
-        w = roots[(n_max - np.arange(lo, hi)) % k]
         # window sums from index lo: l = 0..M-1 (n = +|n|) at offset 0, l = 1..M (-|n|) at k
         s_e, *s = [c[lo + top:hi + top + k] - c[lo:hi + k] for c in prefix]
+        # the lines (k = 1) have no beta terms, so they need no w
+        w = roots[(n_max - np.arange(lo, hi)) % k] if s else None
         sum_abs2[lo:hi], sum_x[lo:hi] = _factorized_sums(
-            p, -d[lo:hi], -d[lo + top:hi + top], np.conj(w), s_e[k:],
+            p, -d[lo:hi], -d[lo + top:hi + top], np.conj(w) if s else None, s_e[k:],
             (-s[0][k:], s[1][k:], -s[2][k:]) if s else None)
         pos = slice(2 * n_max + 1 - hi, 2 * n_max + 1 - lo)
         sum_abs2[pos][::-1], sum_x[pos][::-1] = _factorized_sums(

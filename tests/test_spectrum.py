@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -330,13 +333,58 @@ def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, f_max, step):
     calls = []
 
     def counted(x):
-        calls.append(np.size(x))
+        calls.append(np.array(x))
         return scipy_fresnel(x)
 
     scipy_fresnel = spectrum._scipy_fresnel
     monkeypatch.setattr(spectrum, "_scipy_fresnel", counted)
-    fresnel_spectrum(LoraParams(sf=5, b=1.0), f_max=f_max, step=step)
+    p = LoraParams(sf=5, b=1.0)
+    fresnel_spectrum(p, f_max=f_max, step=step)
     assert len(calls) == 1
+    # scipy sees only |x| < 8, the table's points with -32k < j <= 16k at
+    # SF 5 (x = j/(4k), exact); the asymptotic series gives the rest
+    k = max(1, min(64, 8192 // p.m)) if step is None else round(1.0 / (p.m * step))
+    np.testing.assert_array_equal(calls[0], np.arange(-32 * k + 1, 16 * k + 1) / (4 * k))
+
+
+_REFERENCE = json.loads(Path(__file__).with_name("fresnel_reference.json").read_text())
+
+
+@pytest.mark.parametrize("sf,k", [(7, 2), (8, 2), (12, 1), (16, 1)])
+def test_lattice_fresnel_table_matches_40_digit_values(sf, k):
+    # D = K + (1+j)/2 at x = sqrt(2/M)*j/k against mpmath (make_fresnel_reference.py)
+    rows = [r for r in _REFERENCE["table"] if (r["sf"], r["k"]) == (sf, k)]
+    M = 2 ** sf
+    j = np.array([r["j"] for r in rows])
+    ref = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
+    d = spectrum._fresnel_table(M, k, j, spectrum._lattice_phase(M, k, j))
+    rel = np.abs(d - ref) / np.abs(ref)
+    x = np.sqrt(2.0 / M) * (j / k)
+    tail = np.abs(x) >= 8
+    # both signs, out to |x| = 5e4, and the points either side of |x| = 8
+    assert x.min() < -4.9e4 and x.max() > 4.9e4
+    for side in (-1, 1):
+        near = side * x
+        assert np.any((near > 7.9) & (near < 8)) and np.any((near >= 8) & (near < 8.1))
+    # the series with E's exact phase: a few ulp, at even SF too
+    assert rel[tail].max() <= 1e-15
+    # |x| < 8 is scipy's fresnel at the rounded x: at even SF its phase
+    # pi*x^2/2 is off by about x^2*eps, 1e-14 relative where |x| nears 8
+    assert rel[~tail].max() <= 5e-14
+
+
+@pytest.mark.parametrize("sf", [7, 8])
+def test_fresnel_spectrum_matches_40_digit_psd(sf):
+    # Gc just off the lines at 8B, 32B and 128B, k = 2, against mpmath
+    k, M = 2, 2 ** sf
+    res = fresnel_spectrum(LoraParams(sf=sf, b=1.0), f_max=128.0, step=1.0 / (k * M))
+    mid = len(res.grid) // 2
+    rows = [r for r in _REFERENCE["psd"] if (r["sf"], r["k"]) == (sf, k)]
+    assert [r["n"] for r in rows] == [8 * k * M + 1, 32 * k * M + 1, 128 * k * M - 1]
+    rel = [abs(res.continuous[mid + r["n"]] - float(r["gc"])) / float(r["gc"]) for r in rows]
+    assert max(rel) <= 5e-10
+    # the far tail: with scipy's rounded phase, SF 8 was 5.5e-9 off at 128B
+    assert rel[-1] <= 1e-10
 
 
 @pytest.mark.parametrize("call,named", [
