@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from lorachirp import LoraParams, fresnel_spectrum
+from lorachirp.iqfile import _write_csv
 
 
 def main():
@@ -29,15 +30,10 @@ def main():
         res = fresnel_spectrum(p)
         db = 10 * np.log10(np.maximum(res.continuous * p.b, 1e-30))
         path = outdir / f"psd_sf{sf}.csv"
-        with path.open("w") as fh:
-            fh.write("frequency_over_b,psd_db_rel_b\n")
-            for f, v in zip(res.grid, db):
-                fh.write(f"{float(f)!r},{float(v)!r}\n")
+        _write_csv(path, ["frequency_over_b", "psd_db_rel_b"], [res.grid, db])
         lines_path = outdir / f"lines_sf{sf}.csv"
-        with lines_path.open("w") as fh:
-            fh.write("frequency_over_b,power_fraction\n")
-            for f, v in res.lines:
-                fh.write(f"{float(f)!r},{float(v)!r}\n")
+        _write_csv(lines_path, ["frequency_over_b", "power_fraction"],
+                   [res.line_frequencies, res.line_powers])
         curves[sf] = (res.grid, db, res.lines)
         total = np.trapezoid(res.continuous, res.grid) + res.line_powers.sum()
         print(f"SF={sf}: wrote {path} and {lines_path}; "

@@ -13,6 +13,7 @@ import numpy as np
 
 from lorachirp import (LoraParams, bin_estimate, binned_power, fresnel_spectrum,
                        modulate, payload_to_symbols, welch_psd)
+from lorachirp.iqfile import _write_csv
 
 
 def main():
@@ -40,10 +41,8 @@ def main():
     est_db = bin_estimate(freqs, pxx, centers, delta_f, ps_dbm=args.ps_dbm)
     ana_db = ref.bin_power_dbm[sel]
 
-    with open(args.out, "w") as fh:
-        fh.write("bin_center_hz,analytic_dbm,welch_dbm\n")
-        for c, a, w in zip(centers, ana_db, est_db):
-            fh.write(f"{float(c)!r},{float(a)!r},{float(w)!r}\n")
+    _write_csv(args.out, ["bin_center_hz", "analytic_dbm", "welch_dbm"],
+               [centers, ana_db, est_db])
     in_band = np.abs(centers) <= p.b / 2
     print(f"wrote {args.out}")
     print(f"max |deviation| over |f| <= B/2: "

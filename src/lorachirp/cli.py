@@ -72,7 +72,7 @@ def _cmd_xcorr(args) -> int:
         "max_abs_c": mc.max_abs,
         "argmax_pair": list(mc.argmax_real),
         "bound": correlation.correlation_bound(p),
-        "penalty_db": correlation._penalty_db(mc.max_abs_real),
+        "penalty_db": mc.penalty_db,
         "orthogonal_offsets": correlation.orthogonality_offsets(p),
     }
     if args.full_matrix:

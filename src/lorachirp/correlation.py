@@ -46,6 +46,12 @@ class MaxCorrelation:
     argmax_abs: tuple[int, int]
     argmax_real: tuple[int, int]
 
+    @property
+    def penalty_db(self) -> float:
+        """Worst-case SNR penalty -10*log10(1 - max|Re C|) in dB relative
+        to an orthogonal waveform set."""
+        return float(-10.0 * np.log10(1.0 - self.max_abs_real))
+
 
 def max_cross_correlation(p: LoraParams) -> MaxCorrelation:
     """Exhaustive scan of |C| and |Re C| maxima over l != m.
@@ -81,17 +87,6 @@ def max_cross_correlation(p: LoraParams) -> MaxCorrelation:
 def correlation_bound(p: LoraParams) -> float:
     """Upper bound 1/(sqrt(2M) - 1) on max |C| over distinct pairs."""
     return 1.0 / (np.sqrt(2.0 * p.m) - 1.0)
-
-
-def _penalty_db(max_abs_real: float) -> float:
-    """-10*log10(1 - max|Re C|) in dB, from a max_cross_correlation scan."""
-    return float(-10.0 * np.log10(1.0 - max_abs_real))
-
-
-def snr_penalty_db(p: LoraParams) -> float:
-    """Worst-case SNR penalty -10*log10(1 - max|Re C|) in dB relative to
-    an orthogonal waveform set."""
-    return _penalty_db(max_cross_correlation(p).max_abs_real)
 
 
 def orthogonality_offsets(p: LoraParams) -> list[int]:

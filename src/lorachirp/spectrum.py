@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LoraParams, Symbol, _integer, _real, _spans, validate_symbol
+from .params import LoraParams, Symbol, _real, _spans, validate_symbol
 
 
 def _load_fresnel(x):
@@ -138,13 +138,6 @@ def _check_lattice(points, what: str) -> None:
     if not points <= _MAX_LATTICE:
         raise ValueError(f"{what} needs a lattice table of {_real(points, what):.4g} points, "
                          f"more than the {_MAX_LATTICE} a spectrum may hold")
-
-
-def _lattice_points(p: LoraParams, k: int, f_max: float) -> float:
-    """Points k*M + max(n, 4*k*M) + 1 of the table fresnel_spectrum builds
-    for |f| <= f_max = n*B/(k*M); inf when n is beyond float range."""
-    top = k * p.m
-    return top + max(f_max / (p.b / top), 4 * top) + 1
 
 
 def _lattice_k(p: LoraParams, step: float) -> int:
@@ -343,30 +336,6 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     return sum_abs2, sum_x
 
 
-def _line_powers(p: LoraParams, k: int, sum_x: np.ndarray, n_lines: int) -> np.ndarray:
-    """Lines at n*B/M, |n| <= n_lines, from sum_x on the lattice
-    f = n*B/(k*M): power |sum_l X|^2 / (Ts^2 * M^2) at every k-th point."""
-    mid = len(sum_x) // 2
-    sum_x = sum_x[mid - k * n_lines:mid + k * n_lines + 1:k]
-    f = np.arange(-n_lines, n_lines + 1) * p.b / p.m
-    return np.column_stack([f, np.abs(sum_x) ** 2 / (p.ts ** 2 * p.m ** 2)])
-
-
-def discrete_spectrum_lines(p: LoraParams, n_max: int | None = None) -> np.ndarray:
-    """Spectral-line powers at f = n*B/M for |n| <= n_max.
-
-    n_max defaults to 4*M, which empirically captures the 1/M total to
-    well below 1e-4 absolute (the truncated tail decays like 1/f^4).
-    These are the k = 1 lattice sums, which build only the E_l table's
-    prefix sums; an n_max whose table exceeds _MAX_LATTICE raises.
-    """
-    n_max = 4 * p.m if n_max is None else _integer(n_max, "n_max")
-    if n_max < p.m:
-        raise ValueError(f"n_max must be >= M = {p.m}, got {n_max}")
-    _check_lattice(p.m + n_max + 1, f"n_max = {n_max}")
-    return _line_powers(p, 1, _lattice_sums(p, 1, n_max)[1], n_max)
-
-
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
                      step: float | None = None) -> SpectrumResult:
     """Exact spectrum from the Fresnel closed form on the lattice
@@ -392,11 +361,16 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     if not (np.isfinite(_real(f_max, "f_max")) and f_max > 0):
         raise ValueError(f"f_max must be finite and positive, got {f_max}")
     step = p.b / (k * p.m)
-    _check_lattice(_lattice_points(p, k, f_max), f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
-    n = int(round(f_max / step))
+    # n stays a float until checked: beyond float range it is inf
+    n = f_max / step
+    _check_lattice(k * p.m + max(n, 4 * k * p.m) + 1,
+                   f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
+    n = round(n)
     n_ext = max(n, 4 * k * p.m)
     sum_abs2, sum_x = _lattice_sums(p, k, n_ext)
     crop = slice(n_ext - n, n_ext + n + 1)
-    return SpectrumResult(grid=np.arange(-n, n + 1) * step,
-                          continuous=_psd_combine(sum_abs2[crop], sum_x[crop], p),
-                          lines=_line_powers(p, k, sum_x, n_ext // k), params=p)
+    n_lines = n_ext // k  # the lines n*B/M are every k-th lattice point
+    lines = np.column_stack([np.arange(-n_lines, n_lines + 1) * p.b / p.m,
+                             np.abs(sum_x[n_ext % k::k]) ** 2 / (p.ts ** 2 * p.m ** 2)])
+    return SpectrumResult(grid=np.arange(-n, n + 1) * step, lines=lines, params=p,
+                          continuous=_psd_combine(sum_abs2[crop], sum_x[crop], p))

@@ -16,9 +16,8 @@ import lorachirp
 from lorachirp import analysis, correlation
 from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec, awgn,
                        bin_estimate, binned_power, bit_rate, fresnel_spectrum, mask_check,
-                       modulate, discrete_spectrum_lines, occupied_bandwidth,
-                       payload_to_symbols, reproduce_table, snr_penalty_db, spectral_efficiency,
-                       welch_psd)
+                       modulate, occupied_bandwidth, payload_to_symbols, reproduce_table,
+                       spectral_efficiency, welch_psd)
 from oracles import psd_via_dft
 
 P7 = LoraParams(sf=7, b=125e3)
@@ -108,6 +107,24 @@ def _bisection_spectrum(sf: int):
     return fresnel_spectrum(p, f_max=4.0, step=1.0 / (k * p.m))
 
 
+@pytest.mark.parametrize("sf,bound", [(9, 1.1e-3), (10, 5e-4), (11, 2.2e-4), (12, 9.5e-5)])
+def test_default_lattice_b99_error_is_bounded_but_exceeds_tol(sf, bound):
+    # A known defect: from SF 9 up the default spectrum is the k = 1 line
+    # lattice, whose trapezoid integral reads the continuous power low, so
+    # b99 at tol = 1e-7 B is 0.09e-3 to 1.04e-3 B below the k = 16 value:
+    # tol bounds the bracket, not the answer.  k = 2 is within 2.3e-5 B.
+    # These bounds pin the defect's size; a fix may only tighten them.
+    p = LoraParams(sf=sf, b=1.0)
+
+    def b99(k):
+        spec = fresnel_spectrum(p, f_max=4.0, step=1.0 / (k * p.m))
+        return occupied_bandwidth(p, 0.99, spectrum=spec, tol=1e-7)
+
+    ref = b99(16)
+    assert abs(occupied_bandwidth(p, 0.99, tol=1e-7) - ref) <= bound
+    assert abs(b99(2) - ref) <= 3e-5
+
+
 @pytest.mark.parametrize("sf", [3, 7, 10])
 def test_occupied_bandwidth_ignores_the_order_of_the_lines(sf):
     spec = _bisection_spectrum(sf)
@@ -142,7 +159,7 @@ def test_reproduce_table_scans_the_correlations_once_per_row(monkeypatch):
     rows = reproduce_table(range(3, 13))
     assert calls == list(range(3, 13))
     for row in rows:
-        assert row.delta_max_db == snr_penalty_db(LoraParams(sf=row.sf, b=1.0))
+        assert row.delta_max_db == scan(LoraParams(sf=row.sf, b=1.0)).penalty_db
 
 
 def test_reproduce_table_row_sf5():
@@ -569,9 +586,7 @@ _INTEGER_ARGUMENTS = pytest.mark.parametrize("call,name", [
     (spectral_efficiency, "sf"),
     (lambda sf: reproduce_table([sf])[0], "sf"),
     (lambda sf: payload_to_symbols(b"ab", sf), "sf"),
-    (lambda n_max: discrete_spectrum_lines(LoraParams(sf=2, b=1.0), n_max), "n_max"),
-], ids=["spectral_efficiency", "reproduce_table", "payload_to_symbols",
-        "discrete_spectrum_lines"])
+], ids=["spectral_efficiency", "reproduce_table", "payload_to_symbols"])
 
 
 @_INTEGER_ARGUMENTS
@@ -583,11 +598,7 @@ def test_integer_arguments_reject_bools_floats_and_strings(call, name, bad):
 
 @_INTEGER_ARGUMENTS
 def test_integer_arguments_accept_numpy_integers(call, name):
-    expected, got = call(7), call(np.int64(7))
-    if isinstance(expected, np.ndarray):
-        np.testing.assert_array_equal(got, expected)
-    else:
-        assert got == expected
+    assert call(np.int64(7)) == call(7)
 
 
 def test_welch_rejects_bad_arguments():

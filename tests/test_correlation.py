@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 from lorachirp import (LoraParams, correlation_bound, correlation_matrix,
                        cross_correlation, max_cross_correlation,
-                       orthogonality_offsets, real_orthogonality_condition,
-                       snr_penalty_db)
+                       orthogonality_offsets, real_orthogonality_condition)
 from oracles import (difference_of_exponentials_correlation,
                      numeric_cross_correlation_matrix,
                      numeric_cross_correlation_oracle)
@@ -121,7 +120,8 @@ def test_asymptotic_orthogonality_monotone_in_sf():
 
 @pytest.mark.parametrize("sf,expected", [(3, 1.04), (7, 0.20), (12, 0.03)])
 def test_snr_penalty_table_values(sf, expected):
-    assert snr_penalty_db(LoraParams(sf=sf, b=1.0)) == pytest.approx(expected, abs=0.01)
+    assert max_cross_correlation(LoraParams(sf=sf, b=1.0)).penalty_db == pytest.approx(
+        expected, abs=0.01)
 
 
 @pytest.mark.parametrize("sf,expected", [(3, [4]), (4, [4, 8]), (5, [8, 16])])

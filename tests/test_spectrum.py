@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lorachirp
-from lorachirp import (LoraParams, discrete_spectrum_lines, fresnel_spectrum,
-                       spectrum, w_integral, waveform_fourier_transform)
+from lorachirp import (LoraParams, fresnel_spectrum, spectrum, w_integral,
+                       waveform_fourier_transform)
 from lorachirp.spectrum import _kfun
 from oracles import (chirp_integral_quadrature, continuous_psd_loop,
                      fourier_transform_quadrature, fresnel_quadrature,
@@ -131,22 +131,17 @@ def test_continuous_psd_shape_plateau_and_rolloff():
 
 def test_lines_sit_on_exact_multiples_of_b_over_m():
     p = LoraParams(sf=3, b=125e3)
-    lines = discrete_spectrum_lines(p, n_max=2 * p.m)
+    lines = fresnel_spectrum(p, f_max=4 * p.b, step=p.b / p.m).lines
     n = np.round(lines[:, 0] / (p.b / p.m))
     np.testing.assert_allclose(lines[:, 0], n * p.b / p.m, rtol=0, atol=1e-6)
 
 
 def test_line_power_totals():
     p = LoraParams(sf=5, b=1.0)
-    assert abs(discrete_spectrum_lines(p)[:, 1].sum() - 1.0 / p.m) < 1e-4
+    lines = fresnel_spectrum(p, f_max=4 * p.b, step=p.b / p.m).line_powers
+    assert abs(lines.sum() - 1.0 / p.m) < 1e-4
     # SF=12 line share is 0.024% of the signal power
     assert 1.0 / LoraParams(sf=12, b=1.0).m == pytest.approx(0.024e-2, abs=5e-6)
-
-
-def test_lines_reject_small_n_max():
-    p = LoraParams(sf=5, b=1.0)
-    with pytest.raises(ValueError):
-        discrete_spectrum_lines(p, n_max=p.m - 1)
 
 
 def test_dft_path_grid_spacing_without_padding():
@@ -159,7 +154,7 @@ def test_dft_path_center_line_matches_fresnel_path():
     p = LoraParams(sf=3, b=1.0)
     res = psd_via_dft(p, zero_pad_factor=1, n_per_symbol=64 * p.m)
     i0 = np.argmin(np.abs(res.line_frequencies))
-    lines = discrete_spectrum_lines(p, n_max=p.m)
+    lines = fresnel_spectrum(p, f_max=4 * p.b, step=p.b / p.m).lines
     ref = lines[np.argmin(np.abs(lines[:, 0])), 1]
     assert res.line_powers[i0] == pytest.approx(ref, rel=1e-6)
 
@@ -254,8 +249,11 @@ def test_line_lattice_builds_only_the_e_window_sums(monkeypatch, sf):
 
 @pytest.mark.parametrize("sf,n_max", [(3, None), (7, None), (10, 1024)])
 def test_line_powers_match_per_symbol_loop(sf, n_max):
+    # the 4M lines of the k = 1 lattice, or the |n| <= n_max of them
     p = LoraParams(sf=sf, b=1.0)
-    lines = discrete_spectrum_lines(p, n_max)
+    lines = fresnel_spectrum(p, f_max=4 * p.b, step=p.b / p.m).lines
+    if n_max is not None:
+        lines = lines[4 * p.m - n_max:4 * p.m + n_max + 1]
     _, sum_x = transform_sums_loop(p, lines[:, 0])
     ref = np.abs(sum_x) ** 2 / (p.ts ** 2 * p.m ** 2)
     assert np.max(np.abs(lines[:, 1] - ref)) <= 1e-16
@@ -300,7 +298,8 @@ def test_fresnel_spectrum_takes_a_step_within_tolerance():
 @pytest.mark.parametrize("grid", ["default", "mask_check", "occupied_bandwidth", "narrow"])
 def test_fresnel_spectrum_lines_equal_discrete_spectrum_lines(sf, grid):
     # the lines are every k-th point of the spectrum's own lattice sums,
-    # which a grid narrower than 4B extends to 4B
+    # which a grid narrower than 4B extends to 4B: the same bits as the
+    # k = 1 spectrum, every point of which is a line
     p = LoraParams(sf=sf, b=125e3)
     k, f_max = {"default": (max(1, min(64, 8192 // p.m)), 8.0 * p.b),
                 "mask_check": (4, 8.0 * p.b),
@@ -308,8 +307,8 @@ def test_fresnel_spectrum_lines_equal_discrete_spectrum_lines(sf, grid):
                 "narrow": (4, 0.5 * p.b)}[grid]
     res = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
     n = len(res.grid) // 2
-    ref = discrete_spectrum_lines(p, max(4 * p.m, n // k))
-    assert np.array_equal(res.lines, ref)
+    ref = fresnel_spectrum(p, f_max=max(4 * p.m, n // k) * p.b / p.m, step=p.b / p.m)
+    assert np.array_equal(res.lines, ref.lines)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -391,9 +390,7 @@ def test_fresnel_spectrum_matches_40_digit_psd(sf):
     (lambda p: fresnel_spectrum(p, f_max=1e15), "f_max = 1000000000000000.0 Hz"),
     (lambda p: fresnel_spectrum(p, f_max=1e300, step=p.b / p.m), "f_max = 1e+300 Hz"),
     (lambda p: fresnel_spectrum(p, step=1e-7), "grid step 1e-07 Hz"),
-    (lambda p: discrete_spectrum_lines(p, 10 ** 15), "n_max = 1000000000000000"),
-    (lambda p: discrete_spectrum_lines(p, 10 ** 400), "n_max = 1000"),
-], ids=["f_max", "f_max_overflow", "step", "n_max", "n_max_overflow"])
+], ids=["f_max", "f_max_overflow", "step"])
 def test_oversized_lattice_raises_before_allocating(call, named):
     # each table would take terabytes or more, which numpy refuses outright
     with pytest.raises(ValueError, match="more than the 4194304") as info:
@@ -413,11 +410,6 @@ def test_lattice_size_bound_is_exact(monkeypatch):
     fresnel_spectrum(p, f_max=1.0, step=1.0 / 16)
     with pytest.raises(ValueError, match=r"^grid step 0.041666666666666664 Hz \(k = 3\) needs"):
         fresnel_spectrum(p, f_max=1.0, step=1.0 / 24)
-    # the lines take M + n_max + 1
-    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 41)
-    discrete_spectrum_lines(p, 32)
-    with pytest.raises(ValueError, match="n_max = 33"):
-        discrete_spectrum_lines(p, 33)
 
 
 def test_public_names_resolve():
