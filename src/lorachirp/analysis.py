@@ -40,6 +40,12 @@ def _cumulative_trapezoid(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
+def _check_bin_width(delta_f: float) -> None:
+    """ValueError unless delta_f is a finite positive real number."""
+    if not (np.isfinite(_real(delta_f, "delta_f")) and delta_f > 0):
+        raise ValueError(f"delta_f must be finite and positive, got {delta_f!r}")
+
+
 def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
                     delta_f: float, ps_dbm: float, lines=None) -> np.ndarray:
     """dBm per delta_f at transmit power ps_dbm: the trapezoid integral of
@@ -200,8 +206,7 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     spectrum span.  Bins are half-open, so a line falling exactly on an
     edge is counted once, in the upper bin.
     """
-    if not (np.isfinite(_real(delta_f, "delta_f")) and delta_f > 0):
-        raise ValueError(f"delta_f must be finite and positive, got {delta_f!r}")
+    _check_bin_width(delta_f)
     if not np.isfinite(_real(origin, "origin")):
         raise ValueError(f"origin must be a finite number, got {origin!r}")
     grid = spec.grid
@@ -471,6 +476,15 @@ def bin_estimate(freqs: np.ndarray, psd: np.ndarray, centers: np.ndarray,
     """Integrate a PSD estimate into the same bins as binned_power.
 
     Returns levels in dBm per delta_f at transmit power ps_dbm, for
-    comparing estimates against analytic binned spectra.
+    comparing estimates against analytic binned spectra.  freqs must be
+    strictly ascending and as long as psd, and delta_f finite and
+    positive, otherwise ValueError.
     """
+    _check_bin_width(delta_f)
+    freqs, psd = np.asarray(freqs, dtype=float), np.asarray(psd, dtype=float)
+    if freqs.ndim != 1 or freqs.shape != psd.shape:
+        raise ValueError(f"freqs and psd must be 1-D and of equal length, "
+                         f"got shapes {freqs.shape} and {psd.shape}")
+    if not np.all(np.diff(freqs) > 0):
+        raise ValueError("freqs must be strictly ascending")
     return _bin_levels_dbm(freqs, psd, centers, delta_f, ps_dbm)

@@ -11,10 +11,14 @@ available in closed form through Fresnel integrals.  The lines carry
 exactly a fraction 1/M of the total signal power.  On the frequency
 lattice f = n*B/(k*M) the sums over l for all frequencies come from one
 table of O(k*M + Nf) Fresnel values (fresnel_spectrum), the one
-spectrum path of the package.  scipy's fresnel gives the table's
-points with |x| < 8; beyond, an asymptotic series and the lattice's
-exactly reduced phase give them to a few ulp, at even SF too, where
-scipy's phase at the rounded argument would be off by about x^2*eps.
+spectrum path of the package.  With M even, time reversal maps symbol l
+onto (M - l) mod M, x(Ts - t; l) = x(t; (M - l) mod M), so
+X(-f; l) = exp(j*2*pi*f*Ts)*X(f; (M - l) mod M): sum_l |X|^2 and
+|sum_l X| are even, and both parts are computed on f >= 0 and mirrored.
+scipy's fresnel gives the table's points with |x| < 8; beyond, an
+asymptotic series and the lattice's exactly reduced phase give them to a
+few ulp, at even SF too, where scipy's phase at the rounded argument
+would be off by about x^2*eps.
 The engine's independent cross-checks, a zero-padded DFT of the
 sampled waveforms and the per-symbol loop over closed-form transforms,
 live with the tests.  All spectra here are those of the unit-power
@@ -97,10 +101,10 @@ def waveform_fourier_transform(p: LoraParams, l: Symbol, f):
 class SpectrumResult:
     """Two-sided baseband power spectrum, unit total power.
 
-    grid:       frequency grid in Hz (uniform, ascending)
-    continuous: PSD of the continuous part, linear power/Hz, >= 0
+    grid:       frequency grid in Hz (uniform, ascending, symmetric about 0)
+    continuous: PSD of the continuous part, linear power/Hz, >= 0, even in f
     lines:      array of shape (K, 2) with columns (frequency, power);
-                frequencies are integer multiples of B/M
+                frequencies are integer multiples of B/M, powers even in f
     """
 
     grid: np.ndarray
@@ -117,16 +121,16 @@ class SpectrumResult:
         return self.lines[:, 1]
 
 
-def _psd_combine(sum_abs2: np.ndarray, sum_x: np.ndarray, p: LoraParams) -> np.ndarray:
-    """Continuous PSD from the per-symbol transform sums; clipped at zero
+def _psd_combine(sum_abs2: np.ndarray, abs2_sum: np.ndarray, p: LoraParams) -> np.ndarray:
+    """Continuous PSD from sum_l |X|^2 and |sum_l X|^2; clipped at zero
     (Cauchy-Schwarz guarantees nonnegativity analytically)."""
-    g = (sum_abs2 - np.abs(sum_x) ** 2 / p.m) / (p.ts * p.m)
+    g = (sum_abs2 - abs2_sum / p.m) / (p.ts * p.m)
     return np.maximum(g, 0.0)
 
 
 # The most points, k*M + n_max + 1, that the table of one lattice may hold:
-# its Fresnel values, prefix sums and per-frequency sums peak at about 180
-# bytes a point (130 for k = 1), so 2^22 points take about 0.7 GB.  The
+# its Fresnel values, prefix sums and per-frequency sums peak at about 130
+# bytes a point (100 for k = 1), so 2^22 points take about 0.55 GB.  The
 # default grids stay far below it (at most 589 825 points, at SF 16).
 _MAX_LATTICE = 1 << 22
 
@@ -191,10 +195,10 @@ def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_e, beta_sums=None):
 
 def _strided_prefix(values: np.ndarray, k: int) -> np.ndarray:
     """Exclusive prefix sums along stride k: out[i] = values[i - k] +
-    values[i - 2k] + ..., for i < len(values) + k."""
-    rows = -(-len(values) // k) + 1
+    values[i - 2k] + ..., for i < len(values)."""
+    rows = -(-len(values) // k)
     out = np.zeros(rows * k, dtype=values.dtype)
-    out[k:k + len(values)] = values
+    out[k:len(values)] = values[:len(values) - k]
     block = out.reshape(rows, k)
     np.cumsum(block, axis=0, out=block)
     return out
@@ -289,21 +293,18 @@ def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_l |X(f;l)|^2 and sum_l X(f;l) at f = n*B/(k*M), |n| <= n_max.
+    """sum_l |X(f;l)|^2 and |sum_l X(f;l)|^2 at f = n*B/(k*M), 0 <= n <= n_max.
 
     On this lattice u_l = j/k with j = k*l - k*M/2 - n, so the M arguments
     of one frequency are a stride-k window of a single table over j, and
     the window sums of _factorized_sums are differences of strided
     prefix sums.  The table holds D = K + (1+j)/2, which decays to 0 as
-    j -> -inf, so in the far tail of f > 0 the prefix sums stay small and
-    the PSD is not left as a difference of O(M) terms.  K is odd and E
-    even in u: the window of -n is the window of +n shifted by one step
-    (l = 1..M) with D negated, which is K - (1+j)/2, small as j -> +inf.
-    One table over j <= k*M/2 thus serves both signs of f; scipy's fresnel
-    gives its points with |x| < 8, at most 16*k*sqrt(M/2), and the
-    asymptotic series with E's exact phase the rest (_fresnel_table).
-    For k = 1 every point is a line, where beta = 0: only E and its prefix
-    sums are built, not those of D, |D|^2 and E*D.
+    j -> -inf, so in the far tail the prefix sums stay small and the PSD
+    is not left as a difference of O(M) terms.  Both sums are even in f,
+    so f < 0 is not computed.  scipy's fresnel gives the table's points
+    with |x| < 8, at most 16*k*sqrt(M/2), and the asymptotic series with
+    E's exact phase the rest (_fresnel_table).  For k = 1 every point is
+    a line, where beta = 0: only E and its prefix sums are built.
     """
     M = p.m
     j = np.arange(-(k * M // 2) - n_max, k * M // 2 + 1)
@@ -313,27 +314,23 @@ def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.nda
     # |D|^2 and E*D live only while their prefix sums are built
     prefix = [_strided_prefix(v, k)
               for v in ((e,) if k == 1 else (e, d, d.real ** 2 + d.imag ** 2, e * d))]
-    # w = exp(-j*2*pi*|n|/k) for |n| mod k = 0..k-1
+    # w = exp(-j*2*pi*n/k) for n mod k = 0..k-1
     roots = np.exp(-2j * np.pi * np.arange(k) / k)
-    sum_abs2 = np.empty(2 * n_max + 1)
-    sum_x = np.empty(2 * n_max + 1, dtype=complex)
+    sum_abs2 = np.empty(n_max + 1)
+    abs2_sum = np.empty(n_max + 1)
     top = k * M
-    # Table index lo holds l = 0 of n = +|n| with |n| = n_max - lo, so walking
-    # lo upwards makes every read a forward slice: -|n| lands at lo, +|n|
-    # at 2*n_max - lo (a reversed slice); n = 0 is written last by +|n|.
+    # Table index lo holds l = 0 of n = n_max - lo, so walking lo upwards
+    # makes every read a forward slice and every write a reversed one.
     for lo, hi in _spans(n_max + 1, _CHUNK):
-        # window sums from index lo: l = 0..M-1 (n = +|n|) at offset 0, l = 1..M (-|n|) at k
-        s_e, *s = [c[lo + top:hi + top + k] - c[lo:hi + k] for c in prefix]
+        # window sums of l = 0..M-1 from index lo
+        s_e, *s = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]
         # the lines (k = 1) have no beta terms, so they need no w
         w = roots[(n_max - np.arange(lo, hi)) % k] if s else None
-        sum_abs2[lo:hi], sum_x[lo:hi] = _factorized_sums(
-            p, -d[lo:hi], -d[lo + top:hi + top], np.conj(w) if s else None, s_e[k:],
-            (-s[0][k:], s[1][k:], -s[2][k:]) if s else None)
-        pos = slice(2 * n_max + 1 - hi, 2 * n_max + 1 - lo)
-        sum_abs2[pos][::-1], sum_x[pos][::-1] = _factorized_sums(
-            p, d[lo + top:hi + top], d[lo:hi], w, s_e[:hi - lo],
-            tuple(v[:hi - lo] for v in s) if s else None)
-    return sum_abs2, sum_x
+        out = slice(n_max + 1 - hi, n_max + 1 - lo)
+        sum_abs2[out][::-1], sum_x = _factorized_sums(
+            p, d[lo + top:hi + top], d[lo:hi], w, s_e, tuple(s) or None)
+        abs2_sum[out][::-1] = np.abs(sum_x) ** 2
+    return sum_abs2, abs2_sum
 
 
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
@@ -346,9 +343,10 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     otherwise ValueError.  The defaults are |f| <= 8B and
     k = max(1, min(64, 8192 // M)), i.e. step max(B/(64M), B/8192), so
     the grid holds at most 131 073 points.  One table of Fresnel values
-    shared through strided prefix sums gives every grid point and, at
-    every k-th point, every line; a grid narrower than 4B is extended to
-    4B for the lines and the PSD cropped back.  The cost is
+    shared through strided prefix sums gives every grid point with f >= 0
+    and, at every k-th point, every line; a grid narrower than 4B is
+    extended to 4B for the lines.  The spectrum is even in f (see the
+    module docstring): f < 0 is the exact mirror image.  The cost is
     O(k*M + len(grid)).  For k = 1 every grid point is a line, and only
     the table of E_l and its prefix sums are built (see _lattice_sums).
     A table of more than _MAX_LATTICE points raises ValueError naming
@@ -366,11 +364,12 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     _check_lattice(k * p.m + max(n, 4 * k * p.m) + 1,
                    f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
     n = round(n)
-    n_ext = max(n, 4 * k * p.m)
-    sum_abs2, sum_x = _lattice_sums(p, k, n_ext)
-    crop = slice(n_ext - n, n_ext + n + 1)
-    n_lines = n_ext // k  # the lines n*B/M are every k-th lattice point
-    lines = np.column_stack([np.arange(-n_lines, n_lines + 1) * p.b / p.m,
-                             np.abs(sum_x[n_ext % k::k]) ** 2 / (p.ts ** 2 * p.m ** 2)])
-    return SpectrumResult(grid=np.arange(-n, n + 1) * step, lines=lines, params=p,
-                          continuous=_psd_combine(sum_abs2[crop], sum_x[crop], p))
+    sum_abs2, abs2_sum = _lattice_sums(p, k, max(n, 4 * k * p.m))
+    # f < 0 mirrors f >= 0; the lines n*B/M are every k-th lattice point
+    continuous, lines = (np.concatenate([v[:0:-1], v]) for v in (
+        _psd_combine(sum_abs2[:n + 1], abs2_sum[:n + 1], p),
+        abs2_sum[::k] / (p.ts ** 2 * p.m ** 2)))
+    n_lines = len(lines) // 2
+    lines = np.column_stack([np.arange(-n_lines, n_lines + 1) * p.b / p.m, lines])
+    return SpectrumResult(grid=np.arange(-n, n + 1) * step, continuous=continuous,
+                          lines=lines, params=p)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lorachirp
-from lorachirp import (LoraParams, fresnel_spectrum, spectrum, w_integral,
+from lorachirp import (LoraParams, fresnel_spectrum, spectrum, w_integral, waveform_at,
                        waveform_fourier_transform)
 from lorachirp.spectrum import _kfun
 from oracles import (chirp_integral_quadrature, continuous_psd_loop,
@@ -104,10 +104,29 @@ def test_fourier_transform_symbols_differ_but_share_energy():
 
 
 def test_continuous_psd_is_symmetric_and_nonnegative():
-    p = LoraParams(sf=5, b=1.0)
-    g = fresnel_spectrum(p, f_max=3.0).continuous
-    assert np.all(g >= 0)
-    np.testing.assert_allclose(g[::-1], g, rtol=1e-9)
+    # Time reversal maps symbol l onto (M - l) mod M, so
+    # X(-f; l) = e^{j*2*pi*f*Ts} * X(f; (M - l) mod M) and sum_l |X|^2 and
+    # |sum_l X| are even.  The engine computes f >= 0 only and mirrors it, so
+    # the evenness is checked on the waveform and the per-symbol transforms.
+    for sf in (3, 5, 8):
+        p = LoraParams(sf=sf, b=125e3)
+        t = (np.arange(999) + 0.37) * p.ts / 999
+        for l in range(p.m):
+            reversed_l = waveform_at(p, l, p.ts - t)
+            assert np.max(np.abs(reversed_l - waveform_at(p, (p.m - l) % p.m, t))) <= 1e-11
+        # on and off the lattices n*B/(k*M)
+        f = p.b / p.m * np.array([0.0, 0.37, 1.0, 2.5, 7.13, p.m / 2 + 0.41, 1.7 * p.m])
+        sum_abs2, sum_x = transform_sums_loop(p, f)
+        sum_abs2_neg, sum_x_neg = transform_sums_loop(p, -f)
+        np.testing.assert_allclose(sum_abs2_neg, sum_abs2, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(np.abs(sum_x_neg), np.abs(sum_x), rtol=0,
+                                   atol=1e-11 * np.sqrt(p.m * sum_abs2).max())
+    res = fresnel_spectrum(LoraParams(sf=5, b=1.0), f_max=3.0)
+    assert np.all(res.continuous >= 0)
+    assert np.array_equal(res.grid, -res.grid[::-1])
+    assert np.array_equal(res.continuous, res.continuous[::-1])
+    assert np.array_equal(res.line_frequencies, -res.line_frequencies[::-1])
+    assert np.array_equal(res.line_powers, res.line_powers[::-1])
 
 
 def test_continuous_psd_integrates_to_one_minus_discrete_share():
@@ -229,7 +248,8 @@ def test_continuous_psd_on_the_lines_is_m_minus_1_times_the_line(sf):
 @pytest.mark.parametrize("sf", [3, 7, 10, 12])
 def test_line_lattice_builds_only_the_e_window_sums(monkeypatch, sf):
     # k = 1: each window sum of E_l = exp(-j*pi*u_l^2/M) over l = 0..M-1 is the
-    # quadratic Gauss sum sqrt(M)*e^{-j*pi/4}, and no beta window sums are built
+    # quadratic Gauss sum sqrt(M)*e^{-j*pi/4}, one per n = 0..4M (f >= 0 only),
+    # and no beta window sums are built
     seen = []
 
     def spy(p, d_top, d_bot, w, s_e, beta_sums=None):
@@ -242,7 +262,7 @@ def test_line_lattice_builds_only_the_e_window_sums(monkeypatch, sf):
     fresnel_spectrum(p, step=p.b / p.m)
     assert all(beta_sums is None for _, beta_sums in seen)
     s_e = np.concatenate([s for s, _ in seen])
-    assert len(s_e) == 2 * (8 * p.m + 1)
+    assert len(s_e) == 8 * p.m + 1
     gauss = np.sqrt(p.m) * np.exp(-1j * np.pi / 4)
     assert np.max(np.abs(s_e - gauss)) <= 1e-12 * np.sqrt(p.m)
 
@@ -380,10 +400,13 @@ def test_fresnel_spectrum_matches_40_digit_psd(sf):
     mid = len(res.grid) // 2
     rows = [r for r in _REFERENCE["psd"] if (r["sf"], r["k"]) == (sf, k)]
     assert [r["n"] for r in rows] == [8 * k * M + 1, 32 * k * M + 1, 128 * k * M - 1]
-    rel = [abs(res.continuous[mid + r["n"]] - float(r["gc"])) / float(r["gc"]) for r in rows]
-    assert max(rel) <= 5e-10
-    # the far tail: with scipy's rounded phase, SF 8 was 5.5e-9 off at 128B
-    assert rel[-1] <= 1e-10
+    # Gc is even, so each reference value is read at +n and at -n
+    for sign in (1, -1):
+        rel = [abs(res.continuous[mid + sign * r["n"]] - float(r["gc"])) / float(r["gc"])
+               for r in rows]
+        assert max(rel) <= 5e-10
+        # the far tail: with scipy's rounded phase, SF 8 was 5.5e-9 off at 128B
+        assert rel[-1] <= 1e-10
 
 
 @pytest.mark.parametrize("call,named", [
