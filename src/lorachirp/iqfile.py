@@ -7,6 +7,7 @@ file is written by _write_csv; CSV captures and binned spectra are read by _read
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -45,18 +46,107 @@ class IqFileHeader:
 # rows of a CSV output formatted and written in one go: few enough that
 # the text of a chunk stays far below the columns it is formatted from
 _CSV_ROWS = 256
+# rows _mirrored compares at a time: numpy temporaries of 32 KB a column
+_CSV_CHECK_ROWS = 1 << 12
 # values (rows x columns) per forked child writing a CSV output: a smaller
 # file is formatted inline, where a fork would cost more than it saves
 _CSV_FORK_VALUES = 1 << 16
 
 
-def _csv_text(cols: list, lo: int, hi: int):
-    """The text of rows lo..hi-1 of the columns `cols`, _CSV_ROWS rows at a
-    time: each number is the repr of the Python float or int that
-    tolist() makes of it, ',' between fields and '\r\n' after each row."""
+@contextlib.contextmanager
+def _replacing(path):
+    """The descriptor of a new file beside path (beside the target of a
+    symlink there), open for writing, with the permission bits of the file
+    at path if there is one, as open() keeps them.  Once the block ends
+    the descriptor is closed and the new file renamed onto path; on any
+    error the new file is removed and path is left as it was.  A path
+    that names a device or FIFO (/dev/null, /dev/stdout) keeps no contents
+    to protect and must not be replaced by a file: it is opened itself."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
+        return
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+    try:  # O_EXCL never opens an existing file; the umask applies, as for open()
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as open(path) would name it
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        if mode is not None:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        try:
+            yield fd
+        finally:
+            os.close(fd)
+        # renaming onto an existing file would make ext4 (auto_da_alloc)
+        # start writing the new one back at once; a buffer read_iq returned
+        # keeps the unlinked file open, so its samples stay as they were
+        try:
+            os.unlink(target)
+        except FileNotFoundError:
+            pass
+    except BaseException:
+        os.unlink(temp)
+        raise
+    # the old file is gone: should the rename fail, the new one is kept
+    os.rename(temp, target)
+
+
+def _csv_text(cols: list, lo: int, hi: int) -> str:
+    """The text of rows lo..hi-1 (at least one) of the columns `cols`:
+    each number is the repr of the Python float or int that tolist() makes
+    of it, ',' between fields and '\r\n' after each row."""
+    fields = [map(repr, c[lo:hi].tolist()) for c in cols]
+    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
+
+
+def _mirrored(cols: list) -> bool:
+    """Whether the table `cols` (float or int columns) is its own mirror
+    image about its middle row n // 2: n is odd, and for each row i before
+    the middle and its mirror row n - 1 - i, the first column holds x > 0
+    at the mirror and -x at i, and every other column the same bits at
+    both.  As repr(-x) is '-' + repr(x) for every positive float or int,
+    the text of row i is then '-' + the text of its mirror row."""
+    n = len(cols[0])
+    if n % 2 == 0 or any(c.dtype.kind not in "fi" for c in cols):
+        return False
+    for lo, hi in _spans(n // 2, _CSV_CHECK_ROWS):
+        (x, mirror), *rest = [(c[lo:hi], c[n - hi:n - lo][::-1]) for c in cols]
+        if not (np.all(mirror > 0) and np.array_equal(x, -mirror)):
+            return False
+        for a, b in rest:  # == alone takes -0.0 for 0.0
+            if not (np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))):
+                return False
+    return True
+
+
+def _format_part(cols: list, lo: int, hi: int, first: int, upper, lower) -> None:
+    """Write the text of rows lo..hi-1 to the binary file `upper`, then,
+    for those from row `first` on, '-' + their text to the binary file
+    `lower` in descending row order: the text of their mirror rows, in
+    file order, when the table is mirrored and first is the row after the
+    middle.  Both are written _CSV_ROWS rows at a time, the reflected text
+    from `upper` read back a chunk at a time, and flushed."""
+    chunks, offset = [], 0  # (first row, offset, size) of each chunk to reflect
     for a, b in _spans(hi, _CSV_ROWS, lo):
-        fields = [map(repr, c[a:b].tolist()) for c in cols]
-        yield "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
+        text = _csv_text(cols, a, b).encode("ascii")
+        upper.write(text)
+        if b > first:
+            chunks.append((a, offset, len(text)))
+        offset += len(text)
+    upper.flush()
+    for a, offset, size in reversed(chunks):
+        rows = os.pread(upper.fileno(), size, offset).split(b"\r\n")[max(0, first - a):-1]
+        lower.write(b"-" + b"\r\n-".join(reversed(rows)) + b"\r\n")
+    lower.flush()
 
 
 def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = ()) -> None:
@@ -65,60 +155,77 @@ def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = (
     default layout: ',' between fields and '\r\n' after each row.  Every
     number is written as its repr, so floats read back exactly.
 
-    A file of at least 2 * _CSV_FORK_VALUES values, written on several
-    CPUs by a process with no other thread, has its rows cut into one
-    contiguous part per CPU (at most one per _CSV_FORK_VALUES values).
-    After the comments and header are flushed, a forked child formats
-    each part after the first into an anonymous spill file while this
-    process formats the first part into the output; then each child is
-    reaped in order and its spill file copied onto the output, so the
-    bytes are those of a one-CPU run.  A child that fails is an OSError
-    naming path.  No child or spill file outlives the call, on any exit.
-    Rows are formatted and written _CSV_ROWS at a time by every process,
-    so the text never exists whole, in any process."""
+    The file is written beside path and renamed onto it once whole (see
+    _replacing): a failed write leaves the old file as it was.  A table
+    that is its own mirror image (see _mirrored), as every spectrum is,
+    has only its middle row and the rows after it formatted; each row
+    before the middle is '-' + the text of its mirror row, copied as
+    bytes.
+
+    The rows that are formatted are cut into one contiguous part per CPU
+    (at most one per _CSV_FORK_VALUES values), when this process has no
+    other thread and more than one part is called for.  After the
+    comments and header are flushed, a forked child formats each part
+    after the first into anonymous spill files while this process formats
+    the first; each process writes its rows' text, and their reflected
+    text in descending row order.  Then each child is reaped in order and
+    the output assembled: the reflected texts in reverse part order, then
+    the texts in part order, so the bytes are those of a one-CPU run.  The
+    first part of a table that is not mirrored goes straight onto the
+    output.  A child that fails is an OSError naming path and the rows it
+    formatted.  No child or spill file outlives the call, on any exit.
+    Every process formats and writes _CSV_ROWS rows at a time, so the
+    text never exists whole, in any process."""
+    import shutil
+    import signal
+    import tempfile
     n = len(cols[0])
+    mirrored = _mirrored(cols)
+    # the rows start..n-1 are formatted; the text of those from `first` on is reflected
+    start, first = (n // 2, n // 2 + 1) if mirrored else (0, n)
     n_parts = 1
     # a fork copies only the calling thread: another thread's locks could be held
     if hasattr(os, "fork") and threading.active_count() == 1:
-        n_parts = max(1, min(params._cpu_count(), n * len(cols) // _CSV_FORK_VALUES))
-    bounds = [i * n // n_parts for i in range(n_parts + 1)]
-    with open(path, "w", newline="") as fh:
+        n_parts = max(1, min(params._cpu_count(), (n - start) * len(cols) // _CSV_FORK_VALUES))
+    bounds = [start + i * (n - start) // n_parts for i in range(n_parts + 1)]
+    parts = list(zip(bounds, bounds[1:]))
+    with _replacing(path) as fd, open(fd, "w", newline="", closefd=False) as fh:
         fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header_cols) + "\r\n")
-        import shutil
-        import signal
-        import tempfile
         fh.flush()  # a child must inherit no unwritten text
-        pids, spills = [], []
+        out = fh.buffer
+        pids, files = [], []  # each part's text and reflected text
         try:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                spills.append(tempfile.TemporaryFile())
+            for i in range(n_parts):
+                files.append((out if i == 0 and not mirrored else tempfile.TemporaryFile(),
+                              tempfile.TemporaryFile()))
+            for (lo, hi), spills in zip(parts[1:], files[1:]):
                 pid = os.fork()
                 if pid == 0:  # the child: never returns into the caller's stack
                     try:
-                        spills[-1].writelines(text.encode(fh.encoding)
-                                              for text in _csv_text(cols, lo, hi))
-                        spills[-1].flush()
+                        _format_part(cols, lo, hi, first, *spills)
                         os._exit(0)
                     finally:
                         os._exit(1)
                 pids.append(pid)
-            fh.writelines(_csv_text(cols, 0, bounds[1]))
-            fh.flush()
-            for lo, hi, spill in zip(bounds[1:], bounds[2:], spills):
+            _format_part(cols, *parts[0], first, *files[0])
+            for lo, hi in parts[1:]:
                 status = os.waitpid(pids[0], 0)[1]
                 del pids[0]
                 if status:
                     raise OSError(f"cannot write {path}: the process formatting rows "
                                   f"{lo}..{hi - 1} exited with status "
                                   f"{os.waitstatus_to_exitcode(status)}")
-                spill.seek(0)
-                shutil.copyfileobj(spill, fh.buffer)
+            for spill in [lower for _, lower in reversed(files)] + [upper for upper, _ in files]:
+                if spill is not out:
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, out)
         finally:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            for spill in spills:
-                spill.close()
+            for spill in [f for pair in files for f in pair]:
+                if spill is not out:
+                    spill.close()
 
 
 def _read_csv(path, what: str, names: list[str]) -> tuple[dict, list[np.ndarray]]:
@@ -170,14 +277,10 @@ def _unfit(path: Path) -> ValueError:
 def _write_f32(buffer: IqBuffer, path: Path) -> None:
     """Write the interleaved float32 capture at path (at the target of a
     symlink there) through a new file beside it, which is renamed onto
-    path once every block has been narrowed, checked and written.  On any
-    error, a sample that does not fit float32 (ValueError) included, the
-    new file is removed and path is left as it was."""
-    target = Path(os.path.realpath(path))
-    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
-    # O_EXCL never opens an existing file; the umask applies, as for open()
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-
+    path once every block has been narrowed, checked and written (see
+    _replacing, which writes a device at path in place).  On any error, a sample that does not fit float32
+    (ValueError) included, the new file is removed and path is left as it
+    was."""
     def write(part: list) -> tuple:
         payload = np.empty(2 * min(len(buffer), _BLOCK_SAMPLES), dtype="<f4")
         # a float64 narrows to a finite float32 exactly when its magnitude
@@ -196,27 +299,8 @@ def _write_f32(buffer: IqBuffer, path: Path) -> None:
                     data, offset = data[done:], offset + done
         return ()
 
-    try:
-        try:  # keep the permission bits of a capture already there, as open() does
-            os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
-        except FileNotFoundError:
-            pass
-        try:
-            _map_chunks(write, _spans(len(buffer), _BLOCK_SAMPLES))
-        finally:
-            os.close(fd)
-        # renaming onto an existing file would make ext4 (auto_da_alloc)
-        # start writing the new one back at once; a buffer read_iq returned
-        # keeps the unlinked file open, so its samples stay as they were
-        try:
-            os.unlink(target)
-        except FileNotFoundError:
-            pass
-    except BaseException:
-        os.unlink(temp)
-        raise
-    # the old file is gone: should the rename fail, the new one is kept
-    os.rename(temp, target)
+    with _replacing(path) as fd:
+        _map_chunks(write, _spans(len(buffer), _BLOCK_SAMPLES))
 
 
 def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
@@ -238,8 +322,9 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     replaced); then the sidecar is written.  A failed or interrupted
     write removes the new file.  A buffer that read_iq returned for the
     old file keeps reading it, unchanged.  The CSV format reads `samples`
-    once and checks them before it opens path; a large capture's rows are
-    formatted on every CPU, as _write_csv does for every CSV output.
+    once and checks them before it opens path; its rows are written as
+    _write_csv writes every CSV output, through a new file beside path
+    too, and a large capture's rows are formatted on every CPU.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)

@@ -586,29 +586,57 @@ def _csv_text(comments, header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("ps_dbm", [None, 14.0])
-def test_cli_spectrum_csv_bytes(tmp_path, capsys, ps_dbm):
+def test_cli_output_into_a_missing_directory_names_the_output(tmp_path, capsys, iq):
+    # the new file is made beside the output, but the error names the output
+    psd = tmp_path / "missing" / "psd.csv"
+    assert main(["spectrum", "--sf", "3", "--bw", "125e3", "--out-psd", str(psd),
+                 "--out-lines", str(tmp_path / "lines.csv")]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{psd}'\n"
+    capture = tmp_path / "missing" / "x.iq"
+    with pytest.raises(OSError) as exc:
+        write_iq(iq, capture)
+    assert str(exc.value) == (f"failed writing IQ capture {capture}: "
+                              f"[Errno 2] No such file or directory: '{capture}'")
+
+
+def _check_spectrum_csv_bytes(tmp_path, capsys, sf, ps_dbm):
     # every number is the repr of a float computed one grid point at a time
     psd, lines = tmp_path / "psd.csv", tmp_path / "lines.csv"
-    argv = ["spectrum", "--sf", "3", "--bw", "125e3",
+    argv = ["spectrum", "--sf", str(sf), "--bw", "125e3",
             "--out-psd", str(psd), "--out-lines", str(lines)]
     if ps_dbm is not None:
         argv += ["--ps-dbm", str(ps_dbm)]
     assert main(argv) == 0
     capsys.readouterr()
-    res = fresnel_spectrum(LoraParams(sf=3, b=125e3))
+    res = fresnel_spectrum(LoraParams(sf=sf, b=125e3))
     scale = 10.0 ** (ps_dbm / 10.0) if ps_dbm is not None else 1.0
     unit = "mw" if ps_dbm is not None else "fraction"
     assert psd.read_bytes() == _csv_text(
-        ["sf=3 bw_hz=125000.0",
+        [f"sf={sf} bw_hz=125000.0",
          "psd_db_rel_b = 10*log10(Gc(f)*B) of the unit-power envelope"],
         ["frequency_hz", f"psd_{unit}_per_hz", "psd_db_rel_b"],
         [(repr(float(f)), repr(float(g * scale)),
           repr(float(10 * np.log10(max(g * 125e3, 1e-30)))))
          for f, g in zip(res.grid, res.continuous)])
     assert lines.read_bytes() == _csv_text(
-        ["sf=3 bw_hz=125000.0"], ["frequency_hz", f"power_{unit}"],
+        [f"sf={sf} bw_hz=125000.0"], ["frequency_hz", f"power_{unit}"],
         [(repr(float(f)), repr(float(pw * scale))) for f, pw in res.lines])
+
+
+@pytest.mark.parametrize("ps_dbm", [None, 14.0])
+def test_cli_spectrum_csv_bytes(tmp_path, capsys, ps_dbm):
+    _check_spectrum_csv_bytes(tmp_path, capsys, 3, ps_dbm)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("n_cpus", [2, 3])
+def test_cli_spectrum_csv_bytes_when_forked(tmp_path, capsys, forks, n_cpus):
+    # SF 7's PSD has 131 073 rows: its middle row and the 65 536 after it
+    # are cut into parts of uneven length, formatted by n_cpus processes
+    pids = forks(n_cpus)
+    _check_spectrum_csv_bytes(tmp_path, capsys, 7, None)
+    assert len(pids) == 2 * (n_cpus - 1)
+    assert (tmp_path / "psd.csv").read_bytes().count(b"\r\n") == 131_074
 
 
 @pytest.fixture
@@ -636,69 +664,148 @@ def _fd_count() -> int | None:
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+def _csv_reference(cols, names, comments=()) -> bytes:
+    """csv.writer's text of the columns `cols`, the repr of each value."""
+    return _csv_text(comments, names, [tuple(map(repr, row))
+                                       for row in zip(*(c.tolist() for c in cols))])
+
+
+def _mirror_table(n: int) -> list:
+    """A table of odd n rows that is its own mirror image about its middle
+    row: x = k/10 for k = -(n // 2)..n // 2, an even int column and an
+    even float column with -0.0, 5e-324 and 1e308 at mirrored rows."""
+    k = np.arange(-(n // 2), n // 2 + 1)
+    y = 1.0 / (1 + np.abs(k))
+    for i, v in enumerate([-0.0, 5e-324, 1e308][:n // 2]):
+        y[i] = y[n - 1 - i] = v
+    return [k / 10, np.abs(k) - 3, y]
+
+
+def _near_mirrors(n: int) -> dict:
+    """Tables that miss being their own mirror image by one value or by
+    their row count, and so are written as plain tables."""
+    if n % 2 == 0:  # no middle row: x = +-0.5, +-1.5, ...
+        x = np.arange(n) - (n - 1) / 2
+        return {"even rows": [x, np.abs(2 * x).astype(np.int64), 1.0 / (1 + np.abs(x))]}
+    if n == 1:
+        return {}
+    x, k, y = _mirror_table(n)
+    last_bit, signed_zero, zero_x = y.copy(), y.copy(), x.copy()
+    last_bit.view(np.int64)[-1] ^= 1  # -5e-324 where its mirror is -0.0
+    signed_zero[-1] = 0.0  # equal to its mirror -0.0 under ==
+    zero_x[n // 2 - 1], zero_x[n // 2 + 1] = -0.0, 0.0
+    return {"last bit": [x, k, last_bit], "signed zero": [x, k, signed_zero],
+            "zero x": [zero_x, k, y], "negative x": [-x, k, y]}
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 7, 1000, 1001])
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
 def test_write_csv_bytes_match_csv_writer(tmp_path, forks, n_cpus, n_rows):
-    # 7 and 1000 rows do not split evenly into 2 or 3 parts; a strided
-    # view (the real part of a complex array, as write_iq passes) and an
-    # int column are formatted like any other
+    # 7, 1000 and 1001 rows do not split evenly into 2 or 3 parts; a
+    # strided view (the real part of a complex array, as write_iq passes)
+    # and an int column are formatted like any other.  A mirror table has
+    # only its middle row and the rows after it formatted, and copies the
+    # text of the rows before it; a near-mirror is formatted in full
     pids = forks(n_cpus)
     special = [-0.0, 5e-324, 1e308, -1e308, 0.1]
     x = np.array([complex(special[i] if i < 5 else i / 3, -i / 7) for i in range(n_rows)])
     ints = np.arange(n_rows, dtype=np.int64) - 3
+    tables = {"plain": [x.real, ints, x.imag], **_near_mirrors(n_rows)}
+    if n_rows % 2:
+        tables["mirror"] = _mirror_table(n_rows)
     path = tmp_path / "out.csv"
-    iqfile._write_csv(path, ["x", "k", "y"], [x.real, ints, x.imag], comments=["a=1", "b"])
-    assert path.read_bytes() == _csv_text(
-        ["a=1", "b"], ["x", "k", "y"],
-        [(repr(float(a)), repr(int(k)), repr(float(b)))
-         for a, k, b in zip(x.real, ints, x.imag)])
+    for name, cols in tables.items():
+        # a one-row table is its middle row, and trivially its own mirror image
+        assert iqfile._mirrored(cols) == (name == "mirror" or n_rows == 1), name
+        pids.clear()
+        iqfile._write_csv(path, ["x", "k", "y"], cols, comments=["a=1", "b"])
+        assert path.read_bytes() == _csv_reference(cols, ["x", "k", "y"], ["a=1", "b"]), name
+        assert len(pids) == (n_cpus - 1 if n_rows else 0)
+        with pytest.raises(ChildProcessError):  # every child has been reaped
+            os.waitpid(-1, os.WNOHANG)
+    iqfile._write_csv(path, ["x", "k", "y"], tables["plain"], comments=["a=1", "b"])
     assert path.read_text().splitlines()[3:6] == [
         "-0.0,-3,0.0", "5e-324,-2,-0.14285714285714285", "1e+308,-1,-0.2857142857142857"
     ][:n_rows]
-    assert len(pids) == (n_cpus - 1 if n_rows else 0)
-    with pytest.raises(ChildProcessError):  # every child has been reaped
-        os.waitpid(-1, os.WNOHANG)
+    if n_rows == 7:
+        iqfile._write_csv(path, ["x", "k", "y"], tables["mirror"], comments=["a=1", "b"])
+        lines = path.read_text().splitlines()
+        assert lines[3:6] == ["-0.3,0,-0.0", "-0.2,-1,5e-324", "-0.1,-2,1e+308"]
+        assert lines[-3:] == ["0.1,-2,1e+308", "0.2,-1,5e-324", "0.3,0,-0.0"]
+
+
+_OLD_CSV = b"a,b\r\n1.0,2.0\r\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_failing_csv_child_raises_and_leaves_nothing(tmp_path, forks, monkeypatch):
+    # three parts of the plain table's rows 0..8, and of the mirror table's
+    # formatted rows 4..8: the parent's first part ends at row 3, or 5
     forks(3)
     text = iqfile._csv_text
+    plain, mirror = np.arange(9.0), np.arange(-4.0, 5.0)
+    for cols, parent_hi, rows in [([plain, plain], 3, "3..5"),
+                                  ([mirror, np.abs(mirror)], 5, "5..6")]:
+        def failing_after_the_first_part(cols, lo, hi):
+            if lo >= parent_hi:
+                raise RuntimeError("formatting failed")
+            return text(cols, lo, hi)
 
-    def failing_after_the_first_part(cols, lo, hi):
-        if lo > 0:
-            raise RuntimeError("formatting failed")
-        return text(cols, lo, hi)
-
-    monkeypatch.setattr(iqfile, "_csv_text", failing_after_the_first_part)
-    fds = _fd_count()
-    path = tmp_path / "out.csv"
-    with pytest.raises(OSError, match=rf"^cannot write {re.escape(str(path))}: the process "
-                                      r"formatting rows 3\.\.5 exited with status 1$"):
-        iqfile._write_csv(path, ["a", "b"], [np.arange(9.0), np.arange(9.0)])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _fd_count() == fds
+        monkeypatch.setattr(iqfile, "_csv_text", failing_after_the_first_part)
+        fds = _fd_count()
+        path = tmp_path / "out.csv"
+        path.write_bytes(_OLD_CSV)
+        with pytest.raises(OSError, match=rf"^cannot write {re.escape(str(path))}: the process "
+                                          rf"formatting rows {re.escape(rows)} exited with "
+                                          r"status 1$"):
+            iqfile._write_csv(path, ["a", "b"], cols)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert _fd_count() == fds
+        # the old file is kept, and the new one beside it removed
+        assert path.read_bytes() == _OLD_CSV
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_failing_csv_parent_kills_its_children(tmp_path, forks, monkeypatch):
     forks(3)
     text = iqfile._csv_text
+    plain, mirror = np.arange(9.0), np.arange(-4.0, 5.0)
+    for cols, parent_lo in [([plain], 0), ([mirror], 4)]:
+        def failing_in_the_parent(cols, lo, hi):
+            if lo == parent_lo:
+                raise KeyboardInterrupt
+            return text(cols, lo, hi)
 
-    def failing_in_the_parent(cols, lo, hi):
-        if lo == 0:
-            raise KeyboardInterrupt
-        return text(cols, lo, hi)
+        monkeypatch.setattr(iqfile, "_csv_text", failing_in_the_parent)
+        fds = _fd_count()
+        path = tmp_path / "out.csv"
+        path.write_bytes(_OLD_CSV)
+        with pytest.raises(KeyboardInterrupt):
+            iqfile._write_csv(path, ["a"], cols)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert _fd_count() == fds
+        assert path.read_bytes() == _OLD_CSV
+        assert os.listdir(tmp_path) == ["out.csv"]
 
-    monkeypatch.setattr(iqfile, "_csv_text", failing_in_the_parent)
-    fds = _fd_count()
-    with pytest.raises(KeyboardInterrupt):
-        iqfile._write_csv(tmp_path / "out.csv", ["a"], [np.arange(9.0)])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _fd_count() == fds
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_write_csv_writes_into_a_fifo_and_leaves_it_in_place(tmp_path):
+    # a FIFO (as /dev/stdout can be) holds no old file to keep: it is
+    # written to, never replaced by a regular file
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cols = [np.arange(-2.0, 3.0), np.arange(5)]
+    iqfile._write_csv(fifo, ["x", "k"], cols)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [_csv_reference(cols, ["x", "k"])]
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_write_csv_does_not_fork_on_one_cpu_or_beside_a_thread(tmp_path, forks, monkeypatch):
@@ -725,19 +832,24 @@ def test_write_csv_does_not_fork_on_one_cpu_or_beside_a_thread(tmp_path, forks, 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_write_csv_holds_no_whole_column_as_python_objects(tmp_path, monkeypatch, n_cpus):
+    # a plain table, and a mirror table of 2^17 + 1 rows whose rows before
+    # the middle are copied from the text of their mirror rows
     monkeypatch.setattr(params, "_cpu_count", lambda: n_cpus)
-    n = 1 << 17
-    cols = [np.linspace(-1e6, 1e6, n), np.random.default_rng(1).random(n), np.arange(n) / 7]
-    tracemalloc.start()
-    try:
-        iqfile._write_csv(tmp_path / "big.csv", ["a", "b", "c"], cols)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # three whole-column lists of Python floats would take about 12 MB
-    assert peak < 1 << 20
-    with (tmp_path / "big.csv").open() as fh:
-        assert sum(1 for _ in fh) == n + 1
+    n, k = 1 << 17, np.arange(-(1 << 16), (1 << 16) + 1)
+    tables = [[np.linspace(-1e6, 1e6, n), np.random.default_rng(1).random(n), np.arange(n) / 7],
+              [k * 976.5625, 1.0 / (1 + k * k), np.abs(k) / 7]]
+    assert iqfile._mirrored(tables[1])
+    for cols in tables:
+        tracemalloc.start()
+        try:
+            iqfile._write_csv(tmp_path / "big.csv", ["a", "b", "c"], cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # three whole-column lists of Python floats would take about 12 MB
+        assert peak < 1 << 20
+        with (tmp_path / "big.csv").open() as fh:
+            assert sum(1 for _ in fh) == len(cols[0]) + 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
