@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import max_cross_correlation
-from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite,
-                     _finite_power, _integer, _json_object, _map_chunks, _real, _spans)
+from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _finite_array,
+                     _finite_power, _integer, _json_object, _map_chunks, _positive, _real, _spans)
 from .spectrum import SpectrumResult, fresnel_spectrum
 
 _TINY = 1e-30
@@ -28,9 +28,7 @@ def bit_rate(p: LoraParams) -> float:
 
 def spectral_efficiency(sf: int) -> float:
     """Modulation spectral efficiency sf / 2^sf in bit/s/Hz."""
-    sf = _integer(sf, "sf")
-    if sf < 1:
-        raise ValueError(f"sf must be a positive integer, got {sf!r}")
+    sf = _integer(sf, "sf", lo=1)
     return sf / (1 << sf)
 
 
@@ -40,19 +38,12 @@ def _cumulative_trapezoid(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def _check_bin_width(delta_f: float) -> None:
-    """ValueError unless delta_f is a finite positive real number."""
-    if not (np.isfinite(_real(delta_f, "delta_f")) and delta_f > 0):
-        raise ValueError(f"delta_f must be finite and positive, got {delta_f!r}")
-
-
 def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
                     delta_f: float, ps_dbm: float, lines=None) -> np.ndarray:
     """dBm per delta_f at transmit power ps_dbm: the trapezoid integral of
     density over [c - delta_f/2, c + delta_f/2] for each center c, plus
     the powers of lines = (bin indices, powers) added into their bins."""
-    if not np.isfinite(_real(ps_dbm, "ps_dbm")):
-        raise ValueError(f"ps_dbm must be a finite number, got {ps_dbm!r}")
+    ps_dbm = _real(ps_dbm, "ps_dbm")
     cum = _cumulative_trapezoid(grid, density)
     power = (np.interp(centers + delta_f / 2, grid, cum)
              - np.interp(centers - delta_f / 2, grid, cum))
@@ -105,10 +96,7 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
     if spectrum is None:
         k = max(1, 512 // p.m)
         spectrum = fresnel_spectrum(p, f_max=4.0 * p.b, step=p.b / (k * p.m))
-    if tol is None:
-        tol = 1e-3 * p.b
-    if not (np.isfinite(_real(tol, "tol")) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    tol = 1e-3 * p.b if tol is None else _positive(tol, "tol")
     grid = spectrum.grid
     cum = _cumulative_trapezoid(grid, spectrum.continuous)
     lines_within = _lines_within(spectrum)
@@ -163,9 +151,7 @@ def reproduce_table(sf_list) -> list[TableRow]:
     """
     rows = []
     for sf in sf_list:
-        sf = _integer(sf, "sf")
-        if not 3 <= sf <= 12:
-            raise ValueError(f"sf values must lie in [3, 12], got {sf}")
+        sf = _integer(sf, "sf", 3, 12)
         p = LoraParams(sf=sf, b=1.0)
         mc = max_cross_correlation(p)
         b99 = occupied_bandwidth(p, 0.99)
@@ -206,9 +192,8 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     spectrum span.  Bins are half-open, so a line falling exactly on an
     edge is counted once, in the upper bin.
     """
-    _check_bin_width(delta_f)
-    if not np.isfinite(_real(origin, "origin")):
-        raise ValueError(f"origin must be a finite number, got {origin!r}")
+    delta_f = _positive(delta_f, "delta_f")
+    origin = _real(origin, "origin")
     grid = spec.grid
     k_lo = int(np.ceil((grid[0] + delta_f / 2 - origin) / delta_f - 1e-9))
     k_hi = int(np.floor((grid[-1] - delta_f / 2 - origin) / delta_f + 1e-9))
@@ -237,14 +222,10 @@ class MaskSegment:
     rbw_hz: float
 
     def __post_init__(self):
-        for key in _MASK_KEYS:
-            if not np.isfinite(_real(getattr(self, key), f"mask segment {key}")):
-                raise ValueError(
-                    f"mask segment {key} must be a finite number, got {getattr(self, key)!r}")
+        for key, check in zip(_MASK_KEYS, (_real, _real, _real, _positive)):
+            object.__setattr__(self, key, check(getattr(self, key), f"mask segment {key}"))
         if self.f_stop_hz <= self.f_start_hz:
             raise ValueError(f"empty mask segment [{self.f_start_hz}, {self.f_stop_hz})")
-        if self.rbw_hz <= 0:
-            raise ValueError(f"rbw_hz must be positive, got {self.rbw_hz}")
 
 
 @dataclass(frozen=True)
@@ -360,8 +341,7 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
     A non-finite level in a checked bin raises ValueError naming the
     segment; so do a non-finite carrier f0 and unequal-length arrays.
     """
-    if not np.isfinite(_real(f0, "carrier frequency f0")):
-        raise ValueError(f"carrier frequency f0 must be a finite number, got {f0!r}")
+    f0 = _real(f0, "carrier frequency f0")
     if len(binned.bin_centers) != len(binned.bin_power_dbm):
         raise ValueError(f"binned spectrum has {len(binned.bin_centers)} bin centers "
                          f"but {len(binned.bin_power_dbm)} levels")
@@ -416,10 +396,7 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     under a segment or not, or one whose |x|^2 overflows) raises
     ValueError.
     """
-    segment_len = _integer(segment_len, "segment_len")
-    if segment_len < 2 or segment_len > len(iq):
-        raise ValueError(
-            f"segment_len must be in [2, {len(iq)}], got {segment_len}")
+    segment_len = _integer(segment_len, "segment_len", 2, len(iq))
     if not 0.0 <= _real(overlap, "overlap") < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     if not isinstance(window, str) or window not in _WINDOWS:
@@ -476,12 +453,14 @@ def bin_estimate(freqs: np.ndarray, psd: np.ndarray, centers: np.ndarray,
     """Integrate a PSD estimate into the same bins as binned_power.
 
     Returns levels in dBm per delta_f at transmit power ps_dbm, for
-    comparing estimates against analytic binned spectra.  freqs must be
-    strictly ascending and as long as psd, and delta_f finite and
-    positive, otherwise ValueError.
+    comparing estimates against analytic binned spectra.  freqs, psd and
+    centers must hold only finite numbers, freqs must be strictly
+    ascending and as long as psd, and delta_f finite and positive,
+    otherwise ValueError.
     """
-    _check_bin_width(delta_f)
-    freqs, psd = np.asarray(freqs, dtype=float), np.asarray(psd, dtype=float)
+    delta_f = _positive(delta_f, "delta_f")
+    freqs, psd, centers = (_finite_array(freqs, "freqs"), _finite_array(psd, "psd"),
+                           _finite_array(centers, "centers"))
     if freqs.ndim != 1 or freqs.shape != psd.shape:
         raise ValueError(f"freqs and psd must be 1-D and of equal length, "
                          f"got shapes {freqs.shape} and {psd.shape}")

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import params
-from .params import (_BLOCK_SAMPLES, IqBuffer, _all_finite, _check_fs, _finite,
-                     _json_object, _map_chunks, _real, _spans)
+from .params import (_BLOCK_SAMPLES, IqBuffer, _all_finite, _finite, _json_object, _map_chunks,
+                     _positive, _real, _spans)
 
 FORMAT_F32 = "interleaved-f32-le"
 FORMAT_CSV = "csv"
@@ -38,9 +38,8 @@ class IqFileHeader:
     def __post_init__(self):
         if self.format not in (FORMAT_F32, FORMAT_CSV):
             raise ValueError(f"unknown IQ format {self.format!r}")
-        _check_fs(self.fs)
-        if not math.isfinite(_real(self.center_freq, "center_freq")):
-            raise ValueError(f"center_freq must be a finite number, got {self.center_freq}")
+        object.__setattr__(self, "fs", _positive(self.fs, "fs"))
+        object.__setattr__(self, "center_freq", _real(self.center_freq, "center_freq"))
 
 
 # rows of a CSV output formatted and written in one go: few enough that
@@ -359,8 +358,6 @@ def read_header(header_path) -> tuple[IqFileHeader, int | None]:
         raise ValueError(f"IQ sidecar {header_path} is missing fs_hz")
     where = f"IQ sidecar {header_path}:"
     fs = _finite(doc["fs_hz"], f"{where} 'fs_hz'")
-    if not fs > 0:
-        raise ValueError(f"{where} 'fs_hz' must be positive, got {fs}")
     center_freq = _finite(doc.get("center_freq_hz", 0.0), f"{where} 'center_freq_hz'")
     try:
         header = IqFileHeader(format=str(doc.get("format", FORMAT_F32)), fs=fs,

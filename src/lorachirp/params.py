@@ -68,24 +68,54 @@ def _all_finite(values: np.ndarray) -> bool:
                                      and np.minimum.reduce(values) > -np.inf))
 
 
-def _integer(value, name: str) -> int:
-    """value as an int; ValueError naming `name` for a bool or a value that
-    is not an integer type (a float such as 7.0 included)."""
+def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int; ValueError naming `name` for a bool, a value that
+    is not an integer type (a float such as 7.0 included), and one below
+    lo or above hi where they are given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
+    return value
 
 
 def _real(value, name: str) -> float:
-    """value as a float, an infinity for an integer too large for one;
-    ValueError naming `name` for a bool or a value that is not a real
-    number."""
+    """value as a finite float (a numpy scalar, a Fraction or an int
+    becomes the nearest float); ValueError naming `name` for a bool, a
+    value that is not a real number, NaN, an infinity and an integer too
+    large for a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _positive(value, name: str) -> float:
+    """_real(value, name), which must also be > 0, else ValueError."""
+    number = _real(value, name)
+    if not number > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return number
+
+
+def _finite_array(values, name: str) -> np.ndarray:
+    """values as a float array; ValueError naming `name` when one of them
+    is NaN, infinite or an int beyond float range."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except OverflowError:
+        values = np.array(math.inf)
+    if not _all_finite(values):
+        raise ValueError(f"{name} must hold only finite numbers")
+    return values
 
 
 def _finite(value, where: str) -> float:
@@ -134,20 +164,17 @@ class LoraParams:
 
     Every waveform is the unit-amplitude complex envelope, of power 1;
     absolute power enters only as ps_dbm, in the analysis layer and the
-    CLI.  The derived quantities m and ts are properties so that
-    b*ts == m holds exactly and cannot drift.
+    CLI.  sf is kept as an int and b as a float, whatever type was given;
+    m and ts are properties, so ts is the float64 M/b and cannot drift.
     """
 
     sf: int
     b: float
 
     def __post_init__(self):
-        if not 1 <= _integer(self.sf, "sf") <= 16:
-            raise ValueError(f"sf must be in [1, 16], got {self.sf}")
-        b = _real(self.b, "b")
-        if not (math.isfinite(b) and b > 0):
-            raise ValueError(f"b must be finite and positive, got {self.b}")
-        if not (_finite_normal(1.0 / b) and _finite_normal((1 << self.sf) / b)):
+        object.__setattr__(self, "sf", _integer(self.sf, "sf", 1, 16))
+        object.__setattr__(self, "b", _positive(self.b, "b"))
+        if not (_finite_normal(self.tc) and _finite_normal(self.ts)):
             raise ValueError(f"b = {self.b} Hz gives a chip duration 1/b or symbol "
                              "duration M/b that is not a finite normal float")
 
@@ -176,9 +203,9 @@ def validate_symbol(p: LoraParams, a) -> int:
 
 
 def _power_ratio(db, name: str) -> float:
-    """10**(db/10) as a float; ValueError naming `name` unless db is a real
-    number and the ratio is finite and positive (NaN and a huge db give
-    NaN or overflow, a hugely negative one gives 0)."""
+    """10**(db/10) as a float; ValueError naming `name` unless db is a
+    finite real number (see _real) whose ratio is finite and positive (a
+    huge db overflows, a hugely negative one gives 0)."""
     try:
         ratio = 10.0 ** (_real(db, name) / 10.0)
     except OverflowError:
@@ -189,17 +216,12 @@ def _power_ratio(db, name: str) -> float:
     return ratio
 
 
-def _check_fs(fs) -> None:
-    if not (math.isfinite(_real(fs, "fs")) and fs > 0):
-        raise ValueError(f"fs must be finite and positive, got {fs}")
-
-
 @dataclass(frozen=True, eq=False)
 class IqBuffer:
     """Uniformly sampled complex baseband signal.
 
     samples: 1-D complex128 array, read-only
-    fs:      sample rate in Hz
+    fs:      sample rate in Hz, kept as a float
 
     The constructor copies `samples`, so the caller's array stays its own.
     Buffers that library functions return, but for a CSV capture, are lazy
@@ -215,7 +237,7 @@ class IqBuffer:
     fs: float
 
     def __post_init__(self):
-        _check_fs(self.fs)
+        object.__setattr__(self, "fs", _positive(self.fs, "fs"))
         arr = np.array(self.samples, dtype=np.complex128, copy=True)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
@@ -227,8 +249,8 @@ class IqBuffer:
         """A buffer of n samples that are never stored whole unless
         `samples` is read: fill(lo, hi, out) writes samples[lo:hi] into the
         complex128 array out of length hi - lo, for any 0 <= lo < hi <= n,
-        and must give the same values every time it is called."""
-        _check_fs(fs)
+        and must give the same values every time it is called.  Its
+        callers pass an fs that is already a checked positive float."""
         buf = object.__new__(cls)
         buf.__dict__.update(_lazy=(n, fill, threading.Lock()), fs=fs)
         return buf

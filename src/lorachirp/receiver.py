@@ -120,9 +120,7 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     noise blocks, each drawn into a scratch of the calling thread that
     keeps the last one drawn.
     """
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _integer(seed, "seed", lo=0)
     ratio = _power_ratio(snr_db, "snr_db")
     nvar = _finite_power(iq) / ratio
     if not np.isfinite(nvar):

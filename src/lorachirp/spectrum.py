@@ -28,11 +28,12 @@ enters as ps_dbm in the analysis layer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LoraParams, Symbol, _real, _spans, validate_symbol
+from .params import LoraParams, Symbol, _finite_array, _positive, _real, _spans, validate_symbol
 
 
 def _load_fresnel(x):
@@ -66,13 +67,14 @@ def w_integral(a, b: float, t1: float, t2: float):
     Closed form via Fresnel integrals:
         (1/(2*sqrt(b))) * e^{-j*2*pi*a^2/(4b)}
             * [K(2*sqrt(b)*(t2 + a/(2b))) - K(2*sqrt(b)*(t1 + a/(2b)))]
-    `a` may be an array (vectorized over frequency offsets).
+    `a` may be an array (vectorized over frequency offsets).  b must be
+    finite and positive, t1 and t2 finite numbers with t1 <= t2, and a
+    must hold only finite numbers, otherwise ValueError.
     """
-    if not b > 0:
-        raise ValueError(f"quadratic chirp rate b must be positive, got {b}")
+    b, t1, t2 = _positive(b, "b"), _real(t1, "t1"), _real(t2, "t2")
     if t1 > t2:
         raise ValueError(f"need t1 <= t2, got {t1} > {t2}")
-    a = np.asarray(a, dtype=float)
+    a = _finite_array(a, "a")
     rb = np.sqrt(b)
     shift = a / (2.0 * b)
     pref = np.exp(-2j * np.pi * a * a / (4.0 * b)) / (2.0 * rb)
@@ -85,10 +87,10 @@ def waveform_fourier_transform(p: LoraParams, l: Symbol, f):
 
     Splits the integral at the frequency-wrap instant tau_l = (M-l)/B;
     each piece is a w_integral with chirp rate B^2/(2M).  `f` may be an
-    array.
+    array, and must hold only finite numbers, otherwise ValueError.
     """
     l = validate_symbol(p, l)
-    f_arr = np.asarray(f, dtype=float)
+    f_arr = _finite_array(f, "f")
     M, B = p.m, p.b
     b = B * B / (2.0 * M)
     tau_l = (M - l) / B
@@ -138,9 +140,10 @@ _MAX_LATTICE = 1 << 22
 def _check_lattice(points, what: str) -> None:
     """ValueError naming `what` unless a lattice table of `points` points
     (an int or a float, possibly inf) fits in _MAX_LATTICE; checked before
-    any of it is allocated."""
+    any of it is allocated.  A size beyond float range reads inf."""
     if not points <= _MAX_LATTICE:
-        raise ValueError(f"{what} needs a lattice table of {_real(points, what):.4g} points, "
+        size = points if points <= sys.float_info.max else math.inf
+        raise ValueError(f"{what} needs a lattice table of {size:.4g} points, "
                          f"more than the {_MAX_LATTICE} a spectrum may hold")
 
 
@@ -356,8 +359,7 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     if f_max is None:
         f_max = 8.0 * p.b
     k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
-    if not (np.isfinite(_real(f_max, "f_max")) and f_max > 0):
-        raise ValueError(f"f_max must be finite and positive, got {f_max}")
+    f_max = _positive(f_max, "f_max")
     step = p.b / (k * p.m)
     # n stays a float until checked: beyond float range it is inf
     n = f_max / step

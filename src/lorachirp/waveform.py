@@ -94,12 +94,10 @@ def _sample_symbols(p: LoraParams, a: np.ndarray, oversample: int) -> np.ndarray
     array of symbols already checked to lie in [0, M); returns a new
     (len(a), oversample*M) array whose rows depend only on their symbol.
     """
-    oversample = _integer(oversample, "oversample")
-    if oversample < 1:
-        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
+    oversample = _integer(oversample, "oversample", lo=1)
     try:
-        rate = oversample * float(p.b)
-    except OverflowError:
+        rate = oversample * p.b
+    except OverflowError:  # an int oversample beyond float range
         rate = math.inf
     if not (_finite_normal(rate) and _finite_normal(1.0 / rate)):
         raise ValueError(f"oversample = {oversample} with b = {p.b} Hz gives a sample rate "
@@ -177,15 +175,17 @@ def _gather_rows(table: np.ndarray, rows: np.ndarray, lo: int, hi: int,
 
 
 def mean_envelope_magnitude(p: LoraParams, t):
-    """|E[x(t;A)]| for equiprobable symbols: (1/M)*|sin(pi*B*t)/sin(pi*B*t/M)|.
+    """|E[x(t;A)]| for equiprobable symbols: |sin(pi*B*t)/(M*sin(pi*B*t/M))|.
 
-    Evaluated through the Dirichlet kernel, which supplies the analytic
-    limit at points where the denominator vanishes (t = 0 gives 1).
+    On [0, Ts) the denominator vanishes only at t = 0, where the value is
+    its limit 1; it is not divided there, so no warning is raised.
     """
-    from scipy.special import diric  # imported on use, so `import lorachirp` loads no scipy
-
     t, scalar = _as_time_array(t, p.ts, closed=False)
-    v = np.abs(diric(2.0 * np.pi * p.b * t / p.m, p.m))
+    half = np.pi * p.b * t / p.m
+    denom = p.m * np.sin(half)
+    v = np.ones_like(half)
+    np.divide(np.sin(p.m * half), denom, out=v, where=denom != 0)
+    np.abs(v, out=v)
     return float(v[0]) if scalar else v
 
 
@@ -195,9 +195,7 @@ def payload_to_symbols(payload: bytes, sf: int) -> list[int]:
     The payload is read as a big-endian bit stream, chunked into SF-bit
     groups (most significant bit first) and zero-padded at the tail.
     """
-    sf = _integer(sf, "sf")
-    if not 1 <= sf <= 16:
-        raise ValueError(f"sf must be in [1, 16], got {sf}")
+    sf = _integer(sf, "sf", 1, 16)
     if len(payload) == 0:
         raise ValueError("payload must be non-empty")
     bits = np.unpackbits(np.frombuffer(bytes(payload), dtype=np.uint8))

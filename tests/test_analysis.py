@@ -85,11 +85,15 @@ else:
 """
 
 
-@pytest.mark.parametrize("tol", ["0.0", "-1.0", "nan", "inf"])
-def test_occupied_bandwidth_rejects_bad_tol(tol):
+@pytest.mark.parametrize("tol, message", [("0.0", "must be positive"),
+                                          ("-1.0", "must be positive"),
+                                          ("nan", "must be a finite number"),
+                                          ("inf", "must be a finite number")],
+                         ids=["0.0", "-1.0", "nan", "inf"])
+def test_occupied_bandwidth_rejects_bad_tol(tol, message):
     proc = _run_python(_BISECT, tol)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("ValueError: tol must be finite and positive")
+    assert proc.stdout.startswith(f"ValueError: tol {message}")
 
 
 def test_occupied_bandwidth_ends_when_the_bracket_cannot_be_split():
@@ -232,26 +236,43 @@ def test_binned_levels_reject_non_finite_power(spec7, ps_dbm):
         bin_estimate(spec7.grid, spec7.continuous, centers, 1.0 / 128, ps_dbm=ps_dbm)
 
 
-@pytest.mark.parametrize("delta_f", [np.nan, np.inf, 0.0, -1.0])
-def test_binned_power_rejects_bad_bin_width(spec7, delta_f):
-    with pytest.raises(ValueError, match="delta_f must be finite and positive"):
+@pytest.mark.parametrize("delta_f, message", [(np.nan, "must be a finite number"),
+                                              (np.inf, "must be a finite number"),
+                                              (0.0, "must be positive"),
+                                              (-1.0, "must be positive")],
+                         ids=["nan", "inf", "0.0", "-1.0"])
+def test_binned_power_rejects_bad_bin_width(spec7, delta_f, message):
+    with pytest.raises(ValueError, match=f"^delta_f {message}, got {delta_f!r}$"):
         binned_power(spec7, delta_f=delta_f, ps_dbm=14.0)
     # bin_estimate too: a width of 0 or less would read -300 dBm in every
     # bin, a level that passes any mask
     centers = np.array([-0.25, 0.0, 0.25])
-    with pytest.raises(ValueError, match="delta_f must be finite and positive"):
+    with pytest.raises(ValueError, match=f"^delta_f {message}, got {delta_f!r}$"):
         bin_estimate(spec7.grid, spec7.continuous, centers, delta_f)
 
 
-@pytest.mark.parametrize("freqs, psd, match", [
-    (np.linspace(-0.5, 0.5, 65), np.ones(64), "freqs and psd must be 1-D and of equal length"),
-    (np.linspace(0.5, -0.5, 65), np.ones(65), "freqs must be strictly ascending"),
-], ids=["unequal_lengths", "descending"])
-def test_bin_estimate_rejects_malformed_spectra(freqs, psd, match):
+_FREQS = np.linspace(-0.5, 0.5, 65)
+_CENTERS = np.array([-0.25, 0.0, 0.25])
+
+
+@pytest.mark.parametrize("freqs, psd, centers, match", [
+    (_FREQS, np.ones(64), _CENTERS, "freqs and psd must be 1-D and of equal length"),
+    (_FREQS[::-1], np.ones(65), _CENTERS, "freqs must be strictly ascending"),
+    (np.where(_FREQS == 0.0, np.nan, _FREQS), np.ones(65), _CENTERS,
+     "^freqs must hold only finite numbers$"),
+    (np.append(_FREQS[:-1], np.inf), np.ones(65), _CENTERS,
+     "^freqs must hold only finite numbers$"),
+    (_FREQS, np.where(_FREQS == 0.0, np.nan, 1.0), _CENTERS,
+     "^psd must hold only finite numbers$"),
+    (_FREQS, np.ones(65), np.array([-0.25, np.nan, 0.25]),
+     "^centers must hold only finite numbers$"),
+], ids=["unequal_lengths", "descending", "nan-frequency", "inf-frequency", "nan-density",
+        "nan-center"])
+def test_bin_estimate_rejects_malformed_spectra(freqs, psd, centers, match):
     # the trapezoid integral needs an ascending grid: a descending one would
-    # read -300 dBm in every bin
+    # read -300 dBm in every bin; a NaN center or density value read NaN levels
     with pytest.raises(ValueError, match=match):
-        bin_estimate(freqs, psd, np.array([-0.25, 0.0, 0.25]), 1.0 / 128)
+        bin_estimate(freqs, psd, centers, 1.0 / 128)
 
 
 @pytest.mark.parametrize("origin", [np.nan, np.inf, -np.inf])
@@ -275,9 +296,12 @@ def test_binned_power_rejects_a_non_finite_origin(spec7, origin):
     ("overlap", lambda spec, v: welch_psd(modulate(P7, [1]), 16, overlap=v))],
     ids=["delta_f", "ps_dbm", "f0", "f_max", "step", "tol", "rbw_hz", "snr_db", "origin",
          "fraction", "overlap"])
-@pytest.mark.parametrize("value", [True, "10"], ids=["bool", "str"])
-def test_real_arguments_reject_a_bool_or_a_string(spec7, name, call, value):
-    message = re.escape(f"{name} must be a real number, got {value!r}")
+@pytest.mark.parametrize("value, kind", [(True, "a real number"), ("10", "a real number"),
+                                         (np.nan, "a finite number"), (np.inf, "a finite number"),
+                                         (-np.inf, "a finite number")],
+                         ids=["bool", "str", "nan", "inf", "-inf"])
+def test_real_arguments_reject_a_bool_or_a_string(spec7, name, call, value, kind):
+    message = re.escape(f"{name} must be {kind}, got {value!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(spec7, value)
 
@@ -422,6 +446,12 @@ def test_mask_segment_fields_must_be_finite(field, bad):
     key = ("f_start_hz", "f_stop_hz", "limit_dbm", "rbw_hz")[field]
     with pytest.raises(ValueError, match=f"{key} must be a finite number"):
         MaskSegment(*values)
+
+
+def test_mask_segment_fields_are_kept_as_floats():
+    seg = MaskSegment(np.int64(868_000_000), 868_600_000, np.float32(14.0), 1000)
+    assert [type(getattr(seg, key)) for key in analysis._MASK_KEYS] == [float] * 4
+    assert seg == MaskSegment(868.0e6, 868.6e6, 14.0, 1000.0)
 
 
 @pytest.mark.parametrize("delta_db", [np.nan, np.inf])
@@ -605,7 +635,7 @@ print(loaded, digest.hexdigest())
 """
 
 
-@pytest.mark.parametrize("name", ["_kfun", "fresnel_spectrum", "mean_envelope_magnitude"])
+@pytest.mark.parametrize("name", ["_kfun", "fresnel_spectrum"])
 def test_first_call_loads_scipy_and_gives_the_same_bits(name):
     # the first call in a fresh interpreter imports scipy.special itself;
     # its values must equal those computed with scipy imported up front
@@ -616,6 +646,14 @@ def test_first_call_loads_scipy_and_gives_the_same_bits(name):
     eager_loaded, eager_digest = eager.stdout.split()
     assert (lazy_loaded, eager_loaded) == ("False", "True")
     assert lazy_digest == eager_digest
+
+
+def test_mean_envelope_magnitude_loads_no_scipy():
+    # scipy is loaded neither by the import nor by the call
+    code = _FIRST_CALL + "print('scipy' in sys.modules)"
+    proc = _run_python(code, "mean_envelope_magnitude", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[::2] == ["False", "False"]
 
 
 _INTEGER_ARGUMENTS = pytest.mark.parametrize("call,name", [
@@ -635,6 +673,28 @@ def test_integer_arguments_reject_bools_floats_and_strings(call, name, bad):
 @_INTEGER_ARGUMENTS
 def test_integer_arguments_accept_numpy_integers(call, name):
     assert call(np.int64(7)) == call(7)
+
+
+@pytest.mark.parametrize("call, name, lo, hi", [
+    (lambda v: LoraParams(sf=v, b=1.0), "sf", 1, 16),
+    (spectral_efficiency, "sf", 1, None),
+    (lambda v: reproduce_table([v]), "sf", 3, 12),
+    (lambda v: payload_to_symbols(b"ab", v), "sf", 1, 16),
+    (lambda v: modulate(P7, [1], oversample=v), "oversample", 1, None),
+    (lambda v: awgn(modulate(P7, [1]), 10.0, seed=v), "seed", 0, None),
+    (lambda v: welch_psd(modulate(P7, [1]), v), "segment_len", 2, 128),
+], ids=["LoraParams", "spectral_efficiency", "reproduce_table", "payload_to_symbols",
+        "oversample", "seed", "segment_len"])
+def test_integer_arguments_check_their_range(call, name, lo, hi):
+    for bad in (True, 7.0):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            call(bad)
+    allowed = f"an integer >= {lo}" if hi is None else re.escape(f"in [{lo}, {hi}]")
+    for bad in [lo - 1] + ([] if hi is None else [hi + 1]):
+        with pytest.raises(ValueError, match=f"^{name} must be {allowed}, got {bad}$"):
+            call(bad)
+    for good in [lo] + ([] if hi is None else [hi]):
+        call(good)
 
 
 def test_welch_rejects_bad_arguments():

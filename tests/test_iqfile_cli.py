@@ -130,7 +130,9 @@ def test_bad_fs_is_rejected(tmp_path, iq):
     doc = json.loads(sidecar.read_text())
     doc["fs_hz"] = 0.0
     sidecar.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="fs_hz"):
+    # the header raises it, and read_header puts the sidecar in front
+    message = r"^IQ sidecar .*sig\.iq\.json: fs must be positive, got 0\.0$"
+    with pytest.raises(ValueError, match=message):
         read_iq(path)
 
 

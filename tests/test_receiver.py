@@ -223,7 +223,7 @@ def test_awgn_rejects_non_integer_seed(seed):
 @pytest.mark.parametrize("seed", [-1, np.int64(-5), -2**70])
 def test_awgn_rejects_a_negative_seed_before_reading_the_samples(seed):
     # NaN samples would fail the mean-power check, so the seed is checked first
-    with pytest.raises(ValueError, match="^seed must be non-negative"):
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {int(seed)}$"):
         awgn(IqBuffer(np.array([1.0, np.nan]), fs=1.0), 10.0, seed=seed)
 
 

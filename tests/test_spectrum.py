@@ -68,12 +68,30 @@ def test_w_integral_phase_free_reduction():
 
 
 def test_w_integral_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^b must be positive"):
         w_integral(0.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^b must be positive"):
         w_integral(0.0, -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need t1 <= t2"):
         w_integral(0.0, 1.0, 1.0, 0.0)
+    # each of these once gave NaN, a RuntimeWarning, or took True as b = 1
+    for args, match in [((np.nan, 1.0, 0.0, 1.0), "^a must hold only finite numbers$"),
+                        (([0.0, np.inf], 1.0, 0.0, 1.0), "^a must hold only finite numbers$"),
+                        (([0.0, 10**400], 1.0, 0.0, 1.0), "^a must hold only finite numbers$"),
+                        ((0.0, 1.0, 0.0, np.nan), "^t2 must be a finite number, got nan$"),
+                        ((0.0, 1.0, -np.inf, 1.0), "^t1 must be a finite number, got -inf$"),
+                        ((0.0, np.inf, 0.0, 1.0), "^b must be a finite number, got inf$"),
+                        ((0.0, np.nan, 0.0, 1.0), "^b must be a finite number, got nan$"),
+                        ((0.0, True, 0.0, 1.0), "^b must be a real number, got True$")]:
+        with pytest.raises(ValueError, match=match):
+            w_integral(*args)
+
+
+@pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf, [0.0, np.nan]],
+                         ids=["nan", "inf", "-inf", "array-holding-nan"])
+def test_fourier_transform_rejects_a_frequency_that_is_not_finite(f):
+    with pytest.raises(ValueError, match="^f must hold only finite numbers$"):
+        waveform_fourier_transform(LoraParams(sf=4, b=1.0), 3, f)
 
 
 def test_fourier_transform_matches_direct_quadrature():
@@ -304,7 +322,9 @@ def test_fresnel_spectrum_default_grid(sf, step, n_points):
                                   float("nan"), float("inf")])
 def test_fresnel_spectrum_rejects_step_off_the_lattice(step):
     p = LoraParams(sf=3, b=1.0)  # lattice steps are 1/(8k)
-    with pytest.raises(ValueError, match=r"B/\(k\*M\)"):
+    # a step that is not a finite number is no lattice step either
+    match = r"B/\(k\*M\)" if np.isfinite(step) else f"^step must be a finite number, got {step!r}$"
+    with pytest.raises(ValueError, match=match):
         fresnel_spectrum(p, step=step)
 
 
@@ -419,6 +439,13 @@ def test_oversized_lattice_raises_before_allocating(call, named):
     with pytest.raises(ValueError, match="more than the 4194304") as info:
         call(LoraParams(sf=7, b=125e3))
     assert str(info.value).startswith(named)
+
+
+def test_a_lattice_beyond_float_range_reads_inf_points():
+    # k = B/(M*step) is about 1.5e304 here, so 5kM + 1 is an int that no
+    # float holds: the size is given as inf, not an OverflowError raised
+    with pytest.raises(ValueError, match=r"needs a lattice table of inf points, more than"):
+        fresnel_spectrum(LoraParams(sf=16, b=1e300), step=1e-9)
 
 
 def test_lattice_size_bound_is_exact(monkeypatch):

@@ -5,6 +5,7 @@ import pickle
 import re
 import sys
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -60,6 +61,24 @@ def test_params_rejects_a_numeric_field_that_is_not_a_finite_real(field, value):
 def test_iq_fields_reject_a_value_that_is_not_a_finite_real(make, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("b", [np.float32(125e3), Fraction(125000), np.int64(125000), 125000],
+                         ids=["float32", "Fraction", "int64", "int"])
+def test_params_keep_b_as_a_float(b):
+    # a float32 B kept as given made ts a float32, and the phase at Ts of
+    # symbol 0 at SF 12 read 2048.00022 cycles
+    p = LoraParams(sf=12, b=b)
+    assert type(p.b) is float and p.b == 125e3 and type(p.ts) is float
+    for a in (0, 1, 2047, 4095):
+        cycles = phase(p, a, p.ts) / (2.0 * np.pi)
+        assert abs(cycles - round(cycles)) <= 1e-9, a
+
+
+def test_iq_fields_are_kept_as_floats():
+    assert type(IqBuffer(np.ones(2, dtype=complex), fs=np.float32(1e6)).fs) is float
+    header = IqFileHeader("csv", fs=np.int64(1_000_000), center_freq=np.float32(868e6))
+    assert (type(header.fs), type(header.center_freq)) == (float, float)
 
 
 def test_initial_frequency():
@@ -324,6 +343,22 @@ def test_mean_envelope_endpoints():
     p = LoraParams(sf=5, b=1.0)
     assert mean_envelope_magnitude(p, 0.0) == pytest.approx(1.0)
     assert mean_envelope_magnitude(p, p.tc) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("b", [1.0, 3.0, 125e3])
+def test_mean_envelope_matches_the_dirichlet_kernel(b):
+    # the direct quotient gives scipy's diric bit for bit on [0, Ts): on a
+    # fine grid, at the chip instants and next to t = 0
+    from scipy.special import diric
+
+    for sf in range(1, 17):
+        p = LoraParams(sf=sf, b=b)
+        t = np.concatenate([np.linspace(0.0, p.ts, 20002)[:-1], np.arange(p.m) / p.b,
+                            [1e-300, 5e-324]])
+        expected = np.abs(diric(2.0 * np.pi * p.b * t / p.m, p.m))
+        np.testing.assert_array_equal(mean_envelope_magnitude(p, t), expected, err_msg=str(sf))
+    # the limit at t = 0 raises no warning (RuntimeWarnings are errors here)
+    assert mean_envelope_magnitude(p, 0.0) == 1.0
 
 
 def test_mean_envelope_power_is_one_over_m():
