@@ -82,10 +82,9 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
     Total signal power is 1 (unit-power envelope).  The default spectrum
     is fresnel_spectrum over |f| <= 4B with step B/(k*M), k = max(1,
     512 // M), so the search resolves small SF; from SF 9 up k = 1, the
-    line lattice, where the spectrum builds only the E_l prefix sums and
-    not those of the beta terms, which are zero there.  If the requested fraction
-    exceeds what the computed spectrum span contains, the error reports
-    the captured fraction.
+    line lattice, where every point is a line and takes two Fresnel table
+    values.  If the requested fraction exceeds what the computed spectrum
+    span contains, the error reports the captured fraction.
 
     tol bounds only the bisection bracket on the spectrum given.  From SF 9
     up the default k = 1 lattice reads W low: the 99 % width at tol = 1e-7

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import params
 from .params import (_BLOCK_SAMPLES, IqBuffer, _all_finite, _finite, _json_object, _map_chunks,
-                     _positive, _real, _spans)
+                     _positive, _quote, _real, _spans)
 
 FORMAT_F32 = "interleaved-f32-le"
 FORMAT_CSV = "csv"
@@ -369,7 +369,7 @@ def read_header(header_path) -> tuple[IqFileHeader, int | None]:
     if isinstance(n, float) and n.is_integer():
         n = int(n)
     if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
-        raise ValueError(f"{where} 'num_samples' must be a nonnegative integer, got {n!r}")
+        raise ValueError(f"{where} 'num_samples' must be a nonnegative integer, got {_quote(n)}")
     return header, n
 
 

@@ -68,17 +68,24 @@ def _all_finite(values: np.ndarray) -> bool:
                                      and np.minimum.reduce(values) > -np.inf))
 
 
+def _quote(value) -> str:
+    """repr(value) for an error message, cut to its first 64 characters
+    and its length when it is longer."""
+    text = repr(value)
+    return text if len(text) <= 64 else f"{text[:64]}... ({len(text)} characters)"
+
+
 def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """value as an int; ValueError naming `name` for a bool, a value that
     is not an integer type (a float such as 7.0 included), and one below
     lo or above hi where they are given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_quote(value)}")
     value = int(value)
     if hi is not None and not lo <= value <= hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {_quote(value)}")
     if lo is not None and value < lo:
-        raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
+        raise ValueError(f"{name} must be an integer >= {lo}, got {_quote(value)}")
     return value
 
 
@@ -88,13 +95,13 @@ def _real(value, name: str) -> float:
     value that is not a real number, NaN, an infinity and an integer too
     large for a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {_quote(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {_quote(value)}")
     return number
 
 
@@ -102,15 +109,24 @@ def _positive(value, name: str) -> float:
     """_real(value, name), which must also be > 0, else ValueError."""
     number = _real(value, name)
     if not number > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+        raise ValueError(f"{name} must be positive, got {_quote(value)}")
     return number
 
 
 def _finite_array(values, name: str) -> np.ndarray:
     """values as a float array; ValueError naming `name` when one of them
-    is NaN, infinite or an int beyond float range."""
+    is not a real number (a complex number, a bool, text or any other
+    object is not), or is NaN, infinite or an int beyond float range."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        # an object array may hold ints beyond float range, or Fractions
+        bad = [v for v in values.ravel().tolist()
+               if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+        if bad or values.dtype.kind != "O":
+            got = _quote(bad[0]) if bad else f"an empty {values.dtype} array"
+            raise ValueError(f"{name} must hold only real numbers, got {got}")
     try:
-        values = np.asarray(values, dtype=float)
+        values = values.astype(float, copy=False)
     except OverflowError:
         values = np.array(math.inf)
     if not _all_finite(values):
@@ -121,16 +137,14 @@ def _finite_array(values, name: str) -> np.ndarray:
 def _finite(value, where: str) -> float:
     """A number read from a file (a JSON value or CSV text) as a finite
     float; ValueError naming `where`, quoting at most 64 characters of the
-    value's repr, for a bool, for anything float() rejects or overflows
-    on, and for NaN or an infinity."""
+    value's repr (_quote), for a bool, for anything float() rejects or
+    overflows on, and for NaN or an infinity."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
-        text = repr(value)
-        got = text if len(text) <= 64 else f"{text[:64]}... ({len(text)} characters)"
-        raise ValueError(f"{where} must be a finite number, got {got}")
+        raise ValueError(f"{where} must be a finite number, got {_quote(value)}")
     return number
 
 

@@ -11,10 +11,11 @@ available in closed form through Fresnel integrals.  The lines carry
 exactly a fraction 1/M of the total signal power.  On the frequency
 lattice f = n*B/(k*M) the sums over l for all frequencies come from one
 table of O(k*M + Nf) Fresnel values (fresnel_spectrum), the one
-spectrum path of the package.  With M even, time reversal maps symbol l
-onto (M - l) mod M, x(Ts - t; l) = x(t; (M - l) mod M), so
-X(-f; l) = exp(j*2*pi*f*Ts)*X(f; (M - l) mod M): sum_l |X|^2 and
-|sum_l X| are even, and both parts are computed on f >= 0 and mirrored.
+spectrum path of the package; each line takes two of its values, since
+there the sum over l is a quadratic Gauss sum.  With M even, time
+reversal maps symbol l onto (M - l) mod M, x(Ts - t; l) = x(t; (M - l)
+mod M), so X(-f; l) = exp(j*2*pi*f*Ts)*X(f; (M - l) mod M): sum_l |X|^2
+and |sum_l X| are even, and both parts are computed on f >= 0 and mirrored.
 scipy's fresnel gives the table's points with |x| < 8; beyond, an
 asymptotic series and the lattice's exactly reduced phase give them to a
 few ulp, at even SF too, where scipy's phase at the rounded argument
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LoraParams, Symbol, _finite_array, _positive, _real, _spans, validate_symbol
+from .params import (LoraParams, Symbol, _finite_array, _positive, _quote, _real, _spans,
+                     validate_symbol)
 
 
 def _load_fresnel(x):
@@ -132,8 +134,9 @@ def _psd_combine(sum_abs2: np.ndarray, abs2_sum: np.ndarray, p: LoraParams) -> n
 
 # The most points, k*M + n_max + 1, that the table of one lattice may hold:
 # its Fresnel values, prefix sums and per-frequency sums peak at about 130
-# bytes a point (100 for k = 1), so 2^22 points take about 0.55 GB.  The
-# default grids stay far below it (at most 589 825 points, at SF 16).
+# bytes a point (90 for k = 1, with no prefix sums; traced by tracemalloc),
+# so 2^22 points take about 0.55 GB.  The default grids stay far below it
+# (at most 589 825 points, at SF 16).
 _MAX_LATTICE = 1 << 22
 
 
@@ -162,11 +165,11 @@ def _lattice_k(p: LoraParams, step: float) -> int:
         raise ValueError(
             f"grid step {step!r} Hz is not B/(k*M) = {p.b / p.m!r} Hz / k "
             "for an integer k >= 1")
-    _check_lattice(5 * k * p.m + 1, f"grid step {step!r} Hz (k = {k})")
+    _check_lattice(5 * k * p.m + 1, f"grid step {step!r} Hz (k = {_quote(k)})")
     return k
 
 
-def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_e, beta_sums=None):
+def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_e, s_d, s_d2, s_ed):
     """sum_l |X(f;l)|^2 and sum_l X(f;l) from the window sums.
 
     With phi = f*M/B, u_l = l - M/2 - phi, a0 = sqrt(2/M), b = B^2/(2M),
@@ -177,17 +180,10 @@ def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_e, beta_sums=None):
 
     The identity holds with K replaced throughout by D = K - c for any
     constant c, which lets the caller anchor D near 0 where it is summed.
-    Inputs: d_top = D(a0*u_M), d_bot = D(a0*u_0), s_e the sum over
-    l = 0..M-1 of E_l and beta_sums those of D(a0*u_l), |D|^2 and E_l*D.
-    On the lines f = n*B/M, w = 1 and beta = 0: there beta_sums is None
-    and the sums are M*|alpha|^2/(4b) and alpha*s_e/(2*sqrt(b)), the
-    general expressions with their zero beta terms left out.
+    Inputs: d_top = D(a0*u_M), d_bot = D(a0*u_0), and the sums over
+    l = 0..M-1 of E_l (s_e), D(a0*u_l) (s_d), |D|^2 (s_d2) and E_l*D (s_ed).
     """
     four_b = 2.0 * p.b * p.b / p.m
-    if beta_sums is None:
-        alpha = d_top - d_bot
-        return p.m * np.abs(alpha) ** 2 / four_b, alpha * s_e / np.sqrt(four_b)
-    s_d, s_d2, s_ed = beta_sums
     alpha = d_top - w * d_bot
     beta = w - 1.0
     sum_abs2 = (p.m * np.abs(alpha) ** 2 + 2.0 * np.real(np.conj(alpha) * beta * s_d)
@@ -295,45 +291,49 @@ def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray) -> np.ndarray:
     return d
 
 
-def _lattice_sums(p: LoraParams, k: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_l |X(f;l)|^2 and |sum_l X(f;l)|^2 at f = n*B/(k*M), 0 <= n <= n_max.
+def _lattice_sums(p: LoraParams, k: int, n: int,
+                  n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sum_l |X(f;l)|^2 and |sum_l X(f;l)|^2 at f = i*B/(k*M), 0 <= i <= n,
+    and the two (equal) at the lines f = m*B/M, 0 <= k*m <= n_max.
 
-    On this lattice u_l = j/k with j = k*l - k*M/2 - n, so the M arguments
-    of one frequency are a stride-k window of a single table over j, and
-    the window sums of _factorized_sums are differences of strided
-    prefix sums.  The table holds D = K + (1+j)/2, which decays to 0 as
-    j -> -inf, so in the far tail the prefix sums stay small and the PSD
-    is not left as a difference of O(M) terms.  Both sums are even in f,
-    so f < 0 is not computed.  scipy's fresnel gives the table's points
-    with |x| < 8, at most 16*k*sqrt(M/2), and the asymptotic series with
-    E's exact phase the rest (_fresnel_table).  For k = 1 every point is
-    a line, where beta = 0: only E and its prefix sums are built.
+    On this lattice u_l = j/k with j = k*l - k*M/2 - i, so the M arguments
+    of one frequency are a stride-k window of a single table over j.  On a
+    line w = 1, beta = 0 and, M being even, |sum_l E_l|^2 = M, a complete
+    quadratic Gauss sum (Landsberg-Schaar), so both sums are
+    M*|D(a0*u_M) - D(a0*u_0)|^2/(4b) and the line power is
+    P_n = |D(a0*(M/2 - n)) - D(a0*(-M/2 - n))|^2/(2*M^2).  k = 1 is all
+    lines.  For k > 1 the window sums of _factorized_sums for i <= n are
+    differences of strided prefix sums from the table's bottom, so a
+    narrow grid is the middle of a wide one, bit for bit.  The table holds
+    D = K + (1+j)/2, which decays to 0 as j -> -inf, so far out the prefix
+    sums stay small and the PSD is no difference of O(M) terms.
     """
     M = p.m
-    j = np.arange(-(k * M // 2) - n_max, k * M // 2 + 1)
-    # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E serves
-    e = np.resize(_lattice_phase(M, k, j[:k * k * M]), len(j))
-    d = _fresnel_table(M, k, j, e)
-    # |D|^2 and E*D live only while their prefix sums are built
-    prefix = [_strided_prefix(v, k)
-              for v in ((e,) if k == 1 else (e, d, d.real ** 2 + d.imag ** 2, e * d))]
-    # w = exp(-j*2*pi*n/k) for n mod k = 0..k-1
-    roots = np.exp(-2j * np.pi * np.arange(k) / k)
-    sum_abs2 = np.empty(n_max + 1)
-    abs2_sum = np.empty(n_max + 1)
     top = k * M
-    # Table index lo holds l = 0 of n = n_max - lo, so walking lo upwards
-    # makes every read a forward slice and every write a reversed one.
-    for lo, hi in _spans(n_max + 1, _CHUNK):
+    j = np.arange(-(top // 2) - n_max, top // 2 + 1)
+    # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E serves
+    e = np.resize(_lattice_phase(M, k, j[:k * top]), len(j))
+    d = _fresnel_table(M, k, j, e)
+    four_b = 2.0 * p.b * p.b / M
+    # table index t holds l = 0 of frequency n_max - t and l = M at t + top
+    lines = M * np.abs(d[n_max % k + top::k] - d[n_max % k:n_max + 1:k])[::-1] ** 2 / four_b
+    if k == 1:
+        return lines[:n + 1], lines[:n + 1], lines
+    # |D|^2 and E*D live only while their prefix sums are built
+    prefix = [_strided_prefix(v, k) for v in (e, d, d.real ** 2 + d.imag ** 2, e * d)]
+    # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
+    roots = np.exp(-2j * np.pi * np.arange(k) / k)
+    sum_abs2, abs2_sum = np.empty((2, n + 1))
+    # lo ascending: every read is a forward slice, every write a reversed one
+    for lo, hi in _spans(n_max + 1, _CHUNK, n_max - n):
         # window sums of l = 0..M-1 from index lo
-        s_e, *s = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]
-        # the lines (k = 1) have no beta terms, so they need no w
-        w = roots[(n_max - np.arange(lo, hi)) % k] if s else None
+        sums = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]
+        w = roots[(n_max - np.arange(lo, hi)) % k]
         out = slice(n_max + 1 - hi, n_max + 1 - lo)
         sum_abs2[out][::-1], sum_x = _factorized_sums(
-            p, d[lo + top:hi + top], d[lo:hi], w, s_e, tuple(s) or None)
+            p, d[lo + top:hi + top], d[lo:hi], w, *sums)
         abs2_sum[out][::-1] = np.abs(sum_x) ** 2
-    return sum_abs2, abs2_sum
+    return sum_abs2, abs2_sum, lines
 
 
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
@@ -346,15 +346,15 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     otherwise ValueError.  The defaults are |f| <= 8B and
     k = max(1, min(64, 8192 // M)), i.e. step max(B/(64M), B/8192), so
     the grid holds at most 131 073 points.  One table of Fresnel values
-    shared through strided prefix sums gives every grid point with f >= 0
-    and, at every k-th point, every line; a grid narrower than 4B is
-    extended to 4B for the lines.  The spectrum is even in f (see the
+    gives every line from two of its values and, through strided prefix
+    sums, every grid point with f >= 0; for a grid narrower than 4B the
+    table spans 4B for the lines.  The spectrum is even in f (see the
     module docstring): f < 0 is the exact mirror image.  The cost is
-    O(k*M + len(grid)).  For k = 1 every grid point is a line, and only
-    the table of E_l and its prefix sums are built (see _lattice_sums).
-    A table of more than _MAX_LATTICE points raises ValueError naming
-    f_max and the step.  The tests check these values against a
-    zero-padded DFT of the sampled waveforms.
+    O(k*M + len(grid)).  For k = 1 every grid point is a line, and the
+    PSD comes from the line values (see _lattice_sums).  A table of more
+    than _MAX_LATTICE points raises ValueError naming f_max and the step.
+    The tests check these values against a zero-padded DFT of the sampled
+    waveforms.
     """
     if f_max is None:
         f_max = 8.0 * p.b
@@ -366,11 +366,10 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     _check_lattice(k * p.m + max(n, 4 * k * p.m) + 1,
                    f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
     n = round(n)
-    sum_abs2, abs2_sum = _lattice_sums(p, k, max(n, 4 * k * p.m))
-    # f < 0 mirrors f >= 0; the lines n*B/M are every k-th lattice point
+    sum_abs2, abs2_sum, line_sums = _lattice_sums(p, k, n, max(n, 4 * k * p.m))
+    # f < 0 mirrors f >= 0
     continuous, lines = (np.concatenate([v[:0:-1], v]) for v in (
-        _psd_combine(sum_abs2[:n + 1], abs2_sum[:n + 1], p),
-        abs2_sum[::k] / (p.ts ** 2 * p.m ** 2)))
+        _psd_combine(sum_abs2, abs2_sum, p), line_sums / (p.ts ** 2 * p.m ** 2)))
     n_lines = len(lines) // 2
     lines = np.column_stack([np.arange(-n_lines, n_lines + 1) * p.b / p.m, lines])
     return SpectrumResult(grid=np.arange(-n, n + 1) * step, continuous=continuous,

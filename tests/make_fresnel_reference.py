@@ -6,7 +6,7 @@ with
 
     python tests/make_fresnel_reference.py
 
-which takes about a minute and needs mpmath.  Every value is computed
+which takes about ten minutes and needs mpmath.  Every value is computed
 with 70 significant digits, which leaves more than 40 after the
 cancellation in C + 1/2 and in Gc, and written with 40.
 
@@ -19,6 +19,9 @@ cancellation in C + 1/2 and in Gc, and written with 40.
       w(a; t1, t2) = e^{-j*pi*M*a^2}/(2*sqrt(b)) * [K(2*sqrt(b)*(t2 + M*a))
                      - K(2*sqrt(b)*(t1 + M*a))],  b = 1/(2M),
       Gc = (sum_l |X|^2 - |sum_l X|^2 / M) / M^2.
+- "lines": the line power |sum_l X|^2 / M^4 at f = n/M, B = 1 Hz, from
+  the same per-symbol sum (not from the Gauss-sum identity that the
+  engine uses), at SF 9 and 12 and 8 n each, from the band centre to 8B.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ TABLE_LATTICES = [(7, 2), (8, 2), (12, 1), (16, 1)]
 FAR_X = [8.5, 20.0, 100.0, 500.0, 2000.0, 1e4, 5e4]
 PSD_SF = [7, 8]
 PSD_K = 2
+LINE_SF = [9, 12]
 
 
 def fresnel_k(x):
@@ -59,7 +63,8 @@ def table_value(sf: int, k: int, j: int) -> dict:
     return {"sf": sf, "k": k, "j": j, "re": digits(d.real), "im": digits(d.imag)}
 
 
-def continuous_psd(sf: int, k: int, n: int):
+def transform_sums(sf: int, k: int, n: int):
+    """sum_l |X(f;l)|^2 and sum_l X(f;l) at f = n/(k*M), B = 1 Hz."""
     M = 2 ** sf
     f = mpmath.mpf(n) / (k * M)
     b = mpmath.mpf(1) / (2 * M)
@@ -78,7 +83,23 @@ def continuous_psd(sf: int, k: int, n: int):
              + w(mpmath.mpf(l) / M - mpmath.mpf(3) / 2 - f, tau, M))
         sum_abs2 += abs(x) ** 2
         sum_x += x
+    return sum_abs2, sum_x
+
+
+def continuous_psd(sf: int, k: int, n: int):
+    sum_abs2, sum_x = transform_sums(sf, k, n)
+    M = 2 ** sf
     return (sum_abs2 - abs(sum_x) ** 2 / M) / M ** 2
+
+
+def line_points(sf: int) -> list[int]:
+    M = 2 ** sf
+    return [0, 1, M // 4 + 3, M // 2 - 1, M // 2, M // 2 + 1, 2 * M + 7, 8 * M - 1]
+
+
+def line_power(sf: int, n: int):
+    _, sum_x = transform_sums(sf, 1, n)
+    return abs(sum_x) ** 2 / 2 ** (4 * sf)
 
 
 def main() -> None:
@@ -88,8 +109,10 @@ def main() -> None:
         kM = PSD_K * 2 ** sf
         for n in (8 * kM + 1, 32 * kM + 1, 128 * kM - 1):
             psd.append({"sf": sf, "k": PSD_K, "n": n, "gc": digits(continuous_psd(sf, PSD_K, n))})
-    OUT.write_text(json.dumps({"table": table, "psd": psd}, indent=1) + "\n")
-    print(f"wrote {len(table)} table and {len(psd)} PSD values to {OUT}")
+    lines = [{"sf": sf, "n": n, "power": digits(line_power(sf, n))}
+             for sf in LINE_SF for n in line_points(sf)]
+    OUT.write_text(json.dumps({"table": table, "psd": psd, "lines": lines}, indent=1) + "\n")
+    print(f"wrote {len(table)} table, {len(psd)} PSD and {len(lines)} line values to {OUT}")
 
 
 if __name__ == "__main__":

@@ -266,11 +266,22 @@ _CENTERS = np.array([-0.25, 0.0, 0.25])
      "^psd must hold only finite numbers$"),
     (_FREQS, np.ones(65), np.array([-0.25, np.nan, 0.25]),
      "^centers must hold only finite numbers$"),
+    (_FREQS, np.ones(65), [1 + 0j], r"^centers must hold only real numbers, got \(1\+0j\)$"),
+    (_FREQS, np.ones(65), [object()], "^centers must hold only real numbers, got <object "),
+    (_FREQS, np.ones(65), ["5"], "^centers must hold only real numbers, got '5'$"),
+    (_FREQS, np.ones(65), [True], "^centers must hold only real numbers, got True$"),
+    (_FREQS, np.ones(65), [0.0, 10 ** 400], "^centers must hold only finite numbers$"),
+    (_FREQS, np.ones(65, dtype=complex), _CENTERS,
+     r"^psd must hold only real numbers, got \(1\+0j\)$"),
+    (_FREQS.astype(str), np.ones(65), _CENTERS, "^freqs must hold only real numbers, got '-0.5'$"),
 ], ids=["unequal_lengths", "descending", "nan-frequency", "inf-frequency", "nan-density",
-        "nan-center"])
+        "nan-center", "complex-center", "object-center", "text-center", "bool-center",
+        "int-beyond-float-center", "complex-density", "text-frequency"])
 def test_bin_estimate_rejects_malformed_spectra(freqs, psd, centers, match):
     # the trapezoid integral needs an ascending grid: a descending one would
-    # read -300 dBm in every bin; a NaN center or density value read NaN levels
+    # read -300 dBm in every bin; a NaN center or density value read NaN levels.
+    # An array of complex numbers, bools, text or objects is no array of
+    # real numbers, though numpy would cast some of them to floats
     with pytest.raises(ValueError, match=match):
         bin_estimate(freqs, psd, centers, 1.0 / 128)
 

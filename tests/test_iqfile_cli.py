@@ -179,6 +179,14 @@ def test_sidecar_sample_count_must_be_a_nonnegative_integer(capture, value):
         read_iq(path)
 
 
+def test_sidecar_sample_count_is_quoted_in_64_characters(capture):
+    # a 100 000-character value once made a 100 KB message
+    path = _with_sidecar(capture, num_samples="x" * 100_000)
+    with pytest.raises(ValueError) as info:
+        read_iq(path)
+    assert str(info.value).endswith("got '" + "x" * 63 + "... (100002 characters)")
+
+
 def test_sidecar_sample_count_may_be_written_as_integral_float(capture):
     n = capture[1]["num_samples"]
     path = _with_sidecar(capture, num_samples=float(n))

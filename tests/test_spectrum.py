@@ -1,9 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import polygamma
 
 import lorachirp
 from lorachirp import (LoraParams, fresnel_spectrum, spectrum, w_integral, waveform_at,
@@ -78,6 +80,11 @@ def test_w_integral_rejects_bad_arguments():
     for args, match in [((np.nan, 1.0, 0.0, 1.0), "^a must hold only finite numbers$"),
                         (([0.0, np.inf], 1.0, 0.0, 1.0), "^a must hold only finite numbers$"),
                         (([0.0, 10**400], 1.0, 0.0, 1.0), "^a must hold only finite numbers$"),
+                        # numpy would drop the imaginary part, with a ComplexWarning
+                        ((np.array([1 + 1j]), 1.0, 0.0, 1.0),
+                         r"^a must hold only real numbers, got \(1\+1j\)$"),
+                        (([0.5, "5"], 1.0, 0.0, 1.0), "^a must hold only real numbers, got '0.5'$"),
+                        (([True], 1.0, 0.0, 1.0), "^a must hold only real numbers, got True$"),
                         ((0.0, 1.0, 0.0, np.nan), "^t2 must be a finite number, got nan$"),
                         ((0.0, 1.0, -np.inf, 1.0), "^t1 must be a finite number, got -inf$"),
                         ((0.0, np.inf, 0.0, 1.0), "^b must be a finite number, got inf$"),
@@ -263,26 +270,99 @@ def test_continuous_psd_on_the_lines_is_m_minus_1_times_the_line(sf):
                                rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("sf", [3, 7, 10, 12])
-def test_line_lattice_builds_only_the_e_window_sums(monkeypatch, sf):
-    # k = 1: each window sum of E_l = exp(-j*pi*u_l^2/M) over l = 0..M-1 is the
-    # quadratic Gauss sum sqrt(M)*e^{-j*pi/4}, one per n = 0..4M (f >= 0 only),
-    # and no beta window sums are built
-    seen = []
+@pytest.mark.parametrize("sf", [1, 3, 7, 10, 12])
+def test_line_window_of_e_is_a_quadratic_gauss_sum(sf):
+    # on the line n*B/M the M phases E_l = exp(-j*pi*u^2/M), u = l - M/2 - n,
+    # sum to sqrt(M)*e^{-j*pi/4} for every n: the identity that gives each
+    # line from two table values
+    M = 2 ** sf
+    for n in (0, 1, M // 2 + 3, 4 * M):
+        u = np.arange(M) - M // 2 - n
+        s_e = np.sum(spectrum._lattice_phase(M, 1, u))
+        assert abs(s_e - np.sqrt(M) * np.exp(-1j * np.pi / 4)) <= 1e-12 * np.sqrt(M)
 
-    def spy(p, d_top, d_bot, w, s_e, beta_sums=None):
-        seen.append((s_e.copy(), beta_sums))
-        return factorized_sums(p, d_top, d_bot, w, s_e, beta_sums)
 
-    factorized_sums = spectrum._factorized_sums
-    monkeypatch.setattr(spectrum, "_factorized_sums", spy)
+@pytest.mark.parametrize("sf,k,f_max", [(3, 1, 8.0), (7, 1, 8.0), (10, 1, 2.0), (12, 1, 8.0),
+                                        (9, 16, 0.25), (5, 3, 8.0)],
+                         ids=["k1-sf3", "k1-sf7", "k1-sf10", "k1-sf12", "k16-0.25B", "k3-8B"])
+def test_window_sums_are_built_only_on_the_psd_grid(monkeypatch, sf, k, f_max):
+    # the lines take two table values each, so k = 1 builds no window sum,
+    # and k > 1 builds them for the grid's n = 0..round(f_max/step) only,
+    # though the table spans 4B for the lines
+    calls = {"prefix": 0, "points": 0}
+
+    def prefix_spy(values, k):
+        calls["prefix"] += 1
+        return strided_prefix(values, k)
+
+    def sums_spy(p, d_top, *args):
+        calls["points"] += len(d_top)
+        return factorized_sums(p, d_top, *args)
+
+    strided_prefix, factorized_sums = spectrum._strided_prefix, spectrum._factorized_sums
+    monkeypatch.setattr(spectrum, "_strided_prefix", prefix_spy)
+    monkeypatch.setattr(spectrum, "_factorized_sums", sums_spy)
     p = LoraParams(sf=sf, b=1.0)
-    fresnel_spectrum(p, step=p.b / p.m)
-    assert all(beta_sums is None for _, beta_sums in seen)
-    s_e = np.concatenate([s for s, _ in seen])
-    assert len(s_e) == 8 * p.m + 1
-    gauss = np.sqrt(p.m) * np.exp(-1j * np.pi / 4)
-    assert np.max(np.abs(s_e - gauss)) <= 1e-12 * np.sqrt(p.m)
+    res = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
+    n = len(res.grid) // 2
+    assert n == round(f_max * k * p.m)
+    assert len(res.lines) == 2 * max(4 * p.m, n // k) + 1
+    assert calls == ({"prefix": 0, "points": 0} if k == 1 else {"prefix": 4, "points": n + 1})
+
+
+@pytest.mark.parametrize("sf,k,f_max", [(9, 16, 0.25), (5, 3, 1.5), (7, 4, 3.9), (4, 2, 0.5)])
+def test_a_narrow_grid_is_the_middle_of_the_4b_grid(sf, k, f_max):
+    # the window sums of a grid narrower than the lines start at the same
+    # table bottom as those of the 4B grid, and each line is two table values
+    p = LoraParams(sf=sf, b=1.0)
+    narrow = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
+    wide = fresnel_spectrum(p, f_max=4.0, step=p.b / (k * p.m))
+    n, mid = len(narrow.grid) // 2, len(wide.grid) // 2
+    middle = slice(mid - n, mid + n + 1)
+    assert np.array_equal(narrow.grid, wide.grid[middle])
+    assert np.array_equal(narrow.continuous, wide.continuous[middle])
+    assert np.array_equal(narrow.lines, wide.lines)
+
+
+@pytest.mark.parametrize("sf", [7, 9, 12])
+def test_far_lines_follow_the_tail_law(sf):
+    # beyond the band D is the asymptotic series, whose leading terms give
+    # P_n = M/(4*pi^2*(n^2 - M^2/4)^2) * (1 - 21*M^2/(4*pi^2*n^4) + ...);
+    # at 2B, 8B and 31B the relative error of the leading law is within M^2/n^4
+    p = LoraParams(sf=sf, b=1.0)
+    M = p.m
+    lines = fresnel_spectrum(p, f_max=31.0, step=1.0 / M).lines
+    n = np.array([2, 8, 31]) * M
+    law = M / (4 * np.pi ** 2 * (n ** 2.0 - M ** 2 / 4) ** 2)
+    # the relative error in units of M^2/n^4
+    scaled = (lines[len(lines) // 2 + n, 1] / law - 1) * n ** 4.0 / M ** 2
+    assert np.all(np.abs(scaled) <= 1)
+    # the first correction's sign and size at 8B: -0.546 against 21/(4*pi^2) = 0.532
+    assert -0.56 <= scaled[1] <= -0.52
+
+
+def _tail_law_remainder(M: int, n_last: int) -> float:
+    """sum over n > n_last of M/(4*pi^2*(n^2 - a^2)^2), a = M/2, in closed
+    form: 1/(n^2 - a^2)^2 = [1/(n-a)^2 + 1/(n+a)^2]/(4a^2)
+    - [1/(n-a) - 1/(n+a)]/(4a^3), whose first sums are trigamma values and
+    whose last telescopes to the M terms 1/m, n_last - a < m <= n_last + a."""
+    a = M // 2
+    squares = (polygamma(1, n_last + 1 - a) + polygamma(1, n_last + 1 + a)) / (4 * a * a)
+    harmonic = math.fsum(1.0 / m for m in range(n_last + 1 - a, n_last + a + 1)) / (4 * a ** 3)
+    return M / (4 * math.pi ** 2) * (squares - harmonic)
+
+
+@pytest.mark.parametrize("sf", [7, 9])
+@pytest.mark.parametrize("f_max", [8.0, 32.0])
+def test_lines_carry_one_mth_of_the_power(sf, f_max):
+    # the paper's 1/M: M * (sum of the computed lines + the tail law beyond
+    # the last line, both signs) is 1 (measured within 1e-15)
+    p = LoraParams(sf=sf, b=1.0)
+    lines = fresnel_spectrum(p, f_max=f_max, step=p.b / (2 * p.m)).lines
+    n_last = round(lines[-1, 0] * p.m)
+    assert n_last == f_max * p.m
+    total = p.m * (math.fsum(lines[:, 1]) + 2 * _tail_law_remainder(p.m, n_last))
+    assert abs(total - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("sf,n_max", [(3, None), (7, None), (10, 1024)])
@@ -412,6 +492,20 @@ def test_lattice_fresnel_table_matches_40_digit_values(sf, k):
     assert rel[~tail].max() <= 5e-14
 
 
+@pytest.mark.parametrize("sf", [9, 12])
+def test_lines_match_40_digit_per_symbol_sums(sf):
+    # |sum_l X|^2/M^4 at 8 n from the band centre to 8B, summed symbol by
+    # symbol in mpmath: each line from two table values is within 2e-15
+    # (the window sums of E gave up to 2.0e-14)
+    rows = [r for r in _REFERENCE["lines"] if r["sf"] == sf]
+    assert len(rows) == 8
+    res = fresnel_spectrum(LoraParams(sf=sf, b=1.0), step=1.0 / 2 ** sf)
+    mid = len(res.lines) // 2
+    for sign in (1, -1):
+        rel = [abs(res.line_powers[mid + sign * r["n"]] / float(r["power"]) - 1) for r in rows]
+        assert max(rel) <= 2e-15
+
+
 @pytest.mark.parametrize("sf", [7, 8])
 def test_fresnel_spectrum_matches_40_digit_psd(sf):
     # Gc just off the lines at 8B, 32B and 128B, k = 2, against mpmath
@@ -439,6 +533,15 @@ def test_oversized_lattice_raises_before_allocating(call, named):
     with pytest.raises(ValueError, match="more than the 4194304") as info:
         call(LoraParams(sf=7, b=125e3))
     assert str(info.value).startswith(named)
+
+
+def test_a_step_far_off_the_table_quotes_k_in_64_characters():
+    # k has 305 digits here; the message names it by its first 64 and its length
+    with pytest.raises(ValueError) as info:
+        fresnel_spectrum(LoraParams(sf=16, b=1e300), step=1e-9)
+    assert str(info.value).startswith("grid step 1e-09 Hz (k = 1525878906250000016752721602")
+    assert "... (305 characters))" in str(info.value)
+    assert len(str(info.value)) < 200
 
 
 def test_a_lattice_beyond_float_range_reads_inf_points():

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from lorachirp import (IqBuffer, IqFileHeader, LoraParams, instantaneous_frequency,
                        mean_envelope_magnitude, modulate, payload_to_symbols,
                        phase, waveform_at)
-from lorachirp.params import validate_symbol
+from lorachirp.params import _integer, _positive, _real, validate_symbol
 from lorachirp.waveform import _sample_symbols
 from oracles import chip_rate_samples, mean_power_quadrature
 
@@ -49,6 +49,23 @@ def test_params_rejects_bad_values(bad):
 def test_params_rejects_a_numeric_field_that_is_not_a_finite_real(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         LoraParams(**{"sf": 7, "b": 1.0, field: value})
+
+
+@pytest.mark.parametrize("call, start, length", [
+    (lambda: _real(10 ** 400, "x"), "x must be a finite number, got 1", 401),
+    (lambda: _integer(10 ** 400, "sf", 1, 16), "sf must be in [1, 16], got 1", 401),
+    (lambda: _integer(-10 ** 400, "seed", lo=0), "seed must be an integer >= 0, got -1", 402),
+    (lambda: _positive(-10 ** 300, "b"), "b must be positive, got -1", 302),
+    (lambda: LoraParams(sf=7, b=10 ** 400), "b must be a finite number, got 1", 401),
+    (lambda: LoraParams(sf=10 ** 400, b=1.0), "sf must be in [1, 16], got 1", 401),
+], ids=["real", "integer-range", "integer-floor", "positive", "params-b", "params-sf"])
+def test_messages_quote_at_most_64_characters_of_a_huge_value(call, start, length):
+    # a huge int is quoted by its first 64 characters and its length
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(start), message
+    assert message.endswith(f"0... ({length} characters)") and len(message) < 120, message
 
 
 @pytest.mark.parametrize("make, field", [
