@@ -52,76 +52,62 @@ def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
     return 10.0 * np.log10(np.maximum(power, _TINY)) + ps_dbm
 
 
-def _lines_within(spec: SpectrumResult):
-    """The function h -> total power of spec's lines with |f| <= h.
-
-    The lines are sorted once by signed frequency (a stable sort, linear
-    on the ascending lines of every library spectrum), so the lines inside
-    are one slice, found by two binary searches and summed in frequency
-    order.
-    """
-    order = np.argsort(spec.line_frequencies, kind="stable")
-    freqs = spec.line_frequencies[order]
-    powers = spec.line_powers[order]
-
-    def power(h: float) -> float:
-        return float(powers[freqs.searchsorted(-h, "left"):freqs.searchsorted(h, "right")].sum())
-
-    return power
-
-
 def occupied_bandwidth(p: LoraParams, fraction: float,
-                       spectrum: SpectrumResult | None = None,
-                       tol: float | None = None) -> float:
+                       spectrum: SpectrumResult | None = None) -> float:
     """Smallest two-sided width W (Hz) capturing `fraction` of the signal
     power: continuous PSD integrated over [-W/2, W/2] plus the discrete
-    lines inside.  Found by bisection down to a bracket of width tol
-    (default 1e-3 * B; must be finite and positive) or until the bracket
-    cannot be halved in floating point.
+    lines inside.
 
     Total signal power is 1 (unit-power envelope).  The default spectrum
     is fresnel_spectrum over |f| <= 4B with step B/(k*M), k = max(1,
-    512 // M), so the search resolves small SF; from SF 9 up k = 1, the
+    512 // M), so the width resolves small SF; from SF 9 up k = 1, the
     line lattice, where every point is a line and takes two Fresnel table
     values.  If the requested fraction exceeds what the computed spectrum
     span contains, the error reports the captured fraction.
 
-    tol bounds only the bisection bracket on the spectrum given.  From SF 9
-    up the default k = 1 lattice reads W low: the 99 % width at tol = 1e-7
-    is 1.04e-3 B (SF 9) to 8.8e-5 B (SF 12) below that at k = 16.
+    W is exact on the spectrum given: with the grid symmetric about 0, the
+    continuous power (the trapezoid integral) grows linearly in W/2 between
+    grid points and every line adds a step at its grid point, so the first
+    grid point that reaches `fraction` fixes W in one linear solve.  A grid
+    that is not symmetric, or a line within the grid off its points,
+    raises ValueError.  From SF 9 up the default k = 1 lattice reads W
+    low, because its trapezoid integral reads the continuous power low:
+    the 99 % width is 1.04e-3 B (SF 9) to 8.8e-5 B (SF 12) below that at
+    k = 16.
     """
     if not 0.0 < _real(fraction, "fraction") < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if spectrum is None:
         k = max(1, 512 // p.m)
         spectrum = fresnel_spectrum(p, f_max=4.0 * p.b, step=p.b / (k * p.m))
-    tol = 1e-3 * p.b if tol is None else _positive(tol, "tol")
     grid = spectrum.grid
+    c = len(grid) // 2
+    half = grid[c:]  # the half-widths h, one per grid point f >= 0
+    if len(grid) < 3 or not np.array_equal(half, -grid[c::-1]):
+        raise ValueError("occupied_bandwidth needs a grid symmetric about 0 Hz")
+    step = half[1]
     cum = _cumulative_trapezoid(grid, spectrum.continuous)
-    lines_within = _lines_within(spectrum)
-
-    def captured(width: float) -> float:
-        """Continuous power over [-width/2, width/2] plus the lines inside."""
-        half = width / 2.0
-        cont = np.interp(half, grid, cum) - np.interp(-half, grid, cum)
-        return float(cont + lines_within(half * (1 + 1e-12)))
-
-    span = 2.0 * float(grid[-1])
-    reachable = captured(span)
-    if fraction > reachable:
+    cont = cum[c:] - cum[c::-1]
+    # each line counts from the half-width of its grid point on
+    freqs = np.abs(spectrum.line_frequencies)
+    index = np.rint(freqs / step)
+    inside = index < len(half)
+    index = index[inside].astype(np.intp)
+    if np.any(np.abs(half[index] - freqs[inside]) > 1e-9 * step):
+        raise ValueError("occupied_bandwidth needs every line within the grid on a grid point")
+    captured = cont + np.cumsum(np.bincount(index, spectrum.line_powers[inside], len(half)))
+    if fraction > captured[-1]:
         raise ValueError(
             f"fraction {fraction} unreachable: computed span |f| <= "
-            f"{grid[-1]:.6g} Hz captures only {reachable:.6f}")
-    lo, hi = 0.0, span
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if captured(mid) >= fraction:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            f"{grid[-1]:.6g} Hz captures only {captured[-1]:.6f}")
+    i = int(np.argmax(captured >= fraction))
+    if i == 0:  # the line at 0 Hz alone
+        return 0.0
+    # the continuous power rises linearly across the cell (h[i-1], h[i]);
+    # if it does not reach fraction there, the line at h[i] does
+    need, rise = fraction - captured[i - 1], cont[i] - cont[i - 1]
+    width = half[i - 1] + (half[i] - half[i - 1]) * need / rise if need < rise else half[i]
+    return 2.0 * float(width)
 
 
 @dataclass(frozen=True)
@@ -145,8 +131,8 @@ def reproduce_table(sf_list) -> list[TableRow]:
     """Compute the summary metrics table from first principles.
 
     Every column is recomputed (one correlation scan per row, read for
-    max|Re C| and the SNR penalty, a bandwidth search on the exact Fresnel
-    spectrum, analytic line power); nothing is tabulated.
+    max|Re C| and the SNR penalty, the 99 % width solved on the exact
+    Fresnel spectrum, analytic line power); nothing is tabulated.
     """
     rows = []
     for sf in sf_list:

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .params import IqBuffer, LoraParams, Symbol, _finite_normal, _integer, validate_symbol
+from .params import (IqBuffer, LoraParams, Symbol, _finite_normal, _integer, _quote,
+                     validate_symbol)
 
 
 def _as_time_array(t, t_max: float, closed: bool):
@@ -100,7 +101,7 @@ def _sample_symbols(p: LoraParams, a: np.ndarray, oversample: int) -> np.ndarray
     except OverflowError:  # an int oversample beyond float range
         rate = math.inf
     if not (_finite_normal(rate) and _finite_normal(1.0 / rate)):
-        raise ValueError(f"oversample = {oversample} with b = {p.b} Hz gives a sample rate "
+        raise ValueError(f"oversample = {_quote(oversample)} with b = {p.b} Hz gives a sample rate "
                          "oversample*b or sample period 1/(oversample*b) that is not a "
                          "finite normal float")
     phases = _base_phase_windows(p, oversample)[a * oversample]

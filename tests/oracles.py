@@ -251,3 +251,38 @@ def noncoherent_orthogonal_ser(m: int, snr: float) -> float:
     edges = sorted({0.0, float(np.sqrt(2 * np.log(m))), float(a), float(a) + 40.0})
     return sum(quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
                for lo, hi in zip(edges, edges[1:]))
+
+
+def occupied_bandwidth_bisection(spec: SpectrumResult, fraction: float, tol: float) -> float:
+    """Smallest two-sided width W capturing `fraction` of spec's power, by
+    bisection on [0, 2*max(grid)] down to a bracket of width tol (or until
+    the bracket cannot be halved in floating point); returns the bracket's
+    upper end.
+
+    The captured power at W is the trapezoid integral of the continuous PSD
+    over [-W/2, W/2], read by linear interpolation of its cumulative sum,
+    plus the powers of the lines with |f| <= W/2, taken by a mask on every
+    step (the edge widened by 1e-12 relative, so that a line on it counts).
+    It assumes nothing of the grid's symmetry or of where the lines sit.
+    """
+    grid = spec.grid
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (spec.continuous[1:] + spec.continuous[:-1])
+                                           * np.diff(grid))])
+    freqs = np.abs(spec.line_frequencies)
+
+    def captured(width: float) -> float:
+        half = width / 2.0
+        cont = np.interp(half, grid, cum) - np.interp(-half, grid, cum)
+        return float(cont + spec.line_powers[freqs <= half * (1 + 1e-12)].sum())
+
+    lo, hi = 0.0, 2.0 * float(grid[-1])
+    assert captured(hi) >= fraction, f"fraction {fraction} beyond the span"
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if captured(mid) >= fraction:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -14,11 +14,11 @@ from hypothesis import given, strategies as st
 
 import lorachirp
 from lorachirp import analysis, correlation
-from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec, awgn,
-                       bin_estimate, binned_power, bit_rate, fresnel_spectrum, mask_check,
-                       modulate, occupied_bandwidth, payload_to_symbols, reproduce_table,
-                       spectral_efficiency, welch_psd)
-from oracles import psd_via_dft
+from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec,
+                       SpectrumResult, awgn, bin_estimate, binned_power, bit_rate,
+                       fresnel_spectrum, mask_check, modulate, occupied_bandwidth,
+                       payload_to_symbols, reproduce_table, spectral_efficiency, welch_psd)
+from oracles import occupied_bandwidth_bisection, psd_via_dft
 
 P7 = LoraParams(sf=7, b=125e3)
 
@@ -58,7 +58,8 @@ def test_occupied_bandwidth_errors(spec7):
     p = LoraParams(sf=7, b=1.0)
     with pytest.raises(ValueError):
         occupied_bandwidth(p, 1.5, spectrum=spec7)
-    with pytest.raises(ValueError, match="captures only"):
+    with pytest.raises(ValueError, match=r"^fraction 0\.9999999 unreachable: computed span "
+                                         r"\|f\| <= 4 Hz captures only 0\.99999"):
         occupied_bandwidth(p, 0.9999999, spectrum=spec7)
 
 
@@ -72,37 +73,6 @@ def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-_BISECT = """
-import sys
-from lorachirp import LoraParams, occupied_bandwidth
-p = LoraParams(sf=7, b=1.0)
-try:
-    width = occupied_bandwidth(p, 0.99, tol=float(sys.argv[1]))
-except ValueError as exc:
-    print("ValueError:", exc)
-else:
-    print(abs(width - occupied_bandwidth(p, 0.99)) <= 1e-3)
-"""
-
-
-@pytest.mark.parametrize("tol, message", [("0.0", "must be positive"),
-                                          ("-1.0", "must be positive"),
-                                          ("nan", "must be a finite number"),
-                                          ("inf", "must be a finite number")],
-                         ids=["0.0", "-1.0", "nan", "inf"])
-def test_occupied_bandwidth_rejects_bad_tol(tol, message):
-    proc = _run_python(_BISECT, tol)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith(f"ValueError: tol {message}")
-
-
-def test_occupied_bandwidth_ends_when_the_bracket_cannot_be_split():
-    # tol below the float spacing of the bracket: bisection stops at adjacent floats
-    proc = _run_python(_BISECT, "1e-300")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
-
-
 @functools.lru_cache(maxsize=None)
 def _lattice_spectrum(sf: int, k: int):
     """fresnel_spectrum over |f| <= 4B at step B/(k*M), B = 1 Hz."""
@@ -110,25 +80,119 @@ def _lattice_spectrum(sf: int, k: int):
     return fresnel_spectrum(p, f_max=4.0, step=1.0 / (k * p.m))
 
 
-def _bisection_spectrum(sf: int):
+def _default_spectrum(sf: int):
     """occupied_bandwidth's default spectrum at B = 1 Hz."""
     return _lattice_spectrum(sf, max(1, 512 // (1 << sf)))
 
 
+def _assert_equals_bisection(spec, fractions):
+    # the exact width lies within the oracle's 1e-12 B bracket, give or take
+    # the oracle's own 1e-12 relative edge for the lines
+    for fraction in fractions:
+        width = occupied_bandwidth(spec.params, fraction, spectrum=spec)
+        ref = occupied_bandwidth_bisection(spec, fraction, tol=1e-12 * spec.params.b)
+        assert abs(width - ref) <= 1e-11 * spec.params.b, (fraction, width, ref)
+
+
+_FRACTIONS = (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999)
+
+
+@pytest.mark.parametrize("sf", range(3, 13))
+def test_occupied_bandwidth_equals_the_bisection_oracle(sf):
+    spec = _default_spectrum(sf)
+    _assert_equals_bisection(spec, _FRACTIONS)
+    assert occupied_bandwidth(spec.params, 0.99) == occupied_bandwidth(spec.params, 0.99,
+                                                                       spectrum=spec)
+
+
+def test_occupied_bandwidth_equals_the_bisection_oracle_on_the_dft_spectrum(spec7):
+    _assert_equals_bisection(spec7, _FRACTIONS)
+
+
+def test_occupied_bandwidth_drops_the_lines_beyond_the_grid():
+    # a grid narrower than the lines, which reach 4B
+    spec = fresnel_spectrum(LoraParams(sf=7, b=1.0), f_max=1.5, step=1.0 / 512)
+    assert np.abs(spec.line_frequencies).max() == 4.0
+    _assert_equals_bisection(spec, (0.5, 0.99))
+
+
+def test_occupied_bandwidth_is_exact_at_a_line_step():
+    # SF 3 reaches 99 % only with the lines at +-0.75B, so b99 is 1.5B to
+    # the bit, and so is every fraction that their step crosses
+    spec = _default_spectrum(3)
+    assert occupied_bandwidth(spec.params, 0.99, spectrum=spec) == 1.5
+    f = np.abs(spec.line_frequencies)
+    within = np.abs(spec.grid) <= 0.75
+    before = (np.trapezoid(spec.continuous[within], spec.grid[within])
+              + spec.line_powers[f < 0.75].sum())
+    step = spec.line_powers[f == 0.75].sum()
+    assert before < 0.99 < before + step
+    for share in (0.01, 0.5, 0.99):
+        fraction = before + share * step
+        assert occupied_bandwidth(spec.params, fraction, spectrum=spec) == 1.5
+    _assert_equals_bisection(spec, (0.99, before + 0.5 * step))
+
+
+def test_occupied_bandwidth_solves_inside_the_last_cell():
+    # a flat PSD of 0.5 over [-1, 1] on a grid of step 0.25 and no lines:
+    # a width W captures W/2, so 0.9 is reached only in the cell (0.75, 1]
+    grid = np.arange(-4, 5) * 0.25
+    spec = SpectrumResult(grid=grid, continuous=np.full(9, 0.5), lines=np.empty((0, 2)),
+                          params=LoraParams(sf=3, b=1.0))
+    assert occupied_bandwidth(spec.params, 0.9, spectrum=spec) == pytest.approx(1.8, abs=1e-15)
+    assert occupied_bandwidth(spec.params, 0.9999, spectrum=spec) == pytest.approx(1.9998,
+                                                                                   abs=1e-15)
+    _assert_equals_bisection(spec, (0.1, 0.9, 0.9999))
+
+
+def test_occupied_bandwidth_at_a_cell_with_no_continuous_power():
+    # the lines of SF 7 alone: every cell's continuous power is 0, so each
+    # fraction is reached at the line that crosses it, with no division by
+    # the zero rise of a cell
+    spec = _default_spectrum(7)
+    lines_only = dataclasses.replace(spec, continuous=np.zeros_like(spec.continuous))
+    f = spec.line_frequencies
+    p0 = spec.line_powers[f == 0.0].sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fraction in (0.25, 0.5, 0.9):
+            fraction /= spec.params.m
+            width = occupied_bandwidth(spec.params, fraction, spectrum=lines_only)
+            # the narrowest symmetric set of lines that reaches the fraction
+            inside = spec.line_powers[np.abs(f) <= width / 2].sum()
+            assert width / 2 in f and inside >= fraction
+            assert spec.line_powers[np.abs(f) < width / 2].sum() < fraction
+        # the line at 0 Hz alone reaches a fraction below its power
+        assert occupied_bandwidth(spec.params, p0 / 2, spectrum=lines_only) == 0.0
+    _assert_equals_bisection(lines_only, (0.25 / spec.params.m, 0.9 / spec.params.m))
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda s: dict(lines=s.lines + [1.0 / 2048, 0.0]), "every line within the grid on a grid"),
+    (lambda s: dict(grid=s.grid[1:], continuous=s.continuous[1:]), "a grid symmetric about 0"),
+    (lambda s: dict(grid=s.grid + 1.0 / 2048), "a grid symmetric about 0"),
+    (lambda s: dict(grid=s.grid[3:6], continuous=s.continuous[3:6]), "a grid symmetric about 0"),
+], ids=["lines-off-grid", "grid-one-point-short", "grid-shifted", "grid-off-0"])
+def test_occupied_bandwidth_rejects_a_spectrum_it_cannot_invert(change, match):
+    spec = _default_spectrum(7)
+    with pytest.raises(ValueError, match=match):
+        occupied_bandwidth(spec.params, 0.5, spectrum=dataclasses.replace(spec, **change(spec)))
+
+
 @pytest.mark.parametrize("sf,bound", [(9, 1.1e-3), (10, 5e-4), (11, 2.2e-4), (12, 9.5e-5)])
-def test_default_lattice_b99_error_is_bounded_but_exceeds_tol(sf, bound):
+def test_default_lattice_b99_error_is_bounded(sf, bound):
     # A known defect: from SF 9 up the default spectrum is the k = 1 line
     # lattice, whose trapezoid integral reads the continuous power low, so
-    # b99 at tol = 1e-7 B is 0.09e-3 to 1.04e-3 B below the k = 16 value:
-    # tol bounds the bracket, not the answer.  k = 2 is within 2.3e-5 B.
-    # These bounds pin the defect's size; a fix may only tighten them.
+    # the exact b99 on it is 0.09e-3 to 1.04e-3 B below the k = 16 value.
+    # k = 2 is within 2.3e-5 B.  These bounds pin the defect's size; a fix
+    # may only tighten them.
     p = LoraParams(sf=sf, b=1.0)
 
     def b99(k):
-        return occupied_bandwidth(p, 0.99, spectrum=_lattice_spectrum(sf, k), tol=1e-7)
+        return occupied_bandwidth(p, 0.99, spectrum=_lattice_spectrum(sf, k))
 
     ref = b99(16)
-    assert abs(occupied_bandwidth(p, 0.99, tol=1e-7) - ref) <= bound
+    assert abs(occupied_bandwidth(p, 0.99) - ref) <= bound
     assert abs(b99(2) - ref) <= 3e-5
 
 
@@ -151,23 +215,12 @@ def test_default_lattice_band_power_error_is_bounded(sf):
 
 @pytest.mark.parametrize("sf", [3, 7, 10])
 def test_occupied_bandwidth_ignores_the_order_of_the_lines(sf):
-    spec = _bisection_spectrum(sf)
+    spec = _default_spectrum(sf)
     order = np.random.default_rng(sf).permutation(len(spec.lines))
     shuffled = dataclasses.replace(spec, lines=spec.lines[order])
     for fraction in (0.5, 0.99):
         assert (occupied_bandwidth(spec.params, fraction, spectrum=shuffled)
                 == occupied_bandwidth(spec.params, fraction, spectrum=spec))
-
-
-@given(sf=st.integers(3, 9), n=st.integers(0, 4 * 512),
-       nudge=st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12]))
-def test_line_term_equals_the_masked_sum(sf, n, nudge):
-    # h = n*B/M puts the edge exactly on a line (inclusive), or just inside
-    # or outside it
-    spec = _bisection_spectrum(sf)
-    h = n % (4 * spec.params.m + 1) / spec.params.m * nudge
-    ref = spec.line_powers[np.abs(spec.line_frequencies) <= h].sum()
-    assert abs(analysis._lines_within(spec)(h) - ref) <= 1e-15
 
 
 def test_reproduce_table_scans_the_correlations_once_per_row(monkeypatch):
@@ -196,10 +249,11 @@ def test_reproduce_table_row_sf5():
 
 
 def test_reproduce_table_b99_is_pinned():
-    # bisection endpoints are dyadic multiples of the 8B span
+    # the exact widths on the default spectra; SF 3 is a line's step
     rows = reproduce_table([3, 5, 7, 10, 12])
-    assert [r.b99_b for r in rows] == [1.5, 1.185546875, 1.0458984375,
-                                       0.990234375, 0.986328125]
+    np.testing.assert_allclose([r.b99_b for r in rows],
+                               [1.5, 1.1848099746737, 1.0452514474734,
+                                0.9893012619787, 0.9862669347123], rtol=0, atol=1e-12)
 
 
 def test_reproduce_table_rejects_out_of_range():
@@ -299,14 +353,13 @@ def test_binned_power_rejects_a_non_finite_origin(spec7, origin):
         binned_power(spec, delta_f=1.0 / 128, ps_dbm=14.0), MaskSpec("empty"), f0=v)),
     ("f_max", lambda spec, v: fresnel_spectrum(LoraParams(sf=3, b=1.0), f_max=v)),
     ("step", lambda spec, v: fresnel_spectrum(LoraParams(sf=7, b=128.0), f_max=4.0, step=v)),
-    ("tol", lambda spec, v: occupied_bandwidth(spec.params, 0.99, spectrum=spec, tol=v)),
     ("mask segment rbw_hz", lambda spec, v: MaskSegment(0.0, 1.0, 0.0, rbw_hz=v)),
     ("snr_db", lambda spec, v: awgn(modulate(P7, [1]), snr_db=v, seed=0)),
     ("origin", lambda spec, v: binned_power(spec, delta_f=1.0 / 128, ps_dbm=14.0, origin=v)),
     ("fraction", lambda spec, v: occupied_bandwidth(spec.params, v, spectrum=spec)),
     ("overlap", lambda spec, v: welch_psd(modulate(P7, [1]), 16, overlap=v))],
-    ids=["delta_f", "ps_dbm", "f0", "f_max", "step", "tol", "rbw_hz", "snr_db", "origin",
-         "fraction", "overlap"])
+    ids=["delta_f", "ps_dbm", "f0", "f_max", "step", "rbw_hz", "snr_db", "origin", "fraction",
+         "overlap"])
 @pytest.mark.parametrize("value, kind", [(True, "a real number"), ("10", "a real number"),
                                          (np.nan, "a finite number"), (np.inf, "a finite number"),
                                          (-np.inf, "a finite number")],
