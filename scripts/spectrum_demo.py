@@ -8,11 +8,13 @@ combined plot.
 Usage: python scripts/spectrum_demo.py [--sf-list 3,7,10,12] [--outdir out]
 """
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from lorachirp import LoraParams, fresnel_spectrum
+from lorachirp.cli import _parse_sf_list
 from lorachirp.iqfile import _write_csv
 
 
@@ -21,11 +23,15 @@ def main():
     ap.add_argument("--sf-list", default="3,7,10,12")
     ap.add_argument("--outdir", default="spectrum_out")
     args = ap.parse_args()
+    try:
+        sf_list = _parse_sf_list(args.sf_list)
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     curves = {}
-    for sf in [int(s) for s in args.sf_list.split(",")]:
+    for sf in sf_list:
         p = LoraParams(sf=sf, b=1.0)
         res = fresnel_spectrum(p)
         db = 10 * np.log10(np.maximum(res.continuous * p.b, 1e-30))

@@ -16,7 +16,7 @@ import numpy as np
 from .correlation import max_cross_correlation
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _finite_array,
                      _finite_power, _integer, _json_object, _map_chunks, _positive, _real, _spans)
-from .spectrum import SpectrumResult, fresnel_spectrum
+from .spectrum import SpectrumResult, _half_spectrum, fresnel_spectrum
 
 _TINY = 1e-30
 
@@ -32,10 +32,23 @@ def spectral_efficiency(sf: int) -> float:
     return sf / (1 << sf)
 
 
+def _trapezoid_cells(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The trapezoid integral of values over each cell of grid."""
+    cells = np.add(values[1:], values[:-1])
+    cells *= 0.5
+    cells *= np.diff(grid)
+    return cells
+
+
 def _cumulative_trapezoid(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral of values over grid, starting at 0."""
-    seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    cells = _trapezoid_cells(grid, values)
+    # allocated after the cells: the other way round, freeing them trimmed
+    # the heap and every call faulted its pages in again
+    out = np.empty(len(values))
+    out[0] = 0.0
+    np.cumsum(cells, out=out[1:])
+    return out
 
 
 def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
@@ -52,6 +65,24 @@ def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
     return 10.0 * np.log10(np.maximum(power, _TINY)) + ps_dbm
 
 
+def _check_spectrum(spec: SpectrumResult) -> None:
+    """ValueError unless the grid and the line frequencies of spec are
+    finite and every PSD value and line power is a finite number >= 0: a
+    NaN, an infinity or a negative power is no spectrum."""
+    for what, freqs in (("grid", spec.grid), ("line frequencies", spec.line_frequencies)):
+        # a NaN anywhere makes both extremes NaN
+        if len(freqs) and not (np.isfinite(freqs.min()) and np.isfinite(freqs.max())):
+            raise ValueError(f"spectrum {what} must hold only finite numbers, "
+                             f"got {float(freqs[~np.isfinite(freqs)][0])!r}")
+    for what, values, freqs in (("PSD value", spec.continuous, spec.grid),
+                                ("line power", spec.line_powers, spec.line_frequencies)):
+        # a NaN extreme fails both comparisons
+        if len(values) and not (values.min() >= 0.0 and values.max() < np.inf):
+            i = int(np.argmax(~((values >= 0.0) & (values < np.inf))))
+            raise ValueError(f"spectrum {what} at {float(freqs[i])!r} Hz is "
+                             f"{float(values[i])!r}, not a finite number >= 0")
+
+
 def occupied_bandwidth(p: LoraParams, fraction: float,
                        spectrum: SpectrumResult | None = None) -> float:
     """Smallest two-sided width W (Hz) capturing `fraction` of the signal
@@ -59,47 +90,74 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
     lines inside.
 
     Total signal power is 1 (unit-power envelope).  The default spectrum
-    is fresnel_spectrum over |f| <= 4B with step B/(k*M), k = max(1,
-    512 // M), so the width resolves small SF; from SF 9 up k = 1, the
-    line lattice, where every point is a line and takes two Fresnel table
-    values.  If the requested fraction exceeds what the computed spectrum
-    span contains, the error reports the captured fraction.
+    is that of fresnel_spectrum over |f| <= 4B with step B/(k*M), k =
+    max(1, 512 // M), so the width resolves small SF; from SF 9 up k = 1,
+    the line lattice, where every point is a line and takes two Fresnel
+    table values.  If the requested fraction exceeds what the computed
+    spectrum span contains, the error reports the captured fraction.
 
-    W is exact on the spectrum given: with the grid symmetric about 0, the
-    continuous power (the trapezoid integral) grows linearly in W/2 between
-    grid points and every line adds a step at its grid point, so the first
-    grid point that reaches `fraction` fixes W in one linear solve.  A grid
-    that is not symmetric, or a line within the grid off its points,
-    raises ValueError.  From SF 9 up the default k = 1 lattice reads W
-    low, because its trapezoid integral reads the continuous power low:
-    the 99 % width is 1.04e-3 B (SF 9) to 8.8e-5 B (SF 12) below that at
+    W is solved on the f >= 0 half: with the grid symmetric about 0, the
+    power within |f| <= h is the continuous power of the cells on both
+    sides plus the lines folded onto their grid points |f|, so it grows
+    linearly in h between grid points and every line adds a step at its
+    grid point, and the first grid point that reaches `fraction` fixes W
+    in one linear solve.  The cells are summed from the far edge -h_max
+    up, as a cumulative integral over the whole grid sums them, so W
+    keeps that integral's bits (summed from 0 Hz, W at 99.99 % would move
+    by up to 2.6e-11 B where G is small).  The default path takes the
+    f >= 0 half of the spectrum straight from the Fresnel engine (G and
+    the lines are even) and builds no mirrored spectrum; it gives the
+    bits that the same spectrum given as `spectrum` gives.  A given
+    spectrum whose grid is not symmetric, whose lines within the grid are
+    off its points, whose grid or line frequencies are not finite, or
+    whose PSD values or line powers are not finite numbers >= 0 raises
+    ValueError.  From SF 9 up the default k = 1 lattice reads W low,
+    because its trapezoid integral reads the continuous power low: the
+    99 % width is 1.04e-3 B (SF 9) to 8.8e-5 B (SF 12) below that at
     k = 16.
     """
     if not 0.0 < _real(fraction, "fraction") < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if spectrum is None:
         k = max(1, 512 // p.m)
-        spectrum = fresnel_spectrum(p, f_max=4.0 * p.b, step=p.b / (k * p.m))
-    grid = spectrum.grid
-    c = len(grid) // 2
-    half = grid[c:]  # the half-widths h, one per grid point f >= 0
-    if len(grid) < 3 or not np.array_equal(half, -grid[c::-1]):
-        raise ValueError("occupied_bandwidth needs a grid symmetric about 0 Hz")
-    step = half[1]
-    cum = _cumulative_trapezoid(grid, spectrum.continuous)
-    cont = cum[c:] - cum[c::-1]
-    # each line counts from the half-width of its grid point on
-    freqs = np.abs(spectrum.line_frequencies)
-    index = np.rint(freqs / step)
-    inside = index < len(half)
-    index = index[inside].astype(np.intp)
-    if np.any(np.abs(half[index] - freqs[inside]) > 1e-9 * step):
-        raise ValueError("occupied_bandwidth needs every line within the grid on a grid point")
-    captured = cont + np.cumsum(np.bincount(index, spectrum.line_powers[inside], len(half)))
+        step, g, powers = _half_spectrum(p, f_max=4.0 * p.b, step=p.b / (k * p.m))
+        half = np.arange(len(g)) * step
+        pos = neg = _trapezoid_cells(half, g)
+        # every line f > 0 stands for itself and its mirror
+        lines = np.zeros(len(half))
+        lines[::k] = powers[:len(lines[::k])]
+        lines[k::k] *= 2.0
+    else:
+        _check_spectrum(spectrum)
+        grid = spectrum.grid
+        c = len(grid) // 2
+        half = grid[c:]  # the half-widths h, one per grid point f >= 0
+        if len(grid) < 3 or not np.array_equal(half, -grid[c::-1]):
+            raise ValueError("occupied_bandwidth needs a grid symmetric about 0 Hz")
+        cells = _trapezoid_cells(grid, spectrum.continuous)
+        pos, neg = cells[c:], cells[c - 1::-1]
+        # each line counts from the half-width of its grid point on
+        step = half[1]
+        freqs = np.abs(spectrum.line_frequencies)
+        index = np.rint(freqs / step)
+        inside = index < len(half)
+        index = index[inside].astype(np.intp)
+        if np.any(np.abs(half[index] - freqs[inside]) > 1e-9 * step):
+            raise ValueError("occupied_bandwidth needs every line within the grid on a grid point")
+        lines = np.bincount(index, spectrum.line_powers[inside], len(half)).astype(float)
+    # the continuous power within |f| <= h: from -h_max up to -h, then on to +h
+    below = np.zeros(len(half))
+    np.cumsum(neg[::-1], out=below[1:])
+    cont = np.empty(len(half))
+    cont[0], cont[1:] = below[-1], pos
+    np.cumsum(cont, out=cont)
+    cont -= below[::-1]
+    captured = np.cumsum(lines, out=lines)
+    captured += cont
     if fraction > captured[-1]:
         raise ValueError(
             f"fraction {fraction} unreachable: computed span |f| <= "
-            f"{grid[-1]:.6g} Hz captures only {captured[-1]:.6f}")
+            f"{half[-1]:.6g} Hz captures only {captured[-1]:.6f}")
     i = int(np.argmax(captured >= fraction))
     if i == 0:  # the line at 0 Hz alone
         return 0.0
@@ -175,10 +233,13 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
 
     Bin centers sit at origin + k*delta_f for every bin fully inside the
     spectrum span.  Bins are half-open, so a line falling exactly on an
-    edge is counted once, in the upper bin.
+    edge is counted once, in the upper bin.  A grid point or line
+    frequency that is not finite, and a PSD value or line power that is
+    not a finite number >= 0, raise ValueError.
     """
     delta_f = _positive(delta_f, "delta_f")
     origin = _real(origin, "origin")
+    _check_spectrum(spec)
     grid = spec.grid
     k_lo = int(np.ceil((grid[0] + delta_f / 2 - origin) / delta_f - 1e-9))
     k_hi = int(np.floor((grid[-1] - delta_f / 2 - origin) / delta_f + 1e-9))

@@ -31,17 +31,27 @@ def _params(args) -> LoraParams:
     return LoraParams(sf=args.sf, b=args.bw)
 
 
-def _parse_symbols(text: str) -> list[int]:
+def _parse_ints(text: str, option: str) -> list[int]:
+    """The comma-separated integers of `option`; ValueError naming it
+    for a token that is not an integer."""
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"bad --symbols list {text!r}: {exc}") from exc
+        raise ValueError(f"bad {option} {text!r}: {exc}") from exc
+
+
+def _parse_sf_list(text: str) -> list[int]:
+    """The spreading factors of --sf-list, at least one."""
+    sf_list = _parse_ints(text, "--sf-list")
+    if not sf_list:
+        raise ValueError(f"--sf-list {text!r} names no spreading factor")
+    return sf_list
 
 
 def _cmd_modulate(args) -> int:
     p = _params(args)
     if args.symbols is not None:
-        symbols = _parse_symbols(args.symbols)
+        symbols = _parse_ints(args.symbols, "--symbols")
     else:
         symbols = payload_to_symbols(bytes.fromhex(args.payload_hex), args.sf)
     iq = modulate(p, symbols, oversample=args.oversample)
@@ -106,8 +116,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    sf_list = [int(tok) for tok in args.sf_list.split(",") if tok.strip()]
-    rows = analysis.reproduce_table(sf_list)
+    rows = analysis.reproduce_table(_parse_sf_list(args.sf_list))
     if args.format == "json":
         text = json.dumps([row.__dict__ for row in rows], indent=2)
     else:

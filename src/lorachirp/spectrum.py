@@ -336,6 +336,26 @@ def _lattice_sums(p: LoraParams, k: int, n: int,
     return sum_abs2, abs2_sum, lines
 
 
+def _half_spectrum(p: LoraParams, f_max: float | None,
+                   step: float | None) -> tuple[float, np.ndarray, np.ndarray]:
+    """The f >= 0 half of fresnel_spectrum(p, f_max, step): the grid step,
+    the continuous PSD at f = i*step, 0 <= i <= round(f_max/step), and the
+    line powers at f = m*B/M, 0 <= m <= max(4M, f_max*M/B).  Arguments and
+    errors are fresnel_spectrum's."""
+    if f_max is None:
+        f_max = 8.0 * p.b
+    k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
+    f_max = _positive(f_max, "f_max")
+    step = p.b / (k * p.m)
+    # n stays a float until checked: beyond float range it is inf
+    n = f_max / step
+    _check_lattice(k * p.m + max(n, 4 * k * p.m) + 1,
+                   f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
+    n = round(n)
+    sum_abs2, abs2_sum, line_sums = _lattice_sums(p, k, n, max(n, 4 * k * p.m))
+    return step, _psd_combine(sum_abs2, abs2_sum, p), line_sums / (p.ts ** 2 * p.m ** 2)
+
+
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
                      step: float | None = None) -> SpectrumResult:
     """Exact spectrum from the Fresnel closed form on the lattice
@@ -356,21 +376,10 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     The tests check these values against a zero-padded DFT of the sampled
     waveforms.
     """
-    if f_max is None:
-        f_max = 8.0 * p.b
-    k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
-    f_max = _positive(f_max, "f_max")
-    step = p.b / (k * p.m)
-    # n stays a float until checked: beyond float range it is inf
-    n = f_max / step
-    _check_lattice(k * p.m + max(n, 4 * k * p.m) + 1,
-                   f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
-    n = round(n)
-    sum_abs2, abs2_sum, line_sums = _lattice_sums(p, k, n, max(n, 4 * k * p.m))
+    step, continuous, lines = _half_spectrum(p, f_max, step)
+    n, n_lines = len(continuous) - 1, len(lines) - 1
     # f < 0 mirrors f >= 0
-    continuous, lines = (np.concatenate([v[:0:-1], v]) for v in (
-        _psd_combine(sum_abs2, abs2_sum, p), line_sums / (p.ts ** 2 * p.m ** 2)))
-    n_lines = len(lines) // 2
+    continuous, lines = (np.concatenate([v[:0:-1], v]) for v in (continuous, lines))
     lines = np.column_stack([np.arange(-n_lines, n_lines + 1) * p.b / p.m, lines])
     return SpectrumResult(grid=np.arange(-n, n + 1) * step, continuous=continuous,
                           lines=lines, params=p)

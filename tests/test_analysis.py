@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st
 
 import lorachirp
 from lorachirp import analysis, correlation
+from lorachirp.cli import main
 from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec,
                        SpectrumResult, awgn, bin_estimate, binned_power, bit_rate,
                        fresnel_spectrum, mask_check, modulate, occupied_bandwidth,
@@ -221,6 +223,93 @@ def test_occupied_bandwidth_ignores_the_order_of_the_lines(sf):
     for fraction in (0.5, 0.99):
         assert (occupied_bandwidth(spec.params, fraction, spectrum=shuffled)
                 == occupied_bandwidth(spec.params, fraction, spectrum=spec))
+
+
+def test_default_occupied_bandwidth_builds_no_mirrored_spectrum():
+    # the f >= 0 half only: with a mirrored spectrum and its two-sided
+    # integral the call would peak at about 154 bytes per half-grid point
+    p = LoraParams(12, 1.0)
+    occupied_bandwidth(p, 0.99)
+    tracemalloc.start()
+    try:
+        occupied_bandwidth(p, 0.99)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 110 * (4 * p.m + 1)
+
+
+@pytest.mark.parametrize("sf", range(3, 17))
+def test_default_occupied_bandwidth_equals_the_given_default_spectrum(sf):
+    # the f >= 0 half path against the mirrored spectrum, bit for bit
+    for b in (1.0, 125e3):
+        p = LoraParams(sf, b)
+        spec = fresnel_spectrum(p, f_max=4.0 * b, step=b / (max(1, 512 // p.m) * p.m))
+        for fraction in (0.1, 0.5, 0.9, 0.99, 0.999):
+            assert (occupied_bandwidth(p, fraction)
+                    == occupied_bandwidth(p, fraction, spectrum=spec)), (b, fraction)
+
+
+def test_occupied_bandwidth_of_an_asymmetric_spectrum_equals_the_bisection_oracle():
+    # G and the lines times 1 + 0.5*sign(f): the two sides of every width differ
+    spec = _default_spectrum(7)
+    lines = spec.lines.copy()
+    lines[:, 1] *= 1.0 + 0.5 * np.sign(lines[:, 0])
+    continuous = spec.continuous * (1.0 + 0.5 * np.sign(spec.grid))
+    skewed = dataclasses.replace(spec, continuous=continuous, lines=lines)
+    _assert_equals_bisection(skewed, _FRACTIONS)
+    assert occupied_bandwidth(spec.params, 0.9, spectrum=skewed) != occupied_bandwidth(
+        spec.params, 0.9, spectrum=spec)
+
+
+def _malformed(spec, part, where, value):
+    """spec with one value replaced: of the grid or the PSD, or of the
+    lines' frequencies or powers."""
+    if part in ("grid", "continuous"):
+        values = getattr(spec, part).copy()
+        values[where] = value
+        return dataclasses.replace(spec, **{part: values})
+    lines = spec.lines.copy()
+    lines[where, ("frequencies", "powers").index(part)] = value
+    return dataclasses.replace(spec, lines=lines)
+
+
+# index 2058 is 0.0195 Hz on the SF 7, k = 4 grid, inside the 99 % width;
+# line -1 is the one at 4B, beyond it
+_MALFORMED = [
+    ("continuous", 2058, np.nan, "PSD value at 0.01953125 Hz is nan, not a finite number >= 0"),
+    ("continuous", 2058, np.inf, "PSD value at 0.01953125 Hz is inf, not a finite number >= 0"),
+    ("continuous", 2058, -1.0, r"PSD value at 0.01953125 Hz is -1\.0, not a finite number >= 0"),
+    ("powers", -1, np.nan, "line power at 4.0 Hz is nan, not a finite number >= 0"),
+    ("powers", 0, -np.inf, "line power at -4.0 Hz is -inf, not a finite number >= 0"),
+    ("frequencies", 5, np.nan, "line frequencies must hold only finite numbers, got nan"),
+    ("grid", -1, np.inf, "grid must hold only finite numbers, got inf"),
+]
+
+
+@pytest.mark.parametrize("part, where, value, match", _MALFORMED)
+def test_occupied_bandwidth_rejects_a_malformed_spectrum(part, where, value, match):
+    spec = _default_spectrum(7)
+    with pytest.raises(ValueError, match=match):
+        occupied_bandwidth(spec.params, 0.99, spectrum=_malformed(spec, part, where, value))
+
+
+@pytest.mark.parametrize("part, where, value, match", _MALFORMED)
+def test_binned_power_rejects_a_malformed_spectrum(part, where, value, match):
+    spec = _default_spectrum(7)
+    with pytest.raises(ValueError, match=match):
+        binned_power(_malformed(spec, part, where, value), delta_f=1.0 / 128, ps_dbm=14.0)
+
+
+@pytest.mark.parametrize("sf_list, message", [
+    ("", "--sf-list '' names no spreading factor"),
+    (" , ", "--sf-list ' , ' names no spreading factor"),
+    ("3,x", "bad --sf-list '3,x': invalid literal for int"),
+])
+def test_cli_table_rejects_a_bad_sf_list(capsys, sf_list, message):
+    assert main(["table", "--sf-list", sf_list]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
 
 
 def test_reproduce_table_scans_the_correlations_once_per_row(monkeypatch):

@@ -12,12 +12,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(tmp_path, script, *args) -> str:
+def _start(tmp_path, script, *args) -> subprocess.CompletedProcess:
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+def _run(tmp_path, script, *args) -> str:
+    proc = _start(tmp_path, script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -27,11 +31,23 @@ def test_reproduce_table(tmp_path):
     rows = {int(line.split()[0]): line.split() for line in out.splitlines()
             if re.match(r"\s+\d+\s", line)}
     assert sorted(rows) == [3, 5]
-    # SF, M, 1/eta, max|Re C|, B99/B, Pd %, Dmax dB
+    # SF, M, eta, max|Re C|, B99/B, Pd %, Dmax dB
     assert rows[3][1:3] == ["8", "0.37500"]
     assert float(rows[3][4]) == pytest.approx(1.500, abs=0.01)
     assert rows[5][5] == "3.1250"
     assert "computed in" in out
+    assert out.split()[:3] == ["SF", "M", "eta"]
+
+
+@pytest.mark.parametrize("script", ["reproduce_table.py", "spectrum_demo.py"])
+@pytest.mark.parametrize("sf_list, message", [
+    ("", "error: --sf-list '' names no spreading factor"),
+    ("x", "error: bad --sf-list 'x': invalid literal for int"),
+])
+def test_scripts_reject_a_bad_sf_list(tmp_path, script, sf_list, message):
+    proc = _start(tmp_path, script, "--sf-list", sf_list)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(message)
 
 
 def test_spectrum_demo(tmp_path):
