@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import params
+from . import _numtext, params
+from ._numtext import _csv_text
 from .params import (_BLOCK_SAMPLES, IqBuffer, _all_finite, _finite, _json_object, _map_chunks,
                      _positive, _quote, _real, _spans)
 
@@ -42,9 +43,10 @@ class IqFileHeader:
         object.__setattr__(self, "center_freq", _real(self.center_freq, "center_freq"))
 
 
-# rows of a CSV output formatted and written in one go: few enough that
-# the text of a chunk stays far below the columns it is formatted from
-_CSV_ROWS = 256
+# values (rows x columns) of a CSV output formatted and written in one go:
+# the formatter's temporaries, about 190 bytes a value, stay in the CPU's
+# cache and far below the columns they are formatted from
+_CSV_VALUES = 1 << 12
 # rows _mirrored compares at a time: numpy temporaries of 32 KB a column
 _CSV_CHECK_ROWS = 1 << 12
 # values (rows x columns) per forked child writing a CSV output: a smaller
@@ -99,14 +101,6 @@ def _replacing(path):
     os.rename(temp, target)
 
 
-def _csv_text(cols: list, lo: int, hi: int) -> str:
-    """The text of rows lo..hi-1 (at least one) of the columns `cols`:
-    each number is the repr of the Python float or int that tolist() makes
-    of it, ',' between fields and '\r\n' after each row."""
-    fields = [map(repr, c[lo:hi].tolist()) for c in cols]
-    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
-
-
 def _mirrored(cols: list) -> bool:
     """Whether the table `cols` (float or int columns) is its own mirror
     image about its middle row n // 2: n is odd, and for each row i before
@@ -132,11 +126,11 @@ def _format_part(cols: list, lo: int, hi: int, first: int, upper, lower) -> None
     for those from row `first` on, '-' + their text to the binary file
     `lower` in descending row order: the text of their mirror rows, in
     file order, when the table is mirrored and first is the row after the
-    middle.  Both are written _CSV_ROWS rows at a time, the reflected text
-    from `upper` read back a chunk at a time, and flushed."""
+    middle.  Both are written _CSV_VALUES values at a time, the reflected
+    text from `upper` read back a chunk at a time, and flushed."""
     chunks, offset = [], 0  # (first row, offset, size) of each chunk to reflect
-    for a, b in _spans(hi, _CSV_ROWS, lo):
-        text = _csv_text(cols, a, b).encode("ascii")
+    for a, b in _spans(hi, max(1, _CSV_VALUES // len(cols)), lo):
+        text = _csv_text(cols, a, b)
         upper.write(text)
         if b > first:
             chunks.append((a, offset, len(text)))
@@ -152,7 +146,11 @@ def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = (
     """Write '# ' comment lines, a header and one row per entry of the
     columns `cols` (equal-length 1-D numpy arrays), in csv.writer's
     default layout: ',' between fields and '\r\n' after each row.  Every
-    number is written as its repr, so floats read back exactly.
+    number is written as its repr, so floats read back exactly: the text
+    of a chunk of rows is computed for whole arrays by
+    _numtext._csv_text, which gives repr's text without calling it.  Its
+    tables are built on the first call, before any fork, so that children
+    inherit them.
 
     The file is written beside path and renamed onto it once whole (see
     _replacing): a failed write leaves the old file as it was.  A table
@@ -173,11 +171,12 @@ def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = (
     first part of a table that is not mirrored goes straight onto the
     output.  A child that fails is an OSError naming path and the rows it
     formatted.  No child or spill file outlives the call, on any exit.
-    Every process formats and writes _CSV_ROWS rows at a time, so the
-    text never exists whole, in any process."""
+    Every process formats and writes _CSV_VALUES values at a time, so
+    the text never exists whole, in any process."""
     import shutil
     import signal
     import tempfile
+    _numtext._tables()
     n = len(cols[0])
     mirrored = _mirrored(cols)
     # the rows start..n-1 are formatted; the text of those from `first` on is reflected

@@ -62,10 +62,10 @@ def _map_chunks(fn, spans: list) -> list:
 
 
 def _all_finite(values: np.ndarray) -> bool:
-    """True when no value is NaN or infinite, as for no value at all; NaN
-    fails both comparisons."""
-    return bool(values.size == 0 or (np.maximum.reduce(values) < np.inf
-                                     and np.minimum.reduce(values) > -np.inf))
+    """True when no value of the array (any shape) is NaN or infinite, as
+    for no value at all; NaN fails both comparisons."""
+    return bool(values.size == 0 or (np.maximum.reduce(values, axis=None) < np.inf
+                                     and np.minimum.reduce(values, axis=None) > -np.inf))
 
 
 def _quote(value) -> str:

@@ -11,6 +11,8 @@ factorized lattice sums: the loop oracles sum waveform_fourier_transform
 symbol by symbol, and the DFT oracle transforms the samples that the
 public modulate gives.
 """
+from fractions import Fraction
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
@@ -286,3 +288,30 @@ def occupied_bandwidth_bisection(spec: SpectrumResult, fraction: float, tol: flo
         else:
             lo = mid
     return hi
+
+
+def captured_power_exact(spec: SpectrumResult, width: float) -> tuple[Fraction, Fraction]:
+    """The power a two-sided width W captures, in exact rational arithmetic
+    on the float grid, PSD and line powers of spec: the trapezoid integral
+    of the continuous PSD over [-W/2, W/2], taken over a partial cell as
+    the share of the cell's trapezoid that a linear interpolation of the
+    cumulative integral gives, plus the powers of the lines with |f| < W/2
+    (first value) or |f| <= W/2 (second).  No sum depends on an order."""
+    half = width / 2
+    grid, psd = spec.grid.tolist(), spec.continuous.tolist()
+    # every double here is an integer multiple of 2^-scale
+    scale = max(v.as_integer_ratio()[1].bit_length() - 1 for v in grid + psd + [half])
+
+    def exact(v: float) -> int:
+        n, d = v.as_integer_ratio()
+        return n << (scale - (d.bit_length() - 1))
+
+    x, g, h = [exact(v) for v in grid], [exact(v) for v in psd], exact(half)
+    # (g1 + g2) / 2 * (x2 - x1) over a whole cell, the share (hi - lo) / (x2 - x1) of it over a part
+    doubled = sum((g[j] + g[j + 1]) * (min(x[j + 1], h) - max(x[j], -h))
+                  for j in range(len(x) - 1) if max(x[j], -h) < min(x[j + 1], h))
+    continuous = Fraction(doubled, 2 << (2 * scale))
+    lines = [(abs(f), p) for f, p in zip(spec.line_frequencies.tolist(), spec.line_powers.tolist())
+             if abs(f) <= half]
+    inner = sum(Fraction(p) for f, p in lines if f < half)
+    return continuous + inner, continuous + sum(Fraction(p) for _, p in lines)

@@ -20,7 +20,7 @@ from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSp
                        SpectrumResult, awgn, bin_estimate, binned_power, bit_rate,
                        fresnel_spectrum, mask_check, modulate, occupied_bandwidth,
                        payload_to_symbols, reproduce_table, spectral_efficiency, welch_psd)
-from oracles import occupied_bandwidth_bisection, psd_via_dft
+from oracles import captured_power_exact, occupied_bandwidth_bisection, psd_via_dft
 
 P7 = LoraParams(sf=7, b=125e3)
 
@@ -105,6 +105,19 @@ def test_occupied_bandwidth_equals_the_bisection_oracle(sf):
     _assert_equals_bisection(spec, _FRACTIONS)
     assert occupied_bandwidth(spec.params, 0.99) == occupied_bandwidth(spec.params, 0.99,
                                                                        spectrum=spec)
+
+
+@pytest.mark.parametrize("sf", range(3, 13))
+def test_occupied_bandwidth_captures_its_fraction_in_exact_arithmetic(sf):
+    # the bisection oracle sums its cells in the solver's own order; summed
+    # exactly, the power inside the solved width is the fraction to a few
+    # 1e-15 (1.7e-15 at worst), or the fraction lies on the step of a line
+    # at the width's edge (SF 3 at 99 %)
+    spec = _default_spectrum(sf)
+    for fraction in _FRACTIONS:
+        width = occupied_bandwidth(spec.params, fraction, spectrum=spec)
+        inside, with_edge = captured_power_exact(spec, width)
+        assert inside - 4e-15 <= fraction <= with_edge + 4e-15, (fraction, width)
 
 
 def test_occupied_bandwidth_equals_the_bisection_oracle_on_the_dft_spectrum(spec7):
@@ -417,9 +430,11 @@ _CENTERS = np.array([-0.25, 0.0, 0.25])
     (_FREQS, np.ones(65, dtype=complex), _CENTERS,
      r"^psd must hold only real numbers, got \(1\+0j\)$"),
     (_FREQS.astype(str), np.ones(65), _CENTERS, "^freqs must hold only real numbers, got '-0.5'$"),
+    (_FREQS.reshape(5, 13), np.ones((5, 13)), _CENTERS,
+     r"^freqs and psd must be 1-D and of equal length, got shapes \(5, 13\) and \(5, 13\)$"),
 ], ids=["unequal_lengths", "descending", "nan-frequency", "inf-frequency", "nan-density",
         "nan-center", "complex-center", "object-center", "text-center", "bool-center",
-        "int-beyond-float-center", "complex-density", "text-frequency"])
+        "int-beyond-float-center", "complex-density", "text-frequency", "2-D"])
 def test_bin_estimate_rejects_malformed_spectra(freqs, psd, centers, match):
     # the trapezoid integral needs an ascending grid: a descending one would
     # read -300 dBm in every bin; a NaN center or density value read NaN levels.
@@ -730,6 +745,15 @@ def test_import_loads_no_scipy():
                        "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_builds_no_csv_tables():
+    # the CSV formatter's tables are built by the first CSV write, so
+    # importing lorachirp (setup_s) stays as cheap as it was
+    proc = _run_python("import lorachirp, lorachirp.cli; from lorachirp import _numtext; "
+                       "print(_numtext._tables.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 _CLI_SCIPY = """

@@ -745,6 +745,33 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, forks, n_cpus, n_rows):
         assert lines[-3:] == ["0.1,-2,1e+308", "0.2,-1,5e-324", "0.3,0,-0.0"]
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_csv_formatter_tables_are_built_on_the_first_write_before_any_fork(
+        tmp_path, forks, monkeypatch):
+    # importing lorachirp builds none (test_analysis.py checks it in a fresh
+    # interpreter); a write builds them before it forks, so children inherit them
+    from lorachirp import _numtext
+    _numtext._tables.cache_clear()
+    built_at_fork = []
+    fork = os.fork
+
+    def recording_fork():
+        built_at_fork.append(_numtext._tables.cache_info().currsize)
+        return fork()
+
+    pids = forks(2)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    cols = [np.arange(-3.0, 4.0), np.arange(7)]
+    iqfile._write_csv(tmp_path / "out.csv", ["x", "k"], cols, comments=["a=1"])
+    assert built_at_fork == [1] and len(pids) == 1
+    assert _numtext._tables.cache_info().misses == 1
+    assert (tmp_path / "out.csv").read_bytes() == _csv_reference(cols, ["x", "k"], ["a=1"])
+    # a table of no rows is its comments and header alone
+    iqfile._write_csv(tmp_path / "empty.csv", ["x", "k"], [np.empty(0), np.empty(0, np.int64)],
+                      comments=["a=1", "b"])
+    assert (tmp_path / "empty.csv").read_bytes() == b"# a=1\n# b\nx,k\r\n"
+
+
 _OLD_CSV = b"a,b\r\n1.0,2.0\r\n"
 
 

@@ -101,6 +101,21 @@ def test_fourier_transform_rejects_a_frequency_that_is_not_finite(f):
         waveform_fourier_transform(LoraParams(sf=4, b=1.0), 3, f)
 
 
+def test_w_integral_and_fourier_transform_take_an_array_of_any_shape():
+    # a 2-D `a` or `f` is the 1-D result reshaped, and a NaN anywhere in it
+    # is the named ValueError (the finiteness check once reduced axis 0 only)
+    p = LoraParams(sf=4, b=1.0)
+    grid = np.linspace(-0.7, 0.9, 6)
+    for fn, name in [(lambda v: w_integral(v, 1.0, 0.0, 1.0), "a"),
+                     (lambda v: waveform_fourier_transform(p, 3, v), "f")]:
+        np.testing.assert_array_equal(fn(grid.reshape(2, 3)), fn(grid).reshape(2, 3))
+        assert fn(np.zeros((2, 3))).shape == (2, 3)
+        bad = grid.reshape(2, 3).copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must hold only finite numbers$"):
+            fn(bad)
+
+
 def test_fourier_transform_matches_direct_quadrature():
     p = LoraParams(sf=4, b=1.0)
     for l, f in [(0, 0.0), (3, 0.2), (11, -0.45), (15, 1.3)]:
