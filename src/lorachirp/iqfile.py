@@ -150,7 +150,8 @@ def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = (
     of a chunk of rows is computed for whole arrays by
     _numtext._csv_text, which gives repr's text without calling it.  Its
     tables are built on the first call, before any fork, so that children
-    inherit them.
+    inherit them.  The comments and header are ASCII, and the file is
+    written as bytes.
 
     The file is written beside path and renamed onto it once whole (see
     _replacing): a failed write leaves the old file as it was.  A table
@@ -161,69 +162,70 @@ def _write_csv(path, header_cols: list[str], cols: list, comments: list[str] = (
 
     The rows that are formatted are cut into one contiguous part per CPU
     (at most one per _CSV_FORK_VALUES values), when this process has no
-    other thread and more than one part is called for.  After the
-    comments and header are flushed, a forked child formats each part
-    after the first into anonymous spill files while this process formats
-    the first; each process writes its rows' text, and their reflected
-    text in descending row order.  Then each child is reaped in order and
-    the output assembled: the reflected texts in reverse part order, then
-    the texts in part order, so the bytes are those of a one-CPU run.  The
-    first part of a table that is not mirrored goes straight onto the
-    output.  A child that fails is an OSError naming path and the rows it
-    formatted.  No child or spill file outlives the call, on any exit.
-    Every process formats and writes _CSV_VALUES values at a time, so
-    the text never exists whole, in any process."""
+    other thread and more than one part is called for.  Every part has
+    its own pair of anonymous spill files: its rows' text, and their
+    reflected text in descending row order (empty unless the table is
+    mirrored).  After the comments and header are flushed, a forked child
+    formats each part after the first while this process formats the
+    first.  Then each child is reaped in order and the output assembled:
+    the reflected texts in reverse part order, then the texts in part
+    order, so the bytes are those of a one-CPU run.  A child that fails
+    is an OSError naming path and the rows it formatted.  On any exit,
+    one cleanup kills and reaps every child still running, then closes
+    the spill files, then the output, before _replacing renames or
+    removes the new file.  Every process formats and writes
+    _CSV_VALUES values at a time, so the text never exists whole, in any
+    process."""
     import shutil
     import signal
     import tempfile
     _numtext._tables()
     n = len(cols[0])
-    mirrored = _mirrored(cols)
     # the rows start..n-1 are formatted; the text of those from `first` on is reflected
-    start, first = (n // 2, n // 2 + 1) if mirrored else (0, n)
+    start, first = (n // 2, n // 2 + 1) if _mirrored(cols) else (0, n)
     n_parts = 1
     # a fork copies only the calling thread: another thread's locks could be held
     if hasattr(os, "fork") and threading.active_count() == 1:
         n_parts = max(1, min(params._cpu_count(), (n - start) * len(cols) // _CSV_FORK_VALUES))
     bounds = [start + i * (n - start) // n_parts for i in range(n_parts + 1)]
     parts = list(zip(bounds, bounds[1:]))
-    with _replacing(path) as fd, open(fd, "w", newline="", closefd=False) as fh:
-        fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header_cols) + "\r\n")
-        fh.flush()  # a child must inherit no unwritten text
-        out = fh.buffer
-        pids, files = [], []  # each part's text and reflected text
-        try:
-            for i in range(n_parts):
-                files.append((out if i == 0 and not mirrored else tempfile.TemporaryFile(),
-                              tempfile.TemporaryFile()))
-            for (lo, hi), spills in zip(parts[1:], files[1:]):
-                pid = os.fork()
-                if pid == 0:  # the child: never returns into the caller's stack
-                    try:
-                        _format_part(cols, lo, hi, first, *spills)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                pids.append(pid)
-            _format_part(cols, *parts[0], first, *files[0])
-            for lo, hi in parts[1:]:
-                status = os.waitpid(pids[0], 0)[1]
-                del pids[0]
-                if status:
-                    raise OSError(f"cannot write {path}: the process formatting rows "
-                                  f"{lo}..{hi - 1} exited with status "
-                                  f"{os.waitstatus_to_exitcode(status)}")
-            for spill in [lower for _, lower in reversed(files)] + [upper for upper, _ in files]:
-                if spill is not out:
-                    spill.seek(0)
-                    shutil.copyfileobj(spill, out)
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for spill in [f for pair in files for f in pair]:
-                if spill is not out:
-                    spill.close()
+    pids = []  # the children not yet reaped
+
+    def reap() -> None:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    with contextlib.ExitStack() as stack:
+        fd = stack.enter_context(_replacing(path))
+        out = stack.enter_context(open(fd, "wb", closefd=False))
+        out.write(("".join(f"# {line}\n" for line in comments) + ",".join(header_cols)
+                   + "\r\n").encode("ascii"))
+        out.flush()  # a child must inherit no unwritten bytes
+        # each part's text and reflected text
+        spills = [(stack.enter_context(tempfile.TemporaryFile()),
+                   stack.enter_context(tempfile.TemporaryFile())) for _ in parts]
+        stack.callback(reap)
+        for (lo, hi), pair in zip(parts[1:], spills[1:]):
+            pid = os.fork()
+            if pid == 0:  # the child: never returns into the caller's stack
+                try:
+                    _format_part(cols, lo, hi, first, *pair)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        _format_part(cols, *parts[0], first, *spills[0])
+        for lo, hi in parts[1:]:
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            if status:
+                raise OSError(f"cannot write {path}: the process formatting rows "
+                              f"{lo}..{hi - 1} exited with status "
+                              f"{os.waitstatus_to_exitcode(status)}")
+        for spill in [lower for _, lower in reversed(spills)] + [upper for upper, _ in spills]:
+            spill.seek(0)
+            shutil.copyfileobj(spill, out)
 
 
 def _read_csv(path, what: str, names: list[str]) -> tuple[dict, list[np.ndarray]]:
@@ -275,10 +277,12 @@ def _unfit(path: Path) -> ValueError:
 def _write_f32(buffer: IqBuffer, path: Path) -> None:
     """Write the interleaved float32 capture at path (at the target of a
     symlink there) through a new file beside it, which is renamed onto
-    path once every block has been narrowed, checked and written (see
-    _replacing, which writes a device at path in place).  On any error, a sample that does not fit float32
-    (ValueError) included, the new file is removed and path is left as it
-    was."""
+    path once every block has been narrowed, checked and written at its
+    offset, the blocks shared among the CPUs.  On any error, a sample
+    that does not fit float32 (ValueError) included, the new file is
+    removed and path is left as it was.  A pipe, FIFO or device at path
+    is written in place (see _replacing), in block order, by the calling
+    thread."""
     def write(part: list) -> tuple:
         payload = np.empty(2 * min(len(buffer), _BLOCK_SAMPLES), dtype="<f4")
         # a float64 narrows to a finite float32 exactly when its magnitude
@@ -292,13 +296,18 @@ def _write_f32(buffer: IqBuffer, path: Path) -> None:
                 if not _all_finite(out):
                     raise _unfit(path)
                 data, offset = memoryview(out).cast("B"), 8 * lo
-                while data:  # a write to a regular file is short only when the disk fills
-                    done = os.pwrite(fd, data, offset)
+                while data:  # short on a full disk, or a signal during a pipe write
+                    done = os.pwrite(fd, data, offset) if regular else os.write(fd, data)
                     data, offset = data[done:], offset + done
         return ()
 
     with _replacing(path) as fd:
-        _map_chunks(write, _spans(len(buffer), _BLOCK_SAMPLES))
+        spans = _spans(len(buffer), _BLOCK_SAMPLES)
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        if regular:
+            _map_chunks(write, spans)
+        else:  # a pipe or FIFO has no offsets: its bytes go in order
+            write(spans)
 
 
 def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
@@ -319,10 +328,13 @@ def write_iq(buffer: IqBuffer, path, header_path=None, center_freq: float = 0.0,
     renamed onto path (a symlink at path is followed and its target
     replaced); then the sidecar is written.  A failed or interrupted
     write removes the new file.  A buffer that read_iq returned for the
-    old file keeps reading it, unchanged.  The CSV format reads `samples`
-    once and checks them before it opens path; its rows are written as
-    _write_csv writes every CSV output, through a new file beside path
-    too, and a large capture's rows are formatted on every CPU.
+    old file keeps reading it, unchanged.  A pipe or FIFO at path
+    (/dev/stdout in a pipeline) is written in place, its blocks in order
+    by the calling thread, with the same bytes.  The CSV format reads
+    `samples` once and checks them before it opens path; its rows are
+    written as _write_csv writes every CSV output, through a new file
+    beside path too, and a large capture's rows are formatted on every
+    CPU.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)
@@ -378,10 +390,17 @@ def _read_f32(path: Path, n_expected: int | None, fs: float) -> IqBuffer:
     block, into a float32 scratch of its thread and widened to complex128
     (every float32 widens exactly).  The file's length is checked, also
     against the sidecar's count, and its samples are checked finite by a
-    mean-power pass, whose value the buffer keeps.  A read that comes
-    short is an OSError naming the capture; a pass over a file whose
-    size, inode or modification time has changed since is a ValueError."""
+    mean-power pass, whose value the buffer keeps.  A path that is not a
+    regular file (a pipe or FIFO has no size and no offsets) is a
+    ValueError naming the capture, raised before the file is opened.  A
+    read that comes short is an OSError naming the capture; a pass over a
+    file whose size, inode or modification time has changed since is a
+    ValueError."""
     try:
+        # checked before the open, which would wait for a FIFO's writer
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValueError(f"IQ capture {path} is not a regular file: a float32 capture "
+                             "is read by offset, so not from a pipe, FIFO or device")
         fd = os.open(path, os.O_RDONLY)
     except OSError as exc:
         raise OSError(f"cannot read IQ capture {path}: {exc}") from exc
@@ -445,8 +464,8 @@ def read_iq(path, header_path=None) -> IqBuffer:
     capture's samples are the i and q columns of _read_csv, bit for bit.
 
     A float32 capture is not loaded: the buffer keeps the file open and
-    reads the blocks each pass needs, shared among the CPUs of the
-    affinity mask, so it holds no full-size copy of the capture until
+    reads the blocks each pass needs, by offset, shared among the CPUs of
+    the affinity mask, so it holds no full-size copy of the capture until
     `samples` is read; that reads the file once and closes it, as
     collecting the buffer does.  The samples are checked finite by the
     pass that computes `mean_power`, which the buffer keeps.  write_iq to
@@ -454,7 +473,11 @@ def read_iq(path, header_path=None) -> IqBuffer:
     truncating the file in place makes the buffer's next pass raise
     ValueError naming the capture; an edit is seen through the file's
     modification time, so only once the filesystem's clock has ticked
-    since the file was last written.
+    since the file was last written.  As it is read by offset, a float32
+    capture must be a regular file: a pipe or FIFO (whose size reads 0)
+    is a ValueError naming the capture, raised before the file is
+    opened.  A regular file behind /dev/stdin reads as any other.  A CSV
+    capture is read front to back, so it may come from a pipe or FIFO.
     """
     path = Path(path)
     header_path = Path(header_path) if header_path else _default_header_path(path)

@@ -106,8 +106,7 @@ def awgn(iq: IqBuffer, snr_db: float, seed: int) -> IqBuffer:
     sqrt(variance/2).  So a block's noise depends only on `seed` and i,
     and the output only on the samples, `snr_db` and `seed`, never on the
     number of CPUs the blocks are shared among.  `seed` must be a
-    non-negative integer.  Versions before this definition drew one
-    stream per quadrature, so they give other noise for the same seed.
+    non-negative integer.
 
     The input is checked and P computed here; the noisy stream is not
     stored.  The result is a lazy buffer that keeps the input and draws

@@ -6,15 +6,18 @@ with
 
     python tests/make_fresnel_reference.py
 
-which takes about ten minutes and needs mpmath.  Every value is computed
-with 70 significant digits, which leaves more than 40 after the
-cancellation in C + 1/2 and in Gc, and written with 40.
+which takes about half an hour on one core and needs mpmath.  Every
+value is computed with 70 significant digits, which leaves more than 40
+after the cancellation in C + 1/2 and in Gc, and written with 40.
 
 - "table": D = K(x) + (1+j)/2 with K = C + jS, at the lattice points
   x = sqrt(2/M)*j/k (x exact, not rounded to a double): the integers j
   nearest either side of |x| = 8, and |x| from 8.5 to 5e4, both signs.
 - "psd": the continuous PSD Gc of the unit-power envelope at B = 1 Hz,
-  f = n/(k*M), from the closed-form transform of each symbol,
+  f = n/(k*M): at SF 7 and 8 with k = 2 at about 8B, 32B and 128B, and
+  on the grids `lorachirp spectrum` writes by default (k = 64, 32, 16,
+  8 and 2 at SF 7, 8, 9, 10 and 12) at about B, 4B and 8B; each value
+  from the closed-form transform of each symbol,
       X(f;l) = w(l/M - 1/2 - f; 0, M - l) + w(l/M - 3/2 - f; M - l, M)
       w(a; t1, t2) = e^{-j*pi*M*a^2}/(2*sqrt(b)) * [K(2*sqrt(b)*(t2 + M*a))
                      - K(2*sqrt(b)*(t1 + M*a))],  b = 1/(2M),
@@ -37,6 +40,8 @@ TABLE_LATTICES = [(7, 2), (8, 2), (12, 1), (16, 1)]
 FAR_X = [8.5, 20.0, 100.0, 500.0, 2000.0, 1e4, 5e4]
 PSD_SF = [7, 8]
 PSD_K = 2
+# fresnel_spectrum's default k = max(1, min(64, 8192 // M)) at each SF
+DEFAULT_GRIDS = [(7, 64), (8, 32), (9, 16), (10, 8), (12, 2)]
 LINE_SF = [9, 12]
 
 
@@ -104,11 +109,12 @@ def line_power(sf: int, n: int):
 
 def main() -> None:
     table = [table_value(sf, k, j) for sf, k in TABLE_LATTICES for j in table_points(sf, k)]
-    psd = []
-    for sf in PSD_SF:
-        kM = PSD_K * 2 ** sf
-        for n in (8 * kM + 1, 32 * kM + 1, 128 * kM - 1):
-            psd.append({"sf": sf, "k": PSD_K, "n": n, "gc": digits(continuous_psd(sf, PSD_K, n))})
+    psd = [(sf, PSD_K, n) for sf in PSD_SF
+           for kM in [PSD_K * 2 ** sf] for n in (8 * kM + 1, 32 * kM + 1, 128 * kM - 1)]
+    psd += [(sf, k, n) for sf, k in DEFAULT_GRIDS
+            for kM in [k * 2 ** sf] for n in (kM + 1, 4 * kM + 1, 8 * kM - 1)]
+    psd = [{"sf": sf, "k": k, "n": n, "gc": digits(continuous_psd(sf, k, n))}
+           for sf, k, n in psd]
     lines = [{"sf": sf, "n": n, "power": digits(line_power(sf, n))}
              for sf in LINE_SF for n in line_points(sf)]
     OUT.write_text(json.dumps({"table": table, "psd": psd, "lines": lines}, indent=1) + "\n")

@@ -4,9 +4,12 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -843,6 +846,65 @@ def test_write_csv_writes_into_a_fifo_and_leaves_it_in_place(tmp_path):
     reader.join(timeout=10)
     assert not reader.is_alive() and got == [_csv_reference(cols, ["x", "k"])]
     assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_write_iq_writes_a_float32_capture_into_a_fifo(tmp_path, monkeypatch):
+    # a FIFO has no offsets to write at: its blocks go in order, from the
+    # calling thread, and make the bytes of the regular file, whose blocks
+    # are still written at their offsets on every CPU
+    monkeypatch.setattr(params, "_cpu_count", lambda: 3)
+    map_chunks, passes = iqfile._map_chunks, []
+
+    def recording_map_chunks(fn, spans):
+        passes.append(len(spans))
+        return map_chunks(fn, spans)
+
+    monkeypatch.setattr(iqfile, "_map_chunks", recording_map_chunks)
+    iq = modulate(LoraParams(7, 125e3), list(range(128)) * 4 + list(range(88)), oversample=4)
+    assert len(iq) == 600 * 512 and len(iq) > 4 * params._BLOCK_SAMPLES
+    write_iq(iq, tmp_path / "file.iq")
+    assert passes == [5]
+    fifo = tmp_path / "fifo.iq"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_iq(iq, fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [(tmp_path / "file.iq").read_bytes()]
+    assert passes == [5]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo.iq", "fifo.iq.json", "file.iq", "file.iq.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_read_iq_rejects_a_float32_capture_that_is_not_a_regular_file(tmp_path, iq, capsys):
+    # a FIFO's size reads 0 and it has no offsets, so the lazy reader would
+    # see no samples; it is turned away before the open, which would wait
+    # for a writer (one is held open here, so that no version hangs)
+    path, fifo = tmp_path / "sig.iq", tmp_path / "fifo.iq"
+    write_iq(iq, path)
+    os.mkfifo(fifo)
+    sidecar = str(path) + ".json"
+    writer = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ValueError, match=rf"^IQ capture {re.escape(str(fifo))} is not a "
+                                             r"regular file"):
+            read_iq(fifo, header_path=sidecar)
+        assert main(["demod", "--sf", "5", "--bw", "32", "--in", str(fifo),
+                     "--header", sidecar]) == 1
+    finally:
+        os.close(writer)
+    assert re.match(rf"^error: IQ capture {re.escape(str(fifo))} is not a regular file",
+                    capsys.readouterr().err)
+    # a regular file behind /dev/stdin is read as any other
+    code = "import sys, lorachirp; print(len(lorachirp.read_iq('/dev/stdin', sys.argv[1])))"
+    env = {**os.environ, "PYTHONPATH": str(Path(iqfile.__file__).parents[1])}
+    with path.open("rb") as stdin:
+        run = subprocess.run([sys.executable, "-c", code, sidecar], stdin=stdin, env=env,
+                             capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, f"{len(iq)}\n"), run.stderr
 
 
 def test_write_csv_does_not_fork_on_one_cpu_or_beside_a_thread(tmp_path, forks, monkeypatch):

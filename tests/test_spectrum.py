@@ -538,6 +538,23 @@ def test_fresnel_spectrum_matches_40_digit_psd(sf):
         assert rel[-1] <= 1e-10
 
 
+@pytest.mark.parametrize("sf,k", [(7, 64), (8, 32), (9, 16), (10, 8), (12, 2)])
+def test_default_grid_psd_matches_40_digit_values(sf, k):
+    # Gc off the lines at about B, 4B and 8B on the grids `lorachirp
+    # spectrum` writes by default, against mpmath
+    M = 2 ** sf
+    res = fresnel_spectrum(LoraParams(sf, 1.0))
+    mid = len(res.grid) // 2
+    rows = [r for r in _REFERENCE["psd"] if (r["sf"], r["k"]) == (sf, k)]
+    assert [r["n"] for r in rows] == [k * M + 1, 4 * k * M + 1, 8 * k * M - 1]
+    for sign in (1, -1):
+        rel = [abs(res.continuous[mid + sign * r["n"]] - float(r["gc"])) / float(r["gc"])
+               for r in rows]
+        assert [res.grid[mid + sign * r["n"]] * (k * M) for r in rows] == [
+            sign * r["n"] for r in rows]
+        assert max(rel) <= 1e-12
+
+
 @pytest.mark.parametrize("call,named", [
     (lambda p: fresnel_spectrum(p, f_max=1e15), "f_max = 1000000000000000.0 Hz"),
     (lambda p: fresnel_spectrum(p, f_max=1e300, step=p.b / p.m), "f_max = 1e+300 Hz"),
