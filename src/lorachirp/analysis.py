@@ -98,34 +98,31 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
 
     W is solved on the f >= 0 half: with the grid symmetric about 0, the
     power within |f| <= h is the continuous power of the cells on both
-    sides plus the lines folded onto their grid points |f|, so it grows
-    linearly in h between grid points and every line adds a step at its
-    grid point, and the first grid point that reaches `fraction` fixes W
-    in one linear solve.  The cells are summed from the far edge -h_max
-    up, as a cumulative integral over the whole grid sums them, so W
-    keeps that integral's bits (summed from 0 Hz, W at 99.99 % would move
-    by up to 2.6e-11 B where G is small).  The default path takes the
-    f >= 0 half of the spectrum straight from the Fresnel engine (G and
-    the lines are even) and builds no mirrored spectrum; it gives the
-    bits that the same spectrum given as `spectrum` gives.  A given
-    spectrum whose grid is not symmetric, whose lines within the grid are
-    off its points, whose grid or line frequencies are not finite, or
-    whose PSD values or line powers are not finite numbers >= 0 raises
-    ValueError.  From SF 9 up the default k = 1 lattice reads W low,
-    because its trapezoid integral reads the continuous power low: the
-    99 % width is 1.04e-3 B (SF 9) to 8.8e-5 B (SF 12) below that at
+    sides, summed from 0 Hz out, plus the lines folded onto their grid
+    points |f|, so it grows linearly in h between grid points and every
+    line adds a step at its grid point, and the first grid point that
+    reaches `fraction` fixes W in one linear solve.  The default path
+    takes the f >= 0 half of the spectrum straight from the Fresnel
+    engine (G and the lines are even) and builds no mirrored spectrum; it
+    gives the bits that the same spectrum given as `spectrum` gives.  A
+    given spectrum whose grid is not symmetric, whose lines within the
+    grid are off its points, whose grid or line frequencies are not
+    finite, or whose PSD values or line powers are not finite numbers
+    >= 0 raises ValueError.  From SF 9 up the default k = 1 lattice reads
+    W low, because its trapezoid integral reads the continuous power low:
+    the 99 % width is 1.04e-3 B (SF 9) to 8.8e-5 B (SF 12) below that at
     k = 16.
     """
     if not 0.0 < _real(fraction, "fraction") < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if spectrum is None:
         k = max(1, 512 // p.m)
-        step, g, powers = _half_spectrum(p, f_max=4.0 * p.b, step=p.b / (k * p.m))
+        step, g, powers = _half_spectrum(p, 4.0 * p.b, k)
         half = np.arange(len(g)) * step
         pos = neg = _trapezoid_cells(half, g)
         # every line f > 0 stands for itself and its mirror
         lines = np.zeros(len(half))
-        lines[::k] = powers[:len(lines[::k])]
+        lines[::k] = powers
         lines[k::k] *= 2.0
     else:
         _check_spectrum(spectrum)
@@ -145,13 +142,9 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
         if np.any(np.abs(half[index] - freqs[inside]) > 1e-9 * step):
             raise ValueError("occupied_bandwidth needs every line within the grid on a grid point")
         lines = np.bincount(index, spectrum.line_powers[inside], len(half)).astype(float)
-    # the continuous power within |f| <= h: from -h_max up to -h, then on to +h
-    below = np.zeros(len(half))
-    np.cumsum(neg[::-1], out=below[1:])
-    cont = np.empty(len(half))
-    cont[0], cont[1:] = below[-1], pos
-    np.cumsum(cont, out=cont)
-    cont -= below[::-1]
+    # the continuous power within |f| <= h
+    cont = np.zeros(len(half))
+    np.cumsum(pos + neg, out=cont[1:])
     captured = np.cumsum(lines, out=lines)
     captured += cont
     if fraction > captured[-1]:

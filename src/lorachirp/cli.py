@@ -3,12 +3,16 @@
 Subcommands: modulate, demod, xcorr, spectrum, table, welch, mask-check.
 All numeric CSV output uses '.' decimals with a header line naming the
 columns and units; structured reports are JSON on stdout.  Exit codes:
-0 success, 1 usage/runtime error, 2 mask-check failure verdict.
+0 success, 1 usage/runtime error, 2 mask-check failure verdict.  A
+command whose output path is the file on stdout (/dev/stdout) prints its
+report on stderr instead, so that the output is all that stdout carries.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -29,6 +33,16 @@ def example_mask_path() -> Path:
 
 def _params(args) -> LoraParams:
     return LoraParams(sf=args.sf, b=args.bw)
+
+
+def _is_stdout(path) -> bool:
+    """Whether path names the file open on descriptor 1 (same device and
+    inode); a missing path does not."""
+    try:
+        st, out = os.stat(path), os.fstat(1)
+    except OSError:
+        return False
+    return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
 
 
 def _parse_ints(text: str, option: str) -> list[int]:
@@ -205,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--f0", type=float, default=0.0, help="recorded center frequency")
     mod.add_argument("--out", required=True)
     mod.add_argument("--header", default=None, help="sidecar path (default: OUT.json)")
-    mod.set_defaults(func=_cmd_modulate)
+    mod.set_defaults(func=_cmd_modulate, outputs=("out", "header"))
 
     dem = sub.add_parser("demod", help="demodulate an IQ file to symbols (JSON)")
     dem.add_argument("--sf", type=int, required=True)
@@ -213,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     dem.add_argument("--in", dest="infile", required=True)
     dem.add_argument("--header", default=None)
     dem.add_argument("--out", default=None)
-    dem.set_defaults(func=_cmd_demod)
+    dem.set_defaults(func=_cmd_demod, outputs=("out",))
 
     xc = sub.add_parser("xcorr", help="cross-correlation maxima, bound and SNR penalty")
     xc.add_argument("--sf", type=int, required=True)
     xc.add_argument("--full-matrix", default=None,
                     help="write the dense correlation matrix CSV (sf <= 8)")
-    xc.set_defaults(func=_cmd_xcorr)
+    xc.set_defaults(func=_cmd_xcorr, outputs=("full_matrix",))
 
     sp = sub.add_parser("spectrum", help="continuous PSD and spectral lines to CSV")
     sp.add_argument("--sf", type=int, required=True)
@@ -230,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scale outputs to this transmit power (mW units)")
     sp.add_argument("--out-psd", default=None)
     sp.add_argument("--out-lines", default=None)
-    sp.set_defaults(func=_cmd_spectrum)
+    sp.set_defaults(func=_cmd_spectrum, outputs=("out_psd", "out_lines"))
 
     tb = sub.add_parser("table", help="recompute the per-SF metrics table")
     tb.add_argument("--sf-list", default="3,5,7,10,12")
     tb.add_argument("--format", choices=["csv", "json"], default="csv")
     tb.add_argument("--out", default=None)
-    tb.set_defaults(func=_cmd_table)
+    tb.set_defaults(func=_cmd_table, outputs=("out",))
 
     we = sub.add_parser("welch", help="Welch PSD estimate of an IQ file")
     we.add_argument("--in", dest="infile", required=True)
@@ -245,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     we.add_argument("--overlap", type=float, default=0.5)
     we.add_argument("--window", default="hann")
     we.add_argument("--out", default=None)
-    we.set_defaults(func=_cmd_welch)
+    we.set_defaults(func=_cmd_welch, outputs=("out",))
 
     mk = sub.add_parser("mask-check", help="check a binned spectrum against an emission mask")
     mk.add_argument("--mask", required=True, help="mask JSON config")
@@ -255,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     mk.add_argument("--bw", type=float, default=None)
     mk.add_argument("--ps-dbm", type=float, default=None)
     mk.add_argument("--out-binned", default=None, help="save the computed binned CSV")
-    mk.set_defaults(func=_cmd_mask_check)
+    mk.set_defaults(func=_cmd_mask_check, outputs=("out_binned",))
     return ap
 
 
@@ -263,7 +277,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        paths = (getattr(args, name) for name in args.outputs)
+        report = sys.stderr if any(path and _is_stdout(path) for path in paths) else sys.stdout
+        with contextlib.redirect_stdout(report):
+            return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,28 +38,16 @@ from .params import (LoraParams, Symbol, _finite_array, _positive, _quote, _real
                      validate_symbol)
 
 
-def _load_fresnel(x):
-    """scipy.special.fresnel(x), imported on the first call, so that only
-    a closed-form spectrum loads scipy.  The call rebinds _scipy_fresnel
-    to scipy's function unless something else has been bound there."""
-    global _scipy_fresnel
-    from scipy.special import fresnel
-    if _scipy_fresnel is _load_fresnel:
-        _scipy_fresnel = fresnel
-    return fresnel(x)
-
-
-_scipy_fresnel = _load_fresnel
-
-
 def _kfun(x):
     """K(x) = C(x) + j*S(x) with the Fresnel integrals
     C(x) = int_0^x cos(pi*t^2/2) dt and S(x) = int_0^x sin(pi*t^2/2) dt.
 
     Odd in x, accurate to well below 1e-9 absolute over |x| <= 1e4
-    (Cephes rational approximations via scipy).
+    (Cephes rational approximations via scipy, imported here so that only
+    a closed-form spectrum loads scipy).
     """
-    s, c = _scipy_fresnel(x)
+    from scipy.special import fresnel
+    s, c = fresnel(x)
     return c + 1j * s
 
 
@@ -132,7 +120,7 @@ def _psd_combine(sum_abs2: np.ndarray, abs2_sum: np.ndarray, p: LoraParams) -> n
     return np.maximum(g, 0.0)
 
 
-# The most points, k*M + n_max + 1, that the table of one lattice may hold:
+# The most points, k*M + n + 1, that the table of one lattice may hold:
 # its Fresnel values, prefix sums and per-frequency sums peak at about 130
 # bytes a point (90 for k = 1, with no prefix sums; traced by tracemalloc),
 # so 2^22 points take about 0.55 GB.  The default grids stay far below it
@@ -155,7 +143,7 @@ def _lattice_k(p: LoraParams, step: float) -> int:
 
     Spectra are computed on the lattice f = n*B/(k*M); a step off that
     lattice raises ValueError rather than being snapped to a nearby one,
-    and so does a step whose smallest table, 5*k*M + 1 points, exceeds
+    and so does a step whose smallest table, k*M + 1 points, exceeds
     _MAX_LATTICE.
     """
     step = _real(step, "step")
@@ -165,7 +153,7 @@ def _lattice_k(p: LoraParams, step: float) -> int:
         raise ValueError(
             f"grid step {step!r} Hz is not B/(k*M) = {p.b / p.m!r} Hz / k "
             "for an integer k >= 1")
-    _check_lattice(5 * k * p.m + 1, f"grid step {step!r} Hz (k = {_quote(k)})")
+    _check_lattice(k * p.m + 1, f"grid step {step!r} Hz (k = {_quote(k)})")
     return k
 
 
@@ -275,12 +263,13 @@ def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray) -> np.ndarray:
     even SF, where sqrt(2/M) is rounded and scipy's phase pi*x^2/2 would
     be off by about x^2*eps.  Each tail is one pass over its whole slice.
     """
+    from scipy.special import fresnel
     x = j / k
     x *= np.sqrt(2.0 / M)
     neg = np.searchsorted(x, -_TAIL_X, side="right")
     pos = np.searchsorted(x, _TAIL_X, side="left")
     d = np.empty(len(j), dtype=complex)
-    s, c = _scipy_fresnel(x[neg:pos])
+    s, c = fresnel(x[neg:pos])
     np.add(c, 0.5, out=d.real[neg:pos])
     np.add(s, 0.5, out=d.imag[neg:pos])
     # term m counts on the side of each tail next to the band
@@ -291,92 +280,86 @@ def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray) -> np.ndarray:
     return d
 
 
-def _lattice_sums(p: LoraParams, k: int, n: int,
-                  n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_l |X(f;l)|^2 and |sum_l X(f;l)|^2 at f = i*B/(k*M), 0 <= i <= n,
-    and the two (equal) at the lines f = m*B/M, 0 <= k*m <= n_max.
+    and the two (equal) at the lines f = m*B/M, 0 <= k*m <= n.
 
     On this lattice u_l = j/k with j = k*l - k*M/2 - i, so the M arguments
-    of one frequency are a stride-k window of a single table over j.  On a
-    line w = 1, beta = 0 and, M being even, |sum_l E_l|^2 = M, a complete
-    quadratic Gauss sum (Landsberg-Schaar), so both sums are
-    M*|D(a0*u_M) - D(a0*u_0)|^2/(4b) and the line power is
-    P_n = |D(a0*(M/2 - n)) - D(a0*(-M/2 - n))|^2/(2*M^2).  k = 1 is all
-    lines.  For k > 1 the window sums of _factorized_sums for i <= n are
-    differences of strided prefix sums from the table's bottom, so a
-    narrow grid is the middle of a wide one, bit for bit.  The table holds
-    D = K + (1+j)/2, which decays to 0 as j -> -inf, so far out the prefix
-    sums stay small and the PSD is no difference of O(M) terms.
+    of one frequency are a stride-k window of a single table over j, of
+    k*M + n + 1 points.  On a line w = 1, beta = 0 and, M being even,
+    |sum_l E_l|^2 = M, a complete quadratic Gauss sum (Landsberg-Schaar),
+    so both sums are M*|D(a0*u_M) - D(a0*u_0)|^2/(4b) and the line power
+    is P_n = |D(a0*(M/2 - n)) - D(a0*(-M/2 - n))|^2/(2*M^2).  k = 1 is
+    all lines.  For k > 1 the window sums of _factorized_sums are
+    differences of strided prefix sums from the table's bottom.  The table
+    holds D = K + (1+j)/2, which decays to 0 as j -> -inf, so far out the
+    prefix sums stay small and the PSD is no difference of O(M) terms.
     """
     M = p.m
     top = k * M
-    j = np.arange(-(top // 2) - n_max, top // 2 + 1)
+    j = np.arange(-(top // 2) - n, top // 2 + 1)
     # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E serves
     e = np.resize(_lattice_phase(M, k, j[:k * top]), len(j))
     d = _fresnel_table(M, k, j, e)
     four_b = 2.0 * p.b * p.b / M
-    # table index t holds l = 0 of frequency n_max - t and l = M at t + top
-    lines = M * np.abs(d[n_max % k + top::k] - d[n_max % k:n_max + 1:k])[::-1] ** 2 / four_b
+    # table index t holds l = 0 of frequency n - t and l = M at t + top
+    lines = M * np.abs(d[n % k + top::k] - d[n % k:n + 1:k])[::-1] ** 2 / four_b
     if k == 1:
-        return lines[:n + 1], lines[:n + 1], lines
+        return lines, lines, lines
     # |D|^2 and E*D live only while their prefix sums are built
     prefix = [_strided_prefix(v, k) for v in (e, d, d.real ** 2 + d.imag ** 2, e * d)]
     # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
     roots = np.exp(-2j * np.pi * np.arange(k) / k)
     sum_abs2, abs2_sum = np.empty((2, n + 1))
     # lo ascending: every read is a forward slice, every write a reversed one
-    for lo, hi in _spans(n_max + 1, _CHUNK, n_max - n):
+    for lo, hi in _spans(n + 1, _CHUNK):
         # window sums of l = 0..M-1 from index lo
         sums = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]
-        w = roots[(n_max - np.arange(lo, hi)) % k]
-        out = slice(n_max + 1 - hi, n_max + 1 - lo)
+        w = roots[(n - np.arange(lo, hi)) % k]
+        out = slice(n + 1 - hi, n + 1 - lo)
         sum_abs2[out][::-1], sum_x = _factorized_sums(
             p, d[lo + top:hi + top], d[lo:hi], w, *sums)
         abs2_sum[out][::-1] = np.abs(sum_x) ** 2
     return sum_abs2, abs2_sum, lines
 
 
-def _half_spectrum(p: LoraParams, f_max: float | None,
-                   step: float | None) -> tuple[float, np.ndarray, np.ndarray]:
-    """The f >= 0 half of fresnel_spectrum(p, f_max, step): the grid step,
-    the continuous PSD at f = i*step, 0 <= i <= round(f_max/step), and the
-    line powers at f = m*B/M, 0 <= m <= max(4M, f_max*M/B).  Arguments and
-    errors are fresnel_spectrum's."""
-    if f_max is None:
-        f_max = 8.0 * p.b
-    k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
+def _half_spectrum(p: LoraParams, f_max: float,
+                   k: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The f >= 0 half of fresnel_spectrum(p, f_max, B/(k*M)): the grid
+    step, the continuous PSD at f = i*step, 0 <= i <= n = round(f_max/step),
+    and the line powers at f = m*B/M, 0 <= k*m <= n.  f_max must be finite
+    and positive, and the table of k*M + n + 1 points must fit in
+    _MAX_LATTICE, otherwise ValueError."""
     f_max = _positive(f_max, "f_max")
     step = p.b / (k * p.m)
     # n stays a float until checked: beyond float range it is inf
     n = f_max / step
-    _check_lattice(k * p.m + max(n, 4 * k * p.m) + 1,
-                   f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
+    _check_lattice(k * p.m + n + 1, f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
     n = round(n)
-    sum_abs2, abs2_sum, line_sums = _lattice_sums(p, k, n, max(n, 4 * k * p.m))
+    sum_abs2, abs2_sum, line_sums = _lattice_sums(p, k, n)
     return step, _psd_combine(sum_abs2, abs2_sum, p), line_sums / (p.ts ** 2 * p.m ** 2)
 
 
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
                      step: float | None = None) -> SpectrumResult:
     """Exact spectrum from the Fresnel closed form on the lattice
-    f = n*B/(k*M), |f| <= f_max, plus the lines n*B/M for
-    |n| <= max(4M, f_max*M/B), so the lines cover the whole grid.
+    f = n*B/(k*M), |f| <= f_max, plus the lines n*B/M within that grid.
 
     `step` must equal B/(k*M) for an integer k >= 1 (to 1e-9 relative),
     otherwise ValueError.  The defaults are |f| <= 8B and
     k = max(1, min(64, 8192 // M)), i.e. step max(B/(64M), B/8192), so
-    the grid holds at most 131 073 points.  One table of Fresnel values
-    gives every line from two of its values and, through strided prefix
-    sums, every grid point with f >= 0; for a grid narrower than 4B the
-    table spans 4B for the lines.  The spectrum is even in f (see the
-    module docstring): f < 0 is the exact mirror image.  The cost is
-    O(k*M + len(grid)).  For k = 1 every grid point is a line, and the
-    PSD comes from the line values (see _lattice_sums).  A table of more
-    than _MAX_LATTICE points raises ValueError naming f_max and the step.
-    The tests check these values against a zero-padded DFT of the sampled
-    waveforms.
+    the grid holds at most 131 073 points.  One table of k*M + n + 1
+    Fresnel values, n = round(f_max/step), gives every line from two of
+    its values and, through strided prefix sums, every grid point with
+    f >= 0.  The spectrum is even in f (see the module docstring): f < 0
+    is the exact mirror image.  The cost is O(k*M + len(grid)).  For
+    k = 1 every grid point is a line, and the PSD comes from the line
+    values (see _lattice_sums).  A table of more than _MAX_LATTICE points
+    raises ValueError naming f_max and the step.  The tests check these
+    values against a zero-padded DFT of the sampled waveforms.
     """
-    step, continuous, lines = _half_spectrum(p, f_max, step)
+    k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
+    step, continuous, lines = _half_spectrum(p, 8.0 * p.b if f_max is None else f_max, k)
     n, n_lines = len(continuous) - 1, len(lines) - 1
     # f < 0 mirrors f >= 0
     continuous, lines = (np.concatenate([v[:0:-1], v]) for v in (continuous, lines))

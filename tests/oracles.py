@@ -262,19 +262,23 @@ def occupied_bandwidth_bisection(spec: SpectrumResult, fraction: float, tol: flo
     upper end.
 
     The captured power at W is the trapezoid integral of the continuous PSD
-    over [-W/2, W/2], read by linear interpolation of its cumulative sum,
-    plus the powers of the lines with |f| <= W/2, taken by a mask on every
-    step (the edge widened by 1e-12 relative, so that a line on it counts).
-    It assumes nothing of the grid's symmetry or of where the lines sit.
+    over [0, W/2] plus that over [-W/2, 0], each read by linear
+    interpolation of its cumulative sum from 0 Hz out, plus the powers of
+    the lines with |f| <= W/2, taken by a mask on every step (the edge
+    widened by 1e-12 relative, so that a line on it counts).  It assumes
+    nothing of the grid's symmetry or of where the lines sit, only that
+    0 Hz is a grid point.
     """
-    grid = spec.grid
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (spec.continuous[1:] + spec.continuous[:-1])
-                                           * np.diff(grid))])
+    grid, psd = spec.grid, spec.continuous
+    (zero,) = np.flatnonzero(grid == 0.0)
+    # the distances from 0 Hz and the cumulative integrals out to them, f >= 0 then f <= 0
+    sides = [(f, np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(f))]))
+             for f, g in ((grid[zero:], psd[zero:]), (-grid[zero::-1], psd[zero::-1]))]
     freqs = np.abs(spec.line_frequencies)
 
     def captured(width: float) -> float:
         half = width / 2.0
-        cont = np.interp(half, grid, cum) - np.interp(-half, grid, cum)
+        cont = sum(np.interp(half, f, cum) for f, cum in sides)
         return float(cont + spec.line_powers[freqs <= half * (1 + 1e-12)].sum())
 
     lo, hi = 0.0, 2.0 * float(grid[-1])

@@ -907,6 +907,33 @@ def test_read_iq_rejects_a_float32_capture_that_is_not_a_regular_file(tmp_path, 
     assert (run.returncode, run.stdout) == (0, f"{len(iq)}\n"), run.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_an_output_on_stdout_carries_no_report(tmp_path):
+    # with stdout piped, an output path /dev/stdout is the pipe: the report
+    # goes to stderr, so the piped capture has the regular file's bytes and
+    # the piped CSV those of the regular CSV, with no JSON after its rows
+    env = {**os.environ, "PYTHONPATH": str(Path(iqfile.__file__).parents[1])}
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "lorachirp", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done
+
+    mod = ["modulate", "--sf", "7", "--bw", "125e3", "--symbols", "1,2,3"]
+    assert json.loads(run(*mod, "--out", "file.iq").stdout)["out"] == "file.iq"
+    piped = run(*mod, "--out", "/dev/stdout", "--header", "piped.json")
+    assert piped.stdout == (tmp_path / "file.iq").read_bytes()
+    assert json.loads(piped.stderr)["out"] == "/dev/stdout"
+    welch = ["welch", "--in", "file.iq", "--segment", "16"]
+    run(*welch, "--out", "file.csv")
+    piped = run(*welch, "--out", "/dev/stdout")
+    assert piped.stdout == (tmp_path / "file.csv").read_bytes()
+    assert json.loads(piped.stderr) == {"out": "/dev/stdout", "grid_points": 16}
+    # a path that does not exist is no stdout
+    assert not cli._is_stdout(tmp_path / "missing")
+
+
 def test_write_csv_does_not_fork_on_one_cpu_or_beside_a_thread(tmp_path, forks, monkeypatch):
     def no_fork():
         raise AssertionError("forked")

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+import scipy.special
 from scipy.special import polygamma
 
 import lorachirp
@@ -302,8 +303,7 @@ def test_line_window_of_e_is_a_quadratic_gauss_sum(sf):
                          ids=["k1-sf3", "k1-sf7", "k1-sf10", "k1-sf12", "k16-0.25B", "k3-8B"])
 def test_window_sums_are_built_only_on_the_psd_grid(monkeypatch, sf, k, f_max):
     # the lines take two table values each, so k = 1 builds no window sum,
-    # and k > 1 builds them for the grid's n = 0..round(f_max/step) only,
-    # though the table spans 4B for the lines
+    # and k > 1 builds them for the grid's n = 0..round(f_max/step) only
     calls = {"prefix": 0, "points": 0}
 
     def prefix_spy(values, k):
@@ -321,22 +321,25 @@ def test_window_sums_are_built_only_on_the_psd_grid(monkeypatch, sf, k, f_max):
     res = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
     n = len(res.grid) // 2
     assert n == round(f_max * k * p.m)
-    assert len(res.lines) == 2 * max(4 * p.m, n // k) + 1
+    assert len(res.lines) == 2 * (n // k) + 1
     assert calls == ({"prefix": 0, "points": 0} if k == 1 else {"prefix": 4, "points": n + 1})
 
 
 @pytest.mark.parametrize("sf,k,f_max", [(9, 16, 0.25), (5, 3, 1.5), (7, 4, 3.9), (4, 2, 0.5)])
 def test_a_narrow_grid_is_the_middle_of_the_4b_grid(sf, k, f_max):
-    # the window sums of a grid narrower than the lines start at the same
-    # table bottom as those of the 4B grid, and each line is two table values
+    # a narrow grid builds its own, smaller table: each line is two table
+    # values, the same bits as on the 4B grid, while the window sums start
+    # at the table's bottom and so move the PSD by rounding alone (measured
+    # within 6.3e-16 of the peak)
     p = LoraParams(sf=sf, b=1.0)
     narrow = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
     wide = fresnel_spectrum(p, f_max=4.0, step=p.b / (k * p.m))
     n, mid = len(narrow.grid) // 2, len(wide.grid) // 2
     middle = slice(mid - n, mid + n + 1)
     assert np.array_equal(narrow.grid, wide.grid[middle])
-    assert np.array_equal(narrow.continuous, wide.continuous[middle])
-    assert np.array_equal(narrow.lines, wide.lines)
+    assert np.array_equal(narrow.lines, wide.lines[mid // k - n // k:mid // k + n // k + 1])
+    peak = wide.continuous.max()
+    assert np.max(np.abs(narrow.continuous - wide.continuous[middle])) <= 2e-15 * peak
 
 
 @pytest.mark.parametrize("sf", [7, 9, 12])
@@ -392,7 +395,7 @@ def test_line_powers_match_per_symbol_loop(sf, n_max):
     assert np.max(np.abs(lines[:, 1] - ref)) <= 1e-16
 
 
-@pytest.mark.parametrize("f_max,n_lines", [(2.0, 4 * 8), (4.0, 4 * 8), (8.0, 8 * 8),
+@pytest.mark.parametrize("f_max,n_lines", [(2.0, 2 * 8), (4.0, 4 * 8), (8.0, 8 * 8),
                                            (8.1, 8 * 8)])
 def test_fresnel_spectrum_lines_cover_the_grid(f_max, n_lines):
     p = LoraParams(sf=3, b=1.0)
@@ -432,9 +435,9 @@ def test_fresnel_spectrum_takes_a_step_within_tolerance():
 @pytest.mark.parametrize("sf", [3, 7, 12])
 @pytest.mark.parametrize("grid", ["default", "mask_check", "occupied_bandwidth", "narrow"])
 def test_fresnel_spectrum_lines_equal_discrete_spectrum_lines(sf, grid):
-    # the lines are every k-th point of the spectrum's own lattice sums,
-    # which a grid narrower than 4B extends to 4B: the same bits as the
-    # k = 1 spectrum, every point of which is a line
+    # the lines are every k-th point of the spectrum's own lattice sums:
+    # the same bits as the k = 1 spectrum over the same span, every point
+    # of which is a line
     p = LoraParams(sf=sf, b=125e3)
     k, f_max = {"default": (max(1, min(64, 8192 // p.m)), 8.0 * p.b),
                 "mask_check": (4, 8.0 * p.b),
@@ -442,7 +445,7 @@ def test_fresnel_spectrum_lines_equal_discrete_spectrum_lines(sf, grid):
                 "narrow": (4, 0.5 * p.b)}[grid]
     res = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
     n = len(res.grid) // 2
-    ref = fresnel_spectrum(p, f_max=max(4 * p.m, n // k) * p.b / p.m, step=p.b / p.m)
+    ref = fresnel_spectrum(p, f_max=(n // k) * p.b / p.m, step=p.b / p.m)
     assert np.array_equal(res.lines, ref.lines)
 
 
@@ -452,7 +455,8 @@ def test_fresnel_spectrum_lines_equal_discrete_spectrum_lines(sf, grid):
 def test_fresnel_spectrum_is_the_same_across_chunk_boundaries(monkeypatch, chunk, sf, k,
                                                               f_max):
     # every block of the lattice walk reads and writes its own slices, so
-    # where the blocks end changes no bit; f_max = 1.5B is cropped from 4B
+    # where the blocks end changes no bit, on the default grids and on one
+    # of 1.5B
     p = LoraParams(sf=sf, b=1.0)
     ref = fresnel_spectrum(p, f_max=f_max, step=p.b / (k * p.m))
     monkeypatch.setattr(spectrum, "_CHUNK", chunk)
@@ -470,8 +474,8 @@ def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, f_max, step):
         calls.append(np.array(x))
         return scipy_fresnel(x)
 
-    scipy_fresnel = spectrum._scipy_fresnel
-    monkeypatch.setattr(spectrum, "_scipy_fresnel", counted)
+    scipy_fresnel = scipy.special.fresnel
+    monkeypatch.setattr(scipy.special, "fresnel", counted)
     p = LoraParams(sf=5, b=1.0)
     fresnel_spectrum(p, f_max=f_max, step=step)
     assert len(calls) == 1
@@ -577,22 +581,23 @@ def test_a_step_far_off_the_table_quotes_k_in_64_characters():
 
 
 def test_a_lattice_beyond_float_range_reads_inf_points():
-    # k = B/(M*step) is about 1.5e304 here, so 5kM + 1 is an int that no
+    # k = B/(M*step) is about 1.5e304 here, so kM + 1 is an int that no
     # float holds: the size is given as inf, not an OverflowError raised
     with pytest.raises(ValueError, match=r"needs a lattice table of inf points, more than"):
         fresnel_spectrum(LoraParams(sf=16, b=1e300), step=1e-9)
 
 
 def test_lattice_size_bound_is_exact(monkeypatch):
-    # k*M + max(n, 4kM) + 1 points: at SF 3, k = 2, f_max = 5B (n = 80) it is 97
+    # k*M + n + 1 points: at SF 3, k = 2, f_max = 2B (n = 32) it is 49
     p = LoraParams(sf=3, b=1.0)
-    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 97)
-    fresnel_spectrum(p, f_max=5.0, step=1.0 / 16)
-    with pytest.raises(ValueError, match="f_max = 5.0625 Hz"):
-        fresnel_spectrum(p, f_max=5.0625, step=1.0 / 16)
-    # a step's smallest table is 5kM + 1 points
-    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 81)
-    fresnel_spectrum(p, f_max=1.0, step=1.0 / 16)
+    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 49)
+    fresnel_spectrum(p, f_max=2.0, step=1.0 / 16)
+    with pytest.raises(ValueError, match="f_max = 2.0625 Hz"):
+        fresnel_spectrum(p, f_max=2.0625, step=1.0 / 16)
+    # a step's smallest table is kM + 1 points: a limit of 24 holds k = 2
+    # up to n = 7, and no table of k = 3
+    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 24)
+    fresnel_spectrum(p, f_max=7.0 / 16, step=1.0 / 16)
     with pytest.raises(ValueError, match=r"^grid step 0.041666666666666664 Hz \(k = 3\) needs"):
         fresnel_spectrum(p, f_max=1.0, step=1.0 / 24)
 
