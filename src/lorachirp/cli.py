@@ -124,19 +124,24 @@ def _cmd_xcorr(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    scale = _power_ratio(args.ps_dbm, "--ps-dbm") if args.ps_dbm is not None else 1.0
+    scale = _power_ratio(args.ps_dbm, "--ps-dbm") if args.ps_dbm is not None else None
     res = spectrum.fresnel_spectrum(_params(args), step=args.grid_step)
     unit = "mw" if args.ps_dbm is not None else "fraction"
     out_psd = args.out_psd or f"spectrum_sf{args.sf}_psd.csv"
     out_lines = args.out_lines or f"spectrum_sf{args.sf}_lines.csv"
     g = res.continuous
-    db_rel_b = 10 * np.log10(np.maximum(g * res.params.b, 1e-30))
+    # 10*log10(max(g*B, 1e-30)) in one array
+    db_rel_b = np.multiply(g, res.params.b)
+    np.maximum(db_rel_b, 1e-30, out=db_rel_b)
+    np.log10(db_rel_b, out=db_rel_b)
+    db_rel_b *= 10
     _write_csv(out_psd, ["frequency_hz", f"psd_{unit}_per_hz", "psd_db_rel_b"],
-               [res.grid, g * scale, db_rel_b],
+               [res.grid, g if scale is None else g * scale, db_rel_b],
                comments=[f"sf={args.sf} bw_hz={args.bw}",
                          "psd_db_rel_b = 10*log10(Gc(f)*B) of the unit-power envelope"])
     _write_csv(out_lines, ["frequency_hz", f"power_{unit}"],
-               [res.line_frequencies, res.line_powers * scale],
+               [res.line_frequencies,
+                res.line_powers if scale is None else res.line_powers * scale],
                comments=[f"sf={args.sf} bw_hz={args.bw}"])
     print(json.dumps({"psd_csv": str(out_psd), "lines_csv": str(out_lines),
                       "grid_points": len(res.grid), "num_lines": len(res.lines)}))

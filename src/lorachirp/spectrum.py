@@ -120,10 +120,12 @@ def _psd_combine(sum_abs2: np.ndarray, abs2_sum: np.ndarray, p: LoraParams) -> n
     return np.maximum(g, 0.0)
 
 
-# The most points, k*M + n + 1, that the table of one lattice may hold:
-# its Fresnel values, prefix sums and per-frequency sums peak at about 130
-# bytes a point (90 for k = 1, with no prefix sums; traced by tracemalloc),
-# so 2^22 points take about 0.55 GB.  The default grids stay far below it
+# The most points, k*M + n + 1, that the table of one lattice may hold.
+# At most k*M + max(2*_CHUNK, k*M) + 1 of them are held at once, in a
+# window that peaks at 120 bytes a point (72 for k = 1, with no prefix
+# sums; traced by tracemalloc), beside results of about 49 bytes per grid
+# point f >= 0 (81 for k = 1).  So 2^22 points take at most about 0.5 GB,
+# where k*M makes up most of them.  The default grids stay far below it
 # (at most 589 825 points, at SF 16).
 _MAX_LATTICE = 1 << 22
 
@@ -180,15 +182,16 @@ def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_e, s_d, s_d2, s_ed):
     return sum_abs2, sum_x
 
 
-def _strided_prefix(values: np.ndarray, k: int) -> np.ndarray:
-    """Exclusive prefix sums along stride k: out[i] = values[i - k] +
-    values[i - 2k] + ..., for i < len(values)."""
-    rows = -(-len(values) // k)
-    out = np.zeros(rows * k, dtype=values.dtype)
-    out[k:len(values)] = values[:len(values) - k]
-    block = out.reshape(rows, k)
+def _strided_prefix(values: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Continue prefix sums along stride k: out[i + k] = out[i] + values[i]
+    for i < len(values), added in that order, given out[:k].  Whole rows of
+    k are summed, so out must hold k*(ceil(len(values)/k) + 1) values;
+    those past len(values) + k are left as scratch."""
+    rows = -(-len(values) // k) + 1
+    out[k:k + len(values)] = values
+    out[k + len(values):rows * k] = 0.0
+    block = out[:rows * k].reshape(rows, k)
     np.cumsum(block, axis=0, out=block)
-    return out
 
 
 # Frequencies per block of work: a block's temporaries (64 KiB for a
@@ -224,8 +227,11 @@ def _tail_into(out: np.ndarray, x: np.ndarray, e: np.ndarray, terms: list, c: co
     slice of points where term m of the series counts (each holds the
     next).  Two temporaries are allocated, and every pass runs over a
     whole column: fresh pages and short inner loops cost more here than
-    the arithmetic.
+    the arithmetic.  An empty tail, as in most of a table built in parts,
+    costs no numpy call.
     """
+    if not len(x):
+        return
     scale = np.multiply(x, np.pi)
     np.divide(1.0, scale, out=scale)  # 1/(pi*x), which carries sign(x)
     z = scale / x
@@ -250,34 +256,61 @@ def _tail_into(out: np.ndarray, x: np.ndarray, e: np.ndarray, terms: list, c: co
     np.add(f, c.imag, out=f)
 
 
-def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """D = K(x) + (1+j)/2 at x = sqrt(2/M)*j/k for ascending integers j,
-    given E = _lattice_phase(M, k, j).
-
-    For |x| < _TAIL_X, K is scipy's fresnel at the rounded x.  Beyond, the
-    table uses int_|x|^inf exp(j*pi*t^2/2) dt = T(|x|)*exp(j*pi*x^2/2)
-    with T = g + j*f from the asymptotic series (see _SERIES):
-    D = T(|x|)*conj(E) for x <= -8 and D = (1+j) - T(x)*conj(E) for
-    x >= 8.  The phase is E's, reduced exactly, and the rounded x enters
-    only the slowly varying T, so there D is exact to a few ulp even at
-    even SF, where sqrt(2/M) is rounded and scipy's phase pi*x^2/2 would
-    be off by about x^2*eps.  Each tail is one pass over its whole slice.
-    """
-    from scipy.special import fresnel
+def _lattice_x(M: int, k: int, j: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """x = sqrt(2/M)*j/k at ascending integers j, the same bits wherever j
+    is cut, and neg, pos with |x| < _TAIL_X exactly on x[neg:pos]."""
     x = j / k
     x *= np.sqrt(2.0 / M)
-    neg = np.searchsorted(x, -_TAIL_X, side="right")
-    pos = np.searchsorted(x, _TAIL_X, side="left")
-    d = np.empty(len(j), dtype=complex)
-    s, c = fresnel(x[neg:pos])
-    np.add(c, 0.5, out=d.real[neg:pos])
-    np.add(s, 0.5, out=d.imag[neg:pos])
+    return x, np.searchsorted(x, -_TAIL_X, side="right"), np.searchsorted(x, _TAIL_X, side="left")
+
+
+def _fresnel_band(j: np.ndarray, x: np.ndarray, neg: int, pos: int) -> tuple:
+    """(j_0, S, C): scipy's fresnel at x[neg:pos], the band of
+    _lattice_x(M, k, j), and the first j there (0 if there is none)."""
+    from scipy.special import fresnel
+    return (int(j[neg]) if neg < pos else 0, *fresnel(x[neg:pos]))
+
+
+def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray, band: tuple | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """D = K(x) + (1+j)/2 at x = sqrt(2/M)*j/k for ascending integers j,
+    given E = _lattice_phase(M, k, j), into `out` if given.
+
+    For |x| < _TAIL_X, K is scipy's fresnel at the rounded x: from `band`,
+    a _fresnel_band of integers that hold j's there without a gap, or
+    else from one call on j's own band.  Beyond, the table uses
+    int_|x|^inf exp(j*pi*t^2/2) dt = T(|x|)*exp(j*pi*x^2/2) with T = g +
+    j*f from the asymptotic series (see _SERIES): D = T(|x|)*conj(E) for
+    x <= -8 and D = (1+j) - T(x)*conj(E) for x >= 8.  The phase is E's,
+    reduced exactly, and the rounded x enters only the slowly varying T,
+    so there D is exact to a few ulp even at even SF, where sqrt(2/M) is
+    rounded and scipy's phase pi*x^2/2 would be off by about x^2*eps.
+    Each tail is one pass over its whole slice.
+    """
+    x, neg, pos = _lattice_x(M, k, j)
+    j_0, s, c = _fresnel_band(j, x, neg, pos) if band is None else band
+    at = int(j[neg]) - j_0 if neg < pos else 0
+    d = np.empty(len(j), dtype=complex) if out is None else out
+    np.add(c[at:at + pos - neg], 0.5, out=d.real[neg:pos])
+    np.add(s[at:at + pos - neg], 0.5, out=d.imag[neg:pos])
     # term m counts on the side of each tail next to the band
     starts = np.searchsorted(x[:neg], -_SERIES_X, side="right")
     _tail_into(d[:neg], x[:neg], e[:neg], [slice(a, neg) for a in starts], 0j)
     ends = np.searchsorted(x[pos:], _SERIES_X, side="left")
     _tail_into(d[pos:], x[pos:], e[pos:], [slice(0, b) for b in ends], 1 + 1j)
     return d
+
+
+def _extend_table(M: int, k: int, j: np.ndarray, e: np.ndarray, band: tuple | None,
+                  d: np.ndarray, prefix: list) -> None:
+    """D at the ascending integers j into d, given E there, and for k > 1
+    the strided prefix sums of E, D, |D|^2 and E*D carried on past j in
+    `prefix` (see _strided_prefix)."""
+    _fresnel_table(M, k, j, e, band, d)
+    if k > 1:
+        # |D|^2 and E*D live only while their prefix sums are built
+        for c, v in zip(prefix, (e, d, d.real ** 2 + d.imag ** 2, e * d)):
+            _strided_prefix(v, k, c)
 
 
 def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,33 +327,84 @@ def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     differences of strided prefix sums from the table's bottom.  The table
     holds D = K + (1+j)/2, which decays to 0 as j -> -inf, so far out the
     prefix sums stay small and the PSD is no difference of O(M) terms.
+
+    A block of _CHUNK frequencies reads the table from its l = 0 to its
+    l = M, k*M points further up, so the table is built from the bottom
+    up through a window of k*M + max(2*_CHUNK, k*M) + 1 points (the 1
+    takes in a grid's last block of one point).  When a block reaches
+    past it, the part still to be read moves to the window's start and
+    the window is filled on from there.  Each fill's prefix sums go on
+    from the last row of k before it, so every sum is added in the order
+    of one cumsum over the whole table, and a table that fits the window
+    is built at once.  The band |x| < _TAIL_X is one scipy call per
+    table, and E's period of k^2*M points is computed once where it fits
+    the window.
     """
     M = p.m
     top = k * M
-    j = np.arange(-(top // 2) - n, top // 2 + 1)
-    # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E serves
-    e = np.resize(_lattice_phase(M, k, j[:k * top]), len(j))
-    d = _fresnel_table(M, k, j, e)
+    size = top + n + 1
+    width = min(size, top + max(2 * _CHUNK, top) + 1)
+    j_bottom = -(top // 2) - n  # table index t holds j = j_bottom + t
+    band = None
+    if width < size:
+        # |x| < 8 lies within |j| < 8k*sqrt(M/2)
+        reach = math.ceil(_TAIL_X * k * math.sqrt(M / 2)) + 1
+        j = np.arange(max(j_bottom, -reach), min(j_bottom + size, reach + 1))
+        band = _fresnel_band(j, *_lattice_x(M, k, j))
+    # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E
+    # serves; a table built in parts keeps it where it fits the window
+    period = k * top
+    cache = (_lattice_phase(M, k, np.arange(j_bottom, j_bottom + period))
+             if period <= width < size else None)
+    # the window holds D from table index base on, and the exclusive
+    # prefix sums there and k further (0 below index k)
+    d = np.empty(width, dtype=complex)
+    prefix = ([np.zeros(width + 2 * k, dtype=t) for t in (complex, complex, float, complex)]
+              if k > 1 else [])
+    base = built = q = 0
     four_b = 2.0 * p.b * p.b / M
-    # table index t holds l = 0 of frequency n - t and l = M at t + top
-    lines = M * np.abs(d[n % k + top::k] - d[n % k:n + 1:k])[::-1] ** 2 / four_b
-    if k == 1:
-        return lines, lines, lines
-    # |D|^2 and E*D live only while their prefix sums are built
-    prefix = [_strided_prefix(v, k) for v in (e, d, d.real ** 2 + d.imag ** 2, e * d)]
-    # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
-    roots = np.exp(-2j * np.pi * np.arange(k) / k)
-    sum_abs2, abs2_sum = np.empty((2, n + 1))
+    # table index t holds l = 0 of frequency n - t and l = M at t + top, so
+    # the lines reversed are those at t = n % k + q*k, q = 0, 1, ...
+    lines = np.empty(n // k + 1)
+    if k > 1:
+        # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
+        roots = np.exp(-2j * np.pi * np.arange(k) / k)
+        sum_abs2, abs2_sum = np.empty((2, n + 1))
     # lo ascending: every read is a forward slice, every write a reversed one
     for lo, hi in _spans(n + 1, _CHUNK):
+        if built < hi + top:
+            if lo:
+                # what is still to be read moves to the window's start
+                keep = built - lo
+                d[:keep] = d[lo - base:built - base]
+                for c in prefix:
+                    c[:keep + k] = c[lo - base:built + k - base]
+                base = lo
+            stop = min(size, base + width)
+            j = np.arange(j_bottom + built, j_bottom + stop)
+            e = (_lattice_phase(M, k, j[:period]) if cache is None
+                 else np.roll(cache, -(built % period)))
+            if len(e) != len(j):
+                e = np.resize(e, len(j))
+            _extend_table(M, k, j, e, band, d[built - base:stop - base],
+                          [c[built - base:] for c in prefix])
+            del j, e  # a fill's temporaries are gone before its blocks run
+            built = stop
+            # the lines whose l = M is now built; the window still holds their l = 0
+            q_end = -(-(built - top - n % k) // k)
+            t, u = n % k + q * k - base, built - base
+            lines[::-1][q:q_end] = M * np.abs(d[t + top:u:k] - d[t:u - top:k]) ** 2 / four_b
+            q = q_end
+        if k == 1:
+            continue
+        a, b = lo - base, hi - base
         # window sums of l = 0..M-1 from index lo
-        sums = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]
+        sums = [c[a + top:b + top] - c[a:b] for c in prefix]
         w = roots[(n - np.arange(lo, hi)) % k]
         out = slice(n + 1 - hi, n + 1 - lo)
-        sum_abs2[out][::-1], sum_x = _factorized_sums(
-            p, d[lo + top:hi + top], d[lo:hi], w, *sums)
+        sum_abs2[out][::-1], sum_x = _factorized_sums(p, d[a + top:b + top], d[a:b], w, *sums)
         abs2_sum[out][::-1] = np.abs(sum_x) ** 2
-    return sum_abs2, abs2_sum, lines
+    return (lines, lines, lines) if k == 1 else (sum_abs2, abs2_sum, lines)
 
 
 def _half_spectrum(p: LoraParams, f_max: float,
@@ -352,11 +436,14 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     Fresnel values, n = round(f_max/step), gives every line from two of
     its values and, through strided prefix sums, every grid point with
     f >= 0.  The spectrum is even in f (see the module docstring): f < 0
-    is the exact mirror image.  The cost is O(k*M + len(grid)).  For
-    k = 1 every grid point is a line, and the PSD comes from the line
-    values (see _lattice_sums).  A table of more than _MAX_LATTICE points
-    raises ValueError naming f_max and the step.  The tests check these
-    values against a zero-padded DFT of the sampled waveforms.
+    is the exact mirror image.  The cost is O(k*M + len(grid)) in time;
+    the table streams through a window of O(k*M + _CHUNK) points, at 120
+    bytes each at most, beside results of about 49 bytes per grid point
+    f >= 0 (see _MAX_LATTICE).  For k = 1 every grid point is a line, and
+    the PSD comes from the line values (see _lattice_sums).  A table of
+    more than _MAX_LATTICE points raises ValueError naming f_max and the
+    step.  The tests check these values against a zero-padded DFT of the
+    sampled waveforms.
     """
     k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
     step, continuous, lines = _half_spectrum(p, 8.0 * p.b if f_max is None else f_max, k)

@@ -9,7 +9,9 @@ the waveform oracles evaluate the continuous law waveform_at, never the
 cyclic-shift sampler, and the spectrum oracles never touch the
 factorized lattice sums: the loop oracles sum waveform_fourier_transform
 symbol by symbol, and the DFT oracle transforms the samples that the
-public modulate gives.
+public modulate gives.  The one exception checks a layout, not a closed
+form: lattice_sums_whole_table is the lattice engine as it was before it
+streamed its table through a window, so the two must agree bit for bit.
 """
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from scipy.special import i0e
 
 from lorachirp import (LoraParams, SpectrumResult, Symbol, modulate,
                        validate_symbol, waveform_at, waveform_fourier_transform)
+from lorachirp.params import _spans
+from lorachirp.spectrum import (_CHUNK, _factorized_sums, _fresnel_table, _lattice_phase)
 
 
 def fresnel_quadrature(x: float) -> tuple[float, float]:
@@ -319,3 +323,62 @@ def captured_power_exact(spec: SpectrumResult, width: float) -> tuple[Fraction, 
              if abs(f) <= half]
     inner = sum(Fraction(p) for f, p in lines if f < half)
     return continuous + inner, continuous + sum(Fraction(p) for _, p in lines)
+
+
+def strided_prefix_whole(values: np.ndarray, k: int) -> np.ndarray:
+    """Exclusive prefix sums along stride k: out[i] = values[i - k] +
+    values[i - 2k] + ..., for i < len(values)."""
+    rows = -(-len(values) // k)
+    out = np.zeros(rows * k, dtype=values.dtype)
+    out[k:len(values)] = values[:len(values) - k]
+    block = out.reshape(rows, k)
+    np.cumsum(block, axis=0, out=block)
+    return out
+
+
+def lattice_sums_whole_table(p: LoraParams, k: int,
+                             n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sum_l |X(f;l)|^2 and |sum_l X(f;l)|^2 at f = i*B/(k*M), 0 <= i <= n,
+    and the two (equal) at the lines f = m*B/M, 0 <= k*m <= n.
+
+    On this lattice u_l = j/k with j = k*l - k*M/2 - i, so the M arguments
+    of one frequency are a stride-k window of a single table over j, of
+    k*M + n + 1 points.  On a line w = 1, beta = 0 and, M being even,
+    |sum_l E_l|^2 = M, a complete quadratic Gauss sum (Landsberg-Schaar),
+    so both sums are M*|D(a0*u_M) - D(a0*u_0)|^2/(4b) and the line power
+    is P_n = |D(a0*(M/2 - n)) - D(a0*(-M/2 - n))|^2/(2*M^2).  k = 1 is
+    all lines.  For k > 1 the window sums of _factorized_sums are
+    differences of strided prefix sums from the table's bottom.  The table
+    holds D = K + (1+j)/2, which decays to 0 as j -> -inf, so far out the
+    prefix sums stay small and the PSD is no difference of O(M) terms.
+
+    The whole table, its phases E and its four prefix sums are held at
+    once, about 120 bytes a point; lorachirp.spectrum._lattice_sums holds
+    only a window of them and must give the same bits.
+    """
+    M = p.m
+    top = k * M
+    j = np.arange(-(top // 2) - n, top // 2 + 1)
+    # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E serves
+    e = np.resize(_lattice_phase(M, k, j[:k * top]), len(j))
+    d = _fresnel_table(M, k, j, e)
+    four_b = 2.0 * p.b * p.b / M
+    # table index t holds l = 0 of frequency n - t and l = M at t + top
+    lines = M * np.abs(d[n % k + top::k] - d[n % k:n + 1:k])[::-1] ** 2 / four_b
+    if k == 1:
+        return lines, lines, lines
+    # |D|^2 and E*D live only while their prefix sums are built
+    prefix = [strided_prefix_whole(v, k) for v in (e, d, d.real ** 2 + d.imag ** 2, e * d)]
+    # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
+    roots = np.exp(-2j * np.pi * np.arange(k) / k)
+    sum_abs2, abs2_sum = np.empty((2, n + 1))
+    # lo ascending: every read is a forward slice, every write a reversed one
+    for lo, hi in _spans(n + 1, _CHUNK):
+        # window sums of l = 0..M-1 from index lo
+        sums = [c[lo + top:hi + top] - c[lo:hi] for c in prefix]
+        w = roots[(n - np.arange(lo, hi)) % k]
+        out = slice(n + 1 - hi, n + 1 - lo)
+        sum_abs2[out][::-1], sum_x = _factorized_sums(
+            p, d[lo + top:hi + top], d[lo:hi], w, *sums)
+        abs2_sum[out][::-1] = np.abs(sum_x) ** 2
+    return sum_abs2, abs2_sum, lines

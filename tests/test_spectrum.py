@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from lorachirp import (LoraParams, fresnel_spectrum, spectrum, w_integral, wavef
 from lorachirp.spectrum import _kfun
 from oracles import (chirp_integral_quadrature, continuous_psd_loop,
                      fourier_transform_quadrature, fresnel_quadrature,
-                     psd_via_dft, transform_sums_loop)
+                     lattice_sums_whole_table, psd_via_dft, transform_sums_loop)
 
 
 def test_fresnel_at_zero():
@@ -299,16 +300,20 @@ def test_line_window_of_e_is_a_quadratic_gauss_sum(sf):
 
 
 @pytest.mark.parametrize("sf,k,f_max", [(3, 1, 8.0), (7, 1, 8.0), (10, 1, 2.0), (12, 1, 8.0),
-                                        (9, 16, 0.25), (5, 3, 8.0)],
-                         ids=["k1-sf3", "k1-sf7", "k1-sf10", "k1-sf12", "k16-0.25B", "k3-8B"])
+                                        (9, 16, 0.25), (5, 3, 8.0), (7, 64, 8.0)],
+                         ids=["k1-sf3", "k1-sf7", "k1-sf10", "k1-sf12", "k16-0.25B", "k3-8B",
+                              "k64-8B"])
 def test_window_sums_are_built_only_on_the_psd_grid(monkeypatch, sf, k, f_max):
     # the lines take two table values each, so k = 1 builds no window sum,
-    # and k > 1 builds them for the grid's n = 0..round(f_max/step) only
-    calls = {"prefix": 0, "points": 0}
+    # and k > 1 builds them for the grid's n = 0..round(f_max/step) only,
+    # from prefix sums of the four columns over each of the k*M + n + 1
+    # table points once, whether the table is built at once or in parts
+    # (k64-8B, 73 729 points in eight fills)
+    calls = {"prefixed": 0, "points": 0}
 
-    def prefix_spy(values, k):
-        calls["prefix"] += 1
-        return strided_prefix(values, k)
+    def prefix_spy(values, k, out):
+        calls["prefixed"] += len(values)
+        return strided_prefix(values, k, out)
 
     def sums_spy(p, d_top, *args):
         calls["points"] += len(d_top)
@@ -322,7 +327,8 @@ def test_window_sums_are_built_only_on_the_psd_grid(monkeypatch, sf, k, f_max):
     n = len(res.grid) // 2
     assert n == round(f_max * k * p.m)
     assert len(res.lines) == 2 * (n // k) + 1
-    assert calls == ({"prefix": 0, "points": 0} if k == 1 else {"prefix": 4, "points": n + 1})
+    assert calls == ({"prefixed": 0, "points": 0} if k == 1
+                     else {"prefixed": 4 * (k * p.m + n + 1), "points": n + 1})
 
 
 @pytest.mark.parametrize("sf,k,f_max", [(9, 16, 0.25), (5, 3, 1.5), (7, 4, 3.9), (4, 2, 0.5)])
@@ -464,6 +470,58 @@ def test_fresnel_spectrum_is_the_same_across_chunk_boundaries(monkeypatch, chunk
     assert len(ref.grid) // 2 + 1 > 2 * chunk  # three blocks or more
     for name in ("grid", "continuous", "lines"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def _lattice_cases():
+    """(sf, k, f_max in B, _CHUNK or None) for the streamed lattice engine:
+    the default grids, strides whose blocks end off the stride, narrow and
+    wide spans, the mask-check grid and block sizes about k*M."""
+    cases = [(sf, max(1, min(64, 8192 // 2 ** sf)), 8.0, None) for sf in range(3, 17)]
+    cases += [(9, 3, 8.0, None), (7, 7, 8.0, None), (12, 3, 1.5, None), (5, 7, 64.0, None),
+              (12, 16, 0.25, None), (9, 16, 0.25, None), (10, 4, 1.5, None), (5, 3, 1.5, None),
+              (9, 4, 8.0, None), (12, 4, 8.0, None), (3, 4, 8.0, None), (12, 1, 1.5, None)]
+    for sf, k in ((5, 3), (4, 7), (6, 1)):
+        for chunk in (1, 7, 64, k * 2 ** sf - 1, k * 2 ** sf + 1):
+            cases.append((sf, k, 8.0, chunk))
+    return cases
+
+
+@pytest.mark.parametrize("sf,k,f_max,chunk", _lattice_cases())
+def test_streamed_lattice_sums_equal_the_whole_table(monkeypatch, sf, k, f_max, chunk):
+    # the window and its refills change no bit of any sum or line: every
+    # prefix sum is added in the order of one cumsum over the whole table
+    p = LoraParams(sf=sf, b=125e3)
+    n = round(f_max * k * p.m)
+    if chunk is not None:
+        monkeypatch.setattr(spectrum, "_CHUNK", chunk)
+    got = spectrum._lattice_sums(p, k, n)
+    ref = lattice_sums_whole_table(p, k, n)
+    for name, g, r in zip(("sum_abs2", "abs2_sum", "lines"), got, ref):
+        assert g.shape == r.shape and np.array_equal(g, r), name
+
+
+@pytest.mark.parametrize("sf,f_max,k,bound_mb", [(7, None, None, 4.0), (12, None, None, 5.0),
+                                                 (5, 256.0, 64, 28.0)],
+                         ids=["sf7-default", "sf12-default", "sf5-256B-k64"])
+def test_fresnel_spectrum_peak_memory(sf, f_max, k, bound_mb):
+    # the table streams through a window of k*M + max(2*_CHUNK, k*M) + 1
+    # points; the rest is the results.  Measured peaks: 3.25, 4.26 and
+    # 25.5 MB (8.87, 9.25 and 65.3 MB with the whole table held); the
+    # SF 5 call's two-sided results alone take about 21 MB
+    p = LoraParams(sf=sf, b=1.0)
+    step = None if k is None else p.b / (k * p.m)
+
+    def call():
+        return fresnel_spectrum(p, f_max=f_max, step=step)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
 
 
 @pytest.mark.parametrize("f_max,step", [(None, None), (1.0, 1.0 / 64), (8.0, 1.0 / 32)])
