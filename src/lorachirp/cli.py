@@ -176,11 +176,31 @@ def _cmd_welch(args) -> int:
 
 
 def _read_binned_csv(path) -> analysis.BinnedSpectrum:
+    """The binned spectrum of a CSV in --out-binned's layout; ValueError
+    naming the file unless its bin centres ascend by delta_f_hz (to 1e-6
+    relative, as mask_check matches the rbw), the bins of one lattice."""
     meta, columns = _read_csv(path, "binned CSV", ["bin_center_hz", "power_dbm"])
     if "delta_f_hz" not in meta or "ps_dbm" not in meta:
         raise ValueError(f"binned CSV {path} is missing '# delta_f_hz=' / '# ps_dbm=' metadata")
-    return analysis.BinnedSpectrum(*columns, *(_finite(meta[key], f"binned CSV {path}: {key}")
-                                               for key in ("delta_f_hz", "ps_dbm")))
+    delta_f, ps_dbm = (_finite(meta[key], f"binned CSV {path}: {key}")
+                       for key in ("delta_f_hz", "ps_dbm"))
+    centers = columns[0]
+    off = np.flatnonzero(np.abs(np.diff(centers) - delta_f) > 1e-6 * delta_f)
+    if len(off):
+        i = off[0]
+        raise ValueError(f"binned CSV {path}: bin_center_hz {float(centers[i + 1])!r} follows "
+                         f"{float(centers[i])!r}; the centres must ascend by delta_f_hz = "
+                         f"{delta_f!r}")
+    return analysis.BinnedSpectrum(*columns, delta_f, ps_dbm)
+
+
+def _lattice_bins(binned: analysis.BinnedSpectrum, f0: float, seg: analysis.MaskSegment) -> float:
+    """How many centres of binned's lattice, its first centre plus whole
+    multiples of delta_f, fall in seg's [f_start, f_stop) at carrier f0;
+    inf where that count is beyond float range."""
+    first = float(binned.bin_centers[0]) + f0
+    return float(np.ceil((seg.f_stop_hz - first) / binned.delta_f)
+                 - np.ceil((seg.f_start_hz - first) / binned.delta_f))
 
 
 def _cmd_mask_check(args) -> int:
@@ -212,9 +232,8 @@ def _cmd_mask_check(args) -> int:
             "f_stop_hz": s.segment.f_stop_hz,
             "limit_dbm": s.segment.limit_dbm,
             "n_bins": s.n_bins,
-            # of the rbw-wide bins the segment spans
-            "coverage": s.n_bins / max(1, round((s.segment.f_stop_hz - s.segment.f_start_hz)
-                                                / s.segment.rbw_hz)),
+            "coverage": (s.n_bins / max(1, _lattice_bins(binned, args.f0, s.segment))
+                         if s.n_bins else 0.0),
             "worst_margin_db": s.worst_margin_db,
             "worst_freq_hz": s.worst_freq_hz,
         } for s in report.segments],

@@ -261,56 +261,44 @@ def _lattice_x(M: int, k: int, j: np.ndarray) -> tuple[np.ndarray, int, int]:
     is cut, and neg, pos with |x| < _TAIL_X exactly on x[neg:pos]."""
     x = j / k
     x *= np.sqrt(2.0 / M)
-    return x, np.searchsorted(x, -_TAIL_X, side="right"), np.searchsorted(x, _TAIL_X, side="left")
+    return x, x.searchsorted(-_TAIL_X, side="right"), x.searchsorted(_TAIL_X, side="left")
 
 
 def _fresnel_band(j: np.ndarray, x: np.ndarray, neg: int, pos: int) -> tuple:
     """(j_0, S, C): scipy's fresnel at x[neg:pos], the band of
-    _lattice_x(M, k, j), and the first j there (0 if there is none)."""
+    _lattice_x(M, k, j), and the first j there; j holds a point of it."""
     from scipy.special import fresnel
-    return (int(j[neg]) if neg < pos else 0, *fresnel(x[neg:pos]))
+    return (int(j[neg]), *fresnel(x[neg:pos]))
 
 
-def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray, band: tuple | None = None,
+def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray, band: tuple,
                    out: np.ndarray | None = None) -> np.ndarray:
     """D = K(x) + (1+j)/2 at x = sqrt(2/M)*j/k for ascending integers j,
     given E = _lattice_phase(M, k, j), into `out` if given.
 
-    For |x| < _TAIL_X, K is scipy's fresnel at the rounded x: from `band`,
-    a _fresnel_band of integers that hold j's there without a gap, or
-    else from one call on j's own band.  Beyond, the table uses
-    int_|x|^inf exp(j*pi*t^2/2) dt = T(|x|)*exp(j*pi*x^2/2) with T = g +
-    j*f from the asymptotic series (see _SERIES): D = T(|x|)*conj(E) for
-    x <= -8 and D = (1+j) - T(x)*conj(E) for x >= 8.  The phase is E's,
-    reduced exactly, and the rounded x enters only the slowly varying T,
-    so there D is exact to a few ulp even at even SF, where sqrt(2/M) is
-    rounded and scipy's phase pi*x^2/2 would be off by about x^2*eps.
-    Each tail is one pass over its whole slice.
+    For |x| < _TAIL_X, K is scipy's fresnel at the rounded x, read from
+    `band`, a _fresnel_band of integers that hold j's there without a gap
+    (j's own, or the whole table's when j is one fill of it).  Beyond,
+    the table uses int_|x|^inf exp(j*pi*t^2/2) dt = T(|x|)*exp(j*pi*x^2/2)
+    with T = g + j*f from the asymptotic series (see _SERIES):
+    D = T(|x|)*conj(E) for x <= -8 and D = (1+j) - T(x)*conj(E) for
+    x >= 8.  The phase is E's, reduced exactly, and the rounded x enters
+    only the slowly varying T, so there D is exact to a few ulp even at
+    even SF, where sqrt(2/M) is rounded and scipy's phase pi*x^2/2 would
+    be off by about x^2*eps.  Each tail is one pass over its whole slice.
     """
     x, neg, pos = _lattice_x(M, k, j)
-    j_0, s, c = _fresnel_band(j, x, neg, pos) if band is None else band
+    j_0, s, c = band
     at = int(j[neg]) - j_0 if neg < pos else 0
     d = np.empty(len(j), dtype=complex) if out is None else out
     np.add(c[at:at + pos - neg], 0.5, out=d.real[neg:pos])
     np.add(s[at:at + pos - neg], 0.5, out=d.imag[neg:pos])
     # term m counts on the side of each tail next to the band
-    starts = np.searchsorted(x[:neg], -_SERIES_X, side="right")
+    starts = x[:neg].searchsorted(-_SERIES_X, side="right")
     _tail_into(d[:neg], x[:neg], e[:neg], [slice(a, neg) for a in starts], 0j)
-    ends = np.searchsorted(x[pos:], _SERIES_X, side="left")
+    ends = x[pos:].searchsorted(_SERIES_X, side="left")
     _tail_into(d[pos:], x[pos:], e[pos:], [slice(0, b) for b in ends], 1 + 1j)
     return d
-
-
-def _extend_table(M: int, k: int, j: np.ndarray, e: np.ndarray, band: tuple | None,
-                  d: np.ndarray, prefix: list) -> None:
-    """D at the ascending integers j into d, given E there, and for k > 1
-    the strided prefix sums of E, D, |D|^2 and E*D carried on past j in
-    `prefix` (see _strided_prefix)."""
-    _fresnel_table(M, k, j, e, band, d)
-    if k > 1:
-        # |D|^2 and E*D live only while their prefix sums are built
-        for c, v in zip(prefix, (e, d, d.real ** 2 + d.imag ** 2, e * d)):
-            _strided_prefix(v, k, c)
 
 
 def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,29 +316,29 @@ def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     holds D = K + (1+j)/2, which decays to 0 as j -> -inf, so far out the
     prefix sums stay small and the PSD is no difference of O(M) terms.
 
-    A block of _CHUNK frequencies reads the table from its l = 0 to its
-    l = M, k*M points further up, so the table is built from the bottom
-    up through a window of k*M + max(2*_CHUNK, k*M) + 1 points (the 1
-    takes in a grid's last block of one point).  When a block reaches
-    past it, the part still to be read moves to the window's start and
-    the window is filled on from there.  Each fill's prefix sums go on
-    from the last row of k before it, so every sum is added in the order
-    of one cumsum over the whole table, and a table that fits the window
-    is built at once.  The band |x| < _TAIL_X is one scipy call per
-    table, and E's period of k^2*M points is computed once where it fits
-    the window.
+    The table is built from the bottom up through a window of
+    k*M + max(2*_CHUNK, k*M) + 1 points (the 1 takes in a grid's last
+    block of one point).  A fill only builds: D and, for k > 1, the four
+    prefix sums, each going on from the last row of k before it, so
+    every sum is added in the order of one cumsum over the whole table,
+    and a table that fits the window is built at once.  One loop over
+    blocks of _CHUNK frequencies reads it: a block reads from its l = 0
+    to its l = M, k*M points further up, and takes its lines and window
+    sums from those same two slices.  When a block reaches past the
+    window, the part still to be read moves to the window's start and
+    the window is filled on from there.  The band |x| < _TAIL_X is one
+    scipy call per table, made before the first fill, and E's period of
+    k^2*M points is computed once where it fits the window.
     """
     M = p.m
     top = k * M
     size = top + n + 1
     width = min(size, top + max(2 * _CHUNK, top) + 1)
     j_bottom = -(top // 2) - n  # table index t holds j = j_bottom + t
-    band = None
-    if width < size:
-        # |x| < 8 lies within |j| < 8k*sqrt(M/2)
-        reach = math.ceil(_TAIL_X * k * math.sqrt(M / 2)) + 1
-        j = np.arange(max(j_bottom, -reach), min(j_bottom + size, reach + 1))
-        band = _fresnel_band(j, *_lattice_x(M, k, j))
+    # |x| < 8 lies within |j| < 8k*sqrt(M/2), and the table holds j = 0
+    reach = math.ceil(_TAIL_X * k * math.sqrt(M / 2)) + 1
+    j = np.arange(max(j_bottom, -reach), min(j_bottom + size, reach + 1))
+    band = _fresnel_band(j, *_lattice_x(M, k, j))
     # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E
     # serves; a table built in parts keeps it where it fits the window
     period = k * top
@@ -361,10 +349,8 @@ def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     d = np.empty(width, dtype=complex)
     prefix = ([np.zeros(width + 2 * k, dtype=t) for t in (complex, complex, float, complex)]
               if k > 1 else [])
-    base = built = q = 0
+    base = built = 0
     four_b = 2.0 * p.b * p.b / M
-    # table index t holds l = 0 of frequency n - t and l = M at t + top, so
-    # the lines reversed are those at t = n % k + q*k, q = 0, 1, ...
     lines = np.empty(n // k + 1)
     if k > 1:
         # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
@@ -386,24 +372,32 @@ def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray
                  else np.roll(cache, -(built % period)))
             if len(e) != len(j):
                 e = np.resize(e, len(j))
-            _extend_table(M, k, j, e, band, d[built - base:stop - base],
-                          [c[built - base:] for c in prefix])
+            fill = _fresnel_table(M, k, j, e, band, d[built - base:stop - base])
+            if k > 1:
+                # |D|^2 and E*D live only while their prefix sums are built
+                for c, v in zip(prefix, (e, fill, fill.real ** 2 + fill.imag ** 2, e * fill)):
+                    _strided_prefix(v, k, c[built - base:])
+                del v
             del j, e  # a fill's temporaries are gone before its blocks run
             built = stop
-            # the lines whose l = M is now built; the window still holds their l = 0
-            q_end = -(-(built - top - n % k) // k)
-            t, u = n % k + q * k - base, built - base
-            lines[::-1][q:q_end] = M * np.abs(d[t + top:u:k] - d[t:u - top:k]) ** 2 / four_b
-            q = q_end
-        if k == 1:
-            continue
         a, b = lo - base, hi - base
-        # window sums of l = 0..M-1 from index lo
-        sums = [c[a + top:b + top] - c[a:b] for c in prefix]
-        w = roots[(n - np.arange(lo, hi)) % k]
-        out = slice(n + 1 - hi, n + 1 - lo)
-        sum_abs2[out][::-1], sum_x = _factorized_sums(p, d[a + top:b + top], d[a:b], w, *sums)
-        abs2_sum[out][::-1] = np.abs(sum_x) ** 2
+        d_top, d_bot = d[a + top:b + top], d[a:b]
+        # table index t holds l = 0 of frequency n - t and l = M at t + top,
+        # so the block's lines are at t = n mod k, from lo + (n - lo) % k on;
+        # abs writes a new array: written reversed, it takes numpy's scalar
+        # loop, whose bits differ from the vector loop's
+        s = (n - lo) % k
+        power = np.abs(d_top[s::k] - d_bot[s::k])
+        np.square(power, out=power)
+        power *= M
+        np.divide(power, four_b, out=lines[(n - hi) // k + 1:(n - lo) // k + 1][::-1])
+        if k > 1:
+            # window sums of l = 0..M-1 from index lo
+            sums = [c[a + top:b + top] - c[a:b] for c in prefix]
+            w = roots[(n - np.arange(lo, hi)) % k]
+            out = slice(n + 1 - hi, n + 1 - lo)
+            sum_abs2[out][::-1], sum_x = _factorized_sums(p, d_top, d_bot, w, *sums)
+            abs2_sum[out][::-1] = np.abs(sum_x) ** 2
     return (lines, lines, lines) if k == 1 else (sum_abs2, abs2_sum, lines)
 
 

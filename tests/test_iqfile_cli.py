@@ -411,6 +411,47 @@ def test_cli_mask_check_fails_an_unchecked_segment(tmp_path, capsys):
     assert doc["segments"][0]["n_bins"] == 0 and doc["segments"][0]["coverage"] == 0.0
 
 
+def test_cli_mask_check_coverage_counts_the_lattice_bins(tmp_path, capsys):
+    # a 2.5 kHz segment at rbw 1 kHz holds three centres of the 1 kHz
+    # lattice, or two: coverage is the share of those that were checked,
+    # 1 for the computed spectrum, which spans both segments
+    f0 = 868.3e6
+    mask = tmp_path / "odd.json"
+    MaskSpec(label="odd", segments=(MaskSegment(f0 - 1250.0, f0 + 1250.0, 100.0, 1000.0),
+                                    MaskSegment(f0 + 1500.0, f0 + 4000.0, 100.0, 1000.0))
+             ).to_json(mask)
+    binned_csv = tmp_path / "binned.csv"
+    rc = main(["mask-check", "--mask", str(mask), "--f0", str(f0), "--sf", "7", "--bw", "125e3",
+               "--ps-dbm", "14", "--out-binned", str(binned_csv)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["complete"] is True
+    assert [(s["n_bins"], s["coverage"]) for s in doc["segments"]] == [(3, 1.0), (2, 1.0)]
+    # the saved spectrum reads back to the same report
+    rc = main(["mask-check", "--mask", str(mask), "--f0", str(f0),
+               "--spectrum-csv", str(binned_csv)])
+    assert rc == 0 and json.loads(capsys.readouterr().out) == doc
+    # three bins about the carrier: all of the first segment's, none of the
+    # second's, and three of the five lattice centres of [f0 - 1250, f0 + 3250)
+    binned_csv.write_text("# delta_f_hz=1000.0\n# ps_dbm=14.0\nbin_center_hz,power_dbm\n"
+                          "-1000.0,-20.0\n0.0,-20.0\n1000.0,-20.0\n")
+    for segment, n_bins, coverage in [((f0 - 1250.0, f0 + 1250.0), 3, 1.0),
+                                      ((f0 + 1500.0, f0 + 4000.0), 0, 0.0),
+                                      ((f0 - 1250.0, f0 + 3250.0), 3, 0.6)]:
+        MaskSpec(label="one", segments=(MaskSegment(*segment, 100.0, 1000.0),)).to_json(mask)
+        main(["mask-check", "--mask", str(mask), "--f0", str(f0),
+              "--spectrum-csv", str(binned_csv)])
+        seg, = json.loads(capsys.readouterr().out)["segments"]
+        assert (seg["n_bins"], seg["coverage"]) == (n_bins, coverage)
+    # a lattice of more centres than a float holds: one bin is none of them
+    binned_csv.write_text("# delta_f_hz=1e-300\n# ps_dbm=14.0\nbin_center_hz,power_dbm\n"
+                          "0.0,-20.0\n")
+    MaskSpec(label="fine", segments=(MaskSegment(f0 - 1.0, 1.2e9, 100.0, 1e-300),)).to_json(mask)
+    rc = main(["mask-check", "--mask", str(mask), "--f0", str(f0),
+               "--spectrum-csv", str(binned_csv)])
+    seg, = json.loads(capsys.readouterr().out)["segments"]
+    assert rc == 0 and (seg["n_bins"], seg["coverage"]) == (1, 0.0)
+
+
 @pytest.mark.parametrize("f0", ["nan", "inf"])
 def test_cli_modulate_rejects_non_finite_center_frequency(tmp_path, capsys, f0):
     out = tmp_path / "sig.iq"
@@ -1058,9 +1099,16 @@ _BINNED = ["# delta_f_hz=1000.0", "# ps_dbm=14.0", "bin_center_hz,power_dbm",
     (4, "inf,-20.0", "line 5: bin_center_hz must be a finite number"),
     (3, "0.0,low", "line 4: power_dbm must be a finite number"),
     (0, "# delta_f_hz=nan", "delta_f_hz must be a finite number"),
-    (1, "# ps_dbm=-inf", "ps_dbm must be a finite number")],
+    (1, "# ps_dbm=-inf", "ps_dbm must be a finite number"),
+    # the rows 0 and 5000 Hz at delta_f 1 kHz would be two of a segment's
+    # bins, and its bin at 1 kHz unchecked
+    (4, "5000.0,-20.0", "bin_center_hz 5000.0 follows 0.0; the centres must ascend by "
+                        "delta_f_hz = 1000.0"),
+    (4, "-1000.0,-20.0", "bin_center_hz -1000.0 follows 0.0; the centres must ascend by"),
+    (4, "1000.01,-20.0", "bin_center_hz 1000.01 follows 0.0"),
+    (0, "# delta_f_hz=-1000.0", "the centres must ascend by delta_f_hz = -1000.0")],
     ids=["valid", "short-row", "nan-level", "inf-center", "text-level", "nan-delta-f",
-         "inf-ps-dbm"])
+         "inf-ps-dbm", "gap", "descending", "off-by-1e-5", "negative-delta-f"])
 def test_cli_mask_check_validates_binned_csv(tmp_path, capsys, line, text, message):
     rows = list(_BINNED)
     if line is not None:
@@ -1079,7 +1127,7 @@ def test_cli_mask_check_validates_binned_csv(tmp_path, capsys, line, text, messa
         assert [s["n_bins"] for s in doc["segments"]] == [0, 0, 2, 0, 0]
     else:
         assert rc == 1
-        assert message in err
+        assert message in err and str(binned_csv) in err
 
 
 def _spoil_one_sample(path, fmt, bad=(np.nan,)):

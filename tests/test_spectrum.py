@@ -524,7 +524,8 @@ def test_fresnel_spectrum_peak_memory(sf, f_max, k, bound_mb):
     assert peak <= bound_mb * 1e6
 
 
-@pytest.mark.parametrize("f_max,step", [(None, None), (1.0, 1.0 / 64), (8.0, 1.0 / 32)])
+@pytest.mark.parametrize("f_max,step", [(None, None), (1.0, 1.0 / 64), (8.0, 1.0 / 32),
+                                        (300.0, 1.0 / 32)])
 def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, f_max, step):
     calls = []
 
@@ -553,7 +554,8 @@ def test_lattice_fresnel_table_matches_40_digit_values(sf, k):
     M = 2 ** sf
     j = np.array([r["j"] for r in rows])
     ref = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
-    d = spectrum._fresnel_table(M, k, j, spectrum._lattice_phase(M, k, j))
+    band = spectrum._fresnel_band(j, *spectrum._lattice_x(M, k, j))
+    d = spectrum._fresnel_table(M, k, j, spectrum._lattice_phase(M, k, j), band)
     rel = np.abs(d - ref) / np.abs(ref)
     x = np.sqrt(2.0 / M) * (j / k)
     tail = np.abs(x) >= 8
