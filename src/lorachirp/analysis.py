@@ -16,7 +16,7 @@ import numpy as np
 from .correlation import max_cross_correlation
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _finite_array,
                      _finite_power, _integer, _json_object, _map_chunks, _positive, _real, _spans)
-from .spectrum import SpectrumResult, _half_spectrum, fresnel_spectrum
+from .spectrum import _MAX_LATTICE, SpectrumResult, _half_spectrum, fresnel_spectrum
 
 _TINY = 1e-30
 
@@ -253,16 +253,24 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     spectrum span.  Bins are half-open, so a line falling exactly on an
     edge is counted once, in the upper bin.  A grid point or line
     frequency that is not finite, and a PSD value or line power that is
-    not a finite number >= 0, raise ValueError.
+    not a finite number >= 0, raise ValueError, and so does a delta_f that
+    cuts the span into more than spectrum._MAX_LATTICE bins, checked
+    before any bin is allocated.
     """
     delta_f = _positive(delta_f, "delta_f")
     origin = _real(origin, "origin")
     _check_spectrum(spec)
     grid = spec.grid
-    k_lo = int(np.ceil((grid[0] + delta_f / 2 - origin) / delta_f - 1e-9))
-    k_hi = int(np.floor((grid[-1] - delta_f / 2 - origin) / delta_f + 1e-9))
+    with np.errstate(over="ignore"):  # a bin index beyond float range reads +-inf
+        k_lo = np.ceil((grid[0] + delta_f / 2 - origin) / delta_f - 1e-9)
+        k_hi = np.floor((grid[-1] - delta_f / 2 - origin) / delta_f + 1e-9)
     if k_hi < k_lo:
         raise ValueError("spectrum span too narrow for a single bin")
+    # counted before any bin is allocated; inf - inf is NaN, and fails too
+    if not k_hi - k_lo + 1 <= _MAX_LATTICE:
+        raise ValueError(f"delta_f = {delta_f!r} Hz cuts the spectrum span [{float(grid[0])!r}, "
+                         f"{float(grid[-1])!r}] Hz into more than {_MAX_LATTICE} bins")
+    k_lo, k_hi = int(k_lo), int(k_hi)
     centers = origin + np.arange(k_lo, k_hi + 1) * delta_f
     # assign each line to its half-open bin
     idx = np.floor((spec.line_frequencies - origin) / delta_f + 0.5).astype(int) - k_lo

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import stat
 import sys
@@ -126,6 +127,10 @@ def _cmd_xcorr(args) -> int:
 def _cmd_spectrum(args) -> int:
     scale = _power_ratio(args.ps_dbm, "--ps-dbm") if args.ps_dbm is not None else None
     res = spectrum.fresnel_spectrum(_params(args), step=args.grid_step)
+    # the density scales as 1/B: at a tiny B the power may carry its peak beyond float range
+    if scale is not None and not math.isfinite(float(res.continuous.max()) * scale):
+        raise ValueError(f"--ps-dbm {args.ps_dbm!r} at --bw {args.bw!r} Hz gives a PSD "
+                         "beyond float range")
     unit = "mw" if args.ps_dbm is not None else "fraction"
     out_psd = args.out_psd or f"spectrum_sf{args.sf}_psd.csv"
     out_lines = args.out_lines or f"spectrum_sf{args.sf}_lines.csv"

@@ -8,11 +8,17 @@ continuous density and discrete lines at multiples of B/M:
 
 where X(f;l) is the Fourier transform of the single-symbol waveform,
 available in closed form through Fresnel integrals.  The lines carry
-exactly a fraction 1/M of the total signal power.  On the frequency
-lattice f = n*B/(k*M) the sums over l for all frequencies come from one
-table of O(k*M + Nf) Fresnel values (fresnel_spectrum), the one
-spectrum path of the package; each line takes two of its values, since
-there the sum over l is a quadratic Gauss sum.  With M even, time
+exactly a fraction 1/M of the total signal power.  Both depend on f and
+B only through phi = f*M/B: X(f;l) = X_1(f/B;l)/B, with X_1 the transform
+at B = 1 Hz, so B*Gc(f) and the line powers are those at B = 1 Hz and
+f/B.  The kernel is computed at B = 1, in units of B; B scales the grid
+and the line frequencies (B/(k*M), B/M) and divides the density once, at
+the public edge (fresnel_spectrum, waveform_fourier_transform), so no
+bandwidth that LoraParams accepts overflows or underflows inside it.  On
+the frequency lattice f = n*B/(k*M) the sums over l for all frequencies
+come from one table of O(k*M + Nf) Fresnel values (fresnel_spectrum),
+the one spectrum path of the package; each line takes two of its values,
+since there the sum over l is a quadratic Gauss sum.  With M even, time
 reversal maps symbol l onto (M - l) mod M, x(Ts - t; l) = x(t; (M - l)
 mod M), so X(-f; l) = exp(j*2*pi*f*Ts)*X(f; (M - l) mod M): sum_l |X|^2
 and |sum_l X| are even, and both parts are computed on f >= 0 and mirrored.
@@ -34,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (LoraParams, Symbol, _finite_array, _positive, _quote, _real, _spans,
-                     validate_symbol)
+from .params import (LoraParams, Symbol, _finite_array, _finite_normal, _positive, _quote, _real,
+                     _spans, validate_symbol)
 
 
 def _kfun(x):
@@ -75,17 +81,19 @@ def w_integral(a, b: float, t1: float, t2: float):
 def waveform_fourier_transform(p: LoraParams, l: Symbol, f):
     """Fourier transform X(f;l) of the unit-amplitude symbol waveform.
 
-    Splits the integral at the frequency-wrap instant tau_l = (M-l)/B;
-    each piece is a w_integral with chirp rate B^2/(2M).  `f` may be an
-    array, and must hold only finite numbers, otherwise ValueError.
+    Computed at B = 1 and scaled: X(f;l) = X_1(f/B;l)/B.  At B = 1 the
+    integral splits at the frequency-wrap instant tau_l = M - l; each
+    piece is a w_integral with chirp rate 1/(2M).  `f` may be an array,
+    and must hold only finite numbers, as must f/B, otherwise ValueError.
     """
     l = validate_symbol(p, l)
     f_arr = _finite_array(f, "f")
     M, B = p.m, p.b
-    b = B * B / (2.0 * M)
-    tau_l = (M - l) / B
-    out = (w_integral(B * (l / M - 0.5) - f_arr, b, 0.0, tau_l)
-           + w_integral(B * (l / M - 1.5) - f_arr, b, tau_l, M / B))
+    with np.errstate(over="ignore"):  # an f/B beyond float range is reported, not warned
+        f_1 = _finite_array(f_arr / B, f"f/B at b = {B!r} Hz")
+    b = 0.5 / M
+    out = (w_integral(l / M - 0.5 - f_1, b, 0.0, M - l)
+           + w_integral(l / M - 1.5 - f_1, b, M - l, M)) / B
     return complex(out) if np.ndim(f) == 0 else out
 
 
@@ -111,13 +119,6 @@ class SpectrumResult:
     @property
     def line_powers(self) -> np.ndarray:
         return self.lines[:, 1]
-
-
-def _psd_combine(sum_abs2: np.ndarray, abs2_sum: np.ndarray, p: LoraParams) -> np.ndarray:
-    """Continuous PSD from sum_l |X|^2 and |sum_l X|^2; clipped at zero
-    (Cauchy-Schwarz guarantees nonnegativity analytically)."""
-    g = (sum_abs2 - abs2_sum / p.m) / (p.ts * p.m)
-    return np.maximum(g, 0.0)
 
 
 # The most points, k*M + n + 1, that the table of one lattice may hold.
@@ -159,13 +160,14 @@ def _lattice_k(p: LoraParams, step: float) -> int:
     return k
 
 
-def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_e, s_d, s_d2, s_ed):
-    """sum_l |X(f;l)|^2 and sum_l X(f;l) from the window sums.
+def _factorized_sums(M: int, d_top, d_bot, w, s_e, s_d, s_d2, s_ed):
+    """sum_l |X_1(f/B;l)|^2 and sum_l X_1(f/B;l) from the window sums, X_1
+    being the transform at B = 1 (see the module docstring).
 
-    With phi = f*M/B, u_l = l - M/2 - phi, a0 = sqrt(2/M), b = B^2/(2M),
-    K = C + jS and E_l = exp(-j*pi*u_l^2/M), every transform factors as
+    With phi = f*M/B, u_l = l - M/2 - phi, a0 = sqrt(2/M), K = C + jS and
+    E_l = exp(-j*pi*u_l^2/M), every transform factors as
 
-        X(f;l) = E_l/(2*sqrt(b)) * [alpha + beta*K(a0*u_l)]
+        X_1(f/B;l) = (E_l/a0) * [alpha + beta*K(a0*u_l)]
         alpha = K(a0*u_M) - w*K(a0*u_0),  beta = w - 1,  w = exp(-j*2*pi*phi).
 
     The identity holds with K replaced throughout by D = K - c for any
@@ -173,12 +175,12 @@ def _factorized_sums(p: LoraParams, d_top, d_bot, w, s_e, s_d, s_d2, s_ed):
     Inputs: d_top = D(a0*u_M), d_bot = D(a0*u_0), and the sums over
     l = 0..M-1 of E_l (s_e), D(a0*u_l) (s_d), |D|^2 (s_d2) and E_l*D (s_ed).
     """
-    four_b = 2.0 * p.b * p.b / p.m
+    a0_sq = 2.0 / M
     alpha = d_top - w * d_bot
     beta = w - 1.0
-    sum_abs2 = (p.m * np.abs(alpha) ** 2 + 2.0 * np.real(np.conj(alpha) * beta * s_d)
-                + np.abs(beta) ** 2 * s_d2) / four_b
-    sum_x = (alpha * s_e + beta * s_ed) / np.sqrt(four_b)
+    sum_abs2 = (M * np.abs(alpha) ** 2 + 2.0 * np.real(np.conj(alpha) * beta * s_d)
+                + np.abs(beta) ** 2 * s_d2) / a0_sq
+    sum_x = (alpha * s_e + beta * s_ed) / np.sqrt(a0_sq)
     return sum_abs2, sum_x
 
 
@@ -301,20 +303,23 @@ def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray, band: tuple,
     return d
 
 
-def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sum_l |X(f;l)|^2 and |sum_l X(f;l)|^2 at f = i*B/(k*M), 0 <= i <= n,
-    and the two (equal) at the lines f = m*B/M, 0 <= k*m <= n.
+def _lattice_sums(M: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """B*Gc and the line powers of the f >= 0 lattice, computed at B = 1:
+    the density at phi = i/k, 0 <= i <= n, and the line powers at
+    phi = m, 0 <= k*m <= n (phi = f*M/B; see the module docstring).
 
     On this lattice u_l = j/k with j = k*l - k*M/2 - i, so the M arguments
     of one frequency are a stride-k window of a single table over j, of
     k*M + n + 1 points.  On a line w = 1, beta = 0 and, M being even,
     |sum_l E_l|^2 = M, a complete quadratic Gauss sum (Landsberg-Schaar),
-    so both sums are M*|D(a0*u_M) - D(a0*u_0)|^2/(4b) and the line power
-    is P_n = |D(a0*(M/2 - n)) - D(a0*(-M/2 - n))|^2/(2*M^2).  k = 1 is
-    all lines.  For k > 1 the window sums of _factorized_sums are
-    differences of strided prefix sums from the table's bottom.  The table
-    holds D = K + (1+j)/2, which decays to 0 as j -> -inf, so far out the
-    prefix sums stay small and the PSD is no difference of O(M) terms.
+    so the line power is P_m = |D(a0*(M/2 - m)) - D(a0*(-M/2 - m))|^2/(2*M^2),
+    and there sum_l |X_1|^2 = |sum_l X_1|^2 = M^3*P_m.  k = 1 is all
+    lines, and its density is M*(M - 1)*P_m.  For k > 1 the window sums
+    of _factorized_sums are differences of strided prefix sums from the
+    table's bottom.  The table holds D = K + (1+j)/2, which decays to 0 as
+    j -> -inf, so far out the prefix sums stay small and the PSD is no
+    difference of O(M) terms.  The density is combined and clipped at
+    zero (Cauchy-Schwarz makes it nonnegative analytically) block by block.
 
     The table is built from the bottom up through a window of
     k*M + max(2*_CHUNK, k*M) + 1 points (the 1 takes in a grid's last
@@ -330,7 +335,6 @@ def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     scipy call per table, made before the first fill, and E's period of
     k^2*M points is computed once where it fits the window.
     """
-    M = p.m
     top = k * M
     size = top + n + 1
     width = min(size, top + max(2 * _CHUNK, top) + 1)
@@ -350,12 +354,9 @@ def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     prefix = ([np.zeros(width + 2 * k, dtype=t) for t in (complex, complex, float, complex)]
               if k > 1 else [])
     base = built = 0
-    four_b = 2.0 * p.b * p.b / M
-    lines = np.empty(n // k + 1)
-    if k > 1:
-        # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
-        roots = np.exp(-2j * np.pi * np.arange(k) / k)
-        sum_abs2, abs2_sum = np.empty((2, n + 1))
+    psd, lines = np.empty(n + 1), np.empty(n // k + 1)
+    # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
+    roots = np.exp(-2j * np.pi * np.arange(k) / k)
     # lo ascending: every read is a forward slice, every write a reversed one
     for lo, hi in _spans(n + 1, _CHUNK):
         if built < hi + top:
@@ -389,33 +390,45 @@ def _lattice_sums(p: LoraParams, k: int, n: int) -> tuple[np.ndarray, np.ndarray
         s = (n - lo) % k
         power = np.abs(d_top[s::k] - d_bot[s::k])
         np.square(power, out=power)
-        power *= M
-        np.divide(power, four_b, out=lines[(n - hi) // k + 1:(n - lo) // k + 1][::-1])
-        if k > 1:
-            # window sums of l = 0..M-1 from index lo
-            sums = [c[a + top:b + top] - c[a:b] for c in prefix]
-            w = roots[(n - np.arange(lo, hi)) % k]
-            out = slice(n + 1 - hi, n + 1 - lo)
-            sum_abs2[out][::-1], sum_x = _factorized_sums(p, d_top, d_bot, w, *sums)
-            abs2_sum[out][::-1] = np.abs(sum_x) ** 2
-    return (lines, lines, lines) if k == 1 else (sum_abs2, abs2_sum, lines)
+        power /= 2 * M * M
+        lines[(n - hi) // k + 1:(n - lo) // k + 1][::-1] = power
+        out = slice(n + 1 - hi, n + 1 - lo)
+        if k == 1:
+            psd[out][::-1] = power * (M * (M - 1))
+            continue
+        # window sums of l = 0..M-1 from index lo
+        sums = [c[a + top:b + top] - c[a:b] for c in prefix]
+        w = roots[(n - np.arange(lo, hi)) % k]
+        sum_abs2, sum_x = _factorized_sums(M, d_top, d_bot, w, *sums)
+        g = (sum_abs2 - np.abs(sum_x) ** 2 / M) / (M * M)
+        psd[out][::-1] = np.maximum(g, 0.0, out=g)
+    return psd, lines
 
 
-def _half_spectrum(p: LoraParams, f_max: float,
+def _half_spectrum(p: LoraParams, f_max: float | None,
                    k: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The f >= 0 half of fresnel_spectrum(p, f_max, B/(k*M)): the grid
     step, the continuous PSD at f = i*step, 0 <= i <= n = round(f_max/step),
-    and the line powers at f = m*B/M, 0 <= k*m <= n.  f_max must be finite
-    and positive, and the table of k*M + n + 1 points must fit in
-    _MAX_LATTICE, otherwise ValueError."""
-    f_max = _positive(f_max, "f_max")
-    step = p.b / (k * p.m)
+    and the line powers at f = m*B/M, 0 <= k*m <= n.  f_max None is the
+    default span 8B.  The engine runs at B = 1; here the density is divided
+    by B, once.  f_max must be finite and positive, and the table of
+    k*M + n + 1 points must fit in _MAX_LATTICE, otherwise ValueError; so
+    must the step B/(k*M) be a normal float and the default span finite,
+    otherwise ValueError naming B."""
+    B = p.b
+    step = B / (k * p.m)
+    if not _finite_normal(step):
+        raise ValueError(f"b = {B!r} Hz gives a grid step B/(k*M) = {step!r} Hz (k = {k}) "
+                         "that is not a normal float")
+    if f_max is None and not math.isfinite(8.0 * B):
+        raise ValueError(f"b = {B!r} Hz gives a default span |f| <= 8B beyond float range")
+    f_max = _positive(8.0 * B if f_max is None else f_max, "f_max")
     # n stays a float until checked: beyond float range it is inf
     n = f_max / step
     _check_lattice(k * p.m + n + 1, f"f_max = {f_max!r} Hz at grid step {step!r} Hz")
-    n = round(n)
-    sum_abs2, abs2_sum, line_sums = _lattice_sums(p, k, n)
-    return step, _psd_combine(sum_abs2, abs2_sum, p), line_sums / (p.ts ** 2 * p.m ** 2)
+    psd, lines = _lattice_sums(p.m, k, round(n))
+    psd /= B
+    return step, psd, lines
 
 
 def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
@@ -426,9 +439,14 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     `step` must equal B/(k*M) for an integer k >= 1 (to 1e-9 relative),
     otherwise ValueError.  The defaults are |f| <= 8B and
     k = max(1, min(64, 8192 // M)), i.e. step max(B/(64M), B/8192), so
-    the grid holds at most 131 073 points.  One table of k*M + n + 1
-    Fresnel values, n = round(f_max/step), gives every line from two of
-    its values and, through strided prefix sums, every grid point with
+    the grid holds at most 131 073 points.  The Fresnel kernel is
+    computed at B = 1 (see _lattice_sums): B only scales the grid, at
+    i*(B/(k*M)), and the line frequencies, at m*(B/M), and divides the
+    density, so every B gives the line powers of B = 1 and its density
+    over B.  A B whose step is not a normal float, or whose default span
+    8B overflows, raises ValueError.  One table of k*M + n + 1 Fresnel
+    values, n = round(f_max/step), gives every line from two of its
+    values and, through strided prefix sums, every grid point with
     f >= 0.  The spectrum is even in f (see the module docstring): f < 0
     is the exact mirror image.  The cost is O(k*M + len(grid)) in time;
     the table streams through a window of O(k*M + _CHUNK) points, at 120
@@ -440,10 +458,10 @@ def fresnel_spectrum(p: LoraParams, f_max: float | None = None,
     sampled waveforms.
     """
     k = max(1, min(64, 8192 // p.m)) if step is None else _lattice_k(p, step)
-    step, continuous, lines = _half_spectrum(p, 8.0 * p.b if f_max is None else f_max, k)
+    step, continuous, lines = _half_spectrum(p, f_max, k)
     n, n_lines = len(continuous) - 1, len(lines) - 1
     # f < 0 mirrors f >= 0
     continuous, lines = (np.concatenate([v[:0:-1], v]) for v in (continuous, lines))
-    lines = np.column_stack([np.arange(-n_lines, n_lines + 1) * p.b / p.m, lines])
+    lines = np.column_stack([np.arange(-n_lines, n_lines + 1) * (p.b / p.m), lines])
     return SpectrumResult(grid=np.arange(-n, n + 1) * step, continuous=continuous,
                           lines=lines, params=p)

@@ -337,37 +337,35 @@ def strided_prefix_whole(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def lattice_sums_whole_table(p: LoraParams, k: int,
-                             n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sum_l |X(f;l)|^2 and |sum_l X(f;l)|^2 at f = i*B/(k*M), 0 <= i <= n,
-    and the two (equal) at the lines f = m*B/M, 0 <= k*m <= n.
+def lattice_sums_whole_table(M: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """B*Gc and the line powers of the f >= 0 lattice at B = 1: the
+    density at phi = f*M/B = i/k, 0 <= i <= n, and the line powers at
+    phi = m, 0 <= k*m <= n.
 
     On this lattice u_l = j/k with j = k*l - k*M/2 - i, so the M arguments
     of one frequency are a stride-k window of a single table over j, of
     k*M + n + 1 points.  On a line w = 1, beta = 0 and, M being even,
     |sum_l E_l|^2 = M, a complete quadratic Gauss sum (Landsberg-Schaar),
-    so both sums are M*|D(a0*u_M) - D(a0*u_0)|^2/(4b) and the line power
-    is P_n = |D(a0*(M/2 - n)) - D(a0*(-M/2 - n))|^2/(2*M^2).  k = 1 is
-    all lines.  For k > 1 the window sums of _factorized_sums are
-    differences of strided prefix sums from the table's bottom.  The table
-    holds D = K + (1+j)/2, which decays to 0 as j -> -inf, so far out the
-    prefix sums stay small and the PSD is no difference of O(M) terms.
+    so the line power is P_m = |D(a0*(M/2 - m)) - D(a0*(-M/2 - m))|^2/(2*M^2)
+    and, k = 1 being all lines, its density M*(M - 1)*P_m.  For k > 1 the
+    window sums of _factorized_sums are differences of strided prefix
+    sums from the table's bottom.  The table holds D = K + (1+j)/2, which
+    decays to 0 as j -> -inf, so far out the prefix sums stay small and
+    the PSD is no difference of O(M) terms.
 
     The whole table, its phases E and its four prefix sums are held at
     once, about 120 bytes a point; lorachirp.spectrum._lattice_sums holds
     only a window of them and must give the same bits.
     """
-    M = p.m
     top = k * M
     j = np.arange(-(top // 2) - n, top // 2 + 1)
     # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E serves
     e = np.resize(_lattice_phase(M, k, j[:k * top]), len(j))
     d = _fresnel_table(M, k, j, e, _fresnel_band(j, *_lattice_x(M, k, j)))
-    four_b = 2.0 * p.b * p.b / M
     # table index t holds l = 0 of frequency n - t and l = M at t + top
-    lines = M * np.abs(d[n % k + top::k] - d[n % k:n + 1:k])[::-1] ** 2 / four_b
+    lines = np.abs(d[n % k + top::k] - d[n % k:n + 1:k])[::-1] ** 2 / (2 * M * M)
     if k == 1:
-        return lines, lines, lines
+        return lines * (M * (M - 1)), lines
     # |D|^2 and E*D live only while their prefix sums are built
     prefix = [strided_prefix_whole(v, k) for v in (e, d, d.real ** 2 + d.imag ** 2, e * d)]
     # w = exp(-j*2*pi*i/k) for i mod k = 0..k-1
@@ -380,6 +378,7 @@ def lattice_sums_whole_table(p: LoraParams, k: int,
         w = roots[(n - np.arange(lo, hi)) % k]
         out = slice(n + 1 - hi, n + 1 - lo)
         sum_abs2[out][::-1], sum_x = _factorized_sums(
-            p, d[lo + top:hi + top], d[lo:hi], w, *sums)
+            M, d[lo + top:hi + top], d[lo:hi], w, *sums)
         abs2_sum[out][::-1] = np.abs(sum_x) ** 2
-    return sum_abs2, abs2_sum, lines
+    # Cauchy-Schwarz makes the density nonnegative analytically
+    return np.maximum((sum_abs2 - abs2_sum / M) / (M * M), 0.0), lines

@@ -467,6 +467,34 @@ def test_binned_power_rejects_bad_bin_width(spec7, delta_f, message):
         bin_estimate(spec7.grid, spec7.continuous, centers, delta_f)
 
 
+@pytest.mark.parametrize("delta_f", [1e-3, 1e-300, 5e-324])
+def test_binned_power_counts_its_bins_before_allocating(delta_f):
+    # 1e-3 Hz bins over the SF 7 default span at 125 kHz are 2e9 bins, 15 GiB
+    # of centres and levels; smaller bins overflow the count.  Each is refused
+    # before a bin is allocated
+    spec = fresnel_spectrum(LoraParams(sf=7, b=125e3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^delta_f = {re.escape(repr(delta_f))} Hz cuts "
+                                             r"the spectrum span \[-1000000\.0, 1000000\.0\] Hz "
+                                             r"into more than 4194304 bins$"):
+            binned_power(spec, delta_f, 14.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_binned_power_bin_count_bound_is_exact(monkeypatch):
+    # 1 kHz bins over |f| <= 1 MHz: 1999 whole bins
+    spec = fresnel_spectrum(LoraParams(sf=7, b=125e3))
+    monkeypatch.setattr(analysis, "_MAX_LATTICE", 1999)
+    assert len(binned_power(spec, 1000.0, 14.0).bin_centers) == 1999
+    monkeypatch.setattr(analysis, "_MAX_LATTICE", 1998)
+    with pytest.raises(ValueError, match="into more than 1998 bins$"):
+        binned_power(spec, 1000.0, 14.0)
+
+
 _FREQS = np.linspace(-0.5, 0.5, 65)
 _CENTERS = np.array([-0.25, 0.0, 0.25])
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -500,6 +501,58 @@ def test_cli_oversized_lattice_names_its_argument(tmp_path, capsys, monkeypatch,
     assert captured.out == "" and list(tmp_path.iterdir()) == []
     assert captured.err.startswith(f"error: {named}")
     assert "more than the 4194304" in captured.err and "Unable to allocate" not in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bw", ["1e160", "1e-170"])
+def test_cli_spectrum_at_extreme_bandwidths(tmp_path, capsys, bw):
+    # B only scales the grid and the density: the lines are 125 kHz's,
+    # text for text, and carry 1/M of the power but for the tail beyond 8B
+    powers = {}
+    for b in (bw, "125e3"):
+        psd, lines = tmp_path / f"psd{b}.csv", tmp_path / f"lines{b}.csv"
+        assert main(["spectrum", "--sf", "7", "--bw", b,
+                     "--out-psd", str(psd), "--out-lines", str(lines)]) == 0
+        with open(lines) as fh:
+            powers[b] = [row.split(",")[1] for row in fh if row[0] not in "#f"]
+        with open(psd) as fh:
+            density = [float(row.split(",")[1]) for row in fh if row[0] not in "#f"]
+        assert len(density) == 131073 and all(map(math.isfinite, density))
+    capsys.readouterr()
+    assert powers[bw] == powers["125e3"]
+    assert abs(128 * math.fsum(map(float, powers[bw])) - 1) < 1e-6
+
+
+@pytest.mark.parametrize("bw,named", [("3e307", "b = 3e+307 Hz gives a default span"),
+                                      ("1e-305", "b = 1e-305 Hz gives a grid step")])
+def test_cli_spectrum_names_a_bandwidth_beyond_the_grid_range(tmp_path, capsys, bw, named):
+    # the largest and smallest B that LoraParams accepts at SF 7 are an
+    # error naming B (exit 1), never a traceback
+    rc = main(["spectrum", "--sf", "7", "--bw", bw, "--out-psd", str(tmp_path / "psd.csv"),
+               "--out-lines", str(tmp_path / "lines.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_mask_check_names_too_many_bins(capsys):
+    # at B = 1e160 the spectrum spans 1.6e161 Hz: 1 kHz bins are refused
+    rc = main(["mask-check", "--mask", str(example_mask_path()), "--f0", "868.3e6",
+               "--sf", "7", "--bw", "1e160", "--ps-dbm", "14"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: delta_f = 1000.0 Hz cuts the spectrum span")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_spectrum_names_a_power_density_beyond_float_range(tmp_path, capsys):
+    # the density scales as 1/B: 100 dBm at B = 1e-300 Hz would write inf
+    rc = main(["spectrum", "--sf", "7", "--bw", "1e-300", "--ps-dbm", "100",
+               "--out-psd", str(tmp_path / "psd.csv"), "--out-lines", str(tmp_path / "lines.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: --ps-dbm 100.0 at --bw 1e-300 Hz gives a PSD "
+                                       "beyond float range\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mask_spectrum_names_the_farthest_carrier():

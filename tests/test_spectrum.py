@@ -10,8 +10,8 @@ import scipy.special
 from scipy.special import polygamma
 
 import lorachirp
-from lorachirp import (LoraParams, fresnel_spectrum, spectrum, w_integral, waveform_at,
-                       waveform_fourier_transform)
+from lorachirp import (LoraParams, fresnel_spectrum, occupied_bandwidth, spectrum, w_integral,
+                       waveform_at, waveform_fourier_transform)
 from lorachirp.spectrum import _kfun
 from oracles import (chirp_integral_quadrature, continuous_psd_loop,
                      fourier_transform_quadrature, fresnel_quadrature,
@@ -101,6 +101,12 @@ def test_w_integral_rejects_bad_arguments():
 def test_fourier_transform_rejects_a_frequency_that_is_not_finite(f):
     with pytest.raises(ValueError, match="^f must hold only finite numbers$"):
         waveform_fourier_transform(LoraParams(sf=4, b=1.0), 3, f)
+
+
+def test_fourier_transform_rejects_f_over_b_beyond_float_range():
+    # the transform is taken at f/B: at B = 1e-300 Hz a 1 GHz offset has none
+    with pytest.raises(ValueError, match=r"^f/B at b = 1e-300 Hz must hold only finite numbers$"):
+        waveform_fourier_transform(LoraParams(sf=4, b=1e-300), 3, [0.0, 1e9])
 
 
 def test_w_integral_and_fourier_transform_take_an_array_of_any_shape():
@@ -315,9 +321,9 @@ def test_window_sums_are_built_only_on_the_psd_grid(monkeypatch, sf, k, f_max):
         calls["prefixed"] += len(values)
         return strided_prefix(values, k, out)
 
-    def sums_spy(p, d_top, *args):
+    def sums_spy(M, d_top, *args):
         calls["points"] += len(d_top)
-        return factorized_sums(p, d_top, *args)
+        return factorized_sums(M, d_top, *args)
 
     strided_prefix, factorized_sums = spectrum._strided_prefix, spectrum._factorized_sums
     monkeypatch.setattr(spectrum, "_strided_prefix", prefix_spy)
@@ -490,13 +496,13 @@ def _lattice_cases():
 def test_streamed_lattice_sums_equal_the_whole_table(monkeypatch, sf, k, f_max, chunk):
     # the window and its refills change no bit of any sum or line: every
     # prefix sum is added in the order of one cumsum over the whole table
-    p = LoraParams(sf=sf, b=125e3)
-    n = round(f_max * k * p.m)
+    M = 2 ** sf
+    n = round(f_max * k * M)
     if chunk is not None:
         monkeypatch.setattr(spectrum, "_CHUNK", chunk)
-    got = spectrum._lattice_sums(p, k, n)
-    ref = lattice_sums_whole_table(p, k, n)
-    for name, g, r in zip(("sum_abs2", "abs2_sum", "lines"), got, ref):
+    got = spectrum._lattice_sums(M, k, n)
+    ref = lattice_sums_whole_table(M, k, n)
+    for name, g, r in zip(("psd", "lines"), got, ref):
         assert g.shape == r.shape and np.array_equal(g, r), name
 
 
@@ -638,6 +644,56 @@ def test_a_step_far_off_the_table_quotes_k_in_64_characters():
     assert str(info.value).startswith("grid step 1e-09 Hz (k = 1525878906250000016752721602")
     assert "... (305 characters))" in str(info.value)
     assert len(str(info.value)) < 200
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sf", [3, 7, 12, 16])
+def test_b_only_scales_the_spectrum(sf):
+    # the kernel is computed at B = 1, so at every B the line powers are
+    # those of B = 1 and the density is B = 1's divided by B, bit for bit;
+    # carried through the kernel, B^2/(2M), Ts and Ts^2 over- or underflowed
+    # at both ends of this range (a PSD and lines of zeros at 1e160)
+    one = LoraParams(sf=sf, b=1.0)
+    ref = fresnel_spectrum(one)
+    x_ref = waveform_fourier_transform(one, 3, 0.3)
+    width_ref = occupied_bandwidth(one, 0.99)
+    for b in (1e-300, 1e-150, 125e3, 1e160, 1e300):
+        p = LoraParams(sf=sf, b=b)
+        res = fresnel_spectrum(p)
+        assert np.array_equal(res.line_powers, ref.line_powers), b
+        assert np.array_equal(res.continuous, ref.continuous / b), b
+        assert np.all(np.isfinite(res.continuous)), b
+        # the grid and the line frequencies are B/(k*M) and B/M apart
+        for got, want in ((res.grid, ref.grid), (res.line_frequencies, ref.line_frequencies)):
+            assert np.allclose(got / b, want, rtol=1e-15, atol=0.0), b
+        x = b * waveform_fourier_transform(p, 3, 0.3 * b)
+        assert abs(x - x_ref) <= 1e-14 * abs(x_ref), b
+        assert occupied_bandwidth(p, 0.99) / b == pytest.approx(width_ref, rel=1e-13, abs=0.0), b
+
+
+def test_a_bandwidth_beyond_the_grid_range_is_named():
+    # at SF 16 and B = 4e-304 the step B/M is the subnormal 6.1e-309 Hz,
+    # whose multiples are no uniform grid; at B = 3e307 the default span
+    # 8B overflows, an f_max the caller never gave
+    with pytest.raises(ValueError, match=r"^b = 4e-304 Hz gives a grid step B/\(k\*M\) = "
+                                         r"6\.1\d*e-309 Hz \(k = 1\) that is not a normal float$"):
+        fresnel_spectrum(LoraParams(sf=16, b=4e-304))
+    with pytest.raises(ValueError, match=r"^b = 3e\+307 Hz gives a default span \|f\| <= 8B "
+                                         r"beyond float range$"):
+        fresnel_spectrum(LoraParams(sf=7, b=3e307))
+    # a span the caller gives is taken as it is
+    res = fresnel_spectrum(LoraParams(sf=7, b=3e307), f_max=3e307)
+    assert res.grid[-1] == 3e307 and np.all(np.isfinite(res.continuous))
+
+
+@pytest.mark.filterwarnings("error")
+def test_line_frequencies_near_the_top_of_float_range():
+    # m*(B/M), as the grid is i*step: m*B would overflow before the division
+    p = LoraParams(sf=7, b=1e307)
+    res = fresnel_spectrum(p)
+    n = len(res.lines) // 2
+    assert np.array_equal(res.line_frequencies, np.arange(-n, n + 1) * (p.b / p.m))
+    assert res.line_frequencies[-1] == res.grid[-1] == 8.0 * p.b
 
 
 def test_a_lattice_beyond_float_range_reads_inf_points():
