@@ -1,22 +1,27 @@
 """Derived metrics, occupied bandwidth, emission-mask checks and Welch
 estimation.
 
-Everything spectral here rides on the spectrum module; absolute power
-enters only as a dB offset applied to the unit-power envelope spectra
-(transmit power Ps in dBm shifts every level by ps_dbm).
+Everything spectral here rides on the spectrum module, which only the
+functions that compute a spectrum import, so that loading a mask does
+not load it; absolute power enters only as a dB offset applied to the
+unit-power envelope spectra (transmit power Ps in dBm shifts every level
+by ps_dbm).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .correlation import max_cross_correlation
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _finite_array,
                      _finite_power, _integer, _json_object, _map_chunks, _positive, _real, _spans)
-from .spectrum import _MAX_LATTICE, SpectrumResult, _half_spectrum, fresnel_spectrum
+
+if TYPE_CHECKING:
+    from .spectrum import SpectrumResult
 
 _TINY = 1e-30
 
@@ -89,6 +94,8 @@ def _default_half(p: LoraParams, f_max: float):
     continuous power of each cell (h[i], h[i+1]) with its mirror (G is
     even) and the line power at each h (the line f > 0 stands for itself
     and its mirror)."""
+    from .spectrum import _half_spectrum
+
     k = max(1, 512 // p.m)
     step, g, powers = _half_spectrum(p, f_max, k)
     half = np.arange(len(g)) * step
@@ -257,6 +264,8 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     cuts the span into more than spectrum._MAX_LATTICE bins, checked
     before any bin is allocated.
     """
+    from .spectrum import _MAX_LATTICE
+
     delta_f = _positive(delta_f, "delta_f")
     origin = _real(origin, "origin")
     _check_spectrum(spec)
@@ -387,6 +396,8 @@ def _mask_spectrum(p: LoraParams, mask: MaskSpec, carriers) -> SpectrumResult:
     carrier that is not finite adds no span; mask_check rejects it.  A
     carrier so far from the mask that the lattice table would exceed
     spectrum._MAX_LATTICE raises ValueError naming it."""
+    from .spectrum import fresnel_spectrum
+
     step = p.b / (4 * p.m)
     reach, far = max(((abs(edge - f0) + s.rbw_hz / 2, f0) for f0 in carriers if np.isfinite(f0)
                       for s in mask.segments for edge in (s.f_start_hz, s.f_stop_hz)),

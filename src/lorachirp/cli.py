@@ -6,10 +6,11 @@ columns and units; structured reports are JSON on stdout.  Exit codes:
 0 success, 1 usage/runtime error, 2 mask-check failure verdict.  A
 command whose output path is the file on stdout (/dev/stdout) prints its
 report on stderr instead, so that the output is all that stdout carries.
+Each command imports the modules it uses when it runs: xcorr, say, loads
+neither the IQ file layer nor the spectrum engine.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -18,14 +19,16 @@ import stat
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analysis, correlation, iqfile, spectrum
-from .iqfile import _read_csv, _write_csv
 from .params import LoraParams, _finite, _power_ratio
-from .receiver import demodulate_stream
-from .waveform import modulate, payload_to_symbols
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .analysis import BinnedSpectrum, MaskSegment
 
 
 def example_mask_path() -> Path:
@@ -75,6 +78,9 @@ def _parse_sf_list(text: str) -> list[int]:
 
 
 def _cmd_modulate(args) -> int:
+    from .iqfile import write_iq
+    from .waveform import modulate, payload_to_symbols
+
     if not args.header and _is_stream(args.out):
         raise ValueError(f"--out {args.out} is stdout or a device, so the default sidecar "
                          f"{args.out}.json has no place: give --header")
@@ -84,16 +90,19 @@ def _cmd_modulate(args) -> int:
     else:
         symbols = payload_to_symbols(bytes.fromhex(args.payload_hex), args.sf)
     iq = modulate(p, symbols, oversample=args.oversample)
-    iqfile.write_iq(iq, args.out, header_path=args.header,
-                    center_freq=args.f0, description=f"sf={args.sf} bw={args.bw}")
+    write_iq(iq, args.out, header_path=args.header,
+             center_freq=args.f0, description=f"sf={args.sf} bw={args.bw}")
     print(json.dumps({"num_symbols": len(symbols), "num_samples": len(iq),
                       "fs_hz": iq.fs, "out": str(args.out)}))
     return 0
 
 
 def _cmd_demod(args) -> int:
+    from .iqfile import read_iq
+    from .receiver import demodulate_stream
+
     p = _params(args)
-    iq = iqfile.read_iq(args.infile, header_path=args.header)
+    iq = read_iq(args.infile, header_path=args.header)
     symbols = demodulate_stream(iq, p)
     doc = {"sf": args.sf, "bw_hz": args.bw, "symbols": symbols}
     if args.out:
@@ -103,19 +112,24 @@ def _cmd_demod(args) -> int:
 
 
 def _cmd_xcorr(args) -> int:
+    from .correlation import (correlation_bound, correlation_matrix, max_cross_correlation,
+                              orthogonality_offsets)
+
     p = LoraParams(sf=args.sf, b=1.0)
-    mc = correlation.max_cross_correlation(p)
+    mc = max_cross_correlation(p)
     doc = {
         "sf": args.sf,
         "max_abs_re_c": mc.max_abs_real,
         "max_abs_c": mc.max_abs,
         "argmax_pair": list(mc.argmax_real),
-        "bound": correlation.correlation_bound(p),
+        "bound": correlation_bound(p),
         "penalty_db": mc.penalty_db,
-        "orthogonal_offsets": correlation.orthogonality_offsets(p),
+        "orthogonal_offsets": orthogonality_offsets(p),
     }
     if args.full_matrix:
-        C = correlation.correlation_matrix(p)
+        from .iqfile import _write_csv
+
+        C = correlation_matrix(p)
         l, m = np.indices(C.shape).reshape(2, -1)
         _write_csv(args.full_matrix, ["l", "m", "re_c", "im_c"],
                    [l, m, C.real.ravel(), C.imag.ravel()])
@@ -125,8 +139,11 @@ def _cmd_xcorr(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .iqfile import _write_csv
+    from .spectrum import fresnel_spectrum
+
     scale = _power_ratio(args.ps_dbm, "--ps-dbm") if args.ps_dbm is not None else None
-    res = spectrum.fresnel_spectrum(_params(args), step=args.grid_step)
+    res = fresnel_spectrum(_params(args), step=args.grid_step)
     # the density scales as 1/B: at a tiny B the power may carry its peak beyond float range
     if scale is not None and not math.isfinite(float(res.continuous.max()) * scale):
         raise ValueError(f"--ps-dbm {args.ps_dbm!r} at --bw {args.bw!r} Hz gives a PSD "
@@ -154,7 +171,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = analysis.reproduce_table(_parse_sf_list(args.sf_list))
+    from .analysis import reproduce_table
+
+    rows = reproduce_table(_parse_sf_list(args.sf_list))
     if args.format == "json":
         text = json.dumps([row.__dict__ for row in rows], indent=2)
     else:
@@ -169,9 +188,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_welch(args) -> int:
-    iq = iqfile.read_iq(args.infile, header_path=args.header)
-    freqs, pxx = analysis.welch_psd(iq, segment_len=args.segment,
-                                    overlap=args.overlap, window=args.window)
+    from .analysis import welch_psd
+    from .iqfile import _write_csv, read_iq
+
+    iq = read_iq(args.infile, header_path=args.header)
+    freqs, pxx = welch_psd(iq, segment_len=args.segment,
+                           overlap=args.overlap, window=args.window)
     out = args.out or "welch_psd.csv"
     _write_csv(out, ["frequency_hz", "psd_per_hz"],
                [freqs, pxx],
@@ -180,10 +202,13 @@ def _cmd_welch(args) -> int:
     return 0
 
 
-def _read_binned_csv(path) -> analysis.BinnedSpectrum:
+def _read_binned_csv(path) -> BinnedSpectrum:
     """The binned spectrum of a CSV in --out-binned's layout; ValueError
     naming the file unless its bin centres ascend by delta_f_hz (to 1e-6
     relative, as mask_check matches the rbw), the bins of one lattice."""
+    from .analysis import BinnedSpectrum
+    from .iqfile import _read_csv
+
     meta, columns = _read_csv(path, "binned CSV", ["bin_center_hz", "power_dbm"])
     if "delta_f_hz" not in meta or "ps_dbm" not in meta:
         raise ValueError(f"binned CSV {path} is missing '# delta_f_hz=' / '# ps_dbm=' metadata")
@@ -196,10 +221,10 @@ def _read_binned_csv(path) -> analysis.BinnedSpectrum:
         raise ValueError(f"binned CSV {path}: bin_center_hz {float(centers[i + 1])!r} follows "
                          f"{float(centers[i])!r}; the centres must ascend by delta_f_hz = "
                          f"{delta_f!r}")
-    return analysis.BinnedSpectrum(*columns, delta_f, ps_dbm)
+    return BinnedSpectrum(*columns, delta_f, ps_dbm)
 
 
-def _lattice_bins(binned: analysis.BinnedSpectrum, f0: float, seg: analysis.MaskSegment) -> float:
+def _lattice_bins(binned: BinnedSpectrum, f0: float, seg: MaskSegment) -> float:
     """How many centres of binned's lattice, its first centre plus whole
     multiples of delta_f, fall in seg's [f_start, f_stop) at carrier f0;
     inf where that count is beyond float range."""
@@ -209,7 +234,9 @@ def _lattice_bins(binned: analysis.BinnedSpectrum, f0: float, seg: analysis.Mask
 
 
 def _cmd_mask_check(args) -> int:
-    mask = analysis.MaskSpec.from_json(args.mask)
+    from .analysis import MaskSpec, _mask_spectrum, binned_power, mask_check
+
+    mask = MaskSpec.from_json(args.mask)
     if args.spectrum_csv:
         binned = _read_binned_csv(args.spectrum_csv)
     else:
@@ -219,13 +246,15 @@ def _cmd_mask_check(args) -> int:
         if len(rbws) > 1:
             raise ValueError(f"mask {mask.label!r} mixes resolution bandwidths {sorted(rbws)}")
         rbw = rbws.pop() if rbws else 1000.0
-        res = analysis._mask_spectrum(_params(args), mask, [args.f0])
-        binned = analysis.binned_power(res, delta_f=rbw, ps_dbm=args.ps_dbm)
+        res = _mask_spectrum(_params(args), mask, [args.f0])
+        binned = binned_power(res, delta_f=rbw, ps_dbm=args.ps_dbm)
     if args.out_binned:
+        from .iqfile import _write_csv
+
         _write_csv(args.out_binned, ["bin_center_hz", "power_dbm"],
                    [binned.bin_centers, binned.bin_power_dbm],
                    comments=[f"delta_f_hz={binned.delta_f!r}", f"ps_dbm={binned.ps_dbm!r}"])
-    report = analysis.mask_check(binned, mask, f0=args.f0)
+    report = mask_check(binned, mask, f0=args.f0)
     doc = {
         "mask": mask.label,
         "f0_hz": args.f0,
@@ -248,8 +277,18 @@ def _cmd_mask_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lorachirp",
-                                 description="Chirp-modulation waveform, receiver and spectrum toolbox")
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """A usage error exits 1, as every other error does: 2 is
+        mask-check's failing verdict."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    ap = Parser(prog="lorachirp",
+                description="Chirp-modulation waveform, receiver and spectrum toolbox")
     sub = ap.add_subparsers(dest="command", required=True)
 
     mod = sub.add_parser("modulate", help="synthesize a symbol stream to an IQ file")

@@ -7,7 +7,6 @@ import numbers
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +50,8 @@ def _map_chunks(fn, spans: list) -> list:
     n_parts = min(_cpu_count(), len(spans))
     if n_parts <= 1:
         return list(fn(spans)) if spans else []
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at start-up
+
     bounds = [i * len(spans) // n_parts for i in range(n_parts + 1)]
     parts = [spans[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(n_parts - 1, thread_name_prefix="lorachirp") as workers:

@@ -127,6 +127,16 @@ def _symbol_array(p: LoraParams, symbols) -> np.ndarray:
     return np.array([validate_symbol(p, s) for s in symbols], dtype=np.int64)
 
 
+def _distinct_symbols(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, return_inverse=True) for symbols 0 <= a < m: the
+    symbols present in ascending order, and the index of each entry of a
+    among them.  A table of the m values marks those present, so the
+    stream is neither sorted nor copied."""
+    present = np.zeros(m, dtype=bool)
+    present[a] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[a]
+
+
 def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> IqBuffer:
     """Concatenate per-symbol waveforms into one phase-continuous stream.
 
@@ -146,7 +156,7 @@ def modulate(p: LoraParams, symbols: Sequence[Symbol], oversample: int = 1) -> I
         raise ValueError("symbols must be a non-empty sequence")
     # a stream holds at most M distinct rows: sample each once, and gather
     # the rows of the stream block by block only when they are read
-    distinct, inverse = np.unique(a, return_inverse=True)
+    distinct, inverse = _distinct_symbols(a, p.m)
     table = _sample_symbols(p, distinct, oversample)
     return IqBuffer._lazy(table.shape[1] * len(a),
                           functools.partial(_gather_rows, table, inverse),

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import importlib
+import inspect
 import json
 import os
 import re
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lorachirp
-from lorachirp import analysis, correlation
+from lorachirp import analysis, correlation, spectrum
 from lorachirp.cli import main
 from lorachirp import (BinnedSpectrum, IqBuffer, LoraParams, MaskSegment, MaskSpec,
                        SpectrumResult, awgn, bin_estimate, binned_power, bit_rate,
@@ -488,9 +490,9 @@ def test_binned_power_counts_its_bins_before_allocating(delta_f):
 def test_binned_power_bin_count_bound_is_exact(monkeypatch):
     # 1 kHz bins over |f| <= 1 MHz: 1999 whole bins
     spec = fresnel_spectrum(LoraParams(sf=7, b=125e3))
-    monkeypatch.setattr(analysis, "_MAX_LATTICE", 1999)
+    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 1999)
     assert len(binned_power(spec, 1000.0, 14.0).bin_centers) == 1999
-    monkeypatch.setattr(analysis, "_MAX_LATTICE", 1998)
+    monkeypatch.setattr(spectrum, "_MAX_LATTICE", 1998)
     with pytest.raises(ValueError, match="into more than 1998 bins$"):
         binned_power(spec, 1000.0, 14.0)
 
@@ -835,13 +837,59 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_import_builds_no_csv_tables():
-    # the CSV formatter's tables are built by the first CSV write, so
-    # importing lorachirp (setup_s) stays as cheap as it was
-    proc = _run_python("import lorachirp, lorachirp.cli; from lorachirp import _numtext; "
+_LOADED = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "lorachirp"
+                  or m in ("argparse", "concurrent.futures", "csv"))
+
+"""
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The lorachirp submodules, and the slow stdlib modules the package
+    defers, that a fresh interpreter holds after running code."""
+    proc = _run_python(_LOADED + code + "\nprint(json.dumps(loaded()))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_the_submodules_a_caller_touches():
+    assert _loaded_after("import lorachirp") == ["lorachirp"]
+    # the set-up path of perfbench/run.py (setup_s) needs no receiver, IQ
+    # file layer or spectrum engine
+    assert _loaded_after("import lorachirp\n"
+                         "from lorachirp.analysis import MaskSpec\n"
+                         "from lorachirp.cli import example_mask_path\n"
+                         "MaskSpec.from_json(example_mask_path())") == [
+        "lorachirp", "lorachirp.analysis", "lorachirp.cli", "lorachirp.correlation",
+        "lorachirp.params"]
+    assert _loaded_after("from lorachirp.cli import main\nmain(['xcorr', '--sf', '7'])") == [
+        "argparse", "lorachirp", "lorachirp.cli", "lorachirp.correlation", "lorachirp.params"]
+    # the CSV formatter's tables are built by the first CSV write, not by its import
+    proc = _run_python("from lorachirp import _numtext; "
                        "print(_numtext._tables.cache_info().currsize)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_package_names_are_looked_up_in_their_modules_on_every_access(monkeypatch):
+    for name in lorachirp.__all__:
+        module = importlib.import_module(f"lorachirp.{lorachirp._SOURCES[name]}")
+        assert getattr(lorachirp, name) is getattr(module, name), name
+        assert name in dir(lorachirp), name
+    for name in ("analysis", "cli", "iqfile", "receiver", "spectrum", "waveform"):
+        assert getattr(lorachirp, name) is sys.modules[f"lorachirp.{name}"]
+        assert name in dir(lorachirp)
+    # the package keeps no copy: a rebinding in the defining module shows through
+    sentinel = object()
+    monkeypatch.setattr(lorachirp.waveform, "modulate", sentinel)
+    assert lorachirp.modulate is sentinel
+    assert not [name for name, value in vars(lorachirp).items() if not name.startswith("_")
+                and (inspect.isfunction(value) or inspect.isclass(value))]
+    with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
+        lorachirp.frobnicate  # noqa: B018
 
 
 _CLI_SCIPY = """

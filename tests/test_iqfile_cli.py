@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from lorachirp import (IqBuffer, LoraParams, SpectrumResult, awgn, binned_power,
                        correlation_matrix, fresnel_spectrum, modulate, read_header,
                        read_iq, write_iq)
-from lorachirp import cli, iqfile, params
+from lorachirp import cli, iqfile, params, waveform
 from lorachirp.cli import example_mask_path, main
 from lorachirp.analysis import MaskSegment, MaskSpec, _mask_spectrum
 from oracles import psd_via_dft, transform_sums_loop
@@ -1137,8 +1137,37 @@ def test_cli_spectrum_has_no_method_option(tmp_path, capsys):
         main(["spectrum", "--sf", "3", "--bw", "1.0", "--method", "dft",
               "--out-psd", str(tmp_path / "psd.csv"),
               "--out-lines", str(tmp_path / "lines.csv")])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "--method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["frobnicate"], 1, "invalid choice: 'frobnicate'"),
+    (["xcorr"], 1, "the following arguments are required: --sf"),
+    (["mask-check", "--mask", "m.json", "--f0", "1e9", "--sf", "x"], 1,
+     "argument --sf: invalid int value: 'x'"),
+    (["--help"], 0, None),
+    (["table", "--help"], 0, None),
+], ids=["unknown-command", "missing-sf", "bad-sf", "help", "command-help"])
+def test_cli_usage_errors_exit_1_and_help_exits_0(capsys, argv, code, message):
+    # 2 is reserved for mask-check's failing verdict
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if message is None:
+        assert out.startswith("usage: lorachirp") and err == ""
+    else:
+        assert err.startswith("usage: lorachirp") and "error: " in err and message in err
+
+
+def test_cli_failing_mask_still_exits_2(tmp_path, capsys):
+    tight = tmp_path / "tight.json"
+    MaskSpec.from_json(example_mask_path()).tightened(40.0).to_json(tight)
+    rc = main(["mask-check", "--mask", str(tight), "--f0", "868.3e6",
+               "--sf", "7", "--bw", "125e3", "--ps-dbm", "14"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 _BINNED = ["# delta_f_hz=1000.0", "# ps_dbm=14.0", "bin_center_hz,power_dbm",
@@ -1346,8 +1375,8 @@ def test_write_iq_writes_every_value_that_narrows_to_a_finite_float32(tmp_path):
 
 def test_cli_modulate_exits_1_when_the_capture_cannot_hold_the_samples(tmp_path, capsys,
                                                                        monkeypatch):
-    real_modulate = cli.modulate
-    monkeypatch.setattr(cli, "modulate", lambda *args, **kwargs: IqBuffer(
+    real_modulate = waveform.modulate
+    monkeypatch.setattr(waveform, "modulate", lambda *args, **kwargs: IqBuffer(
         1e40 * real_modulate(*args, **kwargs).samples, fs=32.0))
     path = tmp_path / "sig.iq"
     rc = main(["modulate", "--sf", "5", "--bw", "32", "--symbols", "1,2", "--out", str(path)])

@@ -2,6 +2,7 @@
 read_iq, write_iq) give the same bits on one CPU and on several, and on a
 lazy buffer (modulated, noisy or read back from a file) as on its samples,
 and keep their worker threads private."""
+import concurrent.futures
 import importlib
 import inspect
 import json
@@ -279,7 +280,7 @@ def test_public_functions_run_on_the_calling_thread_only(cpus, monkeypatch, tmp_
                 return fn(*args)
             return super().submit(run, *args)
 
-    monkeypatch.setattr(params, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
 
     cpus(4)
     p, iq = _stream(7, 2, 5.3)

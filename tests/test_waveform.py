@@ -16,7 +16,7 @@ from lorachirp import (IqBuffer, IqFileHeader, LoraParams, instantaneous_frequen
                        mean_envelope_magnitude, modulate, payload_to_symbols,
                        phase, waveform_at)
 from lorachirp.params import _integer, _positive, _real, validate_symbol
-from lorachirp.waveform import _sample_symbols
+from lorachirp.waveform import _distinct_symbols, _sample_symbols
 from oracles import chip_rate_samples, mean_power_quadrature
 
 P_SF3 = LoraParams(sf=3, b=8.0)  # Ts = 1 s
@@ -277,6 +277,21 @@ def test_modulate_equals_the_per_symbol_path(oversample, distinct):
     expected = _sample_symbols(p, np.array(symbols), oversample).ravel()
     for given_as in (symbols, np.array(symbols), iter(symbols)):
         np.testing.assert_array_equal(modulate(p, given_as, oversample).samples, expected)
+
+
+@pytest.mark.parametrize("sf", [1, 7, 16])
+@pytest.mark.parametrize("stream", ["one-symbol", "every-symbol", "random"])
+def test_distinct_symbols_equals_np_unique(sf, stream):
+    m = 1 << sf
+    rng = np.random.default_rng(sf)
+    a = {"one-symbol": np.array([m - 1]),
+         "every-symbol": rng.permutation(np.repeat(np.arange(m), 2)),
+         "random": rng.integers(0, m, 3 * m)}[stream]
+    distinct, inverse = _distinct_symbols(a, m)
+    want_distinct, want_inverse = np.unique(a, return_inverse=True)
+    np.testing.assert_array_equal(distinct, want_distinct)
+    np.testing.assert_array_equal(inverse, want_inverse)
+    assert distinct.dtype == want_distinct.dtype and inverse.dtype == want_inverse.dtype
 
 
 def test_iq_buffer_constructor_copies_the_callers_array():
