@@ -3,7 +3,8 @@ estimation.
 
 Everything spectral here rides on the spectrum module, which only the
 functions that compute a spectrum import, so that loading a mask does
-not load it; absolute power enters only as a dB offset applied to the
+not load it (nor the correlation module, which only reproduce_table
+imports); absolute power enters only as a dB offset applied to the
 unit-power envelope spectra (transmit power Ps in dBm shifts every level
 by ps_dbm).
 """
@@ -16,7 +17,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .correlation import max_cross_correlation
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _finite_array,
                      _finite_power, _integer, _json_object, _map_chunks, _positive, _real, _spans)
 
@@ -217,6 +217,8 @@ def reproduce_table(sf_list) -> list[TableRow]:
     max|Re C| and the SNR penalty, the 99 % width solved on the exact
     Fresnel spectrum, analytic line power); nothing is tabulated.
     """
+    from .correlation import max_cross_correlation
+
     rows = []
     for sf in sf_list:
         sf = _integer(sf, "sf", 3, 12)

@@ -8,8 +8,10 @@ continuous waveforms is, in polar form,
 
 with C(l,l) = 1.  Its magnitude |A(d)| depends on the distance only and
 is bounded by 1/(sqrt(2M)-1), so the waveform set is asymptotically
-orthogonal as M grows.  cross_correlation, correlation_matrix and
-max_cross_correlation all read C from the one kernel _polar.
+orthogonal as M grows.  A and theta are each written once, in
+_amplitude and _phase; cross_correlation and correlation_matrix read C
+from _polar, which pairs the two, and max_cross_correlation reads A over
+all distances and theta only at the few distances it visits.
 """
 from __future__ import annotations
 
@@ -20,14 +22,24 @@ import numpy as np
 from .params import LoraParams, Symbol, validate_symbol
 
 
+def _amplitude(M: int, d) -> np.ndarray:
+    """A(d) of C = A*e^{j*theta} over an integer array of distances d;
+    A(0) = 1."""
+    d = np.asarray(d)
+    ad = np.where(d == 0, 1, np.abs(d))  # keeps the unused d = 0 quotient finite
+    return np.where(d == 0, 1.0, -M * np.sin(np.pi * d * d / M) / (np.pi * (M - ad) * ad))
+
+
+def _phase(M: int, l, m) -> np.ndarray:
+    """theta(l,m) = pi*d*(l+m)/M of C = A*e^{j*theta}, d = m - l."""
+    return np.pi * (m - l) * (l + m) / M
+
+
 def _polar(M: int, l, m) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude A and phase theta of C(l,m) = A*e^{j*theta}, broadcast
     over integer arrays l, m; A = 1 and theta = 0 where l == m."""
     l, m = np.asarray(l), np.asarray(m)
-    d = m - l
-    ad = np.where(d == 0, 1, np.abs(d))  # keeps the unused diagonal quotient finite
-    amp = np.where(d == 0, 1.0, -M * np.sin(np.pi * d * d / M) / (np.pi * (M - ad) * ad))
-    return amp, np.pi * d * (l + m) / M
+    return _amplitude(M, m - l), _phase(M, l, m)
 
 
 def cross_correlation(p: LoraParams, l: Symbol, m: Symbol) -> complex:
@@ -56,31 +68,41 @@ class MaxCorrelation:
 def max_cross_correlation(p: LoraParams) -> MaxCorrelation:
     """Exhaustive scan of |C| and |Re C| maxima over l != m.
 
-    |C| depends only on the symbol distance d, so the |C| maximum is an
-    O(M) scan.  For |Re C| the distances are visited in decreasing order
-    of |C|(d) and the scan stops once |C|(d) cannot beat the best |Re C|
-    found; only a handful of distances are ever examined.
+    |C| = |A(d)| depends only on the symbol distance d, so the |C|
+    maximum is an O(M) scan of A over d = 1..M-1, the first (smallest) d
+    on a tie.  For |Re C| = |A(d)*cos(theta)| the distances are visited
+    in decreasing order of |A(d)| and the scan stops once |A(d)| cannot
+    beat the best |Re C| found; only a handful of distances are ever
+    examined, and only theta over their M - d pairs is computed.  Equal
+    |A(d)| are visited larger distance first, which decides the reported
+    pair where two distances reach the same |Re C| (SF 3 and 5).  The
+    rule is written out because a sort does not give one: numpy's
+    default argsort is not stable, so equal keys come out in whatever
+    order the sort leaves them.
     """
     M = p.m
-    d = np.arange(1, M)
-    absvals = np.abs(_polar(M, 0, d)[0])
+    absvals = np.abs(_amplitude(M, np.arange(1, M)))
     i_abs = int(np.argmax(absvals))
     max_abs = float(absvals[i_abs])
-    argmax_abs = (0, int(d[i_abs]))
+    argmax_abs = (0, i_abs + 1)
 
     best_real = 0.0
-    argmax_real = (0, int(d[i_abs]))
-    for i in np.argsort(absvals)[::-1]:
-        if absvals[i] <= best_real:
+    argmax_real = argmax_abs
+    # reversed, index i is distance M - 1 - i: argmax's first hit on a
+    # tie is the larger distance; a visited distance is set to -1
+    todo = absvals[::-1].copy()
+    while True:
+        i = int(np.argmax(todo))
+        if todo[i] <= best_real:
             break
-        dd = int(d[i])
+        todo[i] = -1.0
+        dd = M - 1 - i
         ls = np.arange(M - dd)
-        amp, theta = _polar(M, ls, ls + dd)
-        vals = np.abs(amp * np.cos(theta))
+        vals = np.abs(absvals[dd - 1] * np.cos(_phase(M, ls, ls + dd)))
         j = int(np.argmax(vals))
         if vals[j] > best_real:
             best_real = float(vals[j])
-            argmax_real = (int(ls[j]), int(ls[j] + dd))
+            argmax_real = (j, j + dd)
     return MaxCorrelation(max_abs, best_real, argmax_abs, argmax_real)
 
 

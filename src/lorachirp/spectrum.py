@@ -217,8 +217,24 @@ _SERIES_X = np.array([np.inf] + [(math.pi * (1e-17 / abs(g)) ** (0.5 / m)) ** -0
 
 def _lattice_phase(M: int, k: int, j: np.ndarray) -> np.ndarray:
     """E = exp(-j*pi*u^2/M) at u = j/k, the phase reduced exactly in
-    integers (j^2 mod 2k^2M); E = exp(-j*pi*x^2/2) at x = sqrt(2/M)*u."""
-    return np.exp(-1j * np.pi * ((j * j) % (2 * k * k * M)) / (k * k * M))
+    integers (j^2 mod 2k^2M); E = exp(-j*pi*x^2/2) at x = sqrt(2/M)*u.
+
+    The phase -(j^2 mod 2k^2M)*pi*(1/(k^2M)) is one float array, negated
+    while it is still an integer so that it is +0, not -0, where j^2 is a
+    multiple of 2k^2M; cos and sin are written into E's real and
+    imaginary parts.  E has the bits, signed zeros included, of
+    np.exp(-1j*pi*(j^2 mod 2k^2M)/(k^2M)) (whose complex division
+    multiplies by the reciprocal) without its complex temporaries and
+    complex exp.
+    """
+    r = j * j
+    r %= 2 * k * k * M
+    theta = np.negative(r, out=r) * np.pi
+    theta *= 1.0 / (k * k * M)
+    e = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
+    return e
 
 
 def _tail_into(out: np.ndarray, x: np.ndarray, e: np.ndarray, terms: list, c: complex) -> None:

@@ -106,6 +106,53 @@ def test_max_scan_agrees_with_dense_matrix():
     assert abs(cross_correlation(p, l, m).real) == pytest.approx(mc.max_abs_real)
 
 
+# max_cross_correlation for every SF the parameters allow, as the scan
+# that visited distances in argsort order computed it: float.hex of
+# max|C| and max|Re C|, then their argmax pairs.  SF 3 (d = 2 and 6) and
+# SF 5 (d = 4 and 28) each reach max|Re C| at two distances; the pair is
+# the one at the larger distance.
+_SCAN = {
+    1: ("0x1.45f306dc9c883p-1", "0x1.678afae35cdd1p-55", (0, 1), (0, 1)),
+    2: ("0x1.334ed7129996bp-2", "0x1.b2995e7b7b605p-3", (0, 1), (2, 3)),
+    3: ("0x1.b2995e7b7b604p-3", "0x1.b2995e7b7b604p-3", (0, 2), (1, 7)),
+    4: ("0x1.0768260ff15cap-3", "0x1.0768260ff15cap-3", (0, 2), (3, 5)),
+    5: ("0x1.7483758e69c03p-4", "0x1.7483758e69c03p-4", (0, 4), (2, 30)),
+    6: ("0x1.0a52b07fa13f5p-4", "0x1.0a0090b2ec8c5p-4", (0, 59), (4, 9)),
+    7: ("0x1.6fa8a4b58d482p-5", "0x1.6f8c4bc7c8002p-5", (0, 7), (24, 31)),
+    8: ("0x1.fefe65611c68ap-6", "0x1.fefe65611c68ap-6", (0, 246), (5, 251)),
+    9: ("0x1.6552ae78ee10cp-6", "0x1.6552ae78ee10cp-6", (0, 14), (121, 135)),
+    10: ("0x1.f4d08813b3e79p-7", "0x1.f4d08813b3e79p-7", (0, 1004), (10, 1014)),
+    11: ("0x1.605eb734d8840p-7", "0x1.605eb734d8840p-7", (0, 28), (242, 270)),
+    12: ("0x1.f083d48141446p-8", "0x1.f083caef0d4c5p-8", (0, 39), (33, 72)),
+    13: ("0x1.5e17b1b6ce6c8p-8", "0x1.5e17b006e59fep-8", (0, 55), (1313, 1368)),
+    14: ("0x1.ee23cecf52e25p-9", "0x1.ee23cecf52e25p-9", (0, 78), (4057, 4135)),
+    15: ("0x1.5ce9d1edc48eap-9", "0x1.5ce9d1edc48eap-9", (0, 110), (8137, 8247)),
+    16: ("0x1.ecf5f90f0e76ep-10", "0x1.ecf5f90f0e76ep-10", (0, 65380), (78, 65458)),
+}
+
+
+@pytest.mark.parametrize("sf", range(1, 17))
+def test_max_scan_is_pinned_over_every_sf(sf):
+    mc = max_cross_correlation(LoraParams(sf=sf, b=1.0))
+    max_abs, max_abs_real, argmax_abs, argmax_real = _SCAN[sf]
+    assert (mc.max_abs.hex(), mc.max_abs_real.hex()) == (max_abs, max_abs_real)
+    assert (mc.argmax_abs, mc.argmax_real) == (argmax_abs, argmax_real)
+
+
+@pytest.mark.parametrize("sf", range(1, 9))
+def test_max_scan_agrees_with_every_pair_of_the_matrix(sf):
+    p = LoraParams(sf=sf, b=1.0)
+    C = correlation_matrix(p)
+    off = ~np.eye(p.m, dtype=bool)
+    mc = max_cross_correlation(p)
+    re = np.abs(C.real)
+    assert mc.max_abs_real == np.max(re[off])
+    assert re[mc.argmax_real] == mc.max_abs_real and mc.argmax_real[0] != mc.argmax_real[1]
+    # np.abs(C) rounds hypot(A*cos, A*sin), which may sit an ulp off |A|
+    brute = np.max(np.abs(C)[off])
+    assert abs(mc.max_abs - brute) <= np.spacing(brute)
+
+
 @pytest.mark.parametrize("sf", range(3, 13))
 def test_bound_holds(sf):
     p = LoraParams(sf=sf, b=1.0)

@@ -305,6 +305,20 @@ def test_line_window_of_e_is_a_quadratic_gauss_sum(sf):
         assert abs(s_e - np.sqrt(M) * np.exp(-1j * np.pi / 4)) <= 1e-12 * np.sqrt(M)
 
 
+@pytest.mark.parametrize("sf,k", [(3, 64), (7, 64), (12, 1), (12, 2), (16, 1), (5, 3)])
+def test_lattice_phase_has_the_bits_of_the_complex_exp(sf, k):
+    # cos and sin of one real phase give the bits of the complex exp it
+    # replaced, signed zeros included: compared as uint64, on a span that
+    # crosses j = 0 and holds a whole period k^2*M on either side
+    M = 2 ** sf
+    period = k * k * M
+    j = np.arange(-period - 5, period + 6)
+    want = np.exp(-1j * np.pi * ((j * j) % (2 * k * k * M)) / (k * k * M))
+    got = spectrum._lattice_phase(M, k, j)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("sf,k,f_max", [(3, 1, 8.0), (7, 1, 8.0), (10, 1, 2.0), (12, 1, 8.0),
                                         (9, 16, 0.25), (5, 3, 8.0), (7, 64, 8.0)],
                          ids=["k1-sf3", "k1-sf7", "k1-sf10", "k1-sf12", "k16-0.25B", "k3-8B",
