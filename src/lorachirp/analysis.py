@@ -11,6 +11,7 @@ by ps_dbm).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -259,17 +260,20 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     """Integrate continuous PSD plus lines into bins of width delta_f.
 
     Bin centers sit at origin + k*delta_f for every bin fully inside the
-    spectrum span.  Bins are half-open, so a line falling exactly on an
-    edge is counted once, in the upper bin.  A grid point or line
-    frequency that is not finite, and a PSD value or line power that is
-    not a finite number >= 0, raise ValueError, and so does a delta_f that
-    cuts the span into more than spectrum._MAX_LATTICE bins, checked
-    before any bin is allocated.
+    spectrum span, computed from origin reduced modulo delta_f, so an
+    origin far from the span gives the bins of its remainder.  Bins are
+    half-open, so a line falling exactly on an edge is counted once, in
+    the upper bin.  A grid point or line frequency that is not finite,
+    and a PSD value or line power that is not a finite number >= 0, raise
+    ValueError, and so does a delta_f that cuts the span into more than
+    spectrum._MAX_LATTICE bins, checked before any bin is allocated.
     """
     from .spectrum import _MAX_LATTICE
 
     delta_f = _positive(delta_f, "delta_f")
-    origin = _real(origin, "origin")
+    # the same centers from an origin within one bin of 0: fmod is exact,
+    # and such an origin is its own remainder
+    origin = math.fmod(_real(origin, "origin"), delta_f)
     _check_spectrum(spec)
     grid = spec.grid
     with np.errstate(over="ignore"):  # a bin index beyond float range reads +-inf
@@ -283,11 +287,13 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
                          f"{float(grid[-1])!r}] Hz into more than {_MAX_LATTICE} bins")
     k_lo, k_hi = int(k_lo), int(k_hi)
     centers = origin + np.arange(k_lo, k_hi + 1) * delta_f
-    # assign each line to its half-open bin
-    idx = np.floor((spec.line_frequencies - origin) / delta_f + 0.5).astype(int) - k_lo
+    # assign each line to its half-open bin; the lines inside the bins are
+    # picked before the int cast, which a far line's index would overflow
+    with np.errstate(over="ignore"):
+        idx = np.floor((spec.line_frequencies - origin) / delta_f + 0.5) - k_lo
     ok = (idx >= 0) & (idx < len(centers))
     level_dbm = _bin_levels_dbm(grid, spec.continuous, centers, delta_f, ps_dbm,
-                                (idx[ok], spec.line_powers[ok]))
+                                (idx[ok].astype(int), spec.line_powers[ok]))
     return BinnedSpectrum(bin_centers=centers, bin_power_dbm=level_dbm,
                           delta_f=delta_f, ps_dbm=ps_dbm)
 
@@ -479,7 +485,10 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     blocks of segments are shared among the CPUs of the affinity mask.
     A buffer whose mean power is not finite (a NaN or infinite sample,
     under a segment or not, or one whose |x|^2 overflows) raises
-    ValueError.
+    ValueError, and so does an fs at which the density of segments that
+    hold power does not integrate to a finite positive number (fs near
+    either end of float range: the density underflows to 0, or the grid
+    collapses to +-0).
     """
     segment_len = _integer(segment_len, "segment_len", 2, len(iq))
     if not 0.0 <= _real(overlap, "overlap") < 1.0:
@@ -525,9 +534,14 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     for first in range(0, len(spans), wave):
         for row in _map_chunks(block_powers, spans[first:first + wave]):
             power += row
-    pxx = np.fft.fftshift(power / (n_segments * iq.fs * np.sum(w ** 2)))
-    freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / iq.fs))
-    integral = np.trapezoid(pxx, freqs)
+    # an fs near either end of float range is reported below, not warned
+    with np.errstate(all="ignore"):
+        pxx = np.fft.fftshift(power / (n_segments * iq.fs * np.sum(w ** 2)))
+        freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / iq.fs))
+        integral = np.trapezoid(pxx, freqs)
+    if power.any() and not (np.isfinite(integral) and integral > 0):
+        raise ValueError(f"fs = {iq.fs!r} Hz gives a Welch density whose integral is "
+                         f"{float(integral)!r}, not a finite positive number")
     if integral > 0:
         pxx = pxx * (mean_power / integral)
     return freqs, pxx

@@ -10,6 +10,7 @@ whose M-point DFT peaks at bin a.
 """
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -55,7 +56,7 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
     if len(iq) == 0:
         raise ValueError("cannot demodulate an empty buffer")
     ratio = iq.fs / p.b
-    r = int(round(ratio))
+    r = int(round(ratio)) if math.isfinite(ratio) else 0  # fs/B may overflow to inf
     if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"fs = {iq.fs} Hz is not an integer multiple of B = {p.b} Hz")
     n_chips = -(-len(iq) // r)

@@ -22,10 +22,11 @@ since there the sum over l is a quadratic Gauss sum.  With M even, time
 reversal maps symbol l onto (M - l) mod M, x(Ts - t; l) = x(t; (M - l)
 mod M), so X(-f; l) = exp(j*2*pi*f*Ts)*X(f; (M - l) mod M): sum_l |X|^2
 and |sum_l X| are even, and both parts are computed on f >= 0 and mirrored.
-scipy's fresnel gives the table's points with |x| < 8; beyond, an
-asymptotic series and the lattice's exactly reduced phase give them to a
-few ulp, at even SF too, where scipy's phase at the rounded argument
-would be off by about x^2*eps.
+scipy's fresnel gives the table's points with |x| < 8, each fill of the
+table evaluating the part of that band it holds; beyond, an asymptotic
+series and the lattice's exactly reduced phase give them to a few ulp,
+at even SF too, where scipy's phase at the rounded argument would be off
+by about x^2*eps.
 The engine's independent cross-checks, a zero-padded DFT of the
 sampled waveforms and the per-symbol loop over closed-form transforms,
 live with the tests.  All spectra here are those of the unit-power
@@ -49,8 +50,10 @@ def _kfun(x):
     C(x) = int_0^x cos(pi*t^2/2) dt and S(x) = int_0^x sin(pi*t^2/2) dt.
 
     Odd in x, accurate to well below 1e-9 absolute over |x| <= 1e4
-    (Cephes rational approximations via scipy, imported here so that only
-    a closed-form spectrum loads scipy).
+    (Cephes rational approximations via scipy).  This is the package's
+    one scipy call: w_integral and every fill of the lattice table
+    (_fresnel_table) evaluate K here, and scipy.special is imported here
+    so that only a closed-form spectrum loads it.
     """
     from scipy.special import fresnel
     s, c = fresnel(x)
@@ -274,43 +277,29 @@ def _tail_into(out: np.ndarray, x: np.ndarray, e: np.ndarray, terms: list, c: co
     np.add(f, c.imag, out=f)
 
 
-def _lattice_x(M: int, k: int, j: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """x = sqrt(2/M)*j/k at ascending integers j, the same bits wherever j
-    is cut, and neg, pos with |x| < _TAIL_X exactly on x[neg:pos]."""
-    x = j / k
-    x *= np.sqrt(2.0 / M)
-    return x, x.searchsorted(-_TAIL_X, side="right"), x.searchsorted(_TAIL_X, side="left")
-
-
-def _fresnel_band(j: np.ndarray, x: np.ndarray, neg: int, pos: int) -> tuple:
-    """(j_0, S, C): scipy's fresnel at x[neg:pos], the band of
-    _lattice_x(M, k, j), and the first j there; j holds a point of it."""
-    from scipy.special import fresnel
-    return (int(j[neg]), *fresnel(x[neg:pos]))
-
-
-def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray, band: tuple,
+def _fresnel_table(M: int, k: int, j: np.ndarray, e: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """D = K(x) + (1+j)/2 at x = sqrt(2/M)*j/k for ascending integers j,
     given E = _lattice_phase(M, k, j), into `out` if given.
 
-    For |x| < _TAIL_X, K is scipy's fresnel at the rounded x, read from
-    `band`, a _fresnel_band of integers that hold j's there without a gap
-    (j's own, or the whole table's when j is one fill of it).  Beyond,
-    the table uses int_|x|^inf exp(j*pi*t^2/2) dt = T(|x|)*exp(j*pi*x^2/2)
-    with T = g + j*f from the asymptotic series (see _SERIES):
+    x has the same bits wherever j is cut, and the points with |x| <
+    _TAIL_X, the band, are scipy's fresnel at the rounded x through
+    _kfun, which is elementwise: so a table built in parts evaluates each
+    band point once, in the part that holds it, with the bits of one call
+    over the whole band.  Beyond, the table uses
+    int_|x|^inf exp(j*pi*t^2/2) dt = T(|x|)*exp(j*pi*x^2/2) with
+    T = g + j*f from the asymptotic series (see _SERIES):
     D = T(|x|)*conj(E) for x <= -8 and D = (1+j) - T(x)*conj(E) for
     x >= 8.  The phase is E's, reduced exactly, and the rounded x enters
     only the slowly varying T, so there D is exact to a few ulp even at
     even SF, where sqrt(2/M) is rounded and scipy's phase pi*x^2/2 would
     be off by about x^2*eps.  Each tail is one pass over its whole slice.
     """
-    x, neg, pos = _lattice_x(M, k, j)
-    j_0, s, c = band
-    at = int(j[neg]) - j_0 if neg < pos else 0
+    x = j / k
+    x *= np.sqrt(2.0 / M)
+    neg, pos = x.searchsorted(-_TAIL_X, side="right"), x.searchsorted(_TAIL_X, side="left")
     d = np.empty(len(j), dtype=complex) if out is None else out
-    np.add(c[at:at + pos - neg], 0.5, out=d.real[neg:pos])
-    np.add(s[at:at + pos - neg], 0.5, out=d.imag[neg:pos])
+    d[neg:pos] = _kfun(x[neg:pos]) + (0.5 + 0.5j)
     # term m counts on the side of each tail next to the band
     starts = x[:neg].searchsorted(-_SERIES_X, side="right")
     _tail_into(d[:neg], x[:neg], e[:neg], [slice(a, neg) for a in starts], 0j)
@@ -347,18 +336,15 @@ def _lattice_sums(M: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     to its l = M, k*M points further up, and takes its lines and window
     sums from those same two slices.  When a block reaches past the
     window, the part still to be read moves to the window's start and
-    the window is filled on from there.  The band |x| < _TAIL_X is one
-    scipy call per table, made before the first fill, and E's period of
-    k^2*M points is computed once where it fits the window.
+    the window is filled on from there.  A fill depends only on its own
+    integers j: it evaluates the part of the band |x| < _TAIL_X that it
+    holds (each band point once per table), and takes E from one period
+    of k^2*M points, computed once where it fits the window.
     """
     top = k * M
     size = top + n + 1
     width = min(size, top + max(2 * _CHUNK, top) + 1)
     j_bottom = -(top // 2) - n  # table index t holds j = j_bottom + t
-    # |x| < 8 lies within |j| < 8k*sqrt(M/2), and the table holds j = 0
-    reach = math.ceil(_TAIL_X * k * math.sqrt(M / 2)) + 1
-    j = np.arange(max(j_bottom, -reach), min(j_bottom + size, reach + 1))
-    band = _fresnel_band(j, *_lattice_x(M, k, j))
     # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E
     # serves; a table built in parts keeps it where it fits the window
     period = k * top
@@ -389,7 +375,7 @@ def _lattice_sums(M: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
                  else np.roll(cache, -(built % period)))
             if len(e) != len(j):
                 e = np.resize(e, len(j))
-            fill = _fresnel_table(M, k, j, e, band, d[built - base:stop - base])
+            fill = _fresnel_table(M, k, j, e, d[built - base:stop - base])
             if k > 1:
                 # |D|^2 and E*D live only while their prefix sums are built
                 for c, v in zip(prefix, (e, fill, fill.real ** 2 + fill.imag ** 2, e * fill)):

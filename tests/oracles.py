@@ -23,8 +23,7 @@ from scipy.special import i0e
 from lorachirp import (LoraParams, SpectrumResult, Symbol, modulate,
                        validate_symbol, waveform_at, waveform_fourier_transform)
 from lorachirp.params import _spans
-from lorachirp.spectrum import (_CHUNK, _factorized_sums, _fresnel_band, _fresnel_table,
-                                _lattice_phase, _lattice_x)
+from lorachirp.spectrum import _CHUNK, _factorized_sums, _fresnel_table, _lattice_phase
 
 
 def fresnel_quadrature(x: float) -> tuple[float, float]:
@@ -361,7 +360,7 @@ def lattice_sums_whole_table(M: int, k: int, n: int) -> tuple[np.ndarray, np.nda
     j = np.arange(-(top // 2) - n, top // 2 + 1)
     # j^2 mod 2k^2M has period k^2M in j (M is even), so one period of E serves
     e = np.resize(_lattice_phase(M, k, j[:k * top]), len(j))
-    d = _fresnel_table(M, k, j, e, _fresnel_band(j, *_lattice_x(M, k, j)))
+    d = _fresnel_table(M, k, j, e)
     # table index t holds l = 0 of frequency n - t and l = M at t + top
     lines = np.abs(d[n % k + top::k] - d[n % k:n + 1:k])[::-1] ** 2 / (2 * M * M)
     if k == 1:

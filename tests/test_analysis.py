@@ -539,6 +539,32 @@ def test_binned_power_rejects_a_non_finite_origin(spec7, origin):
         binned_power(spec7, delta_f=1.0 / 128, ps_dbm=14.0, origin=origin)
 
 
+def test_binned_power_reduces_a_far_origin_modulo_the_bin_width():
+    # origin + k*delta_f are the bins of origin mod delta_f; 1e15, 1e20 and
+    # 1e300 are multiples of 1/128, so each gives origin 0's bins, bit for
+    # bit.  Unreduced, 1e15 swamps the span (513 bins centred at -2.0) and
+    # the larger ones overflow the int cast
+    spec = fresnel_spectrum(LoraParams(sf=7, b=1.0), f_max=2.0)
+    ref = binned_power(spec, delta_f=1.0 / 128, ps_dbm=0.0)
+    assert len(ref.bin_centers) == 511
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for origin in (1e15, 1e20, 1e300, -1e300):
+            got = binned_power(spec, delta_f=1.0 / 128, ps_dbm=0.0, origin=origin)
+            for name in ("bin_centers", "bin_power_dbm"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), (origin, name)
+        # an origin within one bin of 0 is its own remainder
+        got = binned_power(spec, delta_f=1.0 / 128, ps_dbm=0.0, origin=1.0 / 256)
+        assert np.array_equal(got.bin_centers, 1.0 / 256 + np.arange(-256, 256) * (1.0 / 128))
+        # a line far beyond the bins is left out, not cast to an integer
+        lines = spec.lines.copy()
+        lines[-1, 0] = 1e300
+        far = SpectrumResult(grid=spec.grid, continuous=spec.continuous, lines=lines,
+                             params=spec.params)
+        got = binned_power(far, delta_f=1.0 / 128, ps_dbm=0.0)
+    assert len(got.bin_centers) == 511
+
+
 @pytest.mark.parametrize("name, call", [
     ("delta_f", lambda spec, v: binned_power(spec, delta_f=v, ps_dbm=14.0)),
     ("ps_dbm", lambda spec, v: binned_power(spec, delta_f=1.0 / 128, ps_dbm=v)),
@@ -1038,6 +1064,21 @@ def test_welch_rejects_a_buffer_whose_mean_power_is_not_finite(index, value):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^buffer mean power .* is not finite"):
                 welch_psd(iq, segment_len=256)
+
+
+@pytest.mark.parametrize("fs, integral", [(1e308, "0.0"), (1e-308, "nan")])
+def test_welch_rejects_a_sample_rate_at_which_the_density_does_not_integrate(fs, integral):
+    # at fs = 1e308 n_segments*fs*sum(w^2) overflows and every density value
+    # is 0.0; at fs = 1e-308 the grid collapses to +-0 and the integral is NaN
+    samples = np.ones(4096, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"fs = {fs!r} Hz gives a Welch density whose integral is {integral}, not a")):
+            welch_psd(IqBuffer(samples, fs=fs), segment_len=256)
+        # a buffer whose segments hold no power still gives a zero density
+        freqs, pxx = welch_psd(IqBuffer(0 * samples, fs=fs), segment_len=256)
+    assert not pxx.any()
 
 
 def test_welch_agrees_with_analytic_spectrum_smoke(rng):

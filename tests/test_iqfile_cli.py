@@ -596,6 +596,26 @@ def test_cli_demod_rejects_infinite_sidecar_rate(tmp_path, capsys):
     assert "fs_hz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fs_hz, command, message", [
+    (1e308, ["demod", "--sf", "5", "--bw", "1e-300"], "is not an integer multiple of B"),
+    (1e308, ["welch", "--segment", "16"], "gives a Welch density whose integral is 0.0"),
+    (1e-308, ["welch", "--segment", "16"], "gives a Welch density whose integral is nan")],
+    ids=["demod", "welch-1e308", "welch-1e-308"])
+def test_cli_exits_1_at_a_sample_rate_near_the_ends_of_float_range(tmp_path, capsys, fs_hz,
+                                                                   command, message):
+    path = tmp_path / "sig.iq"
+    assert main(["modulate", "--sf", "5", "--bw", "32", "--symbols", "1,9",
+                 "--out", str(path)]) == 0
+    sidecar = path.with_name("sig.iq.json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "fs_hz": fs_hz}))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert main([command[0], "--in", str(path), "--out", str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fs = {fs_hz!r} Hz ") and message in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("segment,message", [
     ({"f_start_hz": 868.0e6, "f_stop_hz": 868.6e6, "rbw_hz": 1000.0},
      "segment 1 is missing 'limit_dbm'"),

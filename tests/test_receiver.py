@@ -129,6 +129,13 @@ def test_stream_rejects_non_integer_rate():
         demodulate_stream(IqBuffer(iq.samples, fs=1.5 * P7.b), P7)
 
 
+def test_stream_rejects_a_rate_ratio_beyond_float_range():
+    # fs/B = 1e308/1e-300 overflows to inf, which int() cannot take
+    iq = modulate(P7, [1], oversample=1)
+    with pytest.raises(ValueError, match="is not an integer multiple of B"):
+        demodulate_stream(IqBuffer(iq.samples, fs=1e308), LoraParams(sf=7, b=1e-300))
+
+
 def test_awgn_is_deterministic_under_seed():
     iq = modulate(P7, [1, 2, 3], oversample=1)
     a = awgn(iq, 10.0, seed=123)

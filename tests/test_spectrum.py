@@ -499,7 +499,8 @@ def _lattice_cases():
     cases = [(sf, max(1, min(64, 8192 // 2 ** sf)), 8.0, None) for sf in range(3, 17)]
     cases += [(9, 3, 8.0, None), (7, 7, 8.0, None), (12, 3, 1.5, None), (5, 7, 64.0, None),
               (12, 16, 0.25, None), (9, 16, 0.25, None), (10, 4, 1.5, None), (5, 3, 1.5, None),
-              (9, 4, 8.0, None), (12, 4, 8.0, None), (3, 4, 8.0, None), (12, 1, 1.5, None)]
+              (9, 4, 8.0, None), (12, 4, 8.0, None), (3, 4, 8.0, None), (12, 1, 1.5, None),
+              (7, 64, 1.5, None), (10, 7, 1.5, None)]
     for sf, k in ((5, 3), (4, 7), (6, 1)):
         for chunk in (1, 7, 64, k * 2 ** sf - 1, k * 2 ** sf + 1):
             cases.append((sf, k, 8.0, chunk))
@@ -544,9 +545,15 @@ def test_fresnel_spectrum_peak_memory(sf, f_max, k, bound_mb):
     assert peak <= bound_mb * 1e6
 
 
-@pytest.mark.parametrize("f_max,step", [(None, None), (1.0, 1.0 / 64), (8.0, 1.0 / 32),
-                                        (300.0, 1.0 / 32)])
-def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, f_max, step):
+@pytest.mark.parametrize("sf,f_max,step,fills", [
+    (5, None, None, 1), (5, 1.0, 1.0 / 64, 1), (5, 8.0, 1.0 / 32, 1), (5, 300.0, 1.0 / 32, 1),
+    (10, "mask", None, 2), (11, "mask", None, 2), (7, 1.5, 1.0 / 8192, 2)],
+    ids=["None-None", "1.0-0.015625", "8.0-0.03125", "300.0-0.03125", "sf10-mask", "sf11-mask",
+         "sf7-k64-1.5"])
+def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, sf, f_max, step, fills):
+    # each fill of the table evaluates the part of the band it holds: the
+    # shipped-mask grids at SF 10 and 11 (1118 + 331 and 1810 + 237
+    # points) and the 1.5B span at SF 7, k = 64 (4096 + 4095) take two
     calls = []
 
     def counted(x):
@@ -555,13 +562,28 @@ def test_fresnel_spectrum_evaluates_one_fresnel_table(monkeypatch, f_max, step):
 
     scipy_fresnel = scipy.special.fresnel
     monkeypatch.setattr(scipy.special, "fresnel", counted)
-    p = LoraParams(sf=5, b=1.0)
-    fresnel_spectrum(p, f_max=f_max, step=step)
-    assert len(calls) == 1
-    # scipy sees only |x| < 8, the table's points with -32k < j <= 16k at
-    # SF 5 (x = j/(4k), exact); the asymptotic series gives the rest
-    k = max(1, min(64, 8192 // p.m)) if step is None else round(1.0 / (p.m * step))
-    np.testing.assert_array_equal(calls[0], np.arange(-32 * k + 1, 16 * k + 1) / (4 * k))
+    p = LoraParams(sf=sf, b=125e3 if f_max == "mask" else 1.0)
+    if f_max == "mask":
+        from lorachirp.analysis import _mask_spectrum
+        mask = lorachirp.MaskSpec.from_json(lorachirp.cli.example_mask_path())
+        got = _mask_spectrum(p, mask, [868.3e6])
+    else:
+        got = fresnel_spectrum(p, f_max=f_max, step=step)
+    k = round(p.b / (p.m * (got.grid[1] - got.grid[0])))
+    # scipy sees only |x| < 8 of the table, x = sqrt(2/M)*j/k for
+    # -k*M/2 - n <= j <= k*M/2, and each of those points once, in
+    # ascending order, whichever fill holds it
+    n = len(got.grid) // 2
+    j = np.arange(-(k * p.m // 2) - n, k * p.m // 2 + 1)
+    x = j / k * np.sqrt(2.0 / p.m)
+    np.testing.assert_array_equal(np.concatenate(calls), x[np.abs(x) < 8])
+    assert sum(len(c) > 0 for c in calls) == fills
+    if sf % 2:
+        # at odd SF x = j/(k*2^((SF-1)/2)) is exact: |x| < 8 is
+        # |j| < 8k*2^((SF-1)/2), and the table's top is j = k*M/2
+        r = 8 * k * 2 ** ((sf - 1) // 2)
+        np.testing.assert_array_equal(np.concatenate(calls),
+                                      np.arange(-r + 1, min(r, k * p.m // 2 + 1)) / (r / 8))
 
 
 _REFERENCE = json.loads(Path(__file__).with_name("fresnel_reference.json").read_text())
@@ -574,8 +596,7 @@ def test_lattice_fresnel_table_matches_40_digit_values(sf, k):
     M = 2 ** sf
     j = np.array([r["j"] for r in rows])
     ref = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
-    band = spectrum._fresnel_band(j, *spectrum._lattice_x(M, k, j))
-    d = spectrum._fresnel_table(M, k, j, spectrum._lattice_phase(M, k, j), band)
+    d = spectrum._fresnel_table(M, k, j, spectrum._lattice_phase(M, k, j))
     rel = np.abs(d - ref) / np.abs(ref)
     x = np.sqrt(2.0 / M) * (j / k)
     tail = np.abs(x) >= 8
