@@ -4,7 +4,8 @@ estimation.
 Everything spectral here rides on the spectrum module, which only the
 functions that compute a spectrum import, so that loading a mask does
 not load it (nor the correlation module, which only reproduce_table
-imports); absolute power enters only as a dB offset applied to the
+imports, nor numpy, which each function that handles an array imports
+when it runs); absolute power enters only as a dB offset applied to the
 unit-power envelope spectra (transmit power Ps in dBm shifts every level
 by ps_dbm).
 """
@@ -16,12 +17,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, _cpu_count, _finite, _finite_array,
                      _finite_power, _integer, _json_object, _map_chunks, _positive, _real, _spans)
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .spectrum import SpectrumResult
 
 _TINY = 1e-30
@@ -40,6 +41,8 @@ def spectral_efficiency(sf: int) -> float:
 
 def _trapezoid_cells(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The trapezoid integral of values over each cell of grid."""
+    import numpy as np
+
     cells = np.add(values[1:], values[:-1])
     cells *= 0.5
     cells *= np.diff(grid)
@@ -48,6 +51,8 @@ def _trapezoid_cells(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _cumulative_trapezoid(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral of values over grid, starting at 0."""
+    import numpy as np
+
     cells = _trapezoid_cells(grid, values)
     # allocated after the cells: the other way round, freeing them trimmed
     # the heap and every call faulted its pages in again
@@ -62,6 +67,8 @@ def _bin_levels_dbm(grid: np.ndarray, density: np.ndarray, centers: np.ndarray,
     """dBm per delta_f at transmit power ps_dbm: the trapezoid integral of
     density over [c - delta_f/2, c + delta_f/2] for each center c, plus
     the powers of lines = (bin indices, powers) added into their bins."""
+    import numpy as np
+
     ps_dbm = _real(ps_dbm, "ps_dbm")
     cum = _cumulative_trapezoid(grid, density)
     power = (np.interp(centers + delta_f / 2, grid, cum)
@@ -75,6 +82,8 @@ def _check_spectrum(spec: SpectrumResult) -> None:
     """ValueError unless the grid and the line frequencies of spec are
     finite and every PSD value and line power is a finite number >= 0: a
     NaN, an infinity or a negative power is no spectrum."""
+    import numpy as np
+
     for what, freqs in (("grid", spec.grid), ("line frequencies", spec.line_frequencies)):
         # a NaN anywhere makes both extremes NaN
         if len(freqs) and not (np.isfinite(freqs.min()) and np.isfinite(freqs.max())):
@@ -95,6 +104,8 @@ def _default_half(p: LoraParams, f_max: float):
     continuous power of each cell (h[i], h[i+1]) with its mirror (G is
     even) and the line power at each h (the line f > 0 stands for itself
     and its mirror)."""
+    import numpy as np
+
     from .spectrum import _half_spectrum
 
     k = max(1, 512 // p.m)
@@ -111,6 +122,8 @@ def _default_half(p: LoraParams, f_max: float):
 def _given_half(spectrum: SpectrumResult):
     """_default_half's three arrays for a given spectrum, whose grid must
     be symmetric about 0 Hz with every line within it on a grid point."""
+    import numpy as np
+
     _check_spectrum(spectrum)
     grid = spectrum.grid
     c = len(grid) // 2
@@ -165,6 +178,8 @@ def occupied_bandwidth(p: LoraParams, fraction: float,
     the 99 % width is 1.04e-3 B (SF 9) to 8.8e-5 B (SF 12) below that at
     k = 16.
     """
+    import numpy as np
+
     if not 0.0 < _real(fraction, "fraction") < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if spectrum is None:
@@ -268,6 +283,8 @@ def binned_power(spec: SpectrumResult, delta_f: float, ps_dbm: float,
     ValueError, and so does a delta_f that cuts the span into more than
     spectrum._MAX_LATTICE bins, checked before any bin is allocated.
     """
+    import numpy as np
+
     from .spectrum import _MAX_LATTICE
 
     delta_f = _positive(delta_f, "delta_f")
@@ -404,6 +421,8 @@ def _mask_spectrum(p: LoraParams, mask: MaskSpec, carriers) -> SpectrumResult:
     carrier that is not finite adds no span; mask_check rejects it.  A
     carrier so far from the mask that the lattice table would exceed
     spectrum._MAX_LATTICE raises ValueError naming it."""
+    import numpy as np
+
     from .spectrum import fresnel_spectrum
 
     step = p.b / (4 * p.m)
@@ -432,6 +451,8 @@ def mask_check(binned: BinnedSpectrum, mask: MaskSpec, f0: float) -> MaskReport:
     A non-finite level in a checked bin raises ValueError naming the
     segment; so do a non-finite carrier f0 and unequal-length arrays.
     """
+    import numpy as np
+
     f0 = _real(f0, "carrier frequency f0")
     if len(binned.bin_centers) != len(binned.bin_power_dbm):
         raise ValueError(f"binned spectrum has {len(binned.bin_centers)} bin centers "
@@ -466,6 +487,8 @@ _WINDOWS = {"hann": (0.5, 0.5), "hamming": (0.54, 0.46),
 
 
 def _cosine_window(window: str, n: int) -> np.ndarray:
+    import numpy as np
+
     phase = 2.0 * np.pi * np.arange(n) / n
     return sum((-1) ** k * a * np.cos(k * phase)
                for k, a in enumerate(_WINDOWS[window]))
@@ -486,10 +509,12 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
     A buffer whose mean power is not finite (a NaN or infinite sample,
     under a segment or not, or one whose |x|^2 overflows) raises
     ValueError, and so does an fs at which the density of segments that
-    hold power does not integrate to a finite positive number (fs near
-    either end of float range: the density underflows to 0, or the grid
-    collapses to +-0).
+    hold power does not integrate to a finite positive number (a tiny fs
+    collapses the grid to +-0; at a huge fs the density of a faint buffer
+    underflows to 0).
     """
+    import numpy as np
+
     segment_len = _integer(segment_len, "segment_len", 2, len(iq))
     if not 0.0 <= _real(overlap, "overlap") < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
@@ -536,7 +561,10 @@ def welch_psd(iq: IqBuffer, segment_len: int, overlap: float = 0.5,
             power += row
     # an fs near either end of float range is reported below, not warned
     with np.errstate(all="ignore"):
-        pxx = np.fft.fftshift(power / (n_segments * iq.fs * np.sum(w ** 2)))
+        scale = n_segments * iq.fs * np.sum(w ** 2)
+        # from about fs = 1e305 the product overflows: fs then divides on its own
+        pxx = np.fft.fftshift(power / scale if np.isfinite(scale)
+                              else power / (n_segments * np.sum(w ** 2)) / iq.fs)
         freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / iq.fs))
         integral = np.trapezoid(pxx, freqs)
     if power.any() and not (np.isfinite(integral) and integral > 0):
@@ -557,6 +585,8 @@ def bin_estimate(freqs: np.ndarray, psd: np.ndarray, centers: np.ndarray,
     ascending and as long as psd, and delta_f finite and positive,
     otherwise ValueError.
     """
+    import numpy as np
+
     delta_f = _positive(delta_f, "delta_f")
     freqs, psd, centers = (_finite_array(freqs, "freqs"), _finite_array(psd, "psd"),
                            _finite_array(centers, "centers"))

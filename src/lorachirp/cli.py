@@ -7,7 +7,9 @@ columns and units; structured reports are JSON on stdout.  Exit codes:
 command whose output path is the file on stdout (/dev/stdout) prints its
 report on stderr instead, so that the output is all that stdout carries.
 Each command imports the modules it uses when it runs: xcorr, say, loads
-neither the IQ file layer nor the spectrum engine.
+neither the IQ file layer nor the spectrum engine.  Importing this module
+and parsing a command line load no numpy, so --help, a usage error and a
+mask that cannot be read end before numpy is loaded.
 """
 from __future__ import annotations
 
@@ -20,8 +22,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .params import LoraParams, _finite, _power_ratio
 
@@ -127,6 +127,8 @@ def _cmd_xcorr(args) -> int:
         "orthogonal_offsets": orthogonality_offsets(p),
     }
     if args.full_matrix:
+        import numpy as np
+
         from .iqfile import _write_csv
 
         C = correlation_matrix(p)
@@ -139,6 +141,8 @@ def _cmd_xcorr(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    import numpy as np
+
     from .iqfile import _write_csv
     from .spectrum import fresnel_spectrum
 
@@ -206,6 +210,8 @@ def _read_binned_csv(path) -> BinnedSpectrum:
     """The binned spectrum of a CSV in --out-binned's layout; ValueError
     naming the file unless its bin centres ascend by delta_f_hz (to 1e-6
     relative, as mask_check matches the rbw), the bins of one lattice."""
+    import numpy as np
+
     from .analysis import BinnedSpectrum
     from .iqfile import _read_csv
 
@@ -228,6 +234,8 @@ def _lattice_bins(binned: BinnedSpectrum, f0: float, seg: MaskSegment) -> float:
     """How many centres of binned's lattice, its first centre plus whole
     multiples of delta_f, fall in seg's [f_start, f_stop) at carrier f0;
     inf where that count is beyond float range."""
+    import numpy as np
+
     first = float(binned.bin_centers[0]) + f0
     return float(np.ceil((seg.f_stop_hz - first) / binned.delta_f)
                  - np.ceil((seg.f_start_hz - first) / binned.delta_f))

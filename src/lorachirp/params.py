@@ -1,4 +1,9 @@
-"""Core modulation parameters and signal-buffer types."""
+"""Core modulation parameters and signal-buffer types.
+
+Importing this module, building a LoraParams and checking a number read
+from a file load no numpy: only the functions and methods that handle an
+array import it, when they run.
+"""
 from __future__ import annotations
 
 import json
@@ -9,8 +14,10 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Modulation symbols are plain integers in [0, M-1].
 Symbol = int
@@ -65,6 +72,8 @@ def _map_chunks(fn, spans: list) -> list:
 def _all_finite(values: np.ndarray) -> bool:
     """True when no value of the array (any shape) is NaN or infinite, as
     for no value at all; NaN fails both comparisons."""
+    import numpy as np
+
     return bool(values.size == 0 or (np.maximum.reduce(values, axis=None) < np.inf
                                      and np.minimum.reduce(values, axis=None) > -np.inf))
 
@@ -80,7 +89,13 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
     """value as an int; ValueError naming `name` for a bool, a value that
     is not an integer type (a float such as 7.0 included), and one below
     lo or above hi where they are given."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
+        integral = not isinstance(value, bool)
+    else:  # only a value that is not an int needs numpy's integer types
+        import numpy as np
+
+        integral = isinstance(value, np.integer)
+    if not integral:
         raise ValueError(f"{name} must be an integer, got {_quote(value)}")
     value = int(value)
     if hi is not None and not lo <= value <= hi:
@@ -118,6 +133,8 @@ def _finite_array(values, name: str) -> np.ndarray:
     """values as a float array; ValueError naming `name` when one of them
     is not a real number (a complex number, a bool, text or any other
     object is not), or is NaN, infinite or an int beyond float range."""
+    import numpy as np
+
     values = np.asarray(values)
     if values.dtype.kind not in "iuf":
         # an object array may hold ints beyond float range, or Fractions
@@ -252,6 +269,8 @@ class IqBuffer:
     fs: float
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "fs", _positive(self.fs, "fs"))
         arr = np.array(self.samples, dtype=np.complex128, copy=True)
         if arr.ndim != 1:
@@ -279,6 +298,8 @@ class IqBuffer:
                 n, fill, lock = lazy
                 with lock:  # one thread builds the samples, the others wait
                     if "samples" not in self.__dict__:
+                        import numpy as np
+
                         samples = np.empty(n, dtype=np.complex128)
 
                         def fill_blocks(part: list) -> tuple:
@@ -311,6 +332,8 @@ class IqBuffer:
             yield from (self.samples[lo:hi] for lo, hi in spans)
             return
         if out is None:
+            import numpy as np
+
             out = np.empty(max((hi - lo for lo, hi in spans), default=0), dtype=np.complex128)
         for lo, hi in spans:
             lazy[1](lo, hi, out[:hi - lo])
@@ -337,6 +360,8 @@ class IqBuffer:
         kept = self.__dict__.get("_mean_power")
         if kept is not None:
             return kept
+        import numpy as np
+
         n = len(self)
 
         def block_sums(part: list) -> list[float]:

@@ -16,7 +16,7 @@ import threading
 import numpy as np
 
 from .params import (_BLOCK_SAMPLES, IqBuffer, LoraParams, Symbol, _all_finite, _integer,
-                     _finite_power, _map_chunks, _power_ratio, _spans)
+                     _finite_power, _map_chunks, _power_ratio, _quote, _spans)
 from .waveform import _sample_symbols
 
 # awgn draws one seeded noise stream per block of this many samples.  The
@@ -49,9 +49,11 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
     taken starting at index 0 with no anti-alias filtering: band-limiting
     would distort the chirps, and at chip instants the plain samples are
     already exact.  After decimation the length must be a whole number of
-    symbols.  Each symbol is detected as argmax_q |DFT(dechirped)[q]|;
-    ties break to the lowest bin.  The blocks of the stream are shared
-    among the CPUs of the affinity mask.
+    symbols, at least one: a ValueError naming fs, B and the decimation
+    factor reports a stream that decimates to fewer than M chips.  Each
+    symbol is detected as argmax_q |DFT(dechirped)[q]|; ties break to the
+    lowest bin.  The blocks of the stream are shared among the CPUs of
+    the affinity mask.
     """
     if len(iq) == 0:
         raise ValueError("cannot demodulate an empty buffer")
@@ -60,6 +62,10 @@ def demodulate_stream(iq: IqBuffer, p: LoraParams) -> list[Symbol]:
     if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"fs = {iq.fs} Hz is not an integer multiple of B = {p.b} Hz")
     n_chips = -(-len(iq) // r)
+    if n_chips < p.m:
+        raise ValueError(
+            f"fs = {iq.fs!r} Hz over B = {p.b!r} Hz decimates by {_quote(r)}: the {len(iq)} "
+            f"samples leave {n_chips} chips, fewer than the M = {p.m} of one symbol")
     trailing = n_chips % p.m
     if trailing:
         raise ValueError(

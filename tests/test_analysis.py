@@ -867,14 +867,14 @@ import json, sys
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "lorachirp"
-                  or m in ("argparse", "concurrent.futures", "csv"))
+                  or m in ("argparse", "concurrent.futures", "csv", "numpy"))
 
 """
 
 
 def _loaded_after(code: str) -> list[str]:
-    """The lorachirp submodules, and the slow stdlib modules the package
-    defers, that a fresh interpreter holds after running code."""
+    """The lorachirp submodules, numpy, and the slow stdlib modules the
+    package defers, that a fresh interpreter holds after running code."""
     proc = _run_python(_LOADED + code + "\nprint(json.dumps(loaded()))")
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -883,14 +883,43 @@ def _loaded_after(code: str) -> list[str]:
 def test_import_loads_only_the_submodules_a_caller_touches():
     assert _loaded_after("import lorachirp") == ["lorachirp"]
     # the set-up path of perfbench/run.py (setup_s) needs no receiver, IQ
-    # file layer, spectrum engine or correlation scan
+    # file layer, spectrum engine, correlation scan or numpy
     assert _loaded_after("import lorachirp\n"
                          "from lorachirp.analysis import MaskSpec\n"
                          "from lorachirp.cli import example_mask_path\n"
                          "MaskSpec.from_json(example_mask_path())") == [
         "lorachirp", "lorachirp.analysis", "lorachirp.cli", "lorachirp.params"]
     assert _loaded_after("from lorachirp.cli import main\nmain(['xcorr', '--sf', '7'])") == [
-        "argparse", "lorachirp", "lorachirp.cli", "lorachirp.correlation", "lorachirp.params"]
+        "argparse", "lorachirp", "lorachirp.cli", "lorachirp.correlation", "lorachirp.params",
+        "numpy"]
+
+
+_RUN_CLI = """
+import runpy
+sys.argv = ["lorachirp", *sys.argv[1:]]
+try:
+    runpy.run_module("lorachirp", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], "0"),
+    (["frobnicate"], "1"),
+    (["mask-check", "--mask", "MISSING", "--f0", "868.3e6", "--sf", "7",
+      "--bw", "125e3", "--ps-dbm", "14"], "1"),
+], ids=["help", "usage-error", "missing-mask"])
+def test_cli_ends_before_numpy_when_it_computes_nothing(argv, code, tmp_path):
+    # python -m lorachirp ARGV in a fresh interpreter: the help text, a
+    # usage error and a mask that cannot be read need no array
+    argv = [str(tmp_path / "no-such-mask.json") if a == "MISSING" else a for a in argv]
+    proc = _run_python(_LOADED + _RUN_CLI + "print(json.dumps(loaded()))", *argv)
+    assert proc.returncode == 0, proc.stderr
+    *_, exit_code, loaded = proc.stdout.splitlines()
+    assert exit_code == code
+    assert "numpy" not in json.loads(loaded)
+    assert "argparse" in json.loads(loaded)
 
 
 def test_import_builds_no_csv_tables():
@@ -994,6 +1023,34 @@ def test_mean_envelope_magnitude_loads_no_scipy():
     assert proc.stdout.split()[::2] == ["False", "False"]
 
 
+_FIRST_NUMPY_CALL = """
+import cmath, hashlib, sys
+if sys.argv[1] == "1":
+    import numpy
+from lorachirp import IqBuffer, reproduce_table, welch_psd
+loaded = "numpy" in sys.modules
+digest = hashlib.sha256()
+for row in reproduce_table([3, 7]):
+    digest.update(repr(row).encode())
+iq = IqBuffer([cmath.exp(0.01j * n * n) for n in range(4096)], fs=125e3)
+for a in welch_psd(iq, segment_len=256):
+    digest.update(a.tobytes())
+print(loaded, digest.hexdigest())
+"""
+
+
+def test_first_call_loads_numpy_and_gives_the_same_bits():
+    # importing the package loads no numpy; the first call that computes
+    # imports it, and its values equal those with numpy imported up front
+    lazy, eager = (_run_python(_FIRST_NUMPY_CALL, flag) for flag in ("0", "1"))
+    assert lazy.returncode == 0, lazy.stderr
+    assert eager.returncode == 0, eager.stderr
+    lazy_loaded, lazy_digest = lazy.stdout.split()
+    eager_loaded, eager_digest = eager.stdout.split()
+    assert (lazy_loaded, eager_loaded) == ("False", "True")
+    assert lazy_digest == eager_digest
+
+
 _INTEGER_ARGUMENTS = pytest.mark.parametrize("call,name", [
     (spectral_efficiency, "sf"),
     (lambda sf: reproduce_table([sf])[0], "sf"),
@@ -1068,9 +1125,10 @@ def test_welch_rejects_a_buffer_whose_mean_power_is_not_finite(index, value):
 
 @pytest.mark.parametrize("fs, integral", [(1e308, "0.0"), (1e-308, "nan")])
 def test_welch_rejects_a_sample_rate_at_which_the_density_does_not_integrate(fs, integral):
-    # at fs = 1e308 n_segments*fs*sum(w^2) overflows and every density value
-    # is 0.0; at fs = 1e-308 the grid collapses to +-0 and the integral is NaN
-    samples = np.ones(4096, dtype=complex)
+    # at fs = 1e308 every density value of a faint buffer (samples of
+    # 1e-150) underflows to 0.0; at fs = 1e-308 the grid collapses to +-0
+    # and the integral of unit samples is NaN
+    samples = np.full(4096, 1e-150 if fs > 1 else 1.0, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^" + re.escape(
@@ -1079,6 +1137,31 @@ def test_welch_rejects_a_sample_rate_at_which_the_density_does_not_integrate(fs,
         # a buffer whose segments hold no power still gives a zero density
         freqs, pxx = welch_psd(IqBuffer(0 * samples, fs=fs), segment_len=256)
     assert not pxx.any()
+
+
+@pytest.mark.parametrize("fs", [1e305, 1e307, 1e308])
+def test_welch_integrates_at_a_sample_rate_where_its_normaliser_overflows(fs):
+    # 31 segments * fs * sum(w^2) = 2976 fs is beyond float range, but the
+    # density of unit samples is not
+    freqs, pxx = welch_psd(IqBuffer(np.ones(4096, dtype=complex), fs=fs), segment_len=256)
+    assert np.all(np.isfinite(pxx)) and pxx.max() > 0
+    assert np.trapezoid(pxx, freqs) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("fs", [1.0, 125e3])
+def test_welch_density_divides_by_the_whole_normaliser_where_it_is_finite(rng, fs):
+    # the density the single division power / (n_segments * fs * sum(w^2))
+    # gives, bit for bit, then its rescaling to the mean power
+    samples = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    iq = IqBuffer(samples, fs=fs)
+    freqs, pxx = welch_psd(iq, segment_len=256)
+    w = analysis._cosine_window("hann", 256)
+    segments = np.lib.stride_tricks.sliding_window_view(samples, 256)[::128]
+    spec = np.fft.fft(segments * w, axis=-1).view(np.float64)
+    sums = np.add.reduce(np.square(spec), axis=0)
+    density = np.fft.fftshift((sums[0::2] + sums[1::2]) / (len(segments) * fs * np.sum(w ** 2)))
+    np.testing.assert_array_equal(freqs, np.fft.fftshift(np.fft.fftfreq(256, 1.0 / fs)))
+    np.testing.assert_array_equal(pxx, density * (iq.mean_power / np.trapezoid(density, freqs)))
 
 
 def test_welch_agrees_with_analytic_spectrum_smoke(rng):

@@ -596,16 +596,23 @@ def test_cli_demod_rejects_infinite_sidecar_rate(tmp_path, capsys):
     assert "fs_hz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fs_hz, command, message", [
-    (1e308, ["demod", "--sf", "5", "--bw", "1e-300"], "is not an integer multiple of B"),
-    (1e308, ["welch", "--segment", "16"], "gives a Welch density whose integral is 0.0"),
-    (1e-308, ["welch", "--segment", "16"], "gives a Welch density whose integral is nan")],
-    ids=["demod", "welch-1e308", "welch-1e-308"])
+@pytest.mark.parametrize("fs_hz, command, message, amplitude", [
+    (1e308, ["demod", "--sf", "5", "--bw", "1e-300"], "is not an integer multiple of B", None),
+    (1e20, ["demod", "--sf", "5", "--bw", "1"], "decimates by 100000000000000000000: the 64 "
+     "samples leave 1 chips, fewer than the M = 32 of one symbol", None),
+    (1e300, ["demod", "--sf", "5", "--bw", "1"], "fewer than the M = 32 of one symbol", None),
+    # the density of unit samples is representable at 1e308; that of
+    # samples of 1e-30 underflows to 0
+    (1e308, ["welch", "--segment", "16"], "gives a Welch density whose integral is 0.0", 1e-30),
+    (1e-308, ["welch", "--segment", "16"], "gives a Welch density whose integral is nan", None)],
+    ids=["demod", "demod-1e20", "demod-1e300", "welch-1e308", "welch-1e-308"])
 def test_cli_exits_1_at_a_sample_rate_near_the_ends_of_float_range(tmp_path, capsys, fs_hz,
-                                                                   command, message):
+                                                                   command, message, amplitude):
     path = tmp_path / "sig.iq"
     assert main(["modulate", "--sf", "5", "--bw", "32", "--symbols", "1,9",
                  "--out", str(path)]) == 0
+    if amplitude is not None:
+        np.full(2 * 64, amplitude, dtype="<f4").tofile(path)
     sidecar = path.with_name("sig.iq.json")
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "fs_hz": fs_hz}))
     capsys.readouterr()

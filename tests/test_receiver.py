@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,26 @@ def test_stream_rejects_a_rate_ratio_beyond_float_range():
     iq = modulate(P7, [1], oversample=1)
     with pytest.raises(ValueError, match="is not an integer multiple of B"):
         demodulate_stream(IqBuffer(iq.samples, fs=1e308), LoraParams(sf=7, b=1e-300))
+
+
+@pytest.mark.parametrize("fs, factor", [(1e20, "100000000000000000000"),
+                                        (1e300, "1000000000000000052504760255204420248704468581"
+                                                "108159154915854115... (301 characters)")],
+                         ids=["1e20", "1e300"])
+def test_stream_names_fs_b_and_the_factor_when_fewer_than_m_chips_are_left(fs, factor):
+    # fs/B is a whole number far above the buffer length: one chip is left
+    iq = modulate(P7, [1, 2], oversample=1)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"fs = {fs!r} Hz over B = 1.0 Hz decimates by {factor}: the 256 samples leave "
+            "1 chips, fewer than the M = 128 of one symbol") + "$"):
+        demodulate_stream(IqBuffer(iq.samples, fs=fs), LoraParams(sf=7, b=1.0))
+
+
+def test_stream_rejects_fewer_chips_than_one_symbol():
+    iq = modulate(P7, [1], oversample=2)
+    with pytest.raises(ValueError, match=r"the 127 samples leave 64 chips, fewer than the "
+                                         r"M = 128 of one symbol"):
+        demodulate_stream(IqBuffer(iq.samples[:127], fs=iq.fs), P7)
 
 
 def test_awgn_is_deterministic_under_seed():
