@@ -89,13 +89,7 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
     """value as an int; ValueError naming `name` for a bool, a value that
     is not an integer type (a float such as 7.0 included), and one below
     lo or above hi where they are given."""
-    if isinstance(value, int):
-        integral = not isinstance(value, bool)
-    else:  # only a value that is not an int needs numpy's integer types
-        import numpy as np
-
-        integral = isinstance(value, np.integer)
-    if not integral:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {_quote(value)}")
     value = int(value)
     if hi is not None and not lo <= value <= hi:
